@@ -68,8 +68,7 @@ class AlgebraContext:
         f = self.field
         if self._ltable is not None:
             return x[self._ltable]
-        t = f.mul(x[:, None, None], self.mult_tensor)
-        return f.vec_sum(t, axis=0).T
+        return f.mul_sum(x[:, None, None], self.mult_tensor, axis=0).T
 
     def rmul_matrix(self, y):
         """Matrix R with R @ x = x * y."""
@@ -77,17 +76,10 @@ class AlgebraContext:
         f = self.field
         if self._rtable is not None:
             return y[self._rtable]
-        t = f.mul(y[None, :, None], self.mult_tensor)
-        return f.vec_sum(t, axis=1).T
+        return f.mul_sum(y[None, :, None], self.mult_tensor, axis=1).T
 
     def mul(self, x, y):
         return linalg.matvec(self.field, self.lmul_matrix(x), y)
-
-    def mul_many(self, xs):
-        acc = xs[0]
-        for x in xs[1:]:
-            acc = self.mul(acc, x)
-        return acc
 
     def power(self, x, n):
         acc = self.unit.copy()
@@ -203,12 +195,11 @@ class AlgebraContext:
     # -- invariant checks ---------------------------------------------------
 
     def _check_unit(self):
-        u = self.unit
-        for i in range(self.dim):
-            b = self.basis_vector(i)
-            if not (np.array_equal(self.mul(u, b), b)
-                    and np.array_equal(self.mul(b, u), b)):
-                raise AlgebraError("unit is not a two-sided identity")
+        # column i of L_u is u * b_i, and column i of R_u is b_i * u
+        ident = linalg.eye(self.field, self.dim)
+        if not (np.array_equal(self.lmul_matrix(self.unit), ident)
+                and np.array_equal(self.rmul_matrix(self.unit), ident)):
+            raise AlgebraError("unit is not a two-sided identity")
 
     def _check_associative(self, sample_cap=200):
         import itertools

@@ -5,14 +5,31 @@ stands for the residue class sum(c_i * x^i) modulo a fixed monic
 irreducible polynomial of degree m over GF(p).  All element operations
 accept plain ints or numpy integer arrays and are vectorized.
 
-Multiplication runs through discrete log/exp tables of a primitive
-element; addition is digitwise mod p (XOR when p = 2), so no q-by-q
-tables are ever built and fields up to 2^63 elements are representable.
+Each field finds its modulus and generator with `bflab.polys` over GF(p)
+and builds its tables once, at construction:
+
+- log/exp tables of a primitive element (q and 2(q - 1) entries) drive
+  `mul`, `inv` and `pow`;
+- for odd p, a q-entry negation table drives `neg`, and for q <= 256 a
+  q-by-q addition table drives `add`; larger odd fields add digitwise
+  mod p, and p = 2 adds by XOR;
+- for odd p and m > 1, a packed exp table (4(q - 1) + 1 entries) holds
+  the m base-p digits of each power of the generator in w-bit fields of
+  one int64, w = 62 // m, for the product-sum kernel `mul_sum`.
+
+Apart from the addition table every table has O(q) entries, and q is
+capped at 2^20 (desk-scale fields only).
 """
 
+import sys
 from functools import lru_cache
 
 import numpy as np
+
+from . import polys
+
+# Largest temporary, in elements, that `mul_sum` builds in one step.
+_TEMP_BUDGET = 1 << 22
 
 
 def is_prime(n):
@@ -40,84 +57,6 @@ def _prime_factors(n):
     return out
 
 
-# -- polynomial helpers over the prime field GF(p), coefficient tuples --
-# (used only while constructing a field; everyday polynomial work over a
-# built field lives in bflab.polys)
-
-def _pf_trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _pf_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pf_mod(tuple(out), mod, p)
-
-
-def _pf_mod(a, mod, p):
-    a = list(_pf_trim(a))
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while a and len(a) - 1 >= dm:
-        shift = len(a) - 1 - dm
-        factor = (a[-1] * inv_lead) % p
-        for i, mi in enumerate(mod):
-            a[shift + i] = (a[shift + i] - factor * mi) % p
-        a = list(_pf_trim(a))
-    return tuple(a)
-
-
-def _pf_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-           for i in range(n)]
-    return _pf_trim(out)
-
-
-def _pf_powmod(a, n, mod, p):
-    result = (1,)
-    base = _pf_mod(a, mod, p)
-    while n:
-        if n & 1:
-            result = _pf_mulmod(result, base, mod, p)
-        base = _pf_mulmod(base, base, mod, p)
-        n >>= 1
-    return result
-
-
-def _pf_gcd(a, b, p):
-    a, b = _pf_trim(a), _pf_trim(b)
-    while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        monic_b = tuple((c * inv_lead) % p for c in b)
-        r = _pf_mod(a, monic_b, p)
-        a, b = monic_b, r
-    return a
-
-
-def _pf_is_irreducible(f, p):
-    """Rabin test: x^(p^m) = x mod f, and x^(p^(m/t)) - x coprime to f."""
-    m = len(f) - 1
-    if m < 1:
-        return False
-    x = (0, 1)
-    xq = _pf_powmod(x, p ** m, f, p)
-    if _pf_sub(xq, x, p):
-        return False
-    for t in _prime_factors(m):
-        xe = _pf_powmod(x, p ** (m // t), f, p)
-        g = _pf_gcd(f, _pf_sub(xe, x, p), p)
-        if len(g) > 1:
-            return False
-    return True
-
-
 def _lowest_irreducible(p, m):
     """Monic irreducible of degree m over GF(p), least in code order.
 
@@ -127,13 +66,8 @@ def _lowest_irreducible(p, m):
     if m == 1:
         return (0, 1)
     for code in range(p ** m):
-        coeffs = []
-        c = code
-        for _ in range(m):
-            coeffs.append(c % p)
-            c //= p
-        f = tuple(coeffs) + (1,)
-        if _pf_is_irreducible(f, p):
+        f = tuple(code // p ** i % p for i in range(m)) + (1,)
+        if polys.is_irreducible(field(p), f):
             return f
     raise RuntimeError("no irreducible polynomial found (unreachable)")
 
@@ -154,44 +88,41 @@ class FiniteField:
         self.m = m
         self.q = q
         self.modulus = tuple(modulus) if modulus else _lowest_irreducible(p, m)
-        assert len(self.modulus) == m + 1 and self.modulus[-1] == 1
+        if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
+            raise ValueError(f"modulus {self.modulus} is not monic of "
+                             f"degree {m}")
         self._powers = np.array([p ** i for i in range(m)], dtype=np.int64)
         self._build_log_tables()
 
     # -- construction of log/exp tables ---------------------------------
 
     def _poly_mul_code(self, a, b):
-        """Product of two codes by schoolbook polynomial arithmetic."""
-        ca = [(a // int(pw)) % self.p for pw in self._powers]
-        cb = [(b // int(pw)) % self.p for pw in self._powers]
-        prod = [0] * (2 * self.m - 1) if self.m > 1 else [ca[0] * cb[0] % self.p]
-        if self.m > 1:
-            for i, x in enumerate(ca):
-                if x:
-                    for j, y in enumerate(cb):
-                        prod[i + j] = (prod[i + j] + x * y) % self.p
-        red = _pf_mod(tuple(prod), self.modulus, self.p)
+        """Product of two codes by polynomial arithmetic over GF(p)."""
+        if self.m == 1:
+            return a * b % self.p
+        prime = field(self.p)
+        ca, cb = ([x // int(pw) % self.p for pw in self._powers]
+                  for x in (a, b))
+        red = polys.mod(prime, polys.mul(prime, ca, cb), self.modulus)
         return sum(c * self.p ** i for i, c in enumerate(red))
 
-    def _code_order(self, a):
-        n = 1
-        b = a
-        while b != 1:
-            b = self._poly_mul_code(b, a)
-            n += 1
-            if n > self.q:
-                raise RuntimeError("order search runaway")
-        return n
+    def _is_generator(self, a):
+        """a^((q - 1) / r) != 1 for every prime r dividing q - 1."""
+        for r in _prime_factors(self.q - 1):
+            acc, base, n = 1, a, (self.q - 1) // r
+            while n:
+                if n & 1:
+                    acc = self._poly_mul_code(acc, base)
+                base = self._poly_mul_code(base, base)
+                n >>= 1
+            if acc == 1:
+                return False
+        return True
 
     def _build_log_tables(self):
         q = self.q
-        gen = None
-        for cand in range(2, q):
-            if self._code_order(cand) == q - 1:
-                gen = cand
-                break
-        if gen is None:
-            gen = 1  # q = 2: unit group is trivial
+        # the least generator in code order; 1 when q = 2
+        gen = next((c for c in range(2, q) if self._is_generator(c)), 1)
         exp = np.zeros(max(2 * (q - 1), 1), dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
         acc = 1
@@ -200,15 +131,51 @@ class FiniteField:
             exp[i + q - 1] = acc
             log[acc] = i
             acc = self._poly_mul_code(acc, gen)
+        if acc != 1 or np.count_nonzero(log) != q - 2:
+            raise ValueError(f"modulus {self.modulus} is not irreducible "
+                             f"over GF({self.p})")
         self.generator = gen
         self._exp = exp
         self._log = log
         self._exp_list = exp.tolist()
         self._log_list = log.tolist()
         if self.p != 2:
-            self._neg_list = [self._scalar_neg(a) for a in range(q)]
-            self._add_rows = [[self._scalar_add(a, b) for b in range(q)]
-                              for a in range(q)] if q <= 256 else None
+            codes = np.arange(q, dtype=np.int64)
+            self._neg_table = self.mul(self.p - 1, codes)   # -a = (p - 1) a
+            self._neg_list = self._neg_table.tolist()
+            self._add_table = self._add_rows = None
+            if q <= 256:
+                self._add_table = self._add_digits(codes[:, None], codes)
+                self._add_rows = self._add_table.tolist()
+        self._build_product_sum()
+
+    def _build_product_sum(self):
+        """Chunk length and, for odd p and m > 1, the packed tables.
+
+        A product's packed code holds its m base-p digits in w-bit fields,
+        so `_chunk_len` such codes sum without a carry between fields.
+        Log 0 points past the real exponents, where the packed table is 0.
+        """
+        p, m, q = self.p, self.m, self.q
+        if p == 2:
+            self._chunk_len = sys.maxsize
+        elif m == 1:
+            self._chunk_len = (2 ** 63 - 1) // (p - 1) ** 2
+        else:
+            w = 62 // m
+            self._chunk_len = ((1 << w) - 1) // (p - 1)
+            if self._chunk_len < 1:
+                raise ValueError(f"a digit of GF({p}^{m}) does not fit in "
+                                 f"the {w}-bit field of a packed product")
+            self._shifts = w * np.arange(m, dtype=np.int64)
+            self._mask = (1 << w) - 1
+            zero = 2 * (q - 1)
+            packed = np.zeros(2 * zero + 1, dtype=np.int64)
+            for shift, pw in zip(self._shifts, self._powers):
+                packed[:zero] += (self._exp // pw) % p << shift
+            self._pexp = packed
+            self._plog = self._log.copy()
+            self._plog[0] = zero
 
     def _scalar_add(self, a, b):
         out = 0
@@ -241,20 +208,22 @@ class FiniteField:
             return self._scalar_add(a, b)
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        out = self._add_digits(a, b) if self._add_table is None \
+            else self._add_table[a, b]
+        return out if out.shape else int(out)
+
+    def _add_digits(self, a, b):
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         for pw in self._powers:
             out += ((a // pw + b // pw) % self.p) * pw
-        return out if out.shape else int(out)
+        return out
 
     def neg(self, a):
         if self.p == 2:
             return a
         if isinstance(a, int):
             return self._neg_list[a]
-        a = np.asarray(a, dtype=np.int64)
-        out = np.zeros(a.shape, dtype=np.int64)
-        for pw in self._powers:
-            out += ((-(a // pw)) % self.p) * pw
+        out = self._neg_table[np.asarray(a, dtype=np.int64)]
         return out if out.shape else int(out)
 
     def sub(self, a, b):
@@ -306,6 +275,55 @@ class FiniteField:
             out = out + (digits.sum(axis=axis) % self.p) * pw
         return out if isinstance(out, np.ndarray) and out.shape else int(out)
 
+    def mul_sum(self, a, b, axis):
+        """Field sum along `axis` of the broadcast product a * b.
+
+        The one product-sum kernel; `vec_sum(mul(a, b), axis)` is its
+        reference.  The field picks the path: that reference (an XOR
+        reduce) for p = 2, an int64 sum reduced mod p for other primes,
+        and for m > 1 one int64 sum of packed products (see
+        `_build_product_sum`) whose m digit fields are unpacked on the
+        result.  The axis is cut into chunks so that no digit sum carries
+        and no temporary exceeds `_TEMP_BUDGET` elements.
+        """
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if a.size * b.size > _TEMP_BUDGET or \
+                max(a.size, b.size) > self._chunk_len:
+            out = self._mul_sum_chunked(a, b, axis)
+        else:       # bounds the product and the axis: one chunk
+            out = self._mul_sum_chunk(a, b, axis)
+        return out if isinstance(out, np.ndarray) else int(out)
+
+    def _mul_sum_chunked(self, a, b, axis):
+        both = np.broadcast(a, b)
+        if not -both.ndim <= axis < both.ndim:
+            raise ValueError(f"axis {axis} is out of range for {both.shape}")
+        axis %= both.ndim
+        k = both.shape[axis]
+        step = max(1, min(self._chunk_len,
+                          _TEMP_BUDGET * k // max(both.size, 1)))
+        a, b = (x.reshape((1,) * (both.ndim - x.ndim) + x.shape)
+                for x in (a, b))
+        out = self._mul_sum_chunk(*_cut(a, b, axis, 0, step), axis)
+        for lo in range(step, k, step):
+            out = self.add(out, self._mul_sum_chunk(
+                *_cut(a, b, axis, lo, lo + step), axis))
+        return out
+
+    def _mul_sum_chunk(self, a, b, axis):
+        if self.p == 2:
+            return self.vec_sum(self.mul(a, b), axis=axis)
+        if self.m == 1:
+            return (a * b).sum(axis=axis) % self.p
+        # gather in place, so the chunk holds one temporary, not two: take
+        # reads each index before it writes the same slot
+        packed = self._plog[a] + self._plog[b]
+        np.take(self._pexp, packed, out=packed, mode="clip")
+        packed = packed.sum(axis=axis)
+        digits = (packed[..., None] >> self._shifts) & self._mask
+        return (digits % self.p) @ self._powers
+
     def frobenius(self, a, k=1):
         """a ** (p**k), the k-fold Frobenius."""
         return self.pow(int(a), self.p ** k)
@@ -330,6 +348,13 @@ class FiniteField:
 
     def __repr__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
+
+
+def _cut(a, b, axis, lo, hi):
+    """a and b restricted to [lo, hi) along a broadcast axis."""
+    index = (slice(None),) * axis + (slice(lo, hi),)
+    return (a if a.shape[axis] == 1 else a[index],
+            b if b.shape[axis] == 1 else b[index])
 
 
 @lru_cache(maxsize=None)
@@ -377,7 +402,8 @@ def extend_field(f, factor=2):
         if acc == 0:
             root = cand
             break
-    assert root is not None, "modulus must split in the extension"
+    if root is None:
+        raise ValueError(f"the modulus of {f} has no root in {big}")
     table = np.zeros(f.q, dtype=np.int64)
     for code in range(f.q):
         acc = 0

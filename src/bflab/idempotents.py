@@ -200,10 +200,6 @@ def is_primitive(A, e):
     return C.dim - radical_rows(C).shape[0] == 1
 
 
-def is_local_algebra(A):
-    return A.dim - radical_rows(A).shape[0] == 1
-
-
 def block_idempotents(A, rng, center_rows=None):
     """Central primitive idempotents, via the centre."""
     from .algebra import class_sum_rows

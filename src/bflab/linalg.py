@@ -27,25 +27,12 @@ def mat(rows):
 
 
 def matmul(f, a, b):
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    assert a.shape[-1] == b.shape[0], "dimension mismatch"
-    ra, inner = a.shape
-    cb = b.shape[1]
-    if ra * inner * cb <= (1 << 22):
-        prods = f.mul(a[:, :, None], b[None, :, :])
-        out = f.vec_sum(prods, axis=1)
-        return np.asarray(out, dtype=np.int64).reshape(ra, cb)
-    out = zeros(ra, cb)
-    for k in range(inner):
-        col = a[:, k]
-        if not col.any():
-            continue
-        row = b[k, :]
-        if not row.any():
-            continue
-        out = f.add(out, f.mul(col[:, None], row[None, :]))
-    return out
+    # contiguous operands: a transposed view makes every temporary strided
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    b = np.ascontiguousarray(b, dtype=np.int64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
+    return f.mul_sum(a[:, :, None], b[None, :, :], axis=1)
 
 
 def matvec(f, a, v):
@@ -110,7 +97,8 @@ def solve(f, m, b):
     """One solution x of m @ x = b, or None if inconsistent."""
     m = np.asarray(m, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64).reshape(-1)
-    assert m.shape[0] == b.shape[0], "dimension mismatch"
+    if m.shape[0] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {m.shape} x = {b.shape}")
     aug = np.concatenate([m, b[:, None]], axis=1)
     r, pivots = rref(f, aug)
     cols = m.shape[1]
@@ -122,14 +110,10 @@ def solve(f, m, b):
     return x
 
 
-def solve_many(f, m, bs):
-    """Solve m @ X = bs columnwise; None where inconsistent."""
-    return [solve(f, m, bs[:, k]) for k in range(bs.shape[1])]
-
-
 def inverse(f, m):
     n = m.shape[0]
-    assert m.shape[1] == n
+    if m.shape[1] != n:
+        raise ValueError(f"inverting a non-square {m.shape} matrix")
     aug = np.concatenate([m, eye(f, n)], axis=1)
     r, pivots = rref(f, aug)
     if pivots != list(range(n)):
@@ -149,7 +133,8 @@ class Subspace:
             rows = np.asarray(rows, dtype=np.int64)
             if rows.ndim == 1:
                 rows = rows.reshape(1, -1)
-            assert rows.shape[1] == ambient_dim, "ambient mismatch"
+            if rows.shape[1] != ambient_dim:
+                raise ValueError("ambient mismatch")
             self.basis = rref(f, rows)[0]
         self.pivots = rref(f, self.basis)[1] if self.basis.size else []
 
@@ -159,7 +144,8 @@ class Subspace:
 
     def contains(self, v):
         v = np.asarray(v, dtype=np.int64).reshape(-1)
-        assert v.shape[0] == self.ambient_dim, "ambient mismatch"
+        if v.shape[0] != self.ambient_dim:
+            raise ValueError("ambient mismatch")
         return self.reduce(v) is not None
 
     def reduce(self, v):
@@ -196,8 +182,10 @@ class Subspace:
         return hash((self.ambient_dim, self.basis.tobytes()))
 
     def _check(self, other):
-        assert self.field == other.field, "field mismatch"
-        assert self.ambient_dim == other.ambient_dim, "ambient mismatch"
+        if self.field != other.field:
+            raise ValueError("field mismatch")
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient mismatch")
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .groups import Subgroup, maximal_subgroups, all_subgroups, pinv
+from .groups import Subgroup, maximal_subgroups, pinv
 from .idempotents import (NonSplitError, is_primitive,
                           primitive_decomposition, quotient_algebra)
 from .radical import radical_rows
@@ -166,15 +166,6 @@ def pointed_leq(ia, Q, pt_delta, P, pt_gamma, rng):
     if not Q.key <= P.key:
         return False
     return relative_multiplicity(ia, Q, pt_delta, P, pt_gamma, rng) > 0
-
-
-def brown_poset(ia, P, rng):
-    """All local pointed groups (R, point) for R <= P."""
-    out = []
-    for R in all_subgroups(P):
-        for pt in local_points(ia, R, rng):
-            out.append((R, pt))
-    return out
 
 
 def conjugate_point(ia, P, pt, g, rng):

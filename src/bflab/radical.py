@@ -41,8 +41,9 @@ def hessenberg(f, m):
         h[rows_idx] = f.sub(h[rows_idx],
                             f.mul(np.atleast_1d(factors)[:, None],
                                   h[j + 1][None, :]))
-        weighted = f.mul(np.atleast_1d(factors)[None, :], h[:, rows_idx])
-        h[:, j + 1] = f.add(h[:, j + 1], f.vec_sum(weighted, axis=1))
+        h[:, j + 1] = f.add(h[:, j + 1],
+                            f.mul_sum(np.atleast_1d(factors)[None, :],
+                                      h[:, rows_idx], axis=1))
     return h
 
 
@@ -119,9 +120,8 @@ def _radical_rows_impl(A):
             stack = np.array([lmat(basis[t]).reshape(-1) for t in range(r)])
             stack_t = np.array([lmat(basis[t]).T.reshape(-1)
                                 for t in range(r)])
-            prods = f.mul(stack[:, None, :], stack_t[None, :, :])
-            forms = np.asarray(f.vec_sum(prods, axis=2))
-            forms = f.neg(forms)
+            forms = f.neg(f.mul_sum(stack[:, None, :], stack_t[None, :, :],
+                                    axis=2))
         else:
             forms = linalg.zeros(r, r)
             for t in range(r):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bflab.algebra import (AlgebraContext, group_algebra,
+from bflab.algebra import (AlgebraContext, AlgebraError, group_algebra,
                            group_element_vector, group_conjugation_matrix)
 from bflab.gf import field, make_field
 from bflab.groups import group_from_generators, pmul
@@ -105,6 +105,19 @@ def test_raw_context_associativity_check():
     with pytest.raises(Exception):
         AlgebraContext(f, 3, mult_tensor=tensor,
                        unit=np.array([1, 0, 0]), check=True)
+
+
+def test_unit_check_rejects_one_sided_identity():
+    # b_i * b_j = b_j: every basis vector is a left identity, none a right one
+    f = field(3)
+    tensor = np.zeros((2, 2, 2), dtype=np.int64)
+    tensor[:, 0, 0] = 1
+    tensor[:, 1, 1] = 1
+    with pytest.raises(AlgebraError):
+        AlgebraContext(f, 2, mult_tensor=tensor, unit=np.array([1, 0]))
+    with pytest.raises(AlgebraError):
+        AlgebraContext(f, 2, mult_tensor=tensor.transpose(1, 0, 2),
+                       unit=np.array([1, 0]))
 
 
 def test_subalgebra_closure_rejects_non_closed_span():

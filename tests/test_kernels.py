@@ -1,0 +1,104 @@
+"""The product-sum kernel and the table-driven add/neg against their
+reference paths, and the kernel layer's checks under `python -O`."""
+
+import ast
+import pathlib
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from bflab import gf, linalg
+from bflab.gf import field
+
+FIELDS = [(p, m) for p in (2, 3, 5, 7) for m in range(1, 5)]
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "bflab"
+
+
+def codes(f, shape):
+    """Arrays of field codes, often zero: every shape, including empty."""
+    return arrays(np.int64, shape,
+                  elements=st.one_of(st.just(0), st.integers(0, f.q - 1)))
+
+
+@st.composite
+def product_sums(draw):
+    f = field(*draw(st.sampled_from(FIELDS)))
+    shape = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    # each operand keeps a dimension or broadcasts it (size 1 or missing)
+    a_shape = [n if draw(st.booleans()) else 1 for n in shape]
+    b_shape = [n if draw(st.booleans()) else 1 for n in shape]
+    b_shape = b_shape[draw(st.integers(0, len(shape) - 1)):]
+    axis = draw(st.integers(-len(shape), len(shape) - 1))
+    return f, draw(codes(f, a_shape)), draw(codes(f, b_shape)), axis
+
+
+@given(product_sums(), st.sampled_from([1 << 22, 1, 7]))
+def test_mul_sum_matches_reference(case, budget):
+    # a tiny temporary budget sends every shape through the chunked path
+    f, a, b, axis = case
+    expect = f.vec_sum(f.mul(a, b), axis=axis)
+    with mock.patch.object(gf, "_TEMP_BUDGET", budget):
+        got = f.mul_sum(a, b, axis)
+    assert type(got) is type(expect)
+    assert np.array_equal(got, expect)
+
+
+@given(st.sampled_from(FIELDS).flatmap(
+    lambda pm: st.tuples(st.just(field(*pm)),
+                         codes(field(*pm), 24), codes(field(*pm), 24))))
+def test_add_neg_match_scalar_reference(case):
+    f, a, b = case
+    added, negated = f.add(a, b), f.neg(a)
+    for i in range(a.size):
+        x, y = int(a[i]), int(b[i])
+        assert added[i] == f._scalar_add(x, y)
+        assert negated[i] == f._scalar_neg(x)
+
+
+def test_mul_sum_chunks_past_the_packed_width():
+    # GF(3^8): 8 digit fields of 7 bits hold at most 63 products, so an
+    # inner dimension of 127 makes chunks of 63, 63 and 1
+    f = field(3, 8)
+    rng = np.random.default_rng(5)
+    a = f.random_elements(rng, (3, 127))
+    b = f.random_elements(rng, (127, 4))
+    a[1], b[:, 1] = f.q - 1, 1      # every digit p - 1: the widest sums
+    expect = f.vec_sum(f.mul(a[:, :, None], b[None, :, :]), axis=1)
+    assert np.array_equal(linalg.matmul(f, a, b), expect)
+    assert f.mul_sum(a[0], b[:, 0], 0) == expect[0, 0]
+    # an operand broadcast along the cut axis is not cut
+    col = a[:, :1]
+    assert np.array_equal(f.mul_sum(col, a, 1),
+                          f.vec_sum(f.mul(col, a), axis=1))
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 1)])
+def test_matmul_past_the_temporary_budget(p, m):
+    f = field(p, m)
+    rng = np.random.default_rng(9)
+    a = f.random_elements(rng, (300, 150))
+    b = f.random_elements(rng, (150, 100))
+    assert a.shape[0] * a.shape[1] * b.shape[1] > 1 << 22
+    out = linalg.matmul(f, a, b)
+    for i in range(0, 300, 37):
+        row = f.vec_sum(f.mul(a[i][:, None], b), axis=0)
+        assert np.array_equal(out[i], row)
+
+
+def test_kernel_checks_raise():
+    f = field(3, 2)
+    with pytest.raises(ValueError):
+        linalg.matmul(f, linalg.eye(f, 2), linalg.eye(f, 3))
+    with pytest.raises(ValueError):
+        f.mul_sum(np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64), 1)
+
+
+@pytest.mark.parametrize("module", ["gf.py", "linalg.py", "radical.py"])
+def test_no_bare_assert_in_kernel_layer(module):
+    tree = ast.parse((SRC / module).read_text())
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert not lines, f"{module}: assert at lines {lines} vanishes under -O"
