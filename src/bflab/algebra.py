@@ -34,6 +34,9 @@ class AlgebraContext:
         self.parent = parent
         self.embed = embed          # rows: our basis in parent coordinates
         self._extract = None
+        # a root owns the radicals of every algebra built under it
+        # (see bflab.radical.radical_rows)
+        self.radical_memo = {} if parent is None else None
         if parent is not None:
             self._prepare_extractor()
         if check and self.unit is not None:
@@ -98,7 +101,8 @@ class AlgebraContext:
         z = linalg.solve(self.field, self.lmul_matrix(x), self.unit)
         if z is None:
             raise AlgebraError("element is not a unit")
-        assert np.array_equal(self.mul(z, x), self.unit), "one-sided inverse"
+        if not np.array_equal(self.mul(z, x), self.unit):
+            raise AlgebraError("one-sided inverse")
         return z
 
     def is_idempotent(self, e):
@@ -119,7 +123,8 @@ class AlgebraContext:
         f = self.field
         pivots = linalg.rref(f, self.embed)[1]
         inv = linalg.inverse(f, self.embed[:, pivots].T)
-        assert inv is not None, "embed rows are dependent"
+        if inv is None:
+            raise AlgebraError("embed rows are dependent")
         self._extract = (pivots, inv)
 
     def to_parent(self, x):
@@ -127,9 +132,14 @@ class AlgebraContext:
 
     def from_parent(self, v, check=True):
         """Coordinates of a parent vector lying in our span."""
+        return self._from_parent_columns(np.asarray(v)[:, None], check)[:, 0]
+
+    def _from_parent_columns(self, vs, check=True):
+        """Coordinates (as columns) of the parent vectors in vs's columns."""
         pivots, inv = self._extract
-        c = linalg.matvec(self.field, inv, np.asarray(v)[pivots])
-        if check and not np.array_equal(self.to_parent(c), np.asarray(v)):
+        c = linalg.matmul(self.field, inv, vs[pivots, :])
+        if check and not np.array_equal(
+                linalg.matmul(self.field, c.T, self.embed), vs.T):
             raise AlgebraError("vector is outside the subalgebra")
         return c
 
@@ -166,8 +176,7 @@ class AlgebraContext:
         for i in range(r):
             li = self.lmul_matrix(rows[i])
             prods = linalg.matmul(f, li, rows.T)   # columns: b_i * b_j
-            for j in range(r):
-                tensor[i, j] = sub.from_parent(prods[:, j], check=check)
+            tensor[i] = sub._from_parent_columns(prods, check).T
         sub.mult_tensor = tensor
         sub.unit = sub.from_parent(unit, check=check)
         sub._check_unit()
@@ -176,7 +185,8 @@ class AlgebraContext:
     def corner(self, e, check=True):
         """The corner algebra e.A.e with unit e."""
         f = self.field
-        assert self.is_idempotent(e), "corner needs an idempotent"
+        if not self.is_idempotent(e):
+            raise AlgebraError("corner needs an idempotent")
         m = linalg.matmul(f, self.lmul_matrix(e), self.rmul_matrix(e))
         rows = linalg.rref(f, m.T)[0]
         return self.subalgebra(rows, unit=e, check=check)

@@ -437,24 +437,25 @@ def twisted_unit_laws_report(ia, presystem, rng, tu_table=None):
         sols = linalg.nullspace(f, m)
         if sols.shape[0] != 0:
             report["inverse_unique"] = False
-        # conjugation transport is multiplicative A(P) -> A(Q)
+        # conjugation transport c -> u.c.u-dagger is multiplicative
+        # A(P) -> A(Q); it is linear, so it is checked through its matrix
+        # M (column a is the image of e_a): M(e_a.e_b) = M e_a . M e_b
         Palg = bq_P.algebra()
         Qalg = bq_Q.algebra()
-
-        def conj_class(c):
-            w1, bq_mid = quotient_product(bq_phi, bq_P, tu.u, c)
-            w2, _ = quotient_product(bq_mid, bq_inv, w1, tu.udag, bq_Q)
-            return w2
+        images = []
         for a in range(bq_P.dim):
             ea = np.zeros(bq_P.dim, dtype=np.int64)
             ea[a] = 1
-            for b in range(bq_P.dim):
-                eb = np.zeros(bq_P.dim, dtype=np.int64)
-                eb[b] = 1
-                lhs = conj_class(Palg.mul(ea, eb))
-                rhs = Qalg.mul(conj_class(ea), conj_class(eb))
-                if not np.array_equal(lhs, rhs):
-                    report["conjugation_multiplicative"] = False
+            w1, bq_mid = quotient_product(bq_phi, bq_P, tu.u, ea)
+            w2, _ = quotient_product(bq_mid, bq_inv, w1, tu.udag, bq_Q)
+            images.append(w2)
+        conj = np.array(images, dtype=np.int64).T
+        for a in range(bq_P.dim):
+            la = Palg.lmul_matrix(Palg.basis_vector(a))
+            lhs = linalg.matmul(f, conj, la)
+            rhs = linalg.matmul(f, Qalg.lmul_matrix(conj[:, a]), conj)
+            if not np.array_equal(lhs, rhs):
+                report["conjugation_multiplicative"] = False
     # composable products of twisted units are twisted units
     for P1, Q1, phi in isos:
         for P2, Q2, psi in isos:

@@ -14,7 +14,7 @@ summand is massaged into an exact pair (s, t) with t.s = i, s.t = j.
 import numpy as np
 
 from . import linalg, polys
-from .algebra import AlgebraContext
+from .algebra import AlgebraContext, AlgebraError
 from .radical import radical_rows
 
 
@@ -54,7 +54,8 @@ def quotient_algebra(A, ideal_rows):
     di = ideal_rows.shape[0]
     stacked = np.concatenate([ideal_rows, reps], axis=0)
     minv = linalg.inverse(f, stacked.T)
-    assert minv is not None, "ideal rows dependent or not complementary"
+    if minv is None:
+        raise AlgebraError("ideal rows dependent or not complementary")
     proj_matrix = minv[di:, :]
 
     def proj(v):
@@ -66,10 +67,8 @@ def quotient_algebra(A, ideal_rows):
     r = len(free)
     tensor = np.zeros((r, r, r), dtype=np.int64)
     for i in range(r):
-        li = A.lmul_matrix(reps[i])
-        prods = linalg.matmul(f, li, reps.T)
-        for j in range(r):
-            tensor[i, j] = proj(prods[:, j])
+        prods = linalg.matmul(f, A.lmul_matrix(reps[i]), reps.T)
+        tensor[i] = linalg.matmul(f, proj_matrix, prods).T
     Q = AlgebraContext(f, r, mult_tensor=tensor, unit=proj(A.unit),
                        check=False)
     Q._check_unit()
@@ -89,7 +88,8 @@ def idempotent_lift(A, x, radical_dim_bound=None):
         e2 = A.mul(e, e)
         e3 = A.mul(e2, e)
         e = A.sub(A.scale(3 % A.field.p, e2), A.scale(2 % A.field.p, e3))
-    assert A.is_idempotent(e), "Newton lift failed (ideal not nil?)"
+    if not A.is_idempotent(e):
+        raise AlgebraError("Newton lift failed (ideal not nil?)")
     return e
 
 
@@ -156,7 +156,8 @@ def decompose_unit(A, rng):
     Q = quotient_algebra(A, j_rows)
     ebar = _proper_idempotent_mod_radical(A, Q, rng)
     e = idempotent_lift(A, Q.lift(ebar), j_rows.shape[0])
-    assert not np.array_equal(e, A.zero()) and not np.array_equal(e, A.unit)
+    if not np.any(e) or np.array_equal(e, A.unit):
+        raise AlgebraError("lifted idempotent is not proper")
     out = []
     for idem in (e, A.sub(A.unit, e)):
         C = A.corner(idem, check=False)
@@ -172,7 +173,8 @@ def primitive_decomposition(A, e, rng, verify=True, verify_primitive=False):
     the recursion's own corner-local test and is only re-derived from
     scratch under `verify_primitive`.
     """
-    assert A.is_idempotent(e), "input is not idempotent"
+    if not A.is_idempotent(e):
+        raise AlgebraError("input is not idempotent")
     if not np.any(e):
         return []
     C = A.corner(e, check=False)
@@ -180,16 +182,20 @@ def primitive_decomposition(A, e, rng, verify=True, verify_primitive=False):
     if verify:
         acc = A.zero()
         for x in parts:
-            assert A.is_idempotent(x)
+            if not A.is_idempotent(x):
+                raise AlgebraError("piece is not idempotent")
             acc = A.add(acc, x)
-        assert np.array_equal(acc, np.asarray(e)), "pieces do not sum to e"
+        if not np.array_equal(acc, np.asarray(e)):
+            raise AlgebraError("pieces do not sum to e")
         for a in range(len(parts)):
             for b in range(a + 1, len(parts)):
-                assert not np.any(A.mul(parts[a], parts[b])), "not orthogonal"
-                assert not np.any(A.mul(parts[b], parts[a])), "not orthogonal"
+                if np.any(A.mul(parts[a], parts[b])) or \
+                        np.any(A.mul(parts[b], parts[a])):
+                    raise AlgebraError("pieces are not orthogonal")
     if verify_primitive:
         for x in parts:
-            assert is_primitive(A, x), "piece is not primitive"
+            if not is_primitive(A, x):
+                raise AlgebraError("piece is not primitive")
     return parts
 
 
@@ -295,9 +301,3 @@ def are_associate(A, i, j):
         return False
     span = product_span_rows(A, t_rows, s_rows)
     return linalg.solve(A.field, span.T, np.asarray(i)) is not None
-
-
-def radical(A):
-    """Jacobson radical of A as a Subspace (characteristic-p chain)."""
-    from .radical import radical_subspace
-    return radical_subspace(A)

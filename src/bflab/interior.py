@@ -77,14 +77,17 @@ class BrauerQuotient:
 
     def project(self, v, check=True):
         """Class of a U-fixed vector, as coordinates over the reps."""
+        return self._project_columns(np.asarray(v)[:, None], check)[:, 0]
+
+    def _project_columns(self, vs, check=True):
+        """Classes of the U-fixed vectors in vs's columns, as columns."""
         f = self.interior.A.field
         pivots, inv, t = self._proj
-        c = linalg.matvec(f, inv, np.asarray(v)[pivots])
+        c = linalg.matmul(f, inv, vs[pivots, :])
         if check:
-            recon = linalg.vecmat(f, c, np.concatenate(
-                [self.traces.basis, self.reps], axis=0)
-                if self.traces.dim else self.reps)
-            if not np.array_equal(recon, np.asarray(v)):
+            stacked = np.concatenate([self.traces.basis, self.reps], axis=0) \
+                if self.traces.dim else self.reps
+            if not np.array_equal(linalg.matmul(f, c.T, stacked), vs.T):
                 raise ValueError("vector is not in the fixed module")
         return c[t:]
 
@@ -103,10 +106,9 @@ class BrauerQuotient:
             r = self.dim
             tensor = np.zeros((r, r, r), dtype=np.int64)
             for i in range(r):
-                li = A.lmul_matrix(self.reps[i])
-                prods = linalg.matmul(f, li, self.reps.T)
-                for j in range(r):
-                    tensor[i, j] = self.project(prods[:, j])
+                prods = linalg.matmul(f, A.lmul_matrix(self.reps[i]),
+                                      self.reps.T)
+                tensor[i] = self._project_columns(prods).T
             unit = self.project(np.asarray(A.unit))
             Q = AlgebraContext(f, r, mult_tensor=tensor, unit=unit,
                                check=False)

@@ -10,6 +10,16 @@ roots; after floor(log_p dim) + 1 steps the chain has converged to J(A).
 
 Characteristic polynomials come from Hessenberg reduction, which only
 needs field divisions and is exact here.
+
+The radical of an algebra depends only on its structure data, and the
+pipeline keeps rebuilding equal algebras (the corner e.A.e for the same
+e, the fixed points A^P for the same P) as new contexts.  So each radical
+has one owner: the root of the context's parent chain (a group algebra,
+or a quotient algebra, which has no parent) holds `radical_memo`, a dict
+from the exact bytes of a structure tensor to its radical rows, with a
+table-driven root keyed as itself.  Its lifetime is the root's: a CLI
+run builds its own group algebra, so nothing is shared between runs and
+nothing lives at module or field level.  Stored rows are read-only.
 """
 
 import numpy as np
@@ -78,17 +88,18 @@ def charpoly(f, m):
     return [int(c) for c in rows[n]]
 
 
-def charpoly_coefficient(f, m, j):
-    """c_j in det(tI - m) = t^n + c_1 t^(n-1) + ... + c_n."""
-    return int(charpoly(f, m)[j])
-
-
 def radical_rows(A):
-    """Rows (A-coordinates) spanning the Jacobson radical of A (memoized)."""
-    if getattr(A, "_radical_memo", None) is not None:
-        return A._radical_memo
-    rows = _radical_rows_impl(A)
-    A._radical_memo = rows
+    """Rows (A-coordinates) spanning the Jacobson radical of A, read-only.
+
+    Memoized in `A.root().radical_memo` by A's structure tensor."""
+    key = A if A.mult_tensor is None else \
+        np.asarray(A.mult_tensor, dtype=np.int64).tobytes()
+    memo = A.root().radical_memo
+    rows = memo.get(key)
+    if rows is None:
+        rows = _radical_rows_impl(A)
+        rows.setflags(write=False)
+        memo[key] = rows
     return rows
 
 
@@ -129,7 +140,7 @@ def _radical_rows_impl(A):
                 for k in range(t, r):
                     # charpoly(AB) = charpoly(BA), so the form is symmetric
                     prod = linalg.matmul(f, lt, lmat(basis[k]))
-                    val = charpoly_coefficient(f, prod, pi)
+                    val = int(charpoly(f, prod)[pi])
                     forms[t, k] = val
                     forms[k, t] = val
         u_rows = linalg.nullspace(f, forms.T)
@@ -154,7 +165,3 @@ def _root(f, a, i):
 
 def radical_subspace(A):
     return Subspace(A.field, A.dim, radical_rows(A))
-
-
-def radical_dim(A):
-    return radical_rows(A).shape[0]

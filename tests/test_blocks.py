@@ -166,10 +166,10 @@ def test_operation_level_api_surface():
     from bflab.blocks import (brauer_pair_poset, defect_groups,
                               source_algebra, source_idempotents)
     from bflab.groups import diagonal, twisted_diagonal_classes
-    from bflab.idempotents import radical
     from bflab.interior import (InteriorAlgebra, brauer_quotient,
                                 fixed_subspace, relative_trace)
     from bflab.groups import sylow_subgroup
+    from bflab.radical import radical_subspace
     r = np.random.default_rng(0)
     A = build_group_algebra(S3, 3)
     D = sylow_subgroup(S3, 3)
@@ -180,7 +180,7 @@ def test_operation_level_api_surface():
     assert brauer_quotient(ia, td).dim == 3
     assert not relative_trace(ia, [(D.identity, D.identity)], td,
                               A.unit).any()
-    assert radical(A).dim == 4
+    assert radical_subspace(A).dim == 4
     b = blocks_of(A, r)[0]
     assert defect_groups(A, b, r)[0].order == 3
     d = analyze_block(A, b, 0, r)

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 
+from bflab import conjecture
 from bflab.algebra import group_algebra
 from bflab.bisets import _into_group
 from bflab.blocks import (analyze_block, blocks_of, build_group_algebra,
@@ -230,6 +233,22 @@ def test_twisted_unit_laws_small():
     F = fixed_point_presystem(ia)
     rep = twisted_unit_laws_report(ia, F, rng())
     assert all(rep.values()), rep
+
+
+def test_twisted_unit_laws_catch_a_wrong_twisted_inverse(monkeypatch):
+    # with 2.udag in place of the twisted inverse, transport becomes
+    # c -> 2 u.c.udag, which is not multiplicative: 2 * 2 != 2 in GF(3)
+    ia = interior(S3, 3)
+    F = fixed_point_presystem(ia)
+    exact = conjecture.twisted_unit_exists
+
+    def tampered(*args, **kwargs):
+        tu = exact(*args, **kwargs)
+        return dataclasses.replace(tu, udag=ia.A.field.mul(2, tu.udag))
+    monkeypatch.setattr(conjecture, "twisted_unit_exists", tampered)
+    rep = twisted_unit_laws_report(ia, F, rng())
+    assert rep["all_twisted_units"]
+    assert not rep["conjugation_multiplicative"], rep
 
 
 def test_thorough_checks_all_source_candidates():

@@ -128,6 +128,9 @@ def test_projection_well_defined_modulo_traces():
                 f, f.random_elements(rng, bq.traces.dim), bq.traces.basis)
             assert np.array_equal(bq.project(v),
                                   bq.project(f.add(v, noise)))
+    # a transposition is not fixed by conjugation with C3
+    with pytest.raises(ValueError):
+        bq.project(group_element_vector(ia.A, (1, 0, 2)))
 
 
 def test_quotient_product_kc2():

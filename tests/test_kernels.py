@@ -96,7 +96,8 @@ def test_kernel_checks_raise():
         f.mul_sum(np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64), 1)
 
 
-@pytest.mark.parametrize("module", ["gf.py", "linalg.py", "radical.py"])
+@pytest.mark.parametrize("module", ["gf.py", "linalg.py", "radical.py",
+                                    "algebra.py", "idempotents.py"])
 def test_no_bare_assert_in_kernel_layer(module):
     tree = ast.parse((SRC / module).read_text())
     lines = [node.lineno for node in ast.walk(tree)

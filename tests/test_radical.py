@@ -1,10 +1,16 @@
+import contextlib
+import io
+import os
+
 import numpy as np
 import pytest
 
-from bflab import linalg
+from bflab import linalg, radical
 from bflab.algebra import group_algebra
+from bflab.cli import main
 from bflab.gf import field, make_field
-from bflab.groups import group_from_generators
+from bflab.groups import group_from_generators, sylow_subgroup
+from bflab.interior import InteriorAlgebra
 from bflab.radical import charpoly, radical_rows, radical_subspace
 
 GROUPS = {
@@ -14,6 +20,9 @@ GROUPS = {
     "S3": group_from_generators(3, [(1, 2, 0), (1, 0, 2)], "S3"),
     "A4": group_from_generators(4, [(1, 2, 0, 3), (1, 0, 3, 2)], "A4"),
     "D8": group_from_generators(4, [(1, 2, 3, 0), (1, 0, 3, 2)], "D8"),
+    "S4": group_from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)], "S4"),
+    "SL23": group_from_generators(8, [(3, 7, 2, 6, 1, 5, 0, 4),
+                                      (5, 2, 0, 6, 3, 1, 7, 4)], "SL23"),
 }
 
 
@@ -24,12 +33,15 @@ def splitting(G, p):
     return make_field(p, e)
 
 
-# dim J(kG) = |G| - sum of squares of the Brauer character degrees
+# dim J(kG) = |G| - sum of squares of the Brauer character degrees;
+# over GF(4) the simples of S4 at p = 2 have dims {1, 2} and those of
+# SL(2,3) at p = 2 dims {1, 1, 1}
 RADICAL_DIMS = [
     ("C2", 2, 1), ("C3", 3, 2), ("C4", 2, 3),
     ("S3", 3, 4), ("S3", 2, 1),
     ("A4", 2, 9), ("A4", 3, 2),
     ("D8", 2, 7),
+    ("S4", 2, 19), ("SL23", 2, 21),
 ]
 
 
@@ -124,3 +136,73 @@ def test_corner_radical_is_sandwiched_radical():
             sand = linalg.rref(A.field, sand)[0]
             assert inside.shape == sand.shape
             assert np.array_equal(inside, sand)
+
+
+@pytest.fixture
+def chains(monkeypatch):
+    """Algebras whose radical chain actually runs, in call order."""
+    calls = []
+    impl = radical._radical_rows_impl
+
+    def counted(A):
+        calls.append(A)
+        return impl(A)
+    monkeypatch.setattr(radical, "_radical_rows_impl", counted)
+    return calls
+
+
+def test_equal_algebras_under_one_root_share_one_chain(chains):
+    G = GROUPS["S3"]
+    A = group_algebra(G, splitting(G, 2))
+    C1, C2 = A.corner(A.unit), A.corner(A.unit)
+    assert C1 is not C2
+    assert radical_rows(C1) is radical_rows(C2)
+    assert len(chains) == 1
+    # fixed points of one group, taken in two interior algebras over kG
+    D = sylow_subgroup(G, 2)
+    F1 = InteriorAlgebra(A, D).fixed_subalgebra(D)
+    F2 = InteriorAlgebra(A, D).fixed_subalgebra(D)
+    assert F1 is not F2
+    assert radical_rows(F1) is radical_rows(F2)
+    assert len(chains) == 2
+    # the table-driven root is keyed as itself
+    radical_rows(A)
+    radical_rows(A)
+    assert chains[2:] == [A]
+
+
+def test_fresh_root_computes_again(chains):
+    G = GROUPS["S3"]
+    k = splitting(G, 2)
+    A, B = group_algebra(G, k), group_algebra(G, k)
+    rows_a = radical_rows(A.corner(A.unit))
+    rows_b = radical_rows(B.corner(B.unit))
+    assert len(chains) == 2
+    assert np.array_equal(rows_a, rows_b)
+
+
+def test_each_cli_run_computes_again(chains, tmp_path):
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "bflab",
+                        "data", "s3.json")
+    argv = ["analyze", "--group", path, "--prime", "2", "--out", "-",
+            "--findings-dir", str(tmp_path)]
+    reports, counts = [], []
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        reports.append(out.getvalue())
+        counts.append(len(chains))
+    assert reports[0] == reports[1]
+    assert counts[0] > 0 and counts[1] == 2 * counts[0]
+
+
+def test_radical_rows_are_read_only():
+    G = GROUPS["S3"]
+    A = group_algebra(G, splitting(G, 2))
+    for ctx in (A, A.corner(A.unit)):
+        rows = radical_rows(ctx)
+        assert rows.shape[0] == 1 and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
