@@ -9,11 +9,11 @@ of the source algebra recovers the block fusion system on the nose.
 
 import numpy as np
 
-from bflab.blocks import (analyze_block, block_fusion_system, blocks_of,
-                          build_group_algebra, source_presystem,
+from bflab.blocks import (analyze_block, build_group_algebra,
                           source_fusion_identity_report)
-from bflab.fusion import fusion_equal, fusion_from_group
+from bflab.fusion import BrauerPairs, fusion_equal, fusion_from_group
 from bflab.groups import group_from_generators
+from bflab.idempotents import block_idempotents
 
 rng = np.random.default_rng(2)
 S3 = group_from_generators(3, [(1, 2, 0), (1, 0, 2)], "S3")
@@ -21,8 +21,10 @@ S3 = group_from_generators(3, [(1, 2, 0), (1, 0, 2)], "S3")
 for p in (2, 3):
     print(f"== kS3 at p = {p} ==")
     A = build_group_algebra(S3, p)
-    for i, b in enumerate(blocks_of(A, rng)):
-        data = analyze_block(A, b, i, rng)
+    blocks = block_idempotents(A, rng)
+    pairs = BrauerPairs(A, rng)         # one engine for all blocks of kS3
+    for i, b in enumerate(blocks):
+        data = analyze_block(pairs, b, i, rng)
         kind = "principal" if data.principal else "non-principal"
         print(f"  block {i} ({kind}): dim B = {data.ia_B.A.dim}, "
               f"|D| = {data.D.order}, dim S = {data.ia_S.A.dim}")
@@ -30,14 +32,15 @@ for p in (2, 3):
 
 print("== the principal block of kS3 at p = 3, in detail ==")
 A = build_group_algebra(S3, 3)
-data = analyze_block(A, blocks_of(A, rng)[0], 0, rng)
-fdb = block_fusion_system(data)
+data = analyze_block(BrauerPairs(A, rng), block_idempotents(A, rng)[0], 0,
+                     rng)
+fdb = data.block_fusion_system
 print("block fusion morphism counts:", fdb.summary())
 
 F_group = fusion_from_group(data.D, S3)
 print("F_D(b) equals F_C3(S3):", fusion_equal(fdb, F_group))
 
-ffs = source_presystem(data)
+ffs = data.source_presystem
 print("fixed-point system of the source algebra:", ffs.summary())
 rep = source_fusion_identity_report(data)
 print(f"fF_D(S) = F_D(b): {rep['fusion_equal']}; "

@@ -12,19 +12,21 @@ orbits: one per F-automorphism of the defect group, multiplicity one.
 import numpy as np
 
 from bflab.bisets import characteristic_report, opposite_shape
-from bflab.blocks import (analyze_block, block_fusion_system, blocks_of,
-                          build_group_algebra, source_shape)
+from bflab.blocks import analyze_block, build_group_algebra
+from bflab.fusion import BrauerPairs
 from bflab.groups import TwistedDiagonal, group_from_generators, injective_maps
+from bflab.idempotents import block_idempotents
 
 rng = np.random.default_rng(3)
 A4 = group_from_generators(4, [(1, 2, 0, 3), (1, 0, 3, 2)], "A4")
 
 A = build_group_algebra(A4, 2)
-data = analyze_block(A, blocks_of(A, rng)[0], 0, rng)
+data = analyze_block(BrauerPairs(A, rng), block_idempotents(A, rng)[0], 0,
+                     rng)
 print(f"defect group V4 of order {data.D.order}, "
       f"source algebra of dimension {data.ia_S.A.dim}")
 
-shape = source_shape(data)
+shape = data.source_shape
 print("\nsource shape:")
 for item in shape.describe():
     o = item["orbit"]
@@ -32,7 +34,7 @@ for item in shape.describe():
           f"multiplicity {item['multiplicity']}")
 print("opposite shape equals shape:", opposite_shape(shape) == shape)
 
-fdb = block_fusion_system(data)
+fdb = data.block_fusion_system
 print("\nAut_F(V4) has", len(fdb.automorphisms(data.D)), "elements")
 auts = {phi.graph for phi in fdb.automorphisms(data.D)}
 print("top orbits (stabilizer = full defect group):")

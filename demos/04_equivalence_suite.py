@@ -11,23 +11,25 @@ explicit global unit in a twisted fixed module two different ways.
 import numpy as np
 
 from bflab.bisets import _into_group
-from bflab.blocks import (analyze_block, blocks_of, build_group_algebra,
-                          source_presystem)
+from bflab.blocks import analyze_block, build_group_algebra
 from bflab.conjecture import (build_unital_basis, equivalence_report,
                               has_all_twisted_units,
                               intrinsic_balance_report, lift_to_global_unit,
                               twisted_unit_exists, unit_in_subspace)
+from bflab.fusion import BrauerPairs
 from bflab.groups import TwistedDiagonal, group_from_generators
+from bflab.idempotents import block_idempotents
 
 rng = np.random.default_rng(4)
 S4 = group_from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)], "S4")
 
 A = build_group_algebra(S4, 3)
-datas = [analyze_block(A, b, i, rng)
-         for i, b in enumerate(blocks_of(A, rng))]
+blocks = block_idempotents(A, rng)
+pairs = BrauerPairs(A, rng)
+datas = [analyze_block(pairs, b, i, rng) for i, b in enumerate(blocks)]
 data = [d for d in datas if d.principal][0]
 ia = data.ia_S
-F = source_presystem(data)
+F = data.source_presystem
 print(f"principal block of kS4 at p=3: dim B = {data.ia_B.A.dim}, "
       f"|D| = {data.D.order}, dim S = {ia.A.dim}")
 

@@ -13,9 +13,10 @@ from .algebra import AlgebraContext, group_algebra
 from .interior import InteriorAlgebra
 from .bisets import BisetShape, characteristic_report, explicit_invariant_basis, \
     shape_from_brauer_dims
-from .fusion import (FusionSystem, fixed_point_presystem, fusion_equal,
-                     fusion_from_group, is_divisible)
-from .blocks import analyze_block, blocks_of, build_group_algebra
+from .idempotents import block_idempotents
+from .fusion import (BrauerPairs, FusionSystem, fixed_point_presystem,
+                     fusion_equal, fusion_from_group, is_divisible)
+from .blocks import analyze_block, build_group_algebra
 
 __all__ = [
     "FiniteField", "field", "make_field",
@@ -24,9 +25,10 @@ __all__ = [
     "AlgebraContext", "group_algebra", "InteriorAlgebra",
     "BisetShape", "characteristic_report", "explicit_invariant_basis",
     "shape_from_brauer_dims",
-    "FusionSystem", "fixed_point_presystem", "fusion_equal",
+    "block_idempotents",
+    "BrauerPairs", "FusionSystem", "fixed_point_presystem", "fusion_equal",
     "fusion_from_group", "is_divisible",
-    "analyze_block", "blocks_of", "build_group_algebra",
+    "analyze_block", "build_group_algebra",
 ]
 
 __version__ = "0.1.0"

@@ -2,23 +2,29 @@
 source idempotent -> source algebra, plus the derived shape and fusion
 data and the proved sanity conditions that every run re-verifies.
 
+The Brauer pairs (P, e) of kG belong to (G, p), not to one block: one
+`fusion.BrauerPairs` engine, built once per group algebra, owns the
+interior S-algebra kG, the quotients (kG)(P) and their blocks, and
+every block of the run is analyzed against it.  A BlockData holds only
+the facts of its block and reaches G, p and kG through that engine.
+
 All choices (defect representative, maximal pair, source idempotent) are
 made deterministically under the run seed and recorded, since the block
 fusion system is only canonical once they are pinned.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import group_algebra, group_element_vector
-from .bisets import (characteristic_report, shape_from_brauer_dims,
-                     twisted_classes)
-from .fusion import (BrauerPairPoset, BrauerPairs, block_fusion, defect_groups,
-                     fixed_point_presystem, fusion_equal, is_divisible)
+from .bisets import characteristic_report, shape_from_brauer_dims
+from .fusion import (BrauerPairPoset, FusionError, block_fusion,
+                     defect_groups, fixed_point_presystem, fusion_equal,
+                     is_divisible)
 from .gf import make_field
-from .groups import Subgroup, TwistedDiagonal, sylow_subgroup
-from .idempotents import block_idempotents
+from .groups import Subgroup, TwistedDiagonal, injective_maps
 from .interior import InteriorAlgebra
 from .points import unit_decomposition
 
@@ -39,26 +45,48 @@ def splitting_field(G, p):
     return make_field(p, e)
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockData:
-    G: object
-    p: int
-    field: object
-    A: object                  # kG
+    pairs: object              # BrauerPairs engine of kG, shared by blocks
     b: np.ndarray
     index: int
-    ia_sylow: object           # InteriorAlgebra(kG, S)
-    pairs: object              # BrauerPairs engine
-    poset: object
+    poset: BrauerPairPoset
     max_pair_index: int
-    D: Subgroup = None
-    eD_index: int = None
-    ia_kG_D: object = None     # kG as interior D-algebra
-    ia_B: object = None        # block algebra as interior D-algebra
-    ell: np.ndarray = None     # source idempotent, kG coordinates
-    ia_S: object = None        # source algebra as interior D-algebra
-    source_candidates: list = dc_field(default_factory=list)
-    principal: bool = False
+    D: Subgroup
+    eD_index: int
+    ia_kG_D: InteriorAlgebra   # kG as interior D-algebra
+    ia_B: InteriorAlgebra      # block algebra as interior D-algebra
+    source_candidates: list    # canonical order; the first is ell
+    ia_S: InteriorAlgebra      # source algebra as interior D-algebra
+    principal: bool
+
+    @property
+    def ell(self):
+        """The pinned source idempotent, in kG coordinates."""
+        return self.source_candidates[0]
+
+    @cached_property
+    def rank_formula(self):
+        """(dim B / |D|)_p = (|G|_p / |D|)^2."""
+        p = self.pairs.p
+        return (p_part(self.ia_B.A.dim // self.D.order, p) ==
+                (p_part(self.pairs.G.order, p) // self.D.order) ** 2)
+
+    @cached_property
+    def source_shape(self):
+        return shape_from_brauer_dims(self.ia_S)
+
+    @cached_property
+    def block_shape(self):
+        return shape_from_brauer_dims(self.ia_B)
+
+    @cached_property
+    def block_fusion_system(self):
+        return block_fusion(self.poset, self.max_pair_index)
+
+    @cached_property
+    def source_presystem(self):
+        return fixed_point_presystem(self.ia_S, label="fF_D(S)")
 
 
 def build_group_algebra(G, p):
@@ -66,128 +94,73 @@ def build_group_algebra(G, p):
     return group_algebra(G, k)
 
 
-def blocks_of(A, rng):
-    return block_idempotents(A, rng)
-
-
-def analyze_block(A, b, index, rng, order_check=True):
-    """Fill a BlockData: defect, maximal pair, source idempotent/algebra."""
-    G = A.group
-    p = A.field.p
-    S = sylow_subgroup(G, p)
-    ia = InteriorAlgebra(A, S)
-    engine = BrauerPairs(ia, rng)
-    poset = BrauerPairPoset(engine, G, b, rng)
+def analyze_block(pairs, b, index, rng):
+    """Fill a BlockData for the block b of kG = pairs.A: defect, maximal
+    pair, source idempotent/algebra."""
+    b = np.asarray(b)
+    poset = BrauerPairPoset(pairs, b)
     # deterministic maximal pair: smallest (subgroup elements, block index)
-    max_sorted = sorted(poset.maximal,
-                        key=lambda a: (poset.pairs[a][0].elements,
-                                       poset.pairs[a][1]))
-    chosen = max_sorted[0]
+    chosen = min(poset.maximal,
+                 key=lambda a: (poset.pairs[a][0].elements,
+                                poset.pairs[a][1]))
     D, eD_idx = poset.pairs[chosen]
 
-    data = BlockData(G=G, p=p, field=A.field, A=A, b=np.asarray(b),
-                     index=index, ia_sylow=ia, pairs=engine, poset=poset,
-                     max_pair_index=chosen, D=D, eD_index=eD_idx)
-
     # cross-check: defect group class from plain Brauer-vanishing maximality
-    defs = defect_groups(ia, b, rng)
-    assert {P.order for P in defs} == {D.order}, \
-        "maximal pair subgroup is not a defect group"
+    if {P.order for P in defect_groups(pairs, b)} != {D.order}:
+        raise FusionError("maximal pair subgroup is not a defect group")
 
-    data.ia_kG_D = InteriorAlgebra(A, D)
+    ia_kG_D = InteriorAlgebra(pairs.A, D)
     # block algebra as an interior D-algebra
-    data.ia_B = data.ia_kG_D.corner(np.asarray(b))
+    B = ia_kG_D.corner(b)
 
     # source idempotents: primitive in B^D, local, Brauer image under e_D
-    B = data.ia_B
     cands = []
     for i_vec in unit_decomposition(B, D, rng):
         i_A = B.A.to_parent(i_vec)
-        under = engine.under_block(D, i_A)
-        if under == eD_idx:
+        if pairs.under_block(D, i_A) == eD_idx:
             cands.append(i_A)
-    assert cands, "no source idempotent under the chosen maximal pair"
+    if not cands:
+        raise FusionError("no source idempotent under the chosen maximal pair")
     cands.sort(key=lambda v: v.tolist())
-    data.source_candidates = cands
-    data.ell = cands[0]
 
-    ell_B = B.A.from_parent(data.ell)
-    data.ia_S = B.corner(ell_B)
-
-    data.principal = np.any(ia.brauer_at(S).project(np.asarray(b)))
-    if order_check:
-        _sanity(data)
+    data = BlockData(
+        pairs=pairs, b=b, index=index, poset=poset, max_pair_index=chosen,
+        D=D, eD_index=eD_idx, ia_kG_D=ia_kG_D, ia_B=B,
+        source_candidates=cands, ia_S=B.corner(B.A.from_parent(cands[0])),
+        principal=bool(np.any(pairs.brauer_image(pairs.S, b))))
+    _sanity(data)
     return data
 
 
 def _sanity(data):
-    B = data.ia_B.A
-    # rank formula (dim B / |D|)_p = (|G|_p / |D|)^2
-    p = data.p
-    gp = p_part(data.G.order, p)
-    assert B.dim % data.D.order == 0, "block dimension not divisible by |D|"
-    lhs = p_part(B.dim // data.D.order, p)
-    rhs = (gp // data.D.order) ** 2
-    assert lhs == rhs, f"rank formula fails: {lhs} != {rhs}"
-
-
-def source_shape(data):
-    if not hasattr(data, "_source_shape"):
-        data._source_shape = shape_from_brauer_dims(data.ia_S)
-    return data._source_shape
-
-
-def block_shape(data):
-    if not hasattr(data, "_block_shape"):
-        data._block_shape = shape_from_brauer_dims(data.ia_B)
-    return data._block_shape
-
-
-def block_fusion_system(data):
-    if not hasattr(data, "_fdb"):
-        data._fdb = block_fusion(data.poset, data.max_pair_index)
-    return data._fdb
-
-
-def source_presystem(data):
-    if not hasattr(data, "_ffs"):
-        data._ffs = fixed_point_presystem(data.ia_S, label="fF_D(S)")
-    return data._ffs
+    if data.ia_B.A.dim % data.D.order:
+        raise FusionError("block dimension not divisible by |D|")
+    if not data.rank_formula:
+        raise FusionError("rank formula (dim B / |D|)_p = (|G|_p / |D|)^2 "
+                          "fails")
 
 
 def source_fusion_identity_report(data):
     """fF_D(S) = F_D(b) and divisibility, both computed, not assumed."""
-    ffs = source_presystem(data)
-    fdb = block_fusion_system(data)
-    return {"fusion_equal": fusion_equal(ffs, fdb),
+    ffs = data.source_presystem
+    return {"fusion_equal": fusion_equal(ffs, data.block_fusion_system),
             "divisible": is_divisible(ffs)}
 
 
 def proved_conditions_report(data):
     """The section-2.4 facts: bifree, symmetric, generated, Sylow ratio,
     rank formula, and multiplicity-one top orbits."""
-    shape = source_shape(data)
-    fdb = block_fusion_system(data)
-    rep = characteristic_report(shape, fdb, data.p)
-    p = data.p
-    gp = p_part(data.G.order, p)
-    rep["rank_formula"] = (
-        p_part(data.ia_B.A.dim // data.D.order, p) ==
-        (gp // data.D.order) ** 2)
+    shape = data.source_shape
+    fdb = data.block_fusion_system
+    rep = characteristic_report(shape, fdb, data.pairs.p)
+    rep["rank_formula"] = data.rank_formula
     # top orbits: multiplicity one exactly at Delta(alpha, D) for
     # alpha in Aut_{F_D(b)}(D)
-    tc = twisted_classes(data.D)
     auts = {phi.graph for phi in fdb.automorphisms(data.D)}
-    ok = True
-    from .groups import injective_maps
-    for phi in injective_maps(data.D, data.D):
-        td = TwistedDiagonal(phi)
-        m = shape.multiplicity_of(td)
-        expected = 1 if phi.graph in auts else 0
-        if m != expected:
-            ok = False
-            break
-    rep["top_orbits_multiplicity_one"] = ok
+    rep["top_orbits_multiplicity_one"] = all(
+        shape.multiplicity_of(TwistedDiagonal(phi)) ==
+        (1 if phi.graph in auts else 0)
+        for phi in injective_maps(data.D, data.D))
     return rep
 
 
@@ -219,31 +192,3 @@ def group_basis_invariant(ia):
             vectors.append(group_element_vector(A, h))
     return InvariantBasis(ia, vectors, slices, stabs)
 
-
-def defect_groups(A, b, rng):
-    """Defect-group class of a block; accepts the group algebra or an
-    interior algebra already carrying the Sylow structure."""
-    from .fusion import defect_groups as _dg
-    if isinstance(A, InteriorAlgebra):
-        return _dg(A, b, rng)
-    S = sylow_subgroup(A.group, A.field.p)
-    return _dg(InteriorAlgebra(A, S), b, rng)
-
-
-def source_idempotents(data):
-    """All source-idempotent candidates under the chosen maximal pair,
-    in the deterministic canonical order (the first is the pinned one)."""
-    return list(data.source_candidates)
-
-
-def source_algebra(data):
-    """The source algebra as an interior D-algebra (corner at ell)."""
-    return data.ia_S
-
-
-def brauer_pair_poset(A, b, rng):
-    """Brauer pairs of the group algebra over the block b."""
-    from .fusion import BrauerPairPoset, BrauerPairs
-    S = sylow_subgroup(A.group, A.field.p)
-    ia = InteriorAlgebra(A, S)
-    return BrauerPairPoset(BrauerPairs(ia, rng), A.group, b, rng)

@@ -26,14 +26,15 @@ import time
 import numpy as np
 
 from . import report as report_mod
-from .blocks import (analyze_block, block_fusion_system, blocks_of,
-                     build_group_algebra, proved_conditions_report,
-                     source_presystem, source_fusion_identity_report)
+from .blocks import (analyze_block, build_group_algebra,
+                     proved_conditions_report, source_fusion_identity_report)
 from .conjecture import (ExtensionNeeded, Finding, equivalence_report,
                          twisted_unit_laws_report)
-from .gf import field
+from .fusion import BrauerPairs
+# `_dividing_primes` is the name perfbench/workloads.py imports
+from .gf import _prime_factors as _dividing_primes, field
 from .groups import OrderCapExceeded, load_group
-from .idempotents import NonSplitError
+from .idempotents import NonSplitError, block_idempotents
 
 DEFAULT_SEED = 0xB10CF
 
@@ -81,9 +82,11 @@ def _analyze_blocks_over(A, doc, prime, seed, deep, thorough, exhaustive):
     rng = np.random.default_rng(seed)
     records = []
     findings = []
-    for index, b in enumerate(blocks_of(A, rng)):
+    blocks = block_idempotents(A, rng)
+    pairs = BrauerPairs(A, rng)
+    for index, b in enumerate(blocks):
         t0 = time.time()
-        data = analyze_block(A, b, index, rng)
+        data = analyze_block(pairs, b, index, rng)
         choices = {
             "defect_group": [list(g) for g in data.D.elements],
             "maximal_pair_block_index": int(data.eD_index),
@@ -122,14 +125,14 @@ def _analyze_blocks_over(A, doc, prime, seed, deep, thorough, exhaustive):
                     choices=choices))
                 extra["equivalence"] = {"finding": f.condition}
             extra["twisted_unit_laws"] = twisted_unit_laws_report(
-                data.ia_S, source_presystem(data), rng)
+                data.ia_S, data.source_presystem, rng)
             for law, val in extra["twisted_unit_laws"].items():
                 if not val:
                     findings.append(report_mod.finding_document(
                         doc, prime, index, f"twisted_unit_law_{law}", {},
                         choices=choices))
-            fdb = block_fusion_system(data)
-            ffs = source_presystem(data)
+            fdb = data.block_fusion_system
+            ffs = data.source_presystem
             extra["fusion_summary"] = {
                 "F_D(b)": fdb.summary(), "fF_D(S)": ffs.summary()}
             extra["fusion_detail"] = {
@@ -188,21 +191,6 @@ def cmd_analyze(args, deep=False):
 
 def cmd_check(args):
     return cmd_analyze(args, deep=True)
-
-
-def _dividing_primes(order):
-    out = []
-    n = order
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _cache_key(doc, prime, seed, config):

@@ -816,9 +816,8 @@ def balance_report(ia, presystem, rng, ambient=None, ell=None):
 def equivalence_report(data, rng, thorough=False, exhaustive=False):
     """Independently compute (i) unital basis, (ii) all twisted units,
     (iii) intrinsic and ambient balance; report agreement."""
-    from .blocks import source_presystem
     ia = data.ia_S
-    F = source_presystem(data)
+    F = data.source_presystem
     out = {}
 
     basis, neg = build_unital_basis(ia, F, rng, exhaustive=exhaustive)

@@ -21,8 +21,10 @@ import numpy as np
 from . import linalg
 from .algebra import group_conjugation_matrix
 from .groups import (GroupInjection, all_subgroups, conjugation_injection,
-                     injective_maps, p_subgroups_up_to_conjugacy, pinv, pmul)
+                     injective_maps, p_subgroups_up_to_conjugacy, pinv, pmul,
+                     sylow_subgroup)
 from .idempotents import block_idempotents
+from .interior import InteriorAlgebra
 from .points import refine_idempotent
 
 
@@ -202,12 +204,18 @@ def fusion_equal(F1, F2):
 # ---------------------------------------------------------------------------
 
 class BrauerPairs:
-    """Brauer pairs of kG over the subgroups of a fixed Sylow p-subgroup."""
+    """Brauer pairs of kG over the subgroups of a fixed Sylow p-subgroup S.
 
-    def __init__(self, ia, rng):
-        self.ia = ia                      # InteriorAlgebra(kG, S)
-        self.A = ia.A
-        self.S = ia.D
+    One engine serves every block of kG: it owns the interior S-algebra
+    kG, the Brauer quotients (kG)(P) ~ kC_G(P) and their blocks.
+    """
+
+    def __init__(self, A, rng):
+        self.A = A                        # kG
+        self.G = A.group
+        self.p = A.field.p
+        self.S = sylow_subgroup(self.G, self.p)
+        self.ia = InteriorAlgebra(A, self.S)
         self.rng = rng
         self._blocks = {}                 # P.key -> list of quotient blocks
 
@@ -251,7 +259,8 @@ class BrauerPairs:
         Qalg = bq.algebra()
         hits = [t for t, e in enumerate(self.blocks_at(P))
                 if np.array_equal(Qalg.mul(e, img), img)]
-        assert len(hits) == 1, "Brauer image not under a unique block"
+        if len(hits) != 1:
+            raise FusionError("Brauer image not under a unique block")
         return hits[0]
 
     def pair_leq(self, P, eP_idx, Q, eQ_idx):
@@ -287,11 +296,9 @@ class BrauerPairs:
 class BrauerPairPoset:
     """The interval of Brauer pairs over one block, with G-structure."""
 
-    def __init__(self, pairs_engine, G, b, rng):
+    def __init__(self, pairs_engine, b):
         self.engine = pairs_engine
-        self.G = G
         self.b = np.asarray(b)
-        self.rng = rng
         self.pairs = pairs_engine.pairs_over_block(b)
         self.leq = {}
         for a, (P, ei) in enumerate(self.pairs):
@@ -316,7 +323,7 @@ class BrauerPairPoset:
         Q, ej = self.pairs[c]
         if P.order != Q.order:
             return False
-        for g in self.G.elements:
+        for g in self.engine.G.elements:
             if P.conjugate(g).key != Q.key:
                 continue
             moved = self.engine.image_under(P, self.engine.blocks_at(P)[ei], g)
@@ -331,30 +338,23 @@ class BrauerPairPoset:
         return [self.pairs[a] for a in self.maximal]
 
 
-def defect_groups(ia_kG, b, rng):
-    """Maximal p-subgroup classes where br_P(b) survives."""
-    G = ia_kG.A.group
-    p = _prime_of(ia_kG)
+def defect_groups(pairs, b):
+    """Maximal p-subgroup classes where br_P(b) survives, as subgroups of
+    the engine's Sylow subgroup."""
+    G = pairs.G
     reps = []
-    for P in p_subgroups_up_to_conjugacy(G, p):
-        Ps = ia_kG.D.subgroup(_conjugate_into(G, P, ia_kG.D))
-        bq = ia_kG.brauer_at(Ps)
-        if np.any(bq.project(np.asarray(b))):
+    for P in p_subgroups_up_to_conjugacy(G, pairs.p):
+        Ps = pairs.S.subgroup(_conjugate_into(G, P, pairs.S))
+        if np.any(pairs.brauer_image(Ps, b)):
             reps.append(Ps)
     maximal = [P for P in reps
                if not any(P.order < Q.order and _subconjugate(G, P, Q)
                           for Q in reps)]
-    assert maximal, "no defect group found (b is not an idempotent?)"
-    orders = {P.order for P in maximal}
-    assert len(orders) == 1, "non-conjugate maximal defect candidates"
-    for P in maximal[1:]:
-        assert _conjugate_subgroups(G, maximal[0], P), \
-            "defect groups not conjugate"
+    if not maximal:
+        raise FusionError("no defect group found (b is not an idempotent?)")
+    if not all(_conjugate_subgroups(G, maximal[0], P) for P in maximal[1:]):
+        raise FusionError("defect groups not conjugate")
     return maximal
-
-
-def _prime_of(ia):
-    return ia.A.field.p
 
 
 def _conjugate_into(G, P, S):
@@ -379,7 +379,7 @@ def _conjugate_subgroups(G, P, Q):
 def block_fusion(poset, max_idx, label=None):
     """F_D(b) from a chosen maximal pair (D, e_D)."""
     engine = poset.engine
-    G = poset.G
+    G = engine.G
     D, eD_idx = poset.pairs[max_idx]
     family = {}
     for a, (P, ei) in enumerate(poset.pairs):
@@ -387,8 +387,8 @@ def block_fusion(poset, max_idx, label=None):
             if P.key in family and family[P.key] != ei:
                 raise FusionError("Brauer subpair is not unique")
             family.setdefault(P.key, ei)
-    for P in all_subgroups(D):
-        assert P.key in family, "missing Brauer subpair below the maximal pair"
+    if any(P.key not in family for P in all_subgroups(D)):
+        raise FusionError("missing Brauer subpair below the maximal pair")
     homs = {}
     subs = all_subgroups(D)
     for P in subs:

@@ -386,35 +386,3 @@ def make_field(p, e):
             raise ValueError(f"no GF(p^m) below 2^63 has {e} | p^m - 1")
     return field(p, m)
 
-
-def extend_field(f, factor=2):
-    """GF(p^(factor*m)) together with the embedding table of f into it.
-
-    Returns (big, table) where table[code_in_f] is the image code.
-    """
-    big = field(f.p, f.m * factor)
-    # root of f's modulus inside big, by direct scan
-    root = None
-    for cand in range(big.q):
-        acc = 0
-        for c in reversed(f.modulus):
-            acc = big.add(big.mul(acc, cand), c)
-        if acc == 0:
-            root = cand
-            break
-    if root is None:
-        raise ValueError(f"the modulus of {f} has no root in {big}")
-    table = np.zeros(f.q, dtype=np.int64)
-    for code in range(f.q):
-        acc = 0
-        c = code
-        img = 0
-        rpow = 1
-        for _ in range(f.m):
-            digit = c % f.p
-            c //= f.p
-            if digit:
-                img = big.add(img, big.mul(digit % big.q, rpow))
-            rpow = big.mul(rpow, root)
-        table[code] = img
-    return big, table

@@ -488,16 +488,20 @@ class TwistedClasses:
     def __init__(self, D):
         self.D = D
         reps = {}
+        canonical = {}                    # pairs of every twisted diagonal
         for P in all_subgroups(D):
             for phi in injective_maps(P, D):
                 td = TwistedDiagonal(phi)
                 key = _canonical_pair_set(td.pairs, D)
+                canonical[td.pairs] = key
                 if key not in reps:
                     reps[key] = td
         order = sorted(reps, key=lambda k: (-len(k), k))
         self.reps = [reps[k] for k in order]
         self.keys = order
-        self._index = {k: i for i, k in enumerate(order)}
+        index = {k: i for i, k in enumerate(order)}
+        self._class_of = {pairs: index[key]
+                          for pairs, key in canonical.items()}
         self.marks = self._marks_table()
 
     def __len__(self):
@@ -506,7 +510,7 @@ class TwistedClasses:
     def class_index(self, td_or_pairs):
         pairs = td_or_pairs.pairs if isinstance(td_or_pairs, TwistedDiagonal) \
             else frozenset(td_or_pairs)
-        return self._index[_canonical_pair_set(pairs, self.D)]
+        return self._class_of[pairs]
 
     def _conjugates(self, pairs):
         out = set()

@@ -139,6 +139,7 @@ class InteriorAlgebra:
         self._lmats = {}
         self._rmats = {}
         self._bq_cache = {}
+        self._fixed_cache = {}
         if check:
             self._check_structural()
 
@@ -183,8 +184,6 @@ class InteriorAlgebra:
         """Rows spanning {a : d1 a = a d2 for (d1, d2) generating pairs}."""
         f = self.A.field
         sub = pair_subgroup(self.D, pairs)
-        if not hasattr(self, "_fixed_cache"):
-            self._fixed_cache = {}
         if sub.key in self._fixed_cache:
             return self._fixed_cache[sub.key]
         gens = sub.generating_sequence()
@@ -204,17 +203,14 @@ class InteriorAlgebra:
         f = self.A.field
         V = pair_subgroup(self.D, sub_pairs)
         U = pair_subgroup(self.D, super_pairs)
-        assert V.key <= U.key, "trace needs V <= U"
+        if not V.key <= U.key:
+            raise ValueError("trace needs V <= U")
         out = linalg.zeros(self.A.dim, self.A.dim)
         for enc in U.left_coset_reps(V):
             d1, d2 = decode_pair(self.D, enc)
             m = linalg.matmul(f, self.lmat(d1), self.rmat(pinv(d2)))
             out = f.add(out, m)
         return out
-
-    def relative_trace(self, sub_pairs, super_pairs, v):
-        return linalg.matvec(self.A.field,
-                             self.trace_map(sub_pairs, super_pairs), v)
 
     def brauer(self, td_or_pairs):
         """Brauer quotient at a subgroup of D x D (cached)."""
@@ -241,16 +237,12 @@ class InteriorAlgebra:
             traces = linalg.rref(f, np.concatenate(trace_imgs, axis=0))[0]
         else:
             traces = linalg.zeros(0, self.A.dim)
-        # pivot-complement of the traces inside the fixed module
-        chosen = []
-        acc = traces
-        for t in range(fixed.shape[0]):
-            cand = np.concatenate([acc, fixed[t:t + 1]], axis=0)
-            if linalg.rank(f, cand) > acc.shape[0]:
-                chosen.append(fixed[t])
-                acc = linalg.rref(f, cand)[0]
-        reps = np.array(chosen, dtype=np.int64) if chosen \
-            else linalg.zeros(0, self.A.dim)
+        # pivot-complement of the traces inside the fixed module: the
+        # pivot columns of [traces; fixed]^T past the traces are the fixed
+        # rows independent of the traces and of the fixed rows before them
+        t = traces.shape[0]
+        cols = linalg.rref(f, np.concatenate([traces, fixed], axis=0).T)[1]
+        reps = fixed[[c - t for c in cols if c >= t]]
         stacked = np.concatenate([traces, reps], axis=0) if traces.size \
             else reps
         if stacked.size:
@@ -305,33 +297,16 @@ def quotient_product(bq_left, bq_right, c_left, c_right, bq_out=None):
     in A(psi o phi).
     """
     interior = bq_left.interior
-    assert bq_right.interior is interior
+    if bq_right.interior is not interior:
+        raise ValueError("quotients of different interior algebras")
     psi, phi = bq_left.phi, bq_right.phi
-    assert psi is not None and phi is not None, "need twisted diagonals"
-    assert phi.image().key <= psi.domain.key, "pairing is not composable"
+    if psi is None or phi is None:
+        raise ValueError("need twisted diagonals")
+    if not phi.image().key <= psi.domain.key:
+        raise ValueError("pairing is not composable")
     comp = psi.compose(phi.corestrict(psi.domain))
     if bq_out is None:
         bq_out = interior.brauer(TwistedDiagonal(comp))
     w = interior.A.mul(bq_left.lift(c_left), bq_right.lift(c_right))
     return bq_out.project(w), bq_out
 
-
-def fixed_subspace(ia, td):
-    """Rows spanning the twisted fixed module of Delta(phi, P)."""
-    pairs = td.pairs if isinstance(td, TwistedDiagonal) else td
-    return ia.fixed_rows(pairs)
-
-
-def relative_trace(ia, sub_td, super_td, a):
-    """tr_V^U(a) for twisted-diagonal (or pair-set) subgroups V <= U."""
-    sub = sub_td.pairs if isinstance(sub_td, TwistedDiagonal) else sub_td
-    sup = super_td.pairs if isinstance(super_td, TwistedDiagonal) else super_td
-    fixed = ia.fixed_rows(sub)
-    if not linalg.Subspace(ia.A.field, ia.A.dim, fixed).contains(a):
-        raise ValueError("element is not fixed by the lower subgroup")
-    return ia.relative_trace(sub, sup, a)
-
-
-def brauer_quotient(ia, td_or_pairs):
-    """The Brauer quotient A(U); same object the interior algebra caches."""
-    return ia.brauer(td_or_pairs)

@@ -39,7 +39,6 @@ def subgroup_descriptor(P):
 
 
 def block_record(data, extra=None):
-    from .blocks import source_shape
     rec = {
         "block_index": data.index,
         "block_idempotent": _plain(data.b),
@@ -52,7 +51,7 @@ def block_record(data, extra=None):
         "principal": bool(data.principal),
     }
     try:
-        rec["source_shape"] = source_shape(data).describe()
+        rec["source_shape"] = data.source_shape.describe()
     except Exception as exc:            # surfaced, never silently dropped
         rec["source_shape_error"] = repr(exc)
     if extra:

@@ -14,17 +14,17 @@ import numpy as np
 from bflab import linalg
 from bflab.bisets import (characteristic_report, explicit_invariant_basis,
                           shape_from_brauer_dims, twisted_classes)
-from bflab.blocks import (analyze_block, block_fusion_system, blocks_of,
-                          build_group_algebra, group_basis_invariant,
-                          proved_conditions_report, source_presystem,
-                          source_shape, source_fusion_identity_report)
+from bflab.blocks import (analyze_block, build_group_algebra,
+                          group_basis_invariant, proved_conditions_report,
+                          source_fusion_identity_report)
 from bflab.conjecture import (equivalence_report, lift_to_global_unit,
                               theta_map, theta_structure_report,
                               twisted_unit_exists, twisted_unit_laws_report,
                               unit_in_subspace)
+from bflab.fusion import BrauerPairs
 from bflab.groups import (TwistedDiagonal, centralizer, load_group,
                           p_subgroups_up_to_conjugacy, sylow_subgroup)
-from bflab.idempotents import is_primitive
+from bflab.idempotents import block_idempotents, is_primitive
 from bflab.interior import InteriorAlgebra
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "bflab", "data")
@@ -72,8 +72,9 @@ def entry(name, p):
         rng = np.random.default_rng(SEED)
         A = build_group_algebra(G, p)
         t0 = time.time()
-        bs = blocks_of(A, rng)
-        datas = [analyze_block(A, b, i, rng) for i, b in enumerate(bs)]
+        bs = block_idempotents(A, rng)
+        pairs = BrauerPairs(A, rng)
+        datas = [analyze_block(pairs, b, i, rng) for i, b in enumerate(bs)]
         _entries[key] = {"G": G, "A": A, "blocks": bs, "datas": datas,
                          "rng": rng, "seconds": time.time() - t0}
     return _entries[key]
@@ -237,7 +238,7 @@ def test_criterion_08_section_5_structure_suite():
         rng = np.random.default_rng(SEED + 8)
         for data in e["datas"]:
             ia = data.ia_S
-            F = source_presystem(data)
+            F = data.source_presystem
             laws = twisted_unit_laws_report(ia, F, rng)
             if not all(laws.values()):
                 ok = False
@@ -277,7 +278,7 @@ def test_criterion_09_unit_lift_cross_validation():
         rng = np.random.default_rng(SEED + 9)
         data = [d for d in e["datas"] if d.principal][0]
         ia = data.ia_S
-        F = source_presystem(data)
+        F = data.source_presystem
         for P, Q, phi in F.all_isomorphisms():
             u, v = lift_to_global_unit(ia, phi, P, Q, rng)
             rows = ia.brauer(
@@ -300,8 +301,8 @@ def test_criterion_10_stability_report():
     findings = []
     for name, p in catalog_pairs():
         for data in entry(name, p)["datas"]:
-            shape = source_shape(data)
-            fdb = block_fusion_system(data)
+            shape = data.source_shape
+            fdb = data.block_fusion_system
             rep = characteristic_report(shape, fdb, p)
             if not rep["f_stable"]:
                 findings.append({

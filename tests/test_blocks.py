@@ -1,11 +1,12 @@
 import numpy as np
 
-from bflab.blocks import (analyze_block, block_fusion_system, block_shape,
-                          blocks_of, build_group_algebra, p_part,
-                          source_shape, splitting_field, source_fusion_identity_report)
+from bflab.blocks import (analyze_block, build_group_algebra, p_part,
+                          splitting_field, source_fusion_identity_report)
 from bflab.bisets import characteristic_report
+from bflab.fusion import BrauerPairs
 from bflab.groups import (TwistedDiagonal, group_from_generators,
                           injective_maps, load_group)
+from bflab.idempotents import block_idempotents
 
 import os
 
@@ -23,6 +24,18 @@ def rng():
     return np.random.default_rng(2026)
 
 
+def all_blocks(A, r):
+    """BlockData of every block of A, analyzed against one shared engine."""
+    blocks = block_idempotents(A, r)
+    pairs = BrauerPairs(A, r)
+    for i, b in enumerate(blocks):
+        yield analyze_block(pairs, b, i, r)
+
+
+def first_block(A, r):
+    return next(all_blocks(A, r))
+
+
 def test_p_part():
     assert p_part(24, 2) == 8 and p_part(24, 3) == 3 and p_part(7, 2) == 1
 
@@ -36,7 +49,7 @@ def test_splitting_field_choices():
 def test_defect_and_source_nilpotent():
     A = build_group_algebra(D8, 2)
     r = rng()
-    d = analyze_block(A, blocks_of(A, r)[0], 0, r)
+    d = first_block(A, r)
     assert d.D.order == 8
     assert d.ia_S.A.dim == 8                  # S = kD8 itself
     assert np.array_equal(d.ell, A.unit)
@@ -45,8 +58,7 @@ def test_defect_and_source_nilpotent():
 def test_defect_zero_block_of_s3():
     A = build_group_algebra(S3, 2)
     r = rng()
-    for i, b in enumerate(blocks_of(A, r)):
-        d = analyze_block(A, b, i, r)
+    for d in all_blocks(A, r):
         if d.ia_B.A.dim == 4:
             assert d.D.order == 1
             assert d.ia_S.A.dim == 1          # corner of M_2 is k
@@ -58,7 +70,7 @@ def test_defect_zero_block_of_s3():
 def test_s3_p3_source_dimension():
     A = build_group_algebra(S3, 3)
     r = rng()
-    d = analyze_block(A, blocks_of(A, r)[0], 0, r)
+    d = first_block(A, r)
     assert d.D.order == 3
     assert d.ia_S.A.dim == 6                  # |D x| E| = 3 * 2
 
@@ -72,8 +84,7 @@ def test_rank_formula_all_catalog():
                 continue
             A = build_group_algebra(G, p)
             r = rng()
-            for i, b in enumerate(blocks_of(A, r)):
-                d = analyze_block(A, b, i, r)   # rank formula asserted inside
+            for d in all_blocks(A, r):  # rank formula checked inside
                 gp = p_part(G.order, p)
                 assert p_part(d.ia_B.A.dim // d.D.order, p) == \
                     (gp // d.D.order) ** 2
@@ -83,10 +94,8 @@ def test_block_dims_sum_to_group_order():
     for G, p in ((S4, 3), (S4, 2), (A4, 2)):
         A = build_group_algebra(G, p)
         r = rng()
-        bs = blocks_of(A, r)
         total = 0
-        for i, b in enumerate(bs):
-            d = analyze_block(A, b, i, r)
+        for d in all_blocks(A, r):
             total += d.ia_B.A.dim
         assert total == G.order
 
@@ -94,9 +103,7 @@ def test_block_dims_sum_to_group_order():
 def test_principal_block_detected():
     A = build_group_algebra(S3, 2)
     r = rng()
-    flags = []
-    for i, b in enumerate(blocks_of(A, r)):
-        flags.append(analyze_block(A, b, i, r).principal)
+    flags = [d.principal for d in all_blocks(A, r)]
     assert sorted(flags) == [False, True]
 
 
@@ -104,8 +111,7 @@ def test_source_fusion_identity_on_selected_blocks():
     for G, p in ((S3, 3), (A4, 2), (S4, 3)):
         A = build_group_algebra(G, p)
         r = rng()
-        for i, b in enumerate(blocks_of(A, r)):
-            d = analyze_block(A, b, i, r)
+        for d in all_blocks(A, r):
             rep = source_fusion_identity_report(d)
             assert rep["fusion_equal"] and rep["divisible"]
 
@@ -115,9 +121,9 @@ def test_block_algebra_shape_is_fusion_stable():
     for G, p in ((S3, 3), (A4, 2)):
         A = build_group_algebra(G, p)
         r = rng()
-        d = analyze_block(A, blocks_of(A, r)[0], 0, r)
-        shape_b = block_shape(d)
-        fdb = block_fusion_system(d)
+        d = first_block(A, r)
+        shape_b = d.block_shape
+        fdb = d.block_fusion_system
         rep = characteristic_report(shape_b, fdb, p)
         assert rep["f_stable"]
 
@@ -126,9 +132,9 @@ def test_source_shape_is_fusion_generated():
     for G, p in ((S3, 3), (A4, 2), (S4, 2)):
         A = build_group_algebra(G, p)
         r = rng()
-        d = analyze_block(A, blocks_of(A, r)[0], 0, r)
-        shape = source_shape(d)
-        fdb = block_fusion_system(d)
+        d = first_block(A, r)
+        shape = d.source_shape
+        fdb = d.block_fusion_system
         for i, m in shape.items():
             td = shape.classes.reps[i]
             assert fdb.contains(td.phi)
@@ -138,9 +144,9 @@ def test_top_orbit_multiplicities():
     for G, p in ((S3, 3), (A4, 2)):
         A = build_group_algebra(G, p)
         r = rng()
-        d = analyze_block(A, blocks_of(A, r)[0], 0, r)
-        shape = source_shape(d)
-        fdb = block_fusion_system(d)
+        d = first_block(A, r)
+        shape = d.source_shape
+        fdb = d.block_fusion_system
         auts = {phi.graph for phi in fdb.automorphisms(d.D)}
         for phi in injective_maps(d.D, d.D):
             m = shape.multiplicity_of(TwistedDiagonal(phi))
@@ -151,23 +157,23 @@ def test_sl23_p3_block_structure():
     G = load_group(os.path.join(DATA, "sl23.json"))
     A = build_group_algebra(G, 3)
     r = rng()
-    bs = blocks_of(A, r)
+    pairs = BrauerPairs(A, r)
+    bs = block_idempotents(A, r)
     dims = sorted(A.corner(b).dim for b in bs)
     assert dims == [3, 9, 12]
     defects = []
     for i, b in enumerate(bs):
-        defects.append(analyze_block(A, b, i, r).D.order)
+        defects.append(analyze_block(pairs, b, i, r).D.order)
     assert sorted(defects) == [1, 3, 3]
 
 
 def test_operation_level_api_surface():
     # the contract-level entry points work standalone
     import numpy as np
-    from bflab.blocks import (brauer_pair_poset, defect_groups,
-                              source_algebra, source_idempotents)
+    from bflab import linalg
+    from bflab.fusion import BrauerPairPoset, defect_groups
     from bflab.groups import diagonal, twisted_diagonal_classes
-    from bflab.interior import (InteriorAlgebra, brauer_quotient,
-                                fixed_subspace, relative_trace)
+    from bflab.interior import InteriorAlgebra
     from bflab.groups import sylow_subgroup
     from bflab.radical import radical_subspace
     r = np.random.default_rng(0)
@@ -176,14 +182,16 @@ def test_operation_level_api_surface():
     assert len(twisted_diagonal_classes(D)) == 3
     ia = InteriorAlgebra(A, D)
     td = diagonal(D)
-    assert fixed_subspace(ia, td).shape[0] == 4
-    assert brauer_quotient(ia, td).dim == 3
-    assert not relative_trace(ia, [(D.identity, D.identity)], td,
-                              A.unit).any()
+    assert ia.fixed_rows(td.pairs).shape[0] == 4
+    assert ia.brauer(td).dim == 3
+    tr = ia.trace_map([(D.identity, D.identity)], td.pairs)
+    assert not linalg.matvec(A.field, tr, A.unit).any()
     assert radical_subspace(A).dim == 4
-    b = blocks_of(A, r)[0]
-    assert defect_groups(A, b, r)[0].order == 3
-    d = analyze_block(A, b, 0, r)
-    assert source_idempotents(d)[0] is d.source_candidates[0]
-    assert source_algebra(d) is d.ia_S
-    assert len(brauer_pair_poset(A, b, r).maximal) == 1
+    b = block_idempotents(A, r)[0]
+    pairs = BrauerPairs(A, r)
+    assert pairs.S.key == D.key
+    assert defect_groups(pairs, b)[0].order == 3
+    d = analyze_block(pairs, b, 0, r)
+    assert d.ell is d.source_candidates[0]
+    assert d.ia_S.A.dim == 6
+    assert len(BrauerPairPoset(pairs, b).maximal) == 1

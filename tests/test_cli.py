@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
+from bflab import idempotents
 from bflab.cli import main
+from bflab.groups import group_from_generators
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "bflab", "data")
 
@@ -203,6 +206,8 @@ GOLDEN_CHECK_SHA256 = {
                "9627e813daab05779d0acdabaec50988",
     ("s3", 3): "66456a53839a31b54f8999fa2621bee7"
                "37ec9335976da208f4e58c83920658ba",
+    ("s4", 3): "adc76768370bce43bba51b8e1df7ac21"
+               "76612b31c2e27e94f834410c9103906e",
 }
 
 
@@ -214,3 +219,41 @@ def test_check_report_matches_pinned_hash(name, prime, tmp_path, capsys):
     assert code == 0
     got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == GOLDEN_CHECK_SHA256[(name, prime)]
+
+
+def _a5_doc():
+    A5 = group_from_generators(5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], "A5")
+    assert A5.order == 60
+    return {"label": "A5", "degree": 5,
+            "generators": [[i + 1 for i in (1, 2, 3, 4, 0)],
+                           [i + 1 for i in (1, 2, 0, 3, 4)]]}
+
+
+@pytest.mark.parametrize("name", ["a5", "s4"])
+def test_one_brauer_pair_engine_per_run(name, tmp_path, monkeypatch, capsys):
+    # A5 and S4 at p = 3 have three blocks and Sylow subgroup C3.  The
+    # blocks of kG are found once, then those of (kG)(1) and (kG)(C3) once
+    # each for the whole run, not once per block that reaches them.
+    if name == "a5":
+        path = tmp_path / "a5.json"
+        path.write_text(json.dumps(_a5_doc()))
+    else:
+        path = os.path.join(DATA, "s4.json")
+    real = idempotents.block_idempotents
+    dims = []
+
+    def counted(A, rng):
+        dims.append(A.dim)
+        return real(A, rng)
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.startswith("bflab") and \
+                getattr(mod, "block_idempotents", None) is real:
+            monkeypatch.setattr(mod, "block_idempotents", counted)
+    code = run(["analyze", "--group", str(path), "--prime", "3",
+                "--seed", "1", "--out", "-",
+                "--findings-dir", str(tmp_path / "f")])
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["blocks"]) == 3
+    order = 60 if name == "a5" else 24
+    assert dims[0] == order                 # kG itself
+    assert len(dims) == 3, dims

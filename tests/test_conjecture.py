@@ -5,8 +5,7 @@ import numpy as np
 from bflab import conjecture
 from bflab.algebra import group_algebra
 from bflab.bisets import _into_group
-from bflab.blocks import (analyze_block, blocks_of, build_group_algebra,
-                          source_presystem)
+from bflab.blocks import analyze_block, build_group_algebra
 from bflab.conjecture import (balance_report, build_unital_basis,
                               equivalence_report, has_all_twisted_units,
                               intrinsic_balance_report, isofusion,
@@ -14,10 +13,11 @@ from bflab.conjecture import (balance_report, build_unital_basis,
                               theta_structure_report,
                               twisted_unit_exists, twisted_unit_laws_report,
                               unit_in_subspace, unital_basis_exists)
-from bflab.fusion import fixed_point_presystem
+from bflab.fusion import BrauerPairs, fixed_point_presystem
 from bflab.gf import field, make_field
 from bflab.groups import (TwistedDiagonal, group_from_generators,
                           identity_injection, sylow_subgroup)
+from bflab.idempotents import block_idempotents
 from bflab.interior import InteriorAlgebra
 from bflab.points import local_points, points
 
@@ -204,8 +204,8 @@ def test_intrinsic_balance_group_algebras():
 def test_balance_report_wrapper_with_ambient():
     A = build_group_algebra(S3, 3)
     r = rng()
-    d = analyze_block(A, blocks_of(A, r)[0], 0, r)
-    F = source_presystem(d)
+    d = analyze_block(BrauerPairs(A, r), block_idempotents(A, r)[0], 0, r)
+    F = d.source_presystem
     rep = balance_report(d.ia_S, F, r, ambient=d.ia_B,
                          ell=d.ia_B.A.from_parent(d.ell))
     assert rep["intrinsic"]["balanced"]
@@ -217,8 +217,9 @@ def test_equivalence_report_catalog_blocks():
     for G, p in ((S3, 3), (S3, 2), (A4, 2)):
         A = build_group_algebra(G, p)
         r = rng()
-        for i, b in enumerate(blocks_of(A, r)):
-            d = analyze_block(A, b, i, r)
+        pairs = BrauerPairs(A, r)
+        for i, b in enumerate(block_idempotents(A, r)):
+            d = analyze_block(pairs, b, i, r)
             rep = equivalence_report(d, r)
             assert rep["conditions_agree"]
             assert rep["unital_basis"] and rep["all_twisted_units"] and \
@@ -257,8 +258,9 @@ def test_thorough_checks_all_source_candidates():
     # conditions on each and must find agreement
     A = build_group_algebra(S3, 2)
     r = rng()
-    blocks = blocks_of(A, r)
-    datas = [analyze_block(A, b, i, r) for i, b in enumerate(blocks)]
+    blocks = block_idempotents(A, r)
+    pairs = BrauerPairs(A, r)
+    datas = [analyze_block(pairs, b, i, r) for i, b in enumerate(blocks)]
     dz = [d for d in datas if d.D.order == 1][0]
     assert len(dz.source_candidates) == 2
     rep = equivalence_report(dz, r, thorough=True)

@@ -3,11 +3,13 @@ of order 12 through the full pipeline and the equivalence suite."""
 
 import numpy as np
 
-from bflab.blocks import (analyze_block, blocks_of, build_group_algebra,
+from bflab.blocks import (analyze_block, build_group_algebra,
                           proved_conditions_report,
                           source_fusion_identity_report)
 from bflab.conjecture import equivalence_report
+from bflab.fusion import BrauerPairs
 from bflab.groups import group_from_generators
+from bflab.idempotents import block_idempotents
 
 
 def rng():
@@ -30,8 +32,9 @@ def test_d12_both_primes_full_suite():
         A = build_group_algebra(D12, p)
         r = rng()
         total = 0
-        for i, b in enumerate(blocks_of(A, r)):
-            data = analyze_block(A, b, i, r)
+        pairs = BrauerPairs(A, r)
+        for i, b in enumerate(block_idempotents(A, r)):
+            data = analyze_block(pairs, b, i, r)
             total += data.ia_B.A.dim
             rep = source_fusion_identity_report(data)
             assert rep["fusion_equal"] and rep["divisible"]
@@ -45,8 +48,9 @@ def test_d12_both_primes_full_suite():
 def test_abelian_c6xc2_nilpotent_blocks():
     A = build_group_algebra(C6xC2, 2)
     r = rng()
-    for i, b in enumerate(blocks_of(A, r)):
-        data = analyze_block(A, b, i, r)
+    pairs = BrauerPairs(A, r)
+    for i, b in enumerate(block_idempotents(A, r)):
+        data = analyze_block(pairs, b, i, r)
         assert data.D.order == 4            # Sylow V4 defect everywhere
         assert data.ia_S.A.dim == 4         # nilpotent: S = kV4
         eq = equivalence_report(data, r)
@@ -62,9 +66,9 @@ def test_rank_two_defect_group():
     # order 9 and fusion inverting one factor
     A = build_group_algebra(S3xC3, 3)
     r = rng()
-    bs = blocks_of(A, r)
+    bs = block_idempotents(A, r)
     assert len(bs) == 1
-    data = analyze_block(A, bs[0], 0, r)
+    data = analyze_block(BrauerPairs(A, r), bs[0], 0, r)
     assert data.D.order == 9
     assert data.ia_S.A.dim == 18
     rep = source_fusion_identity_report(data)
@@ -102,8 +106,9 @@ def test_dicyclic_q12_two_blocks():
     A = build_group_algebra(Q12, 2)
     r = rng()
     by_defect = {}
-    for i, b in enumerate(blocks_of(A, r)):
-        data = analyze_block(A, b, i, r)
+    pairs = BrauerPairs(A, r)
+    for i, b in enumerate(block_idempotents(A, r)):
+        data = analyze_block(pairs, b, i, r)
         by_defect[data.D.order] = (data.ia_B.A.dim, data.ia_S.A.dim)
         eq = equivalence_report(data, r)
         assert eq["conditions_agree"] and eq["unital_basis"]

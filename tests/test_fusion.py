@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from bflab.algebra import group_algebra
-from bflab.blocks import (analyze_block, block_fusion_system, blocks_of,
-                          build_group_algebra)
+from bflab.blocks import analyze_block, build_group_algebra
 from bflab.fusion import (BrauerPairPoset, BrauerPairs,
                           block_fusion, defect_groups, fixed_point_presystem,
                           fusion_equal, fusion_from_group, is_divisible)
 from bflab.gf import make_field
 from bflab.groups import (all_subgroups, group_from_generators,
                           pinv, pmul, sylow_subgroup)
+from bflab.idempotents import block_idempotents
 from bflab.interior import InteriorAlgebra
 
 
@@ -22,6 +22,11 @@ D8 = group_from_generators(4, [(1, 2, 3, 0), (1, 0, 3, 2)], "D8")
 
 def rng():
     return np.random.default_rng(55)
+
+
+def first_block(A, r):
+    b = block_idempotents(A, r)[0]
+    return analyze_block(BrauerPairs(A, r), b, 0, r)
 
 
 def test_fusion_from_group_trivial():
@@ -92,11 +97,9 @@ def test_presystem_of_p_group_algebra():
 def test_brauer_pairs_kc3():
     A = build_group_algebra(C3, 3)
     r = rng()
-    b = blocks_of(A, r)[0]
-    S = sylow_subgroup(C3, 3)
-    ia = InteriorAlgebra(A, S)
-    engine = BrauerPairs(ia, r)
-    poset = BrauerPairPoset(engine, C3, b, r)
+    b = block_idempotents(A, r)[0]
+    engine = BrauerPairs(A, r)
+    poset = BrauerPairPoset(engine, b)
     orders = sorted(P.order for P, _ in poset.pairs)
     assert orders == [1, 3]
     assert len(poset.maximal) == 1
@@ -106,13 +109,11 @@ def test_brauer_pairs_kc3():
 def test_brauer_pairs_defect_zero_block():
     A = build_group_algebra(S3, 2)
     r = rng()
-    blocks = blocks_of(A, r)
-    S = sylow_subgroup(S3, 2)
-    ia = InteriorAlgebra(A, S)
-    engine = BrauerPairs(ia, r)
+    blocks = block_idempotents(A, r)
+    engine = BrauerPairs(A, r)
     dims = {}
     for b in blocks:
-        poset = BrauerPairPoset(engine, S3, b, r)
+        poset = BrauerPairPoset(engine, b)
         top = poset.pairs[poset.maximal[0]][0].order
         dims[A.corner(b).dim] = top
     assert dims == {4: 1, 2: 2}    # matrix block has trivial defect
@@ -122,11 +123,9 @@ def test_unique_subpair_below_maximal_pair():
     # below a fixed maximal pair, each subgroup carries exactly one block
     A = build_group_algebra(S3, 3)
     r = rng()
-    b = blocks_of(A, r)[0]
-    S = sylow_subgroup(S3, 3)
-    ia = InteriorAlgebra(A, S)
-    engine = BrauerPairs(ia, r)
-    poset = BrauerPairPoset(engine, S3, b, r)
+    b = block_idempotents(A, r)[0]
+    engine = BrauerPairs(A, r)
+    poset = BrauerPairPoset(engine, b)
     mx = poset.maximal[0]
     D = poset.pairs[mx][0]
     for P in all_subgroups(D):
@@ -138,16 +137,16 @@ def test_unique_subpair_below_maximal_pair():
 def test_block_fusion_s3_p3_is_group_fusion():
     A = build_group_algebra(S3, 3)
     r = rng()
-    d = analyze_block(A, blocks_of(A, r)[0], 0, r)
-    fdb = block_fusion_system(d)
+    d = first_block(A, r)
+    fdb = d.block_fusion_system
     assert fusion_equal(fdb, fusion_from_group(d.D, S3))
 
 
 def test_block_fusion_nilpotent_case():
     A = build_group_algebra(D8, 2)
     r = rng()
-    d = analyze_block(A, blocks_of(A, r)[0], 0, r)
-    fdb = block_fusion_system(d)
+    d = first_block(A, r)
+    fdb = d.block_fusion_system
     assert fusion_equal(fdb, fusion_from_group(d.D, D8))
 
 
@@ -155,8 +154,8 @@ def test_block_fusion_contains_inner_fusion():
     for G, p in ((S3, 3), (A4, 2)):
         A = build_group_algebra(G, p)
         r = rng()
-        d = analyze_block(A, blocks_of(A, r)[0], 0, r)
-        fdb = block_fusion_system(d)
+        d = first_block(A, r)
+        fdb = d.block_fusion_system
         inner = fusion_from_group(d.D, _as_group(d.D))
         for key, graphs in inner.homs.items():
             assert graphs <= fdb.homs.get(key, frozenset())
@@ -166,11 +165,9 @@ def test_block_fusion_independent_of_maximal_pair():
     # recompute with a second maximal pair and transport by conjugation
     A = build_group_algebra(A4, 2)
     r = rng()
-    b = blocks_of(A, r)[0]
-    S = sylow_subgroup(A4, 2)
-    ia = InteriorAlgebra(A, S)
-    engine = BrauerPairs(ia, r)
-    poset = BrauerPairPoset(engine, A4, b, r)
+    b = block_idempotents(A, r)[0]
+    engine = BrauerPairs(A, r)
+    poset = BrauerPairPoset(engine, b)
     if len(poset.maximal) < 2:
         pytest.skip("only one maximal pair stored")
     F1 = block_fusion(poset, poset.maximal[0])
@@ -195,12 +192,10 @@ def test_block_fusion_independent_of_maximal_pair():
 def test_defect_groups_examples():
     r = rng()
     A = build_group_algebra(D8, 2)
-    ia = InteriorAlgebra(A, sylow_subgroup(D8, 2))
-    defs = defect_groups(ia, blocks_of(A, r)[0], r)
+    defs = defect_groups(BrauerPairs(A, r), block_idempotents(A, r)[0])
     assert defs[0].order == 8
     A = build_group_algebra(S3, 3)
-    ia = InteriorAlgebra(A, sylow_subgroup(S3, 3))
-    defs = defect_groups(ia, blocks_of(A, r)[0], r)
+    defs = defect_groups(BrauerPairs(A, r), block_idempotents(A, r)[0])
     assert defs[0].order == 3
 
 
@@ -210,11 +205,9 @@ def test_brauer_pair_poset_order_axioms():
     for G, p in ((S3, 3), (A4, 2)):
         A = build_group_algebra(G, p)
         r = rng()
-        b = blocks_of(A, r)[0]
-        S = sylow_subgroup(G, p)
-        ia = InteriorAlgebra(A, S)
-        engine = BrauerPairs(ia, r)
-        poset = BrauerPairPoset(engine, G, b, r)
+        b = block_idempotents(A, r)[0]
+        engine = BrauerPairs(A, r)
+        poset = BrauerPairPoset(engine, b)
         n = len(poset.pairs)
         leq = poset.leq
         for a in range(n):

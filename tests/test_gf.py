@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bflab.gf import FiniteField, extend_field, field, make_field
+from bflab.gf import FiniteField, field, make_field
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 
@@ -78,14 +78,3 @@ def test_frobenius_roots():
     for a in f.elements():
         assert f.frobenius(f.frobenius_inv(a)) == a
         assert f.pow(a, 3) == f.frobenius(a)
-
-
-def test_extension_embedding_is_homomorphism():
-    f = field(2, 2)
-    big, table = extend_field(f)
-    assert big.m == 4
-    for a in f.elements():
-        for b in f.elements():
-            assert table[f.add(a, b)] == big.add(int(table[a]), int(table[b]))
-            assert table[f.mul(a, b)] == big.mul(int(table[a]), int(table[b]))
-    assert table[1] == 1 and table[0] == 0

@@ -168,6 +168,23 @@ def test_marks_triangular_with_normalizer_diagonal():
         assert tc.marks[i][i] > 0
 
 
+def test_class_index_matches_conjugation_sweep():
+    # the stored lookup agrees with the D x D conjugation sweep on every
+    # twisted diagonal, and still rejects a pair set that is not one
+    from bflab.groups import TwistedDiagonal, _canonical_pair_set
+    D = D8().full_subgroup()
+    tc = TwistedClasses(D)
+    for P in all_subgroups(D):
+        for phi in injective_maps(P, D):
+            td = TwistedDiagonal(phi)
+            i = tc.class_index(td)
+            assert tc.keys[i] == _canonical_pair_set(td.pairs, D)
+            assert tc.class_index(td.pairs) == i
+    x = next(g for g in D.elements if g != D.identity)
+    with pytest.raises(KeyError):
+        tc.class_index([(D.identity, D.identity), (x, D.identity)])
+
+
 def test_maximal_subgroups_of_d8():
     full = D8().full_subgroup()
     maxes = maximal_subgroups(full)

@@ -58,6 +58,13 @@ def test_relative_trace_identity_when_equal():
     assert np.array_equal(tm, linalg.eye(ia.A.field, 2))
 
 
+def test_trace_map_needs_subgroup():
+    ia = interior(C2, 2)
+    triv = [(ia.D.identity, ia.D.identity)]
+    with pytest.raises(ValueError):
+        ia.trace_map(diagonal(ia.D).pairs, triv)
+
+
 def test_relative_trace_matches_coset_sum_oracle():
     # tr_V^U(x) = sum of coset-representative actions, checked on basis
     # vectors of kD8 against a direct enumeration

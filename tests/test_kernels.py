@@ -97,7 +97,8 @@ def test_kernel_checks_raise():
 
 
 @pytest.mark.parametrize("module", ["gf.py", "linalg.py", "radical.py",
-                                    "algebra.py", "idempotents.py"])
+                                    "algebra.py", "idempotents.py",
+                                    "interior.py", "fusion.py", "blocks.py"])
 def test_no_bare_assert_in_kernel_layer(module):
     tree = ast.parse((SRC / module).read_text())
     lines = [node.lineno for node in ast.walk(tree)
