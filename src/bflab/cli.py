@@ -10,22 +10,27 @@ checkers: the unital-basis/twisted-unit/balance equivalences, the
 characteristic-biset verdict of the source shape, and the twisted-unit
 law suite.  `catalog` maps
 `check` over a directory of group files at every dividing prime, with a
-content-hash cache.
+content-hash cache: a report is stored under a key of the group file, the
+prime, the seed, the options, the package version and a digest of the
+package's sources, so a changed kernel never serves an old report, and
+it is written through a temporary file, so a failed write leaves none.
 
 Exit codes: 0 success, 2 input error, 3 order cap exceeded, 4 a finding
 was emitted (a proved statement failed or the equivalences disagreed).
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
 
-from . import report as report_mod
+from . import __version__, report as report_mod
 from .blocks import (analyze_block, build_group_algebra,
                      proved_conditions_report, source_fusion_identity_report)
 from .conjecture import (ExtensionNeeded, Finding, equivalence_report,
@@ -193,9 +198,34 @@ def cmd_check(args):
     return cmd_analyze(args, deep=True)
 
 
+@functools.cache
+def _source_digest():
+    """sha256 of the package's *.py sources, read once per process."""
+    digest = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + fh.read())
+    return digest.hexdigest()
+
+
 def _cache_key(doc, prime, seed, config):
-    blob = json.dumps([doc, prime, seed, config], sort_keys=True)
+    blob = json.dumps([doc, prime, seed, config, __version__,
+                       _source_digest()], sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
+
+
+def _write_json_atomic(path, obj):
+    """Write obj to path through a temporary file in the same directory."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(obj, fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def cmd_catalog(args):
@@ -243,8 +273,7 @@ def cmd_catalog(args):
                     worst = max(worst, 3)
                     continue
                 if cached:
-                    with open(cached, "w") as fh:
-                        json.dump(rep, fh, sort_keys=True)
+                    _write_json_atomic(cached, rep)
                 status = "ok" if not findings else "FINDING"
             if findings:
                 _write_findings(findings, args.findings_dir)

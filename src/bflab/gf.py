@@ -8,12 +8,16 @@ accept plain ints or numpy integer arrays and are vectorized.
 Each field finds its modulus and generator with `bflab.polys` over GF(p)
 and builds its tables once, at construction:
 
-- log/exp tables of a primitive element (q and 2(q - 1) entries) drive
-  `mul`, `inv` and `pow`;
+- zero-sentinel log/exp tables of a primitive element drive array
+  `mul`, `inv` and `pow`: `_log0` (q entries) sends 0 to 2(q - 1), and
+  `_exp0` (4(q - 1) + 1 entries) repeats the powers of the generator
+  twice and is 0 from index 2(q - 1) on, so a product is one gather at
+  `_log0[a] + _log0[b]` with no zero mask; plain-list copies serve
+  scalar ints;
 - for odd p, a q-entry negation table drives `neg`, and for q <= 256 a
   q-by-q addition table drives `add`; larger odd fields add digitwise
   mod p, and p = 2 adds by XOR;
-- for odd p and m > 1, a packed exp table (4(q - 1) + 1 entries) holds
+- for odd p and m > 1, a packed exp table laid out like `_exp0` holds
   the m base-p digits of each power of the generator in w-bit fields of
   one int64, w = 62 // m, for the product-sum kernel `mul_sum`.
 
@@ -135,10 +139,14 @@ class FiniteField:
             raise ValueError(f"modulus {self.modulus} is not irreducible "
                              f"over GF({self.p})")
         self.generator = gen
-        self._exp = exp
-        self._log = log
         self._exp_list = exp.tolist()
         self._log_list = log.tolist()
+        # log 0 points past every sum of two real logs, where exp is 0
+        zero = 2 * (q - 1)
+        self._log0 = log
+        self._log0[0] = zero
+        self._exp0 = np.zeros(2 * zero + 1, dtype=np.int64)
+        self._exp0[:zero] = exp[:zero]
         if self.p != 2:
             codes = np.arange(q, dtype=np.int64)
             self._neg_table = self.mul(self.p - 1, codes)   # -a = (p - 1) a
@@ -154,7 +162,7 @@ class FiniteField:
 
         A product's packed code holds its m base-p digits in w-bit fields,
         so `_chunk_len` such codes sum without a carry between fields.
-        Log 0 points past the real exponents, where the packed table is 0.
+        It is indexed by `_log0` sums, like `_exp0`.
         """
         p, m, q = self.p, self.m, self.q
         if p == 2:
@@ -170,12 +178,10 @@ class FiniteField:
             self._shifts = w * np.arange(m, dtype=np.int64)
             self._mask = (1 << w) - 1
             zero = 2 * (q - 1)
-            packed = np.zeros(2 * zero + 1, dtype=np.int64)
+            packed = np.zeros_like(self._exp0)
             for shift, pw in zip(self._shifts, self._powers):
-                packed[:zero] += (self._exp // pw) % p << shift
+                packed[:zero] += (self._exp0[:zero] // pw) % p << shift
             self._pexp = packed
-            self._plog = self._log.copy()
-            self._plog[0] = zero
 
     def _scalar_add(self, a, b):
         out = 0
@@ -236,11 +242,12 @@ class FiniteField:
             if a == 0 or b == 0:
                 return 0
             return self._exp_list[self._log_list[a] + self._log_list[b]]
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = np.where((a == 0) | (b == 0), 0,
-                       self._exp[self._log[a] + self._log[b]])
-        return out if out.shape else int(out)
+        out = self._log0[np.asarray(a, dtype=np.int64)] + \
+            self._log0[np.asarray(b, dtype=np.int64)]
+        if not np.ndim(out):
+            return int(self._exp0[out])
+        np.take(self._exp0, out, out=out, mode="clip")
+        return out
 
     def inv(self, a):
         if isinstance(a, int):
@@ -251,7 +258,7 @@ class FiniteField:
         a = np.asarray(a, dtype=np.int64)
         if np.any(a == 0):
             raise ZeroDivisionError("inverting 0 in finite field")
-        out = self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        out = self._exp0[(self.q - 1 - self._log0[a]) % (self.q - 1)]
         return out if out.shape else int(out)
 
     def div(self, a, b):
@@ -260,8 +267,8 @@ class FiniteField:
     def pow(self, a, n):
         if a == 0:
             return 0 if n else 1
-        return int(self._exp[(int(self._log[a]) * (n % (self.q - 1)))
-                             % (self.q - 1)])
+        return int(self._exp0[(int(self._log0[a]) * (n % (self.q - 1)))
+                              % (self.q - 1)])
 
     def vec_sum(self, arr, axis=None):
         """Field sum of an array along an axis (or all entries)."""
@@ -279,12 +286,13 @@ class FiniteField:
         """Field sum along `axis` of the broadcast product a * b.
 
         The one product-sum kernel; `vec_sum(mul(a, b), axis)` is its
-        reference.  The field picks the path: that reference (an XOR
-        reduce) for p = 2, an int64 sum reduced mod p for other primes,
-        and for m > 1 one int64 sum of packed products (see
-        `_build_product_sum`) whose m digit fields are unpacked on the
-        result.  The axis is cut into chunks so that no digit sum carries
-        and no temporary exceeds `_TEMP_BUDGET` elements.
+        reference.  The field picks the path: the parity of a sum of ANDs
+        for GF(2), an in-place zero-sentinel gather and an XOR reduce for
+        GF(2^m), an int64 sum reduced mod p for other primes, and for
+        m > 1 one int64 sum of packed products (see `_build_product_sum`)
+        whose m digit fields are unpacked on the result.  The axis is cut
+        into chunks so that no digit sum carries and no temporary exceeds
+        `_TEMP_BUDGET` elements.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -312,13 +320,17 @@ class FiniteField:
         return out
 
     def _mul_sum_chunk(self, a, b, axis):
-        if self.p == 2:
-            return self.vec_sum(self.mul(a, b), axis=axis)
+        if self.q == 2:
+            return (a & b).sum(axis=axis) & 1
         if self.m == 1:
             return (a * b).sum(axis=axis) % self.p
         # gather in place, so the chunk holds one temporary, not two: take
         # reads each index before it writes the same slot
-        packed = self._plog[a] + self._plog[b]
+        if self.p == 2:
+            prods = self._log0[a] + self._log0[b]
+            np.take(self._exp0, prods, out=prods, mode="clip")
+            return np.bitwise_xor.reduce(prods, axis=axis)
+        packed = self._log0[a] + self._log0[b]
         np.take(self._pexp, packed, out=packed, mode="clip")
         packed = packed.sum(axis=axis)
         digits = (packed[..., None] >> self._shifts) & self._mask

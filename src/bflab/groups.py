@@ -166,7 +166,8 @@ class Subgroup:
 
     def left_coset_reps(self, sub):
         """Representatives of self / sub (sub must be a subgroup of self)."""
-        assert sub.key <= self.key
+        if not sub.key <= self.key:
+            raise GroupError("cosets of a set that is not a subgroup")
         seen = set()
         reps = []
         for x in self.elements:
@@ -219,7 +220,8 @@ def centralizer(G, P):
 
 def normalizer(G, P):
     G = _as_subgroup(G)
-    assert isinstance(P, Subgroup)
+    if not isinstance(P, Subgroup):
+        raise GroupError("the normalizer needs a Subgroup")
     out = []
     for g in G.elements:
         gi = pinv(g)
@@ -308,10 +310,13 @@ class GroupInjection:
         self.codomain = codomain
         self.mapping = dict(mapping)
         if check:
-            assert set(self.mapping) == domain.key, "map not total"
+            if set(self.mapping) != domain.key:
+                raise GroupError("map not total")
             vals = set(self.mapping.values())
-            assert len(vals) == domain.order, "map not injective"
-            assert vals <= codomain.key, "image leaves codomain"
+            if len(vals) != domain.order:
+                raise GroupError("map not injective")
+            if not vals <= codomain.key:
+                raise GroupError("image leaves codomain")
             for a in domain.elements:
                 for b in domain.elements:
                     if self.mapping[pmul(a, b)] != \
@@ -330,7 +335,8 @@ class GroupInjection:
 
     def compose(self, other):
         """self after other."""
-        assert other.image().key <= self.domain.key
+        if not other.image().key <= self.domain.key:
+            raise GroupError("image leaves the domain of the outer map")
         return GroupInjection(other.domain, self.codomain,
                               {x: self.mapping[y]
                                for x, y in other.mapping.items()}, check=False)
@@ -341,7 +347,8 @@ class GroupInjection:
                               check=False)
 
     def restrict(self, sub):
-        assert sub.key <= self.domain.key
+        if not sub.key <= self.domain.key:
+            raise GroupError("restriction to a set outside the domain")
         return GroupInjection(sub, self.codomain,
                               {x: self.mapping[x] for x in sub.elements},
                               check=False)

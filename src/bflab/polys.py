@@ -59,7 +59,8 @@ def mul(f, a, b):
 
 
 def divmod_(f, a, b):
-    assert b, "division by zero polynomial"
+    if not b:
+        raise ValueError("division by zero polynomial")
     inv_lead = f.inv(b[-1])
     q = [0] * max(len(a) - len(b) + 1, 0)
     r = list(a)

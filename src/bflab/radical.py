@@ -9,7 +9,15 @@ p^i-semilinear, so each step is one linear solve after taking p^i-th
 roots; after floor(log_p dim) + 1 steps the chain has converged to J(A).
 
 Characteristic polynomials come from Hessenberg reduction, which only
-needs field divisions and is exact here.
+needs field divisions and is exact here.  Level 0 reads c_1 = -trace off
+one product-sum.  Each later level stacks the products L_t L_k of the
+left-multiplication matrices of the upper-triangle basis pairs (t <= k;
+the form is symmetric since charpoly(AB) = charpoly(BA)) and runs one
+batched Hessenberg reduction and recurrence per stack, `charpolys`.
+A stack holds at most `_STACK_BUDGET` matrix entries, and its products
+are built in parts whose n^3-element temporaries stay under the same
+budget.  `charpoly`, the one-matrix reduction, is the reference for
+`charpolys`.
 
 The radical of an algebra depends only on its structure data, and the
 pipeline keeps rebuilding equal algebras (the corner e.A.e for the same
@@ -26,6 +34,10 @@ import numpy as np
 
 from . import linalg
 from .linalg import Subspace
+
+# Largest stack of basis-pair products, and largest temporary of the
+# products that fill it, in elements (see `_radical_rows_impl`).
+_STACK_BUDGET = 1 << 17
 
 
 def hessenberg(f, m):
@@ -88,6 +100,59 @@ def charpoly(f, m):
     return [int(c) for c in rows[n]]
 
 
+def charpolys(f, stack):
+    """Characteristic polynomials of an (N, n, n) stack, as an (N, n + 1)
+    array of coefficients of det(tI - m), highest degree first.
+
+    One batched Hessenberg reduction (pivot: each matrix's first nonzero
+    entry below the diagonal) and one batched recurrence; `charpoly` is
+    its one-matrix reference.
+    """
+    h = np.array(stack, dtype=np.int64)
+    count, n = h.shape[0], h.shape[1]
+    for j in range(n - 2):
+        below = h[:, j + 1:, j] != 0
+        piv = j + 1 + below.argmax(axis=1)      # j + 1 when none is nonzero
+        swap = np.nonzero(piv != j + 1)[0]
+        if swap.size:
+            other = piv[swap]
+            rows = h[swap, j + 1].copy()
+            h[swap, j + 1] = h[swap, other]
+            h[swap, other] = rows
+            cols = h[swap, :, j + 1].copy()
+            h[swap, :, j + 1] = h[swap, :, other]
+            h[swap, :, other] = cols
+        col = h[:, j + 2:, j]
+        if not col.any():
+            continue
+        head = h[:, j + 1, j]      # 0 only where the column below is 0
+        factors = f.mul(col, f.inv(np.where(head == 0, 1, head))[:, None])
+        # one combined similarity per matrix: clear the rows below the
+        # pivot, then fix column j + 1
+        h[:, j + 2:, j:] = f.sub(h[:, j + 2:, j:],
+                                 f.mul(factors[:, :, None],
+                                       h[:, None, j + 1, j:]))
+        h[:, :, j + 1] = f.add(h[:, :, j + 1],
+                               f.mul_sum(h[:, :, j + 2:],
+                                         factors[:, None, :], axis=2))
+    # polys[:, k] = charpoly of the leading k x k block, lowest degree
+    # first: p_k = t p_{k-1} - sum_{j<k} h[j, k-1] s_{j+1}...s_{k-1} p_j
+    # with s_i = h[i, i-1]; beta[:, j] holds that subdiagonal product
+    polys = np.zeros((count, n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    beta = np.zeros((count, n), dtype=np.int64)
+    for k in range(1, n + 1):
+        if k > 1:
+            beta[:, :k - 1] = f.mul(beta[:, :k - 1], h[:, k - 1, k - 2, None])
+        beta[:, k - 1] = 1
+        weights = f.mul(h[:, :k, k - 1], beta[:, :k])
+        polys[:, k, 1:] = polys[:, k - 1, :-1]
+        polys[:, k] = f.sub(polys[:, k],
+                            f.mul_sum(weights[:, :, None], polys[:, :k],
+                                      axis=1))
+    return polys[:, n, ::-1].copy()
+
+
 def radical_rows(A):
     """Rows (A-coordinates) spanning the Jacobson radical of A, read-only.
 
@@ -126,23 +191,28 @@ def _radical_rows_impl(A):
         if r == 0:
             break
         pi = p ** i
+        mats = np.array([lmat(basis[t]) for t in range(r)])
         if pi == 1:
             # c_1 is minus the trace: batch as flattened dot products
-            stack = np.array([lmat(basis[t]).reshape(-1) for t in range(r)])
-            stack_t = np.array([lmat(basis[t]).T.reshape(-1)
-                                for t in range(r)])
-            forms = f.neg(f.mul_sum(stack[:, None, :], stack_t[None, :, :],
+            stack_t = mats.transpose(0, 2, 1).reshape(1, r, n * n)
+            forms = f.neg(f.mul_sum(mats.reshape(r, 1, n * n), stack_t,
                                     axis=2))
         else:
+            left, right = np.triu_indices(r)
+            vals = np.empty(left.size, dtype=np.int64)
+            # step matrices per stack, sub of them per n^3 temporary
+            step = max(1, _STACK_BUDGET // n ** 2)
+            sub = max(1, _STACK_BUDGET // n ** 3)
+            for lo in range(0, left.size, step):
+                t, k = left[lo:lo + step], right[lo:lo + step]
+                prods = np.concatenate([
+                    f.mul_sum(mats[t[s:s + sub]][:, :, :, None],
+                              mats[k[s:s + sub]][:, None, :, :], axis=2)
+                    for s in range(0, t.size, sub)])
+                vals[lo:lo + step] = charpolys(f, prods)[:, pi]
             forms = linalg.zeros(r, r)
-            for t in range(r):
-                lt = lmat(basis[t])
-                for k in range(t, r):
-                    # charpoly(AB) = charpoly(BA), so the form is symmetric
-                    prod = linalg.matmul(f, lt, lmat(basis[k]))
-                    val = int(charpoly(f, prod)[pi])
-                    forms[t, k] = val
-                    forms[k, t] = val
+            forms[left, right] = vals
+            forms[right, left] = vals
         u_rows = linalg.nullspace(f, forms.T)
         if u_rows.shape[0] == r:
             continue

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
-from bflab import idempotents
+from bflab import cli, idempotents
 from bflab.cli import main
 from bflab.groups import group_from_generators
 
@@ -132,6 +133,39 @@ def test_catalog_on_small_dir(tmp_path):
         assert r1.get("defects") == r2.get("defects")
 
 
+def _catalog_c2(tmp_path, name):
+    gdir = tmp_path / "groups"
+    gdir.mkdir(exist_ok=True)
+    (gdir / "c2.json").write_text(open(os.path.join(DATA, "c2.json")).read())
+    out = tmp_path / name
+    code = run(["catalog", "--dir", str(gdir), "--out", str(out),
+                "--cache-dir", str(tmp_path / "cache"),
+                "--findings-dir", str(tmp_path / "f")])
+    assert code == 0
+    return [r["status"] for r in json.loads(out.read_text())["rows"]]
+
+
+def test_catalog_cache_follows_source_digest(tmp_path, monkeypatch):
+    assert _catalog_c2(tmp_path, "1.json") == ["ok"]
+    assert _catalog_c2(tmp_path, "2.json") == ["ok(cached)"]
+    monkeypatch.setattr(cli, "_source_digest", lambda: "changed sources")
+    assert _catalog_c2(tmp_path, "3.json") == ["ok"]
+    assert _catalog_c2(tmp_path, "4.json") == ["ok(cached)"]
+    assert len(os.listdir(tmp_path / "cache")) == 2
+
+
+def test_catalog_cache_write_failure_leaves_no_entry(tmp_path, monkeypatch):
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"blocks": [')
+        raise OSError("disk full")
+    monkeypatch.setattr(cli.json, "dump", broken_dump)
+    with pytest.raises(OSError, match="disk full"):
+        _catalog_c2(tmp_path, "1.json")
+    assert os.listdir(tmp_path / "cache") == []
+    monkeypatch.undo()
+    assert _catalog_c2(tmp_path, "2.json") == ["ok"]
+
+
 def test_catalog_empty_dir(tmp_path):
     gdir = tmp_path / "empty"
     gdir.mkdir()
@@ -218,6 +252,23 @@ def test_check_report_matches_pinned_hash(name, prime, tmp_path, capsys):
                 "--findings-dir", str(tmp_path / "f")])
     assert code == 0
     got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == GOLDEN_CHECK_SHA256[(name, prime)]
+
+
+@pytest.mark.parametrize("name,prime", [("a4", 2), ("s4", 3)])
+def test_check_report_under_python_O(name, prime, tmp_path):
+    # proved checks raise typed errors, not asserts, so -O runs them too
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "bflab.cli", "check", "--group",
+         os.path.join(DATA, f"{name}.json"), "--prime", str(prime),
+         "--seed", "1", "--out", "-", "--findings-dir", str(tmp_path / "f")],
+        env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = hashlib.sha256(proc.stdout).hexdigest()
     assert got == GOLDEN_CHECK_SHA256[(name, prime)]
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from bflab import linalg, radical
 from bflab.algebra import group_algebra
 from bflab.cli import main
-from bflab.gf import field, make_field
-from bflab.groups import group_from_generators, sylow_subgroup
+from bflab.gf import _prime_factors, field, make_field
+from bflab.groups import (group_from_generators, load_group, perm_order,
+                          sylow_subgroup)
+from bflab.idempotents import quotient_algebra
 from bflab.interior import InteriorAlgebra
 from bflab.radical import charpoly, radical_rows, radical_subspace
 
@@ -50,6 +53,46 @@ def test_radical_dimensions(name, p, expect):
     G = GROUPS[name]
     A = group_algebra(G, splitting(G, p))
     assert radical_rows(A).shape[0] == expect
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 40],
+                         ids=["one-matrix", "whole-level"])
+@pytest.mark.parametrize("name,p,expect", RADICAL_DIMS)
+def test_radical_rows_do_not_depend_on_stack_budget(name, p, expect, budget,
+                                                    monkeypatch):
+    # one matrix per charpoly stack, or a whole level in one stack
+    G = GROUPS[name]
+    k = splitting(G, p)
+    expect_rows = radical_rows(group_algebra(G, k))
+    monkeypatch.setattr(radical, "_STACK_BUDGET", budget)
+    rows = radical_rows(group_algebra(G, k))
+    assert rows.shape[0] == expect
+    assert np.array_equal(rows, expect_rows)
+
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "src", "bflab", "data")
+
+
+def catalog_pairs():
+    for name in sorted(os.listdir(DATA)):
+        with open(os.path.join(DATA, name)) as fh:
+            doc = json.load(fh)
+        for p in _prime_factors(load_group(doc).order):
+            yield pytest.param(doc, p, id=f"{name[:-5]}-p{p}")
+
+
+@pytest.mark.parametrize("doc,p", catalog_pairs())
+def test_radical_against_class_counts(doc, p):
+    # Over a splitting field, dim Z(kG) is the number of conjugacy classes
+    # and dim Z(kG/J(kG)) the number of simple modules, which Brauer
+    # counts as the p-regular classes.  Neither uses RADICAL_DIMS.
+    G = load_group(doc)
+    A = group_algebra(G, splitting(G, p))
+    classes = G.conjugacy_classes()
+    regular = [c for c in classes if perm_order(c[0]) % p]
+    assert A.center_rows().shape[0] == len(classes)
+    top = quotient_algebra(A, radical_rows(A))
+    assert top.center_rows().shape[0] == len(regular)
 
 
 def test_radical_of_semisimple_is_zero():
