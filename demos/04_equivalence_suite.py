@@ -34,7 +34,7 @@ print(f"principal block of kS4 at p=3: dim B = {data.ia_B.A.dim}, "
       f"|D| = {data.D.order}, dim S = {ia.A.dim}")
 
 print("\n(i) unital invariant basis")
-basis, _ = build_unital_basis(ia, F, rng)
+basis, _ = build_unital_basis(ia, rng)
 print("   found, all units:", basis is not None and basis.is_unital())
 
 print("(ii) twisted units for every fixed-point isomorphism")

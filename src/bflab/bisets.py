@@ -150,7 +150,8 @@ class InvariantBasis:
         self.stabilizers = stabilizers        # TwistedDiagonal per orbit
         self._index = {np.asarray(v).tobytes(): t
                        for t, v in enumerate(vectors)}
-        assert len(self._index) == len(vectors), "duplicate basis vectors"
+        if len(self._index) != len(vectors):
+            raise ValueError("duplicate basis vectors")
 
     def index_of(self, v):
         return self._index.get(np.asarray(v).tobytes())
@@ -159,7 +160,8 @@ class InvariantBasis:
         """Index of d1 . y_t . d2."""
         w = self.ia.act(d1, pinv(d2), self.vectors[t])
         j = self.index_of(w)
-        assert j is not None, "basis is not invariant"
+        if j is None:
+            raise ValueError("basis is not invariant")
         return j
 
     def shape(self):

@@ -1,6 +1,6 @@
 """Checkers for unital invariant bases, twisted units, and balance.
 
-Everything here is exact: searches are randomized (seeded) with optional
+Everything here is exact: searches are randomized (seeded) with
 exhaustive enumeration on small spaces, but every positive answer is
 verified by direct multiplication, and the three top-level conditions
 
@@ -9,21 +9,27 @@ verified by direct multiplication, and the three top-level conditions
     (iii) the algebra is (intrinsically) balanced,
 
 are computed independently and compared; a mismatch is surfaced as a
-finding, never patched over.
+finding, never patched over.  Twisted units are searched once per
+isomorphism and cached on the interior algebra, so the twisted-unit law
+suite checks the units that condition (ii) found.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .bisets import _into_group, explicit_invariant_basis
+from .bisets import (_into_group, characteristic_report,
+                     explicit_invariant_basis)
+from .fusion import fixed_point_presystem
 from .groups import GroupInjection, TwistedDiagonal, all_subgroups
 from .idempotents import are_associate, sandwich_rows, transpotent_pair
-from .interior import quotient_product
+from .interior import decode_pair, pair_subgroup, quotient_product
 from .points import (Point, conjugate_point, local_points,
                      local_invariant_decomposition, point_of, points,
-                     refine_idempotent, _associate_in_fixed)
+                     refine_idempotent, relative_multiplicity,
+                     _associate_in_fixed)
 
 
 class Finding(RuntimeError):
@@ -39,12 +45,21 @@ class Finding(RuntimeError):
 # units in twisted fixed subspaces
 # ---------------------------------------------------------------------------
 
-def unit_in_subspace(ia, rows, rng, samples=64, exhaustive=False,
-                     exhaustive_cap=2 ** 20):
+def _coefficient_vectors(q, d):
+    """The nonzero vectors of GF(q)^d in the order of the integers whose
+    base-q digits, least significant first, they are."""
+    vectors = itertools.product(range(q), repeat=d)
+    next(vectors)                           # the zero vector
+    for digits in vectors:
+        yield np.array(digits[::-1], dtype=np.int64)
+
+
+def unit_in_subspace(ia, rows, rng, exhaustive=False):
     """A unit of A inside the row span, or None with the budget record.
 
     Returns (vector_or_None, record).  The negative is certain when the
-    subspace was enumerated exhaustively, else high-confidence only.
+    subspace was enumerated exhaustively (always up to 4096 vectors, up
+    to 2^20 when asked), else high-confidence only (64 samples).
     """
     A = ia.A
     f = A.field
@@ -56,20 +71,14 @@ def unit_in_subspace(ia, rows, rng, samples=64, exhaustive=False,
         if A.is_unit(rows[t]):
             return rows[t], record
     space = f.q ** rows.shape[0]
-    if exhaustive or space <= 4096:
-        if space <= exhaustive_cap:
-            record["exhaustive"] = True
-            for code in range(space):
-                c = code
-                coeffs = np.zeros(rows.shape[0], dtype=np.int64)
-                for t in range(rows.shape[0]):
-                    coeffs[t] = c % f.q
-                    c //= f.q
-                v = linalg.vecmat(f, coeffs, rows)
-                if np.any(v) and A.is_unit(v):
-                    return v, record
-            return None, record
-    for _ in range(samples):
+    if (exhaustive or space <= 4096) and space <= 2 ** 20:
+        record["exhaustive"] = True
+        for coeffs in _coefficient_vectors(f.q, rows.shape[0]):
+            v = linalg.vecmat(f, coeffs, rows)
+            if np.any(v) and A.is_unit(v):
+                return v, record
+        return None, record
+    for _ in range(64):
         record["samples"] += 1
         coeffs = f.random_elements(rng, rows.shape[0])
         v = linalg.vecmat(f, coeffs, rows)
@@ -78,16 +87,11 @@ def unit_in_subspace(ia, rows, rng, samples=64, exhaustive=False,
     return None, record
 
 
-def twisted_fixed_rows(ia, phi):
-    """Rows of the twisted fixed module for Delta(phi, P), phi into D."""
-    return ia.brauer(TwistedDiagonal(phi)).fixed.basis
-
-
 class ExtensionNeeded(RuntimeError):
     """Search exhausted over the current field; retry over an extension."""
 
 
-def build_unital_basis(ia, presystem, rng, exhaustive=False, retries=12):
+def build_unital_basis(ia, rng, exhaustive=False):
     """Invariant basis of units via orbit replacement y -> y + lambda.u.
 
     Returns (InvariantBasis, None) on success or (None, evidence) when
@@ -96,7 +100,6 @@ def build_unital_basis(ia, presystem, rng, exhaustive=False, retries=12):
     invariant basis exists over this field.
     """
     A = ia.A
-    f = A.field
     basis = explicit_invariant_basis(ia, rng)
     vectors = [np.asarray(v) for v in basis.vectors]
     for (start, length), td in zip(basis.orbit_slices, basis.stabilizers):
@@ -108,26 +111,25 @@ def build_unital_basis(ia, presystem, rng, exhaustive=False, retries=12):
         if u is None:
             return None, {"orbit_class": basis.shape().classes.class_index(td),
                           "search": record}
-        replaced = _replace_basis_orbit(ia, vectors, start, length, td, y, u,
-                                        rng)
+        replaced = _replace_basis_orbit(ia, vectors, start, length, td, y, u)
         if replaced is None:
             raise ExtensionNeeded(
                 "no lambda kept the replaced orbit a basis of units")
         vectors = replaced
     out = type(basis)(ia, vectors, basis.orbit_slices, basis.stabilizers)
-    assert out.is_unital()
-    _assert_invariant(ia, out)
+    if not out.is_unital():
+        raise Finding("unital_basis_not_unital",
+                      {"orbit_slices": [list(s) for s in out.orbit_slices]})
+    _check_invariant(ia, out)
     return out, None
 
 
-def _replace_basis_orbit(ia, vectors, start, length, td, y, u, rng):
+def _replace_basis_orbit(ia, vectors, start, length, td, y, u):
     A = ia.A
     f = A.field
-    sub_pairs = td.pairs
-    from .interior import decode_pair, pair_subgroup
     d2_group = pair_subgroup(ia.D, [(a, b) for a in ia.D.elements
                                     for b in ia.D.elements])
-    sub = pair_subgroup(ia.D, sub_pairs)
+    sub = pair_subgroup(ia.D, td.pairs)
     reps = d2_group.left_coset_reps(sub)
     others = [v for t, v in enumerate(vectors)
               if not (start <= t < start + length)]
@@ -158,12 +160,19 @@ def _replace_basis_orbit(ia, vectors, start, length, td, y, u, rng):
     return None
 
 
-def _assert_invariant(ia, basis):
+def _check_invariant(ia, basis):
     keys = {np.asarray(v).tobytes() for v in basis.vectors}
     for d in ia.D.generating_sequence() or [ia.D.identity]:
         for v in basis.vectors:
-            assert np.asarray(ia.left(d, v)).tobytes() in keys
-            assert np.asarray(ia.right(v, d)).tobytes() in keys
+            if np.asarray(ia.left(d, v)).tobytes() not in keys or \
+                    np.asarray(ia.right(v, d)).tobytes() not in keys:
+                raise Finding("unital_basis_not_invariant",
+                              {"d": [int(x) for x in d]})
+
+
+def _quotient_of(ia, phi):
+    """A(phi), the Brauer quotient at Delta(phi, P), with phi viewed into D."""
+    return ia.brauer(TwistedDiagonal(_into_group(phi, ia.D)))
 
 
 def unital_basis_exists(ia, presystem, rng, exhaustive=False):
@@ -172,7 +181,7 @@ def unital_basis_exists(ia, presystem, rng, exhaustive=False):
     table = {}
     ok = True
     for P, Q, phi in presystem.all_isomorphisms():
-        rows = twisted_fixed_rows(ia, _into_group(phi, ia.D))
+        rows = _quotient_of(ia, phi).fixed.basis
         u, record = unit_in_subspace(ia, rows, rng, exhaustive=exhaustive)
         table[_phi_label(phi)] = (u is not None, record)
         if u is None:
@@ -195,22 +204,19 @@ def isofusion(ia, phi, P, gamma, Q, delta):
     A = ia.A
     i = np.asarray(gamma.rep)
     j = np.asarray(delta.rep)
-    phi_d = _into_group(phi, ia.D)
-    phi_inv_d = _into_group(phi.corestrict().inverse(), ia.D)
-    rows_phi = ia.brauer(TwistedDiagonal(phi_d)).fixed.basis
-    rows_inv = ia.brauer(TwistedDiagonal(phi_inv_d)).fixed.basis
-    s_rows = sandwich_rows(A, j, rows_phi, i)      # j . ^phi A^P . i
-    t_rows = sandwich_rows(A, i, rows_inv, j)      # i . ^phi^-1 A^Q . j
+    bq_phi, bq_inv, _, _ = _iso_quotients(ia, phi)
+    s_rows = sandwich_rows(A, j, bq_phi.fixed.basis, i)  # j . ^phi A^P . i
+    t_rows = sandwich_rows(A, i, bq_inv.fixed.basis, j)  # i . ^phi^-1 A^Q . j
     return transpotent_pair(A, i, j, t_rows, s_rows)
 
 
-def theta_of_point(ia, phi, P, gamma, Q, rng, expect_unique=True):
+def theta_of_point(ia, phi, P, gamma, Q, rng):
     """The unique local point delta of A^Q with phi: P_gamma ~ Q_delta."""
     hits = []
     for delta in local_points(ia, Q, rng):
         if isofusion(ia, phi, P, gamma, Q, delta) is not None:
             hits.append(delta)
-    if expect_unique and len(hits) > 1:
+    if len(hits) > 1:
         raise Finding("theta_target_not_unique",
                       {"phi": _phi_label(phi), "gamma": gamma.index,
                        "targets": [d.index for d in hits]})
@@ -228,83 +234,73 @@ class TwistedUnit:
     udag: np.ndarray               # class coordinates in A(phi^-1)
 
 
-def _phi_pair(ia, phi):
-    """(phi into D, phi^{-1} into D) for an isomorphism onto its image."""
+def _iso_quotients(ia, phi):
+    """(A(phi), A(phi^-1), A(P), A(Q)) for an isomorphism phi: P -> Q."""
     phi_d = _into_group(phi, ia.D)
-    inv_d = _into_group(phi.corestrict().inverse(), ia.D)
-    return phi_d, inv_d
+    return (_quotient_of(ia, phi),
+            _quotient_of(ia, phi.corestrict().inverse()),
+            ia.brauer_at(phi_d.domain), ia.brauer_at(phi_d.image()))
 
 
-def pairing_matrix(ia, bq_left, bq_right, bq_out):
-    """Matrix of (v, u) -> class(v.u) in the right argument u, for fixed
-    basis classes of the left; returns list of columns over left basis."""
-    cols = []
-    for t in range(bq_left.dim):
-        e = np.zeros(bq_left.dim, dtype=np.int64)
-        e[t] = 1
-        cols.append(e)
-    return cols
+def twisted_unit_exists(ia, phi, rng):
+    """A twisted unit of phi with its (unique) twisted inverse, or None.
+
+    The search runs once per isomorphism of an interior algebra; later
+    calls return the cached answer.
+    """
+    key = _phi_label(phi)
+    if key not in ia._twisted_units:
+        ia._twisted_units[key] = _search_twisted_unit(ia, phi, rng)
+    return ia._twisted_units[key]
 
 
-def twisted_unit_exists(ia, phi, rng, samples=64, exhaustive=True):
-    """A twisted unit of phi with its (unique) twisted inverse, or None."""
-    A = ia.A
-    f = A.field
-    phi_d, inv_d = _phi_pair(ia, phi)
-    bq_phi = ia.brauer(TwistedDiagonal(phi_d))
-    bq_inv = ia.brauer(TwistedDiagonal(inv_d))
-    P = phi_d.domain
-    Q = phi_d.image()
-    bq_P = ia.brauer_at(P)
-    bq_Q = ia.brauer_at(Q)
-    if not (bq_phi.dim == bq_inv.dim == bq_P.dim == bq_Q.dim):
+def _search_twisted_unit(ia, phi, rng):
+    """Every nonzero class of A(phi) when there are at most 2^16, else 64
+    random ones, until one has a twisted inverse."""
+    f = ia.A.field
+    quotients = _iso_quotients(ia, phi)
+    d = quotients[0].dim
+    if d == 0 or any(bq.dim != d for bq in quotients):
         return None
-    if bq_phi.dim == 0:
-        return None
-    one_P = bq_P.project(np.asarray(A.unit))
-    one_Q = bq_Q.project(np.asarray(A.unit))
-
-    def try_u(u_coords):
-        # columns of v -> class(v.u) over the basis of A(phi^-1)
-        cols = []
-        for t in range(bq_inv.dim):
-            e = np.zeros(bq_inv.dim, dtype=np.int64)
-            e[t] = 1
-            c, _ = quotient_product(bq_inv, bq_phi, e, u_coords, bq_P)
-            cols.append(c)
-        m = np.array(cols, dtype=np.int64).T
-        v = linalg.solve(f, m, one_P)
-        if v is None:
-            return None
-        c2, _ = quotient_product(bq_phi, bq_inv, u_coords, v, bq_Q)
-        if not np.array_equal(c2, one_Q):
-            return None
-        return TwistedUnit(phi=phi_d, u=np.asarray(u_coords),
-                           udag=np.asarray(v))
-
-    space = f.q ** bq_phi.dim
-    if exhaustive and space <= 2 ** 16:
-        for code in range(1, space):
-            c = code
-            coeffs = np.zeros(bq_phi.dim, dtype=np.int64)
-            for t in range(bq_phi.dim):
-                coeffs[t] = c % f.q
-                c //= f.q
-            tu = try_u(coeffs)
-            if tu is not None:
-                return tu
-        return None
-    for _ in range(samples):
-        coeffs = f.random_elements(rng, bq_phi.dim)
-        if not np.any(coeffs):
-            continue
-        tu = try_u(coeffs)
+    if f.q ** d <= 2 ** 16:
+        candidates = _coefficient_vectors(f.q, d)
+    else:
+        candidates = (c for c in (f.random_elements(rng, d)
+                                  for _ in range(64)) if np.any(c))
+    for coords in candidates:
+        tu = _try_twisted(ia, quotients, coords)
         if tu is not None:
             return tu
     return None
 
 
-def has_all_twisted_units(ia, presystem, rng, pair_checks=20):
+def _try_twisted(ia, quotients, coords):
+    """coords (a class of A(phi)) as a TwistedUnit if it has a twisted
+    inverse v: v.u = 1 in A(P) and u.v = 1 in A(Q)."""
+    A = ia.A
+    f = A.field
+    bq_phi, bq_inv, bq_P, bq_Q = quotients
+    # column t: the class of e_t . u for the basis class e_t of A(phi^-1)
+    m, _ = quotient_product(bq_inv, bq_phi, linalg.eye(f, bq_inv.dim),
+                            coords, bq_P)
+    v = linalg.solve(f, m, bq_P.project(np.asarray(A.unit)))
+    if v is None:
+        return None
+    c2, _ = quotient_product(bq_phi, bq_inv, coords, v, bq_Q)
+    if not np.array_equal(c2, bq_Q.project(np.asarray(A.unit))):
+        return None
+    return TwistedUnit(phi=bq_phi.phi, u=np.asarray(coords), udag=v)
+
+
+def _transport(quotients, tu, c):
+    """Classes u.c.u-dagger in A(Q) of classes c of A(P) (a vector, or a
+    matrix of columns)."""
+    bq_phi, bq_inv, bq_P, bq_Q = quotients
+    w, bq_mid = quotient_product(bq_phi, bq_P, tu.u, c)
+    return quotient_product(bq_mid, bq_inv, w, tu.udag, bq_Q)[0]
+
+
+def has_all_twisted_units(ia, presystem, rng):
     """Twisted units for every presystem isomorphism, plus the pairing
     surjectivity spot-check on composable isomorphism pairs."""
     table = {}
@@ -316,39 +312,35 @@ def has_all_twisted_units(ia, presystem, rng, pair_checks=20):
         if tu is None:
             ok = False
     if ok:
-        _pairing_surjectivity_check(ia, isos, rng, pair_checks)
+        _pairing_surjectivity_check(ia, isos, rng)
     return ok, table
 
 
-def _pairing_surjectivity_check(ia, isos, rng, budget):
+def _pairing_surjectivity_check(ia, isos, rng):
     """Pairing surjectivity: products span A(psi.phi) for composable isos
-    whenever all twisted units exist."""
+    whenever all twisted units exist (20 sampled pairs)."""
     f = ia.A.field
     comp = [(p1, p2) for p1 in isos for p2 in isos
             if p1[2].image().key == p2[0].key]
     if not comp:
         return
-    idx = rng.permutation(len(comp))[:budget]
+    idx = rng.permutation(len(comp))[:20]
     for t in idx:
         (P, Q, phi), (Q2, R, psi) = comp[int(t)]
-        phi_d, _ = _phi_pair(ia, phi)
-        psi_d, _ = _phi_pair(ia, psi)
+        phi_d = _into_group(phi, ia.D)
+        psi_d = _into_group(psi, ia.D)
         bq_phi = ia.brauer(TwistedDiagonal(phi_d))
         bq_psi = ia.brauer(TwistedDiagonal(psi_d))
         comp_inj = psi_d.compose(phi_d.corestrict(psi_d.domain))
         bq_out = ia.brauer(TwistedDiagonal(comp_inj))
         if bq_out.dim == 0:
             continue
-        spans = []
-        for a in range(bq_psi.dim):
-            ea = np.zeros(bq_psi.dim, dtype=np.int64)
-            ea[a] = 1
-            for c in range(bq_phi.dim):
-                ec = np.zeros(bq_phi.dim, dtype=np.int64)
-                ec[c] = 1
-                w, _ = quotient_product(bq_psi, bq_phi, ea, ec, bq_out)
-                spans.append(w)
-        got = linalg.rank(f, np.array(spans, dtype=np.int64))
+        # the products of all basis classes, one call per class of A(psi)
+        # (nonzero: psi has a twisted unit)
+        basis_phi = linalg.eye(f, bq_phi.dim)
+        spans = [quotient_product(bq_psi, bq_phi, e, basis_phi, bq_out)[0]
+                 for e in linalg.eye(f, bq_psi.dim)]
+        got = linalg.rank(f, np.concatenate(spans, axis=1))
         if got != bq_out.dim:
             raise Finding("pairing_not_surjective",
                           {"phi": _phi_label(phi), "psi": _phi_label(psi),
@@ -382,74 +374,55 @@ def theta_map(ia, phi, P, Q, rng, tu=None):
 
 def theta_map_via_twisted_unit(ia, phi, tu, P, Q, rng):
     """e -> class of u . br(e) . u-dagger, matched to local points of Q."""
-    A = ia.A
-    phi_d, inv_d = _phi_pair(ia, phi)
-    bq_phi = ia.brauer(TwistedDiagonal(phi_d))
-    bq_inv = ia.brauer(TwistedDiagonal(inv_d))
-    bq_P = ia.brauer_at(P)
-    bq_Q = ia.brauer_at(Q)
+    quotients = _iso_quotients(ia, phi)
+    bq_P, bq_Q = quotients[2:]
     Qalg = bq_Q.algebra()
     out = {}
     targets = {d.index: bq_Q.project(np.asarray(d.rep))
                for d in local_points(ia, Q, rng)}
     for gamma in local_points(ia, P, rng):
-        ebar = bq_P.project(np.asarray(gamma.rep))
-        w1, bq_mid = quotient_product(bq_phi, bq_P, tu.u, ebar)
-        w2, _ = quotient_product(bq_mid, bq_inv, w1, tu.udag, bq_Q)
+        w = _transport(quotients, tu, bq_P.project(np.asarray(gamma.rep)))
         hits = [idx for idx, jbar in targets.items()
-                if are_associate(Qalg, w2, jbar)]
-        assert len(hits) == 1, "twisted-unit transport not a point match"
+                if are_associate(Qalg, w, jbar)]
+        if len(hits) != 1:
+            raise Finding("twisted_unit_transport_not_a_point_match",
+                          {"phi": _phi_label(phi), "gamma": gamma.index,
+                           "targets": hits})
         out[gamma.index] = hits[0]
     return out
 
 
-def twisted_unit_laws_report(ia, presystem, rng, tu_table=None):
-    """The twisted-unit laws verified on computed witnesses: closure of
-    composable products, uniqueness of twisted inverses, biregular
-    translations, and multiplicativity of conjugation transport."""
+def twisted_unit_laws_report(ia, presystem, rng):
+    """The twisted-unit laws verified on the twisted units found for
+    condition (ii): closure of composable products, uniqueness of
+    twisted inverses, biregular translations, and multiplicativity of
+    conjugation transport."""
     isos = list(presystem.all_isomorphisms())
     units = {}
     for P, Q, phi in isos:
         tu = twisted_unit_exists(ia, phi, rng)
         if tu is None:
             return {"all_twisted_units": False}
-        units[_phi_label(phi)] = (P, Q, phi, tu)
+        units[_phi_label(phi)] = tu
     report = {"all_twisted_units": True, "closure": True,
               "inverse_unique": True, "translation_regular": True,
               "conjugation_multiplicative": True}
     f = ia.A.field
     for P, Q, phi in isos:
-        tu = units[_phi_label(phi)][3]
-        phi_d, inv_d = _phi_pair(ia, phi)
-        bq_phi = ia.brauer(TwistedDiagonal(phi_d))
-        bq_inv = ia.brauer(TwistedDiagonal(inv_d))
-        bq_P = ia.brauer_at(phi_d.domain)
-        bq_Q = ia.brauer_at(phi_d.image())
-        one_P = bq_P.project(np.asarray(ia.A.unit))
+        tu = units[_phi_label(phi)]
+        quotients = _iso_quotients(ia, phi)
+        bq_phi, bq_inv, bq_P, bq_Q = quotients
         # the twisted inverse is unique
-        cols = []
-        for t in range(bq_inv.dim):
-            e = np.zeros(bq_inv.dim, dtype=np.int64)
-            e[t] = 1
-            c, _ = quotient_product(bq_inv, bq_phi, e, tu.u, bq_P)
-            cols.append(c)
-        m = np.array(cols, dtype=np.int64).T
-        sols = linalg.nullspace(f, m)
-        if sols.shape[0] != 0:
+        m, _ = quotient_product(bq_inv, bq_phi, linalg.eye(f, bq_inv.dim),
+                                tu.u, bq_P)
+        if linalg.nullspace(f, m).shape[0] != 0:
             report["inverse_unique"] = False
         # conjugation transport c -> u.c.u-dagger is multiplicative
         # A(P) -> A(Q); it is linear, so it is checked through its matrix
         # M (column a is the image of e_a): M(e_a.e_b) = M e_a . M e_b
         Palg = bq_P.algebra()
         Qalg = bq_Q.algebra()
-        images = []
-        for a in range(bq_P.dim):
-            ea = np.zeros(bq_P.dim, dtype=np.int64)
-            ea[a] = 1
-            w1, bq_mid = quotient_product(bq_phi, bq_P, tu.u, ea)
-            w2, _ = quotient_product(bq_mid, bq_inv, w1, tu.udag, bq_Q)
-            images.append(w2)
-        conj = np.array(images, dtype=np.int64).T
+        conj = _transport(quotients, tu, linalg.eye(f, bq_P.dim))
         for a in range(bq_P.dim):
             la = Palg.lmul_matrix(Palg.basis_vector(a))
             lhs = linalg.matmul(f, conj, la)
@@ -461,99 +434,41 @@ def twisted_unit_laws_report(ia, presystem, rng, tu_table=None):
         for P2, Q2, psi in isos:
             if phi.image().key != P2.key:
                 continue
-            tu_phi = units[_phi_label(phi)][3]
-            tu_psi = units[_phi_label(psi)][3]
-            phi_d, phi_inv = _phi_pair(ia, phi)
-            psi_d, psi_inv = _phi_pair(ia, psi)
-            comp = psi_d.compose(phi_d.corestrict(psi_d.domain))
-            bq_comp = ia.brauer(TwistedDiagonal(comp))
-            w, _ = quotient_product(ia.brauer(TwistedDiagonal(psi_d)),
-                                    ia.brauer(TwistedDiagonal(phi_d)),
-                                    tu_psi.u, tu_phi.u, bq_comp)
-            # check w has a left inverse: it should itself be a twisted unit
-            comp_inv = phi_inv.compose(psi_inv.corestrict(phi_inv.domain))
-            bq_ci = ia.brauer(TwistedDiagonal(comp_inv))
-            bq_P = ia.brauer_at(comp.domain)
-            one_P = bq_P.project(np.asarray(ia.A.unit))
-            cols = []
-            for t in range(bq_ci.dim):
-                e = np.zeros(bq_ci.dim, dtype=np.int64)
-                e[t] = 1
-                c, _ = quotient_product(bq_ci, bq_comp, e, w, bq_P)
-                cols.append(c)
-            v = linalg.solve(f, np.array(cols, dtype=np.int64).T, one_P)
-            if v is None:
+            bq_phi = _quotient_of(ia, phi)
+            bq_psi = _quotient_of(ia, psi)
+            w, bq_comp = quotient_product(bq_psi, bq_phi,
+                                          units[_phi_label(psi)].u,
+                                          units[_phi_label(phi)].u)
+            if _try_twisted(ia, _iso_quotients(ia, bq_comp.phi), w) is None:
                 report["closure"] = False
     # biregular translations between two twisted units
     for P, Q, phi in isos:
-        tu = units[_phi_label(phi)][3]
-        phi_d, inv_d = _phi_pair(ia, phi)
-        bq_phi = ia.brauer(TwistedDiagonal(phi_d))
-        bq_P = ia.brauer_at(phi_d.domain)
-        bq_Q = ia.brauer_at(phi_d.image())
-        v_coords = None
+        tu = units[_phi_label(phi)]
+        quotients = _iso_quotients(ia, phi)
+        bq_phi, _, bq_P, bq_Q = quotients
+        tu2 = None
         for _ in range(4):
             cand = f.random_elements(rng, bq_phi.dim)
-            tu2 = _try_twisted(ia, phi, cand)
+            tu2 = _try_twisted(ia, quotients, cand)
             if tu2 is not None:
-                v_coords = tu2
                 break
-        if v_coords is None:
+        if tu2 is None:
             continue
         # unique x_P with u.x_P = v and unique x_Q with x_Q.u = v
-        for (left, bq_x) in ((True, bq_P), (False, bq_Q)):
-            cols = []
-            for t in range(bq_x.dim):
-                e = np.zeros(bq_x.dim, dtype=np.int64)
-                e[t] = 1
-                if left:
-                    c, _ = quotient_product(bq_phi, bq_P, tu.u, e, bq_phi)
-                else:
-                    c, _ = quotient_product(bq_Q, bq_phi, e, tu.u, bq_phi)
-                cols.append(c)
-            m = np.array(cols, dtype=np.int64).T
-            sol = linalg.solve(f, m, v_coords.u)
-            null = linalg.nullspace(f, m)
-            if sol is None or null.shape[0] != 0:
+        left, _ = quotient_product(bq_phi, bq_P, tu.u,
+                                   linalg.eye(f, bq_P.dim), bq_phi)
+        right, _ = quotient_product(bq_Q, bq_phi, linalg.eye(f, bq_Q.dim),
+                                    tu.u, bq_phi)
+        for m in (left, right):
+            if linalg.solve(f, m, tu2.u) is None or \
+                    linalg.nullspace(f, m).shape[0] != 0:
                 report["translation_regular"] = False
     return report
-
-
-def _try_twisted(ia, phi, coords):
-    """Package coords as a TwistedUnit if a twisted inverse exists."""
-    A = ia.A
-    f = A.field
-    phi_d, inv_d = _phi_pair(ia, phi)
-    bq_phi = ia.brauer(TwistedDiagonal(phi_d))
-    bq_inv = ia.brauer(TwistedDiagonal(inv_d))
-    bq_P = ia.brauer_at(phi_d.domain)
-    bq_Q = ia.brauer_at(phi_d.image())
-    one_P = bq_P.project(np.asarray(A.unit))
-    one_Q = bq_Q.project(np.asarray(A.unit))
-    cols = []
-    for t in range(bq_inv.dim):
-        e = np.zeros(bq_inv.dim, dtype=np.int64)
-        e[t] = 1
-        c, _ = quotient_product(bq_inv, bq_phi, e, coords, bq_P)
-        cols.append(c)
-    v = linalg.solve(f, np.array(cols, dtype=np.int64).T, one_P)
-    if v is None:
-        return None
-    c2, _ = quotient_product(bq_phi, bq_inv, coords, v, bq_Q)
-    if not np.array_equal(c2, one_Q):
-        return None
-    return TwistedUnit(phi=phi_d, u=np.asarray(coords), udag=np.asarray(v))
 
 
 # ---------------------------------------------------------------------------
 # point transport on the pointed Brown poset, and the global-unit lift
 # ---------------------------------------------------------------------------
-
-def restricted_iso(phi, R):
-    """phi restricted to R <= dom(phi), as an iso onto phi(R)."""
-    res = phi.restrict(R)
-    return res.corestrict()
-
 
 def theta_structure_report(ia, phi, P, Q, rng):
     """Structure of the point transport across the pointed Brown posets:
@@ -563,7 +478,7 @@ def theta_structure_report(ia, phi, P, Q, rng):
               "multiplicity": True, "relative_multiplicity": True}
     theta = {}
     for R in all_subgroups(P):
-        res = restricted_iso(phi, R)
+        res = phi.restrict(R).corestrict()
         Rimg = res.image()
         for eps in local_points(ia, R, rng):
             tgt = theta_of_point(ia, res, R, eps, Rimg, rng)
@@ -591,9 +506,10 @@ def theta_structure_report(ia, phi, P, Q, rng):
         for R2, eps2 in pairs:
             if not R.key <= R2.key:
                 continue
-            m_rel = relative_mult(ia, R, eps, R2, eps2, rng)
+            m_rel = relative_multiplicity(ia, R, eps, R2, eps2, rng)
             R2img, eps2_t = theta[(R2.key, eps2.index)]
-            m_rel_t = relative_mult(ia, Rimg, eps_t, R2img, eps2_t, rng)
+            m_rel_t = relative_multiplicity(ia, Rimg, eps_t, R2img, eps2_t,
+                                            rng)
             if (m_rel > 0) != (m_rel_t > 0):
                 report["order"] = False
             if m_rel != m_rel_t:
@@ -602,11 +518,6 @@ def theta_structure_report(ia, phi, P, Q, rng):
                         ("defined", "order", "equivariant", "multiplicity",
                          "relative_multiplicity"))
     return report
-
-
-def relative_mult(ia, Rp, pt_prime, R, pt, rng):
-    from .points import relative_multiplicity
-    return relative_multiplicity(ia, Rp, pt_prime, R, pt, rng)
 
 
 def _pointed_class_key(ia, P, H, pt, rng):
@@ -626,7 +537,7 @@ def lift_to_global_unit(ia, phi, P, Q, rng):
     returns (u, v) with v.u = u.v = 1."""
     A = ia.A
     f = A.field
-    phi_d, inv_d = _phi_pair(ia, phi)
+    bq_phi, bq_inv, _, _ = _iso_quotients(ia, phi)
     E = local_invariant_decomposition(ia, P, rng)
     F = local_invariant_decomposition(ia, Q, rng)
 
@@ -649,7 +560,7 @@ def lift_to_global_unit(ia, phi, P, Q, rng):
         R_elems, eps_index = key
         R = P.subgroup(R_elems)
         eps = points(ia, R, rng)[eps_index]
-        res = restricted_iso(phi, R)
+        res = phi.restrict(R).corestrict()
         Rimg = res.image()
         eps_t = theta_of_point(ia, res, R, eps, Rimg, rng)
         if eps_t is None:
@@ -665,14 +576,15 @@ def lift_to_global_unit(ia, phi, P, Q, rng):
         e_orbit_reps = _orbit_reps_normalized(ia, P, members, R, eps, rng)
         f_orbit_reps = _orbit_reps_normalized(ia, Q, fmembers, Rimg, eps_t,
                                               rng)
-        assert len(e_orbit_reps) == len(f_orbit_reps)
+        if len(e_orbit_reps) != len(f_orbit_reps):
+            raise Finding("lift_orbit_count_mismatch",
+                          {"phi": _phi_label(phi), "R_order": R.order,
+                           "E": len(e_orbit_reps), "F": len(f_orbit_reps)})
         sub_pairs = TwistedDiagonal(_into_group(res, ia.D)).pairs
-        sup_pairs = TwistedDiagonal(phi_d).pairs
         res_inv = res.inverse()
         sub_pairs_inv = TwistedDiagonal(_into_group(res_inv, ia.D)).pairs
-        sup_pairs_inv = TwistedDiagonal(inv_d).pairs
-        tr_up = ia.trace_map(sub_pairs, sup_pairs)
-        tr_up_inv = ia.trace_map(sub_pairs_inv, sup_pairs_inv)
+        tr_up = ia.trace_map(sub_pairs, bq_phi.pairs)
+        tr_up_inv = ia.trace_map(sub_pairs_inv, bq_inv.pairs)
         for e_rep, f_rep in zip(e_orbit_reps, f_orbit_reps):
             ge = Point(subgroup=R, index=-1, rep=e_rep, multiplicity=1,
                        local=True)
@@ -691,8 +603,9 @@ def lift_to_global_unit(ia, phi, P, Q, rng):
     if not (np.array_equal(A.mul(total_v, total_u), A.unit) and
             np.array_equal(A.mul(total_u, total_v), A.unit)):
         raise Finding("lift_product_not_identity", {"phi": _phi_label(phi)})
-    rows = ia.brauer(TwistedDiagonal(phi_d)).fixed
-    assert rows.contains(total_u), "lifted unit left the fixed module"
+    if not bq_phi.fixed.contains(total_u):
+        raise Finding("lift_unit_outside_fixed_module",
+                      {"phi": _phi_label(phi)})
     return total_u, total_v
 
 
@@ -715,7 +628,9 @@ def _orbit_reps_normalized(ia, group, members, R, eps, rng):
             if _associate_in_fixed(ia, R, w, eps.rep):
                 chosen = w
                 break
-        assert chosen is not None, "orbit cannot be normalized to (R, eps)"
+        if chosen is None:
+            raise Finding("lift_orbit_not_normalizable",
+                          {"R_order": R.order, "point": eps.index})
         reps.append(chosen)
     return reps
 
@@ -760,7 +675,7 @@ def ambient_balance_report(ia_hat, ell, presystem, rng):
     report = {"ambient_unital_certified": None, "balanced": True}
     D = ia_hat.D
     ok_units, _ = unital_basis_exists(
-        ia_hat, _ambient_presystem(ia_hat), rng)
+        ia_hat, fixed_point_presystem(ia_hat, label="fF(ambient)"), rng)
     report["ambient_unital_certified"] = ok_units
     witness = None
     for P, Q, phi in presystem.all_isomorphisms():
@@ -783,30 +698,10 @@ def ambient_balance_report(ia_hat, ell, presystem, rng):
     return report
 
 
-def _ambient_presystem(ia_hat):
-    from .fusion import fixed_point_presystem
-    if not hasattr(ia_hat, "_presystem"):
-        ia_hat._presystem = fixed_point_presystem(ia_hat, label="fF(ambient)")
-    return ia_hat._presystem
-
-
 def _relative_mult_of_idempotent(ia, P, pt, ell, rng):
     """Members of the point among a primitive decomposition of ell in A^P."""
     parts = refine_idempotent(ia, P, np.asarray(ell), rng)
     return sum(1 for x in parts if _associate_in_fixed(ia, P, x, pt.rep))
-
-
-def balance_report(ia, presystem, rng, ambient=None, ell=None):
-    """Intrinsic balance of ia, plus ambient balance when (ambient, ell)
-    describe it as a corner, with the agreement flag between the two
-    formulations."""
-    out = {"intrinsic": intrinsic_balance_report(ia, presystem, rng)}
-    if ambient is not None:
-        assert ell is not None, "ambient balance needs the corner idempotent"
-        out["ambient"] = ambient_balance_report(ambient, ell, presystem, rng)
-        out["ambient_matches_intrinsic"] = (out["intrinsic"]["balanced"] ==
-                                     out["ambient"]["balanced"])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +715,7 @@ def equivalence_report(data, rng, thorough=False, exhaustive=False):
     F = data.source_presystem
     out = {}
 
-    basis, neg = build_unital_basis(ia, F, rng, exhaustive=exhaustive)
+    basis, neg = build_unital_basis(ia, rng, exhaustive=exhaustive)
     out["unital_basis"] = basis is not None
     if neg is not None:
         out["unital_basis_negative"] = neg
@@ -846,7 +741,8 @@ def equivalence_report(data, rng, thorough=False, exhaustive=False):
         raise Finding("equivalence_conditions_disagree", dict(out))
 
     if basis is not None:
-        full = _unital_characteristic_check(ia, F, basis)
+        # a unital basis forces a stable shape
+        full = characteristic_report(basis.shape(), F, ia.A.field.p)
         out["unital_shape_stable"] = full["f_stable"]
         out["unital_shape_characteristic"] = {
             k: full[k] for k in ("bifree", "symmetric", "f_generated",
@@ -855,12 +751,11 @@ def equivalence_report(data, rng, thorough=False, exhaustive=False):
             ia, F, basis, rng)
 
     if thorough and len(data.source_candidates) > 1:
-        from .fusion import fixed_point_presystem
         agree = True
         for cand in data.source_candidates[1:]:
             ia2 = data.ia_B.corner(data.ia_B.A.from_parent(cand))
             F2 = fixed_point_presystem(ia2, label="fF(alt source)")
-            b2, _ = build_unital_basis(ia2, F2, rng)
+            b2, _ = build_unital_basis(ia2, rng)
             t2, _ = has_all_twisted_units(ia2, F2, rng)
             i2 = intrinsic_balance_report(ia2, F2, rng)["balanced"]
             if not (b2 is not None) == t2 == i2 == out["unital_basis"]:
@@ -871,20 +766,12 @@ def equivalence_report(data, rng, thorough=False, exhaustive=False):
     return out
 
 
-def _unital_characteristic_check(ia, F, basis):
-    """Full characteristic-condition report of a unital shape against the
-    fixed-point fusion system (a unital basis forces stability)."""
-    from .bisets import characteristic_report
-    return characteristic_report(basis.shape(), F, ia.A.field.p)
-
-
 def _basis_realization_check(ia, F, basis, rng):
     """With a unital basis, every isofusion is realized by some basis
     element, and each source point has a unique target point."""
     A = ia.A
     for P, Q, phi in F.all_isomorphisms():
-        phi_d = _into_group(phi, ia.D)
-        bspace = ia.brauer(TwistedDiagonal(phi_d)).fixed
+        bspace = _quotient_of(ia, phi).fixed
         carriers = [v for v in basis.vectors if bspace.contains(v)]
         if not carriers:
             return False

@@ -92,7 +92,11 @@ class BrauerQuotient:
         return c[t:]
 
     def lift(self, c):
-        return linalg.vecmat(self.interior.A.field, np.asarray(c), self.reps)
+        """The rep combination of a class; of each column for a matrix."""
+        c = np.asarray(c)
+        if c.ndim == 2:
+            return linalg.matmul(self.interior.A.field, self.reps.T, c)
+        return linalg.vecmat(self.interior.A.field, c, self.reps)
 
     def is_zero_class(self, v):
         return self.traces.contains(v)
@@ -140,6 +144,11 @@ class InteriorAlgebra:
         self._rmats = {}
         self._bq_cache = {}
         self._fixed_cache = {}
+        # point data of bflab.points, keyed by subgroup (and idempotent)
+        self._points_cache = {"ctx": {}, "decomp": {}, "points": {},
+                              "refine": {}, "prim": {}, "local": {}}
+        # twisted units of bflab.conjecture, keyed by isomorphism
+        self._twisted_units = {}
         if check:
             self._check_structural()
 
@@ -260,17 +269,13 @@ class InteriorAlgebra:
         from .groups import diagonal
         return self.brauer(diagonal(P, self.D))
 
-    def twisted(self, phi):
-        """Twisted Brauer quotient A(phi) at Delta(phi, P)."""
-        return self.brauer(TwistedDiagonal(phi))
-
     def fixed_subalgebra(self, P):
         """A^P (conjugation-fixed) as a subalgebra context."""
         rows = self.fixed_rows([(g, g) for g in P.generating_sequence()]
                                or [(P.identity, P.identity)])
         return self.A.subalgebra(rows)
 
-    def corner(self, e, structural_factor=True):
+    def corner(self, e):
         """Interior algebra on the corner e.A.e; structural map d -> d.e.
 
         e must be fixed by the conjugation action of D.
@@ -294,7 +299,9 @@ def quotient_product(bq_left, bq_right, c_left, c_right, bq_out=None):
 
     bq_left is at Delta(psi, Q), bq_right at Delta(phi, P) with
     phi(P) <= Q; the result is the class of lift(c_left) * lift(c_right)
-    in A(psi o phi).
+    in A(psi o phi).  One side may be a coordinate matrix: the result is
+    then the matrix whose columns are the classes of the products with
+    its columns.
     """
     interior = bq_left.interior
     if bq_right.interior is not interior:
@@ -304,9 +311,21 @@ def quotient_product(bq_left, bq_right, c_left, c_right, bq_out=None):
         raise ValueError("need twisted diagonals")
     if not phi.image().key <= psi.domain.key:
         raise ValueError("pairing is not composable")
+    c_left, c_right = np.asarray(c_left), np.asarray(c_right)
+    if c_left.ndim == 2 and c_right.ndim == 2:
+        raise ValueError("only one side may be a matrix")
     comp = psi.compose(phi.corestrict(psi.domain))
     if bq_out is None:
         bq_out = interior.brauer(TwistedDiagonal(comp))
-    w = interior.A.mul(bq_left.lift(c_left), bq_right.lift(c_right))
-    return bq_out.project(w), bq_out
-
+    A = interior.A
+    if c_left.ndim == 2:
+        w = linalg.matmul(A.field, A.rmul_matrix(bq_right.lift(c_right)),
+                          bq_left.lift(c_left))
+    else:
+        cols = c_right if c_right.ndim == 2 else c_right[:, None]
+        w = linalg.matmul(A.field, A.lmul_matrix(bq_left.lift(c_left)),
+                          bq_right.lift(cols))
+    out = bq_out._project_columns(w)
+    if c_left.ndim == c_right.ndim == 1:
+        out = out[:, 0]
+    return out, bq_out

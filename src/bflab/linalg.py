@@ -128,15 +128,14 @@ class Subspace:
         self.field = f
         self.ambient_dim = ambient_dim
         if rows is None or np.asarray(rows).size == 0:
-            self.basis = zeros(0, ambient_dim)
+            self.basis, self.pivots = zeros(0, ambient_dim), []
         else:
             rows = np.asarray(rows, dtype=np.int64)
             if rows.ndim == 1:
                 rows = rows.reshape(1, -1)
             if rows.shape[1] != ambient_dim:
                 raise ValueError("ambient mismatch")
-            self.basis = rref(f, rows)[0]
-        self.pivots = rref(f, self.basis)[1] if self.basis.size else []
+            self.basis, self.pivots = rref(f, rows)
 
     @property
     def dim(self):
@@ -150,9 +149,12 @@ class Subspace:
 
     def reduce(self, v):
         """Coordinates of v in the RREF basis, or None if v is outside."""
-        if self.dim == 0:
-            return zeros(1, 0)[0] if not np.any(v) else None
-        return solve(self.field, self.basis.T, v)
+        v = np.asarray(v, dtype=np.int64).reshape(-1)
+        # an RREF basis has the identity at its pivot columns
+        x = v[self.pivots]
+        if not np.array_equal(vecmat(self.field, x, self.basis), v):
+            return None
+        return x
 
     def contains_space(self, other):
         return all(self.contains(other.basis[i]) for i in range(other.dim))

@@ -42,21 +42,8 @@ class Point:
                 f"#{self.index}, m={self.multiplicity})")
 
 
-@dataclass(frozen=True)
-class PointedGroup:
-    subgroup_key: frozenset
-    point_index: int
-
-
-def _cache(ia):
-    if not hasattr(ia, "_points_cache"):
-        ia._points_cache = {"ctx": {}, "decomp": {}, "points": {},
-                            "refine": {}, "prim": {}, "local": {}}
-    return ia._points_cache
-
-
 def _is_primitive_cached(ia, H, v):
-    c = _cache(ia)["prim"]
+    c = ia._points_cache["prim"]
     key = (H.key, np.asarray(v).tobytes())
     if key not in c:
         ctx = fixed_ctx(ia, H)
@@ -65,7 +52,7 @@ def _is_primitive_cached(ia, H, v):
 
 
 def _is_local_cached(ia, H, v):
-    c = _cache(ia)["local"]
+    c = ia._points_cache["local"]
     key = (H.key, np.asarray(v).tobytes())
     if key not in c:
         c[key] = is_local_idempotent(ia, H, v)
@@ -73,7 +60,7 @@ def _is_local_cached(ia, H, v):
 
 
 def fixed_ctx(ia, P):
-    c = _cache(ia)["ctx"]
+    c = ia._points_cache["ctx"]
     if P.key not in c:
         c[P.key] = ia.fixed_subalgebra(P)
     return c[P.key]
@@ -81,7 +68,7 @@ def fixed_ctx(ia, P):
 
 def unit_decomposition(ia, P, rng):
     """Fixed primitive decomposition of 1 in A^P (A-coordinates), cached."""
-    c = _cache(ia)["decomp"]
+    c = ia._points_cache["decomp"]
     if P.key not in c:
         ctx = fixed_ctx(ia, P)
         parts = [ctx.to_parent(v)
@@ -103,7 +90,7 @@ def _associate_in_fixed(ia, P, x, y):
 
 def points(ia, P, rng):
     """All points of A^P from the cached decomposition, locals flagged."""
-    c = _cache(ia)["points"]
+    c = ia._points_cache["points"]
     if P.key in c:
         return c[P.key]
     parts = unit_decomposition(ia, P, rng)
@@ -136,15 +123,9 @@ def point_of(ia, P, idem, rng):
     raise ValueError("idempotent matches no point (is it primitive in A^P?)")
 
 
-def multiplicity(ia, P, pt_or_rep, rng):
-    pt = pt_or_rep if isinstance(pt_or_rep, Point) \
-        else point_of(ia, P, pt_or_rep, rng)
-    return pt.multiplicity
-
-
 def refine_idempotent(ia, R, idem, rng):
     """Cached primitive decomposition of idem inside A^R."""
-    c = _cache(ia)["refine"]
+    c = ia._points_cache["refine"]
     key = (R.key, np.asarray(idem).tobytes())
     if key not in c:
         ctx = fixed_ctx(ia, R)
@@ -155,7 +136,8 @@ def refine_idempotent(ia, R, idem, rng):
 
 def relative_multiplicity(ia, Rp, pt_prime, R, pt, rng):
     """m(R'_eps', R_eps): members of eps' in a decomposition of e in eps."""
-    assert Rp.key <= R.key, "relative multiplicity needs R' <= R"
+    if not Rp.key <= R.key:
+        raise ValueError("relative multiplicity needs R' <= R")
     parts = refine_idempotent(ia, Rp, pt.rep, rng)
     return sum(1 for x in parts
                if _associate_in_fixed(ia, Rp, x, pt_prime.rep))
@@ -285,17 +267,20 @@ def _fixed_block_orbit_idempotent(B, S, blk, p, rng):
         if Qb.unit[i]:
             scal = f.div(int(gp[i]), int(Qb.unit[i]))
             break
-    assert scal is not None and scal != 0 and \
-        np.array_equal(gp, Qb.scale(scal, Qb.unit)), "g^p is not scalar"
+    if not (scal is not None and scal != 0 and
+            np.array_equal(gp, Qb.scale(scal, Qb.unit))):
+        raise LocalDecompositionError("g^p is not scalar")
     mu = _pth_root_scalar(f, f.inv(scal), p)
     g = Qb.scale(mu, g)
-    assert np.array_equal(Qb.power(g, p), Qb.unit), "normalization failed"
+    if not np.array_equal(Qb.power(g, p), Qb.unit):
+        raise LocalDecompositionError("normalization failed")
     # natural module V = Qb.f0 for a primitive idempotent f0
     f0 = primitive_decomposition(Qb, Qb.unit, rng, verify=False)[0]
     vrows = linalg.rref(f, linalg.matmul(
         f, Qb.rmul_matrix(f0), linalg.eye(f, Qb.dim).T).T)[0]
     n = vrows.shape[0]
-    assert n * n == Qb.dim, "block is not split simple"
+    if n * n != Qb.dim:
+        raise LocalDecompositionError("block is not split simple")
     Vctx_extract = _row_extractor(f, vrows)
     # action of g on V in the vrows basis
     Gmat = linalg.zeros(n, n)
@@ -303,8 +288,9 @@ def _fixed_block_orbit_idempotent(B, S, blk, p, rng):
         img = Qb.mul(g, vrows[i])
         Gmat[:, i] = Vctx_extract(img)
     eta = f.sub(Gmat, linalg.eye(f, n))
-    assert n % p == 0 and linalg.nullspace(f, eta).shape[0] == n // p, \
-        "natural module is not free over <g> (trace promise violated)"
+    if not (n % p == 0 and linalg.nullspace(f, eta).shape[0] == n // p):
+        raise LocalDecompositionError(
+            "natural module is not free over <g> (trace promise violated)")
     # complement of ker(eta^(p-1)) = im(eta) gives a free basis
     etapow = linalg.eye(f, n)
     for _ in range(p - 1):
@@ -327,15 +313,19 @@ def _fixed_block_orbit_idempotent(B, S, blk, p, rng):
         blocks_rows.append(rows)
     full = np.concatenate(blocks_rows, axis=0)
     inv = linalg.inverse(f, full.T)
-    assert inv is not None, "free basis construction failed"
+    if inv is None:
+        raise LocalDecompositionError("free basis construction failed")
     r = U.shape[0]
     proj_mat = linalg.matmul(f, full[:r].T, inv[:r])
     # back to an element of Qb: solve sum_e x_e . (L_e restricted to V) = proj
     cols = [_left_action_matrix(f, Qb, vrows, Vctx_extract, e).reshape(-1)
             for e in range(Qb.dim)]
     jb = linalg.solve(f, np.array(cols).T, proj_mat.reshape(-1))
-    assert jb is not None, "projection is not realized in the block"
-    assert Qb.is_idempotent(jb), "projection element not idempotent"
+    if jb is None:
+        raise LocalDecompositionError(
+            "projection is not realized in the block")
+    if not Qb.is_idempotent(jb):
+        raise LocalDecompositionError("projection element not idempotent")
     return Qb.to_parent(jb)
 
 
@@ -389,7 +379,8 @@ def _orbit_idempotent(ia, B, S, p, rng):
     d = B.sub(trace(x), B.unit)
     corr = B.inv(B.add(B.unit, d))
     x = B.mul(corr, x)
-    assert np.array_equal(trace(x), B.unit)
+    if not np.array_equal(trace(x), B.unit):
+        raise LocalDecompositionError("orbit trace is not the unit")
 
     if p == 2:
         # squaring preserves {x : x + sigma(x) = 1} and converges
@@ -588,16 +579,19 @@ def _verify_lid(ia, P, tagged):
     total = A.zero()
     for v, H in tagged:
         total = A.add(total, v)
-        assert _is_primitive_cached(ia, H, v), "piece not primitive"
-        assert _is_local_cached(ia, H, v), "piece not local"
-    assert np.array_equal(total, A.unit), "pieces do not sum to 1"
+        if not _is_primitive_cached(ia, H, v):
+            raise LocalDecompositionError("piece not primitive")
+        if not _is_local_cached(ia, H, v):
+            raise LocalDecompositionError("piece not local")
+    if not np.array_equal(total, A.unit):
+        raise LocalDecompositionError("pieces do not sum to 1")
     vecs = [v for v, _ in tagged]
     for a in range(len(vecs)):
         for b in range(len(vecs)):
             if a != b and np.any(A.mul(vecs[a], vecs[b])):
-                raise AssertionError("pieces not orthogonal")
+                raise LocalDecompositionError("pieces not orthogonal")
     keys = {np.asarray(v).tobytes() for v in vecs}
     for v, _ in tagged:
         for g in P.elements:
             if np.asarray(ia.conj(g, v)).tobytes() not in keys:
-                raise AssertionError("system not closed under P")
+                raise LocalDecompositionError("system not closed under P")

@@ -308,3 +308,25 @@ def test_one_brauer_pair_engine_per_run(name, tmp_path, monkeypatch, capsys):
     order = 60 if name == "a5" else 24
     assert dims[0] == order                 # kG itself
     assert len(dims) == 3, dims
+
+
+def test_one_twisted_unit_search_per_isomorphism(tmp_path, monkeypatch,
+                                                  capsys):
+    # A4 at p = 2 has one block; fF_D(S) on its Klein four defect group
+    # has 13 isomorphisms.  The equivalence and the law suite share one
+    # search for each, instead of searching twice.
+    from bflab import conjecture
+    real = conjecture._search_twisted_unit
+    searched = []
+
+    def counted(ia, phi, rng):
+        searched.append(conjecture._phi_label(phi))
+        return real(ia, phi, rng)
+    monkeypatch.setattr(conjecture, "_search_twisted_unit", counted)
+    code = run(["check", "--group", os.path.join(DATA, "a4.json"),
+                "--prime", "2", "--seed", "1", "--out", "-",
+                "--findings-dir", str(tmp_path / "f")])
+    assert code == 0
+    blocks = json.loads(capsys.readouterr().out)["blocks"]
+    assert len(blocks) == 1
+    assert len(searched) == len(set(searched)) == 13

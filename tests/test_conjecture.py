@@ -6,7 +6,7 @@ from bflab import conjecture
 from bflab.algebra import group_algebra
 from bflab.bisets import _into_group
 from bflab.blocks import analyze_block, build_group_algebra
-from bflab.conjecture import (balance_report, build_unital_basis,
+from bflab.conjecture import (ambient_balance_report, build_unital_basis,
                               equivalence_report, has_all_twisted_units,
                               intrinsic_balance_report, isofusion,
                               lift_to_global_unit, theta_map,
@@ -66,8 +66,7 @@ def test_unit_in_subspace_group_translates():
 def test_build_unital_basis_on_group_algebra():
     for G, p in ((D8, 2), (C2, 2)):
         ia = interior(G, p)
-        F = fixed_point_presystem(ia)
-        basis, neg = build_unital_basis(ia, F, rng())
+        basis, neg = build_unital_basis(ia, rng())
         assert neg is None and basis.is_unital()
         assert len(basis) == ia.A.dim
 
@@ -201,16 +200,17 @@ def test_intrinsic_balance_group_algebras():
         assert rep["balanced"]
 
 
-def test_balance_report_wrapper_with_ambient():
+def test_intrinsic_and_ambient_balance_agree():
     A = build_group_algebra(S3, 3)
     r = rng()
     d = analyze_block(BrauerPairs(A, r), block_idempotents(A, r)[0], 0, r)
     F = d.source_presystem
-    rep = balance_report(d.ia_S, F, r, ambient=d.ia_B,
-                         ell=d.ia_B.A.from_parent(d.ell))
-    assert rep["intrinsic"]["balanced"]
-    assert rep["ambient"]["balanced"]
-    assert rep["ambient_matches_intrinsic"]
+    intrinsic = intrinsic_balance_report(d.ia_S, F, r)
+    ambient = ambient_balance_report(d.ia_B, d.ia_B.A.from_parent(d.ell), F,
+                                     r)
+    assert intrinsic["balanced"]
+    assert ambient["balanced"]
+    assert intrinsic["balanced"] == ambient["balanced"]
 
 
 def test_equivalence_report_catalog_blocks():
@@ -250,6 +250,9 @@ def test_twisted_unit_laws_catch_a_wrong_twisted_inverse(monkeypatch):
     rep = twisted_unit_laws_report(ia, F, rng())
     assert rep["all_twisted_units"]
     assert not rep["conjugation_multiplicative"], rep
+    # the units cached on the algebra are still the exact ones
+    monkeypatch.undo()
+    assert all(twisted_unit_laws_report(ia, F, rng()).values())
 
 
 def test_thorough_checks_all_source_candidates():

@@ -204,6 +204,46 @@ def test_quotient_product_associative_on_composables():
                 assert np.array_equal(ab_c, a_bc)
 
 
+@pytest.mark.parametrize("G,p", [(S3, 3), (A4, 2)], ids=["S3-p3", "A4-p2"])
+def test_quotient_product_matrix_is_columnwise(G, p):
+    ia = interior(G, p)
+    D = ia.D
+    f = ia.A.field
+    rng = np.random.default_rng(21)
+    for psi in injective_maps(D, D):
+        for phi in injective_maps(D, D):
+            bq_psi = ia.brauer(TwistedDiagonal(psi))
+            bq_phi = ia.brauer(TwistedDiagonal(phi))
+            a = f.random_elements(rng, bq_psi.dim)
+            b = f.random_elements(rng, bq_phi.dim)
+            ms = f.random_elements(rng, (bq_psi.dim, 3))
+            mp = f.random_elements(rng, (bq_phi.dim, 3))
+            left, bq_out = quotient_product(bq_psi, bq_phi, ms, b)
+            right, _ = quotient_product(bq_psi, bq_phi, a, mp)
+            assert left.shape == right.shape == (bq_out.dim, 3)
+            for j in range(3):
+                assert np.array_equal(
+                    left[:, j], quotient_product(bq_psi, bq_phi, ms[:, j],
+                                                 b, bq_out)[0])
+                assert np.array_equal(
+                    right[:, j], quotient_product(bq_psi, bq_phi, a,
+                                                  mp[:, j], bq_out)[0])
+
+
+def test_quotient_product_rejects_bad_pairs():
+    ia = interior(S3, 3)
+    D = ia.D
+    triv = D.subgroup([D.identity])
+    bq_1 = ia.brauer_at(triv)
+    bq_D = ia.brauer_at(D)
+    eye_D = linalg.eye(ia.A.field, bq_D.dim)
+    # Delta(1) after Delta(D): D is not inside the trivial subgroup
+    with pytest.raises(ValueError):
+        quotient_product(bq_1, bq_D, bq_1.project(ia.A.unit), eye_D)
+    with pytest.raises(ValueError):
+        quotient_product(bq_D, bq_D, eye_D, eye_D)
+
+
 def test_bifreeness_of_group_algebras():
     from bflab.bisets import check_bifree
     for G, p in ((C2, 2), (S3, 3), (A4, 2)):

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bflab import linalg
 from bflab.gf import field
@@ -99,3 +101,43 @@ def test_intersect_random_consistency():
         assert u.dim + v.dim == u.sum(v).dim + w.dim
         for t in range(w.dim):
             assert u.contains(w.basis[t]) and v.contains(w.basis[t])
+
+
+@st.composite
+def subspace_and_vector(draw):
+    """A subspace of GF(q)^n (zero, full, or spanned by random rows) and
+    a vector that is a member or arbitrary."""
+    f = field(*draw(st.sampled_from([(2, 1), (2, 2), (3, 2)])))
+    n = draw(st.integers(1, 6))
+    codes = st.integers(0, f.q - 1)
+    rows = draw(arrays(np.int64, (draw(st.integers(1, n + 1)), n),
+                       elements=codes))
+    kind = draw(st.sampled_from(["zero", "full", "rows"]))
+    if kind == "zero":
+        rows = linalg.zeros(0, n)
+    elif kind == "full":
+        rows = np.concatenate([rows, linalg.eye(f, n)], axis=0)
+    if draw(st.booleans()) and rows.shape[0]:
+        coeffs = draw(arrays(np.int64, rows.shape[0], elements=codes))
+        v = linalg.vecmat(f, coeffs, rows)
+    else:
+        v = draw(arrays(np.int64, n, elements=codes))
+    return f, n, rows, v
+
+
+@given(subspace_and_vector())
+def test_subspace_reduce_matches_solve(case):
+    f, n, rows, v = case
+    S = linalg.Subspace(f, n, rows)
+    assert S.pivots == (linalg.rref(f, S.basis)[1] if S.dim else [])
+    if S.dim:
+        ref = linalg.solve(f, S.basis.T, v)
+    else:
+        ref = linalg.zeros(1, 0)[0] if not np.any(v) else None
+    got = S.reduce(v)
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert np.array_equal(got, ref)
+    assert S.contains(v) == (ref is not None)
+    if linalg.rank(f, rows) == n:
+        assert got is not None
