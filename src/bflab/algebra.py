@@ -7,13 +7,18 @@ bare numpy coefficient vectors; all operations live on the context.
 
 Subalgebras (fixed-point algebras, corners e.A.e, centers) are
 AlgebraContexts carrying an `embed` matrix whose rows express their
-basis inside the parent, plus an exact coordinate extractor.
+basis inside the parent, plus an exact coordinate extractor.  A proper
+subalgebra gets a dense tensor; the whole of a table-driven algebra
+(the corner at its unit, the fixed points of the trivial group) shares
+the parent's index tables, so kG stays table-driven through them.
+
+`group_algebra` builds kH for a group or a subgroup H; the Brauer
+quotients (kG)(P) of bflab.fusion are built this way, as kC_G(P).
 """
 
 import numpy as np
 
 from . import linalg
-from .groups import pmul, pinv
 
 
 class AlgebraError(ValueError):
@@ -172,12 +177,17 @@ class AlgebraContext:
         unit = self.unit if unit is None else np.asarray(unit)
         sub = AlgebraContext(f, r, mult_tensor=None, unit=None,
                              parent=self, embed=rows, check=False)
-        tensor = np.zeros((r, r, r), dtype=np.int64)
-        for i in range(r):
-            li = self.lmul_matrix(rows[i])
-            prods = linalg.matmul(f, li, rows.T)   # columns: b_i * b_j
-            tensor[i] = sub._from_parent_columns(prods, check).T
-        sub.mult_tensor = tensor
+        if self._ltable is not None and \
+                np.array_equal(rows, linalg.eye(f, self.dim)):
+            # the whole of a table-driven algebra: same basis, same tables
+            sub._ltable, sub._rtable = self._ltable, self._rtable
+        else:
+            tensor = np.zeros((r, r, r), dtype=np.int64)
+            for i in range(r):
+                li = self.lmul_matrix(rows[i])
+                prods = linalg.matmul(f, li, rows.T)   # columns: b_i * b_j
+                tensor[i] = sub._from_parent_columns(prods, check).T
+            sub.mult_tensor = tensor
         sub.unit = sub.from_parent(unit, check=check)
         sub._check_unit()
         return sub
@@ -231,16 +241,23 @@ class AlgebraContext:
 
 
 def group_algebra(G, field):
-    """kG with basis the group elements (their sorted order)."""
+    """kG with basis the group elements (their sorted order); G is a
+    PermGroup or a Subgroup."""
     elements = G.elements
     n = len(elements)
     index = {g: i for i, g in enumerate(elements)}
-    ltable = np.zeros((n, n), dtype=np.int64)
-    rtable = np.zeros((n, n), dtype=np.int64)
-    for k, gk in enumerate(elements):
-        for j, gj in enumerate(elements):
-            ltable[k, j] = index[pmul(gk, pinv(gj))]
-            rtable[k, j] = index[pmul(pinv(gj), gk)]
+    perms = np.array(elements, dtype=np.int64)
+    inv = np.argsort(perms, axis=1)
+    ks = np.arange(n)
+    # ltable[k, j] = g_k g_j^-1 and rtable[k, j] = g_j^-1 g_k, as image
+    # rows; sorting the rows of a closed group recovers the element order
+    prods = np.concatenate([perms[ks[:, None, None], inv[None, :, :]],
+                            inv[ks[None, :, None], perms[:, None, :]]])
+    found, which = np.unique(prods.reshape(2 * n * n, perms.shape[1]),
+                             axis=0, return_inverse=True)
+    if not np.array_equal(found, perms):
+        raise AlgebraError("group elements are not closed under products")
+    ltable, rtable = which.reshape(2, n, n)
     unit = np.zeros(n, dtype=np.int64)
     unit[index[G.identity]] = 1
     ctx = AlgebraContext(field, n, labels=list(elements),
@@ -257,35 +274,20 @@ def group_element_vector(A, g):
     return v
 
 
-def group_conjugation_matrix(A, g):
-    """Basis permutation matrix of x -> g x g^-1 on a group algebra."""
-    n = A.dim
-    gi = pinv(g)
-    m = linalg.zeros(n, n)
-    for j, h in enumerate(A.labels):
-        m[A.element_index[pmul(pmul(g, h), gi)], j] = 1
-    return m
+def group_conjugation_perm(A, g):
+    """Index array c with v[c] = g v g^-1 for v in the group algebra A."""
+    k = A.element_index[g]
+    k_inv = A._ltable[A.element_index[A.group.identity], k]
+    # c[i] indexes g^-1 h_i g: ltable gives h_i g, then rtable g^-1 (h_i g)
+    return A._rtable[A._ltable[:, k_inv], k]
 
 
 def class_sum_rows(A):
     """Rows spanning the centre of a group algebra (class sums)."""
     rows = []
-    for cls in A.group.conjugacy_classes() if hasattr(A.group, "conjugacy_classes") \
-            else _subgroup_classes(A.group):
+    for cls in A.group.conjugacy_classes():
         v = A.zero()
         for g in cls:
             v[A.element_index[g]] = 1
         rows.append(v)
     return np.array(rows, dtype=np.int64)
-
-
-def _subgroup_classes(H):
-    seen = set()
-    out = []
-    for x in H.elements:
-        if x in seen:
-            continue
-        cls = sorted({pmul(pmul(g, x), pinv(g)) for g in H.elements})
-        seen.update(cls)
-        out.append(cls)
-    return out

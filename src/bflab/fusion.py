@@ -14,15 +14,21 @@ Brauer pairs of a group algebra are subgroups P with a block of the
 quotient algebra (kG)(P) ~ kC_G(P); containment is decided through the
 pointed-group criterion (a local summand chain), and the block's defect
 groups are the maximal subgroups where b survives the Brauer map.
+
+The Brauer map sends the class of g in C_G(P) to g, so (kG)(P) is
+multiplied as the table-driven group algebra kC_G(P), on the quotient's
+own basis; each use re-checks that the quotient is presented on that
+basis.  Conjugation by g permutes the group basis of kG and is applied
+as an index gather.
 """
 
 import numpy as np
 
 from . import linalg
-from .algebra import group_conjugation_matrix
-from .groups import (GroupInjection, all_subgroups, conjugation_injection,
-                     injective_maps, p_subgroups_up_to_conjugacy, pinv, pmul,
-                     sylow_subgroup)
+from .algebra import group_algebra, group_conjugation_perm
+from .groups import (GroupInjection, all_subgroups, centralizer,
+                     conjugation_injection, injective_maps,
+                     p_subgroups_up_to_conjugacy, pinv, pmul, sylow_subgroup)
 from .idempotents import block_idempotents
 from .interior import InteriorAlgebra
 from .points import refine_idempotent
@@ -207,7 +213,8 @@ class BrauerPairs:
     """Brauer pairs of kG over the subgroups of a fixed Sylow p-subgroup S.
 
     One engine serves every block of kG: it owns the interior S-algebra
-    kG, the Brauer quotients (kG)(P) ~ kC_G(P) and their blocks.
+    kG, the Brauer quotients (kG)(P), their algebras kC_G(P) and their
+    blocks.
     """
 
     def __init__(self, A, rng):
@@ -218,14 +225,32 @@ class BrauerPairs:
         self.ia = InteriorAlgebra(A, self.S)
         self.rng = rng
         self._blocks = {}                 # P.key -> list of quotient blocks
+        self._centralizer_algebras = {}   # P.key -> kC_G(P)
 
     def quotient(self, P):
         return self.ia.brauer_at(P)
 
+    def centralizer_algebra(self, P):
+        """(kG)(P) as the group algebra kC_G(P), in quotient coordinates.
+
+        Raises FusionError unless the quotient's reps are the group
+        elements of C_G(P) in sorted order, the basis of kC_G(P)."""
+        Q = self._centralizer_algebras.get(P.key)
+        C = centralizer(self.G, P) if Q is None else Q.group
+        units = linalg.eye(self.A.field, self.A.dim)[
+            [self.A.element_index[g] for g in C.elements]]
+        if not np.array_equal(self.quotient(P).reps, units):
+            raise FusionError("(kG)(P) is not presented on the basis of "
+                              "C_G(P)")
+        if Q is None:
+            Q = group_algebra(C, self.A.field)
+            self._centralizer_algebras[P.key] = Q
+        return Q
+
     def blocks_at(self, P):
         """Central primitive idempotents of (kG)(P), in quotient coords."""
         if P.key not in self._blocks:
-            Q = self.quotient(P).algebra()
+            Q = self.centralizer_algebra(P)
             self._blocks[P.key] = block_idempotents(Q, self.rng)
         return self._blocks[P.key]
 
@@ -237,13 +262,9 @@ class BrauerPairs:
 
     def image_under(self, P, e_qcoords, g):
         """^g e as a block of (kG)(gPg^-1); target must be <= S."""
-        bq_src = self.quotient(P)
-        lifted = bq_src.lift(e_qcoords)
-        conj = linalg.matvec(self.A.field,
-                             group_conjugation_matrix(self.A, g), lifted)
-        Pg = P.conjugate(g)
-        bq_dst = self.quotient(Pg)
-        return bq_dst.project(conj)
+        lifted = self.quotient(P).lift(e_qcoords)
+        conj = lifted[group_conjugation_perm(self.A, g)]
+        return self.quotient(P.conjugate(g)).project(conj)
 
     def brauer_image(self, P, vec_in_A):
         """br_P of an A-vector fixed by conjugation, in quotient coords."""
@@ -256,7 +277,7 @@ class BrauerPairs:
         img = bq.project(i_vec)
         if not np.any(img):
             return None
-        Qalg = bq.algebra()
+        Qalg = self.centralizer_algebra(P)
         hits = [t for t, e in enumerate(self.blocks_at(P))
                 if np.array_equal(Qalg.mul(e, img), img)]
         if len(hits) != 1:
@@ -286,7 +307,7 @@ class BrauerPairs:
             bimg = bq.project(np.asarray(b))
             if not np.any(bimg):
                 continue
-            Qalg = bq.algebra()
+            Qalg = self.centralizer_algebra(P)
             for idx, e in enumerate(self.blocks_at(P)):
                 if np.array_equal(Qalg.mul(e, bimg), e):
                     out.append((P, idx))

@@ -80,6 +80,7 @@ class PermGroup:
         self.elements = sorted(_close(self.generators, degree, order_cap))
         self.element_set = frozenset(self.elements)
         self.identity = identity_perm(degree)
+        self._maximal_memo = {}   # subgroup key -> maximal_subgroups
 
     @property
     def order(self):
@@ -100,15 +101,7 @@ class PermGroup:
         return lcm(*[perm_order(g) for g in self.elements])
 
     def conjugacy_classes(self):
-        seen = set()
-        classes = []
-        for x in self.elements:
-            if x in seen:
-                continue
-            cls = sorted({pmul(pmul(g, x), pinv(g)) for g in self.elements})
-            seen.update(cls)
-            classes.append(cls)
-        return classes
+        return self.full_subgroup().conjugacy_classes()
 
     def __repr__(self):
         return f"PermGroup({self.label}, order {self.order})"
@@ -163,6 +156,19 @@ class Subgroup:
                 if len(cur) == self.order:
                     break
         return gens
+
+    def conjugacy_classes(self):
+        """Classes as sorted element lists, in order of their first
+        element."""
+        seen = set()
+        classes = []
+        for x in self.elements:
+            if x in seen:
+                continue
+            cls = sorted({pmul(pmul(g, x), pinv(g)) for g in self.elements})
+            seen.update(cls)
+            classes.append(cls)
+        return classes
 
     def left_coset_reps(self, sub):
         """Representatives of self / sub (sub must be a subgroup of self)."""
@@ -278,13 +284,14 @@ def all_subgroups(H):
 
 
 def maximal_subgroups(P):
-    """Maximal proper subgroups of P."""
-    subs = [s for s in all_subgroups(P) if s.order < P.order]
-    out = []
-    for s in subs:
-        if not any(s.key < t.key for t in subs):
-            out.append(s)
-    return out
+    """Maximal proper subgroups of the Subgroup P, memoized on its parent
+    group (read-only)."""
+    memo = P.parent._maximal_memo
+    if P.key not in memo:
+        subs = [s for s in all_subgroups(P) if s.order < P.order]
+        memo[P.key] = tuple(s for s in subs
+                            if not any(s.key < t.key for t in subs))
+    return memo[P.key]
 
 
 def p_subgroups_up_to_conjugacy(G, p):
@@ -471,45 +478,36 @@ def diagonal(P, D=None):
     return TwistedDiagonal(identity_injection(P, D or P))
 
 
-def _canonical_pair_set(pairs, D):
-    best = None
-    for a in D.elements:
-        for b in D.elements:
-            ai, bi = pinv(a), pinv(b)
-            cand = tuple(sorted((pmul(pmul(a, x), ai), pmul(pmul(b, y), bi))
-                                for x, y in pairs))
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
 class TwistedClasses:
     """Conjugacy classes of twisted diagonal subgroups of D x D.
 
-    Classes are ordered by decreasing |P| then canonical form; this is
-    the elimination order for inverting the table of marks.  marks[i][j]
-    counts the Delta_i-fixed points of the transitive biset
-    (D x D)/Delta_j.
+    Each class is found as one D x D orbit, and its canonical form is
+    the least sorted pair tuple over the orbit.  Classes are ordered by
+    decreasing |P| then canonical form; this is the elimination order
+    for inverting the table of marks.  marks[i][j] counts the
+    Delta_i-fixed points of the transitive biset (D x D)/Delta_j.
     """
 
     def __init__(self, D):
         self.D = D
-        reps = {}
-        canonical = {}                    # pairs of every twisted diagonal
+        found = {}                        # key -> (first td, orbit)
+        orbit_key = {}                    # pairs of every twisted diagonal
         for P in all_subgroups(D):
             for phi in injective_maps(P, D):
                 td = TwistedDiagonal(phi)
-                key = _canonical_pair_set(td.pairs, D)
-                canonical[td.pairs] = key
-                if key not in reps:
-                    reps[key] = td
-        order = sorted(reps, key=lambda k: (-len(k), k))
-        self.reps = [reps[k] for k in order]
+                if td.pairs in orbit_key:
+                    continue
+                orbit = self._conjugates(td.pairs)
+                key = min(tuple(sorted(c)) for c in orbit)
+                found[key] = (td, orbit)
+                orbit_key.update(dict.fromkeys(orbit, key))
+        order = sorted(found, key=lambda k: (-len(k), k))
+        self.reps = [found[k][0] for k in order]
         self.keys = order
         index = {k: i for i, k in enumerate(order)}
         self._class_of = {pairs: index[key]
-                          for pairs, key in canonical.items()}
-        self.marks = self._marks_table()
+                          for pairs, key in orbit_key.items()}
+        self.marks = self._marks_table([found[k][1] for k in order])
 
     def __len__(self):
         return len(self.reps)
@@ -529,10 +527,10 @@ class TwistedClasses:
                     for x, y in pairs))
         return out
 
-    def _marks_table(self):
+    def _marks_table(self, conj):
+        """The table of marks from the orbit of each class."""
         n = len(self.reps)
         d2 = self.D.order ** 2
-        conj = [self._conjugates(td.pairs) for td in self.reps]
         marks = [[0] * n for _ in range(n)]
         for j, td_j in enumerate(self.reps):
             n_r = d2 // len(conj[j])          # |N_{DxD}(R)| index count

@@ -24,10 +24,12 @@ pipeline keeps rebuilding equal algebras (the corner e.A.e for the same
 e, the fixed points A^P for the same P) as new contexts.  So each radical
 has one owner: the root of the context's parent chain (a group algebra,
 or a quotient algebra, which has no parent) holds `radical_memo`, a dict
-from the exact bytes of a structure tensor to its radical rows, with a
-table-driven root keyed as itself.  Its lifetime is the root's: a CLI
-run builds its own group algebra, so nothing is shared between runs and
-nothing lives at module or field level.  Stored rows are read-only.
+from the exact bytes of a structure tensor to its radical rows.  A
+table-driven algebra is keyed by the bytes of its index table, so kG and
+its identity corners (which share kG's tables) share one chain.  Its
+lifetime is the root's: a CLI run builds its own group algebra, so
+nothing is shared between runs and nothing lives at module or field
+level.  Stored rows are read-only.
 """
 
 import numpy as np
@@ -156,9 +158,12 @@ def charpolys(f, stack):
 def radical_rows(A):
     """Rows (A-coordinates) spanning the Jacobson radical of A, read-only.
 
-    Memoized in `A.root().radical_memo` by A's structure tensor."""
-    key = A if A.mult_tensor is None else \
-        np.asarray(A.mult_tensor, dtype=np.int64).tobytes()
+    Memoized in `A.root().radical_memo` by A's structure tensor, or by
+    its index table when A is table-driven."""
+    if A.mult_tensor is None:
+        key = ("index table", A._ltable.tobytes())
+    else:
+        key = np.asarray(A.mult_tensor, dtype=np.int64).tobytes()
     memo = A.root().radical_memo
     rows = memo.get(key)
     if rows is None:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from bflab import linalg
 from bflab.algebra import (AlgebraContext, AlgebraError, group_algebra,
-                           group_element_vector, group_conjugation_matrix)
+                           group_conjugation_perm, group_element_vector)
 from bflab.gf import field, make_field
-from bflab.groups import group_from_generators, pmul
+from bflab.groups import group_from_generators, pinv, pmul
+from bflab.interior import InteriorAlgebra
 
 
 def C2():
@@ -78,6 +80,17 @@ def test_center_of_group_algebra_is_class_sums():
             assert np.array_equal(A.mul(z, b), A.mul(b, z))
 
 
+def group_conjugation_matrix(A, g):
+    """Reference: basis permutation matrix of x -> g x g^-1 on a group
+    algebra."""
+    n = A.dim
+    gi = pinv(g)
+    m = linalg.zeros(n, n)
+    for j, h in enumerate(A.labels):
+        m[A.element_index[pmul(pmul(g, h), gi)], j] = 1
+    return m
+
+
 def test_conjugation_matrix():
     G = S3()
     A = group_algebra(G, field(3))
@@ -85,11 +98,39 @@ def test_conjugation_matrix():
     m = group_conjugation_matrix(A, g)
     for h in G.elements:
         v = group_element_vector(A, h)
-        from bflab import linalg
         out = linalg.matvec(A.field, m, v)
         expect = group_element_vector(
             A, pmul(pmul(g, h), (2, 0, 1)))
         assert np.array_equal(out, expect)
+
+
+def test_conjugation_gather_matches_matrix():
+    G = group_from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)], "S4")
+    A = group_algebra(G, make_field(3, 2))
+    v = A.random_element(np.random.default_rng(4))
+    for g in G.elements:
+        expect = linalg.matvec(A.field, group_conjugation_matrix(A, g), v)
+        assert np.array_equal(v[group_conjugation_perm(A, g)], expect)
+
+
+def test_identity_subalgebras_share_the_group_tables():
+    G = group_from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)], "S4")
+    A = group_algebra(G, make_field(2, 1))
+    D = G.subgroup([G.identity])
+    subs = [A.corner(A.unit), InteriorAlgebra(A, D).fixed_subalgebra(D)]
+    subs.append(subs[0].corner(subs[0].unit))
+    rng = np.random.default_rng(8)
+    for C in subs:
+        assert C.mult_tensor is None and C._ltable is A._ltable
+        assert np.array_equal(C.unit, A.unit)
+        for _ in range(5):
+            x, y = A.random_element(rng), A.random_element(rng)
+            assert np.array_equal(C.to_root(C.mul(x, y)), A.mul(x, y))
+    # a proper corner stays dense: e = 1 + c + c^2 for a 3-cycle c
+    c = (1, 2, 0, 3)
+    e = sum(group_element_vector(A, h) for h in (G.identity, c, pmul(c, c)))
+    C = A.corner(e)
+    assert C.dim < A.dim and C.mult_tensor is not None and C._ltable is None
 
 
 def test_raw_context_associativity_check():

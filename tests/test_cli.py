@@ -280,6 +280,23 @@ def _a5_doc():
                            [i + 1 for i in (1, 2, 0, 3, 4)]]}
 
 
+# sha256 of `analyze --out - --seed 1` on A5 at p = 3: three blocks over
+# GF(81), whose Brauer quotients (kG)(P) are the algebras kC_G(P).
+GOLDEN_A5_ANALYZE_SHA256 = ("cbb597f8996b4788aaf559f91cf63d45"
+                            "bf5335bd0aad33b649c3d74066d09846")
+
+
+def test_a5_analyze_report_matches_pinned_hash(tmp_path, capsys):
+    path = tmp_path / "a5.json"
+    path.write_text(json.dumps(_a5_doc()))
+    code = run(["analyze", "--group", str(path), "--prime", "3",
+                "--seed", "1", "--out", "-",
+                "--findings-dir", str(tmp_path / "f")])
+    assert code == 0
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == GOLDEN_A5_ANALYZE_SHA256
+
+
 @pytest.mark.parametrize("name", ["a5", "s4"])
 def test_one_brauer_pair_engine_per_run(name, tmp_path, monkeypatch, capsys):
     # A5 and S4 at p = 3 have three blocks and Sylow subgroup C3.  The

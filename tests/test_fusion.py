@@ -1,13 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
 from bflab.algebra import group_algebra
 from bflab.blocks import analyze_block, build_group_algebra
-from bflab.fusion import (BrauerPairPoset, BrauerPairs,
+from bflab.cli import _dividing_primes
+from bflab.fusion import (BrauerPairPoset, BrauerPairs, FusionError,
                           block_fusion, defect_groups, fixed_point_presystem,
                           fusion_equal, fusion_from_group, is_divisible)
 from bflab.gf import make_field
-from bflab.groups import (all_subgroups, group_from_generators,
+from bflab.groups import (all_subgroups, group_from_generators, load_group,
                           pinv, pmul, sylow_subgroup)
 from bflab.idempotents import block_idempotents
 from bflab.interior import InteriorAlgebra
@@ -221,3 +224,40 @@ def test_brauer_pair_poset_order_axioms():
                     if leq.get((a, c)) and leq.get((c, d)):
                         if poset.pairs[a][0].key <= poset.pairs[d][0].key:
                             assert leq.get((a, d)), "transitivity fails"
+
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "src", "bflab", "data")
+CATALOG = sorted(
+    (fn[:-5], p) for fn in os.listdir(DATA) if fn.endswith(".json")
+    for p in _dividing_primes(load_group(os.path.join(DATA, fn)).order))
+A5 = group_from_generators(5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], "A5")
+
+
+@pytest.mark.parametrize("name,p", CATALOG + [("a5", 3)])
+def test_centralizer_algebra_is_the_brauer_quotient(name, p):
+    # (kG)(P) as the group algebra kC_G(P) multiplies exactly as the
+    # generic quotient algebra, on the same basis
+    G = A5 if name == "a5" else load_group(os.path.join(DATA, f"{name}.json"))
+    engine = BrauerPairs(build_group_algebra(G, p), rng())
+    for P in all_subgroups(engine.S):
+        Q = engine.centralizer_algebra(P)
+        ref = engine.quotient(P).algebra()
+        assert Q.dim == ref.dim and np.array_equal(Q.unit, ref.unit)
+        for i in range(Q.dim):
+            b = Q.basis_vector(i)
+            assert np.array_equal(Q.lmul_matrix(b), ref.lmul_matrix(b))
+        assert engine.centralizer_algebra(P) is Q
+
+
+def test_centralizer_algebra_rejects_tampered_reps():
+    engine = BrauerPairs(build_group_algebra(S3, 2), rng())
+    P = engine.S
+    engine.centralizer_algebra(P)
+    bq = engine.quotient(P)
+    good = bq.reps
+    for bad in (good[::-1], good[:1], engine.A.add(good, good[[1, 0]])):
+        bq.reps = bad
+        with pytest.raises(FusionError):
+            engine.centralizer_algebra(P)
+    bq.reps = good
+    engine.centralizer_algebra(P)
