@@ -39,7 +39,10 @@ class FusionError(ValueError):
 
 
 class FusionSystem:
-    """Category on the subgroups of S with injective group maps."""
+    """Category on the subgroups of S with injective group maps.
+
+    A hom set is listed in the order of its graphs' sorted pair lists, a
+    total order, so it does not depend on how the set was filled."""
 
     def __init__(self, S, homs, label=""):
         self.S = S
@@ -57,7 +60,7 @@ class FusionSystem:
 
     def hom_maps(self, P, Q):
         return [GroupInjection(P, Q, dict(g), check=False)
-                for g in sorted(self.hom_graphs(P, Q))]
+                for g in sorted(self.hom_graphs(P, Q), key=sorted)]
 
     def contains(self, phi):
         """Is the injection phi (into any overgroup of its image) in F?"""
@@ -73,7 +76,7 @@ class FusionSystem:
         if P.order != Q.order:
             return []
         out = []
-        for g in sorted(self.hom_graphs(P, Q)):
+        for g in sorted(self.hom_graphs(P, Q), key=sorted):
             mp = dict(g)
             if frozenset(mp.values()) == Q.key:
                 out.append(GroupInjection(P, Q, mp, check=False))
@@ -122,7 +125,7 @@ class FusionSystem:
                 graphs = self.hom_graphs(P, Q)
                 if not graphs:
                     continue
-                rep = dict(sorted(graphs)[0])
+                rep = dict(min(graphs, key=sorted))
                 out.append({
                     "source": {"index": sub_index[P.key], "order": P.order},
                     "target": {"index": sub_index[Q.key], "order": Q.order},

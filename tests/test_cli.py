@@ -232,12 +232,12 @@ def test_field_extension_restart(tmp_path, monkeypatch):
 # answer or the path the rng takes fails here; one that does so on
 # purpose updates the pin and says why.
 GOLDEN_CHECK_SHA256 = {
-    ("a4", 2): "2ddae85eddb32e86e34fa3becb0da5be"
-               "9f7937f36a434ef3455773babe90067d",
-    ("d8", 2): "e80e20049913aeb5f21b4b2ad069e63c"
-               "8cd64a2de19e5851696f85d1792dcadf",
-    ("q8", 2): "c4451e6b1bab719f29bfa03267b5e2e8"
-               "9627e813daab05779d0acdabaec50988",
+    ("a4", 2): "f50a99e1e54874adf695364e5ee70f5b"
+               "4cfe9e8a84e08673cd0d9ef9e23ab0b7",
+    ("d8", 2): "66fe8ade6202100578725414e2ddd04b"
+               "e0d83210d74c1973c55dea89ea3cef2f",
+    ("q8", 2): "c94fdaa61106d33b1baa75970c6148ac"
+               "153bc642ba0c7584d892debdb5bf5b99",
     ("s3", 3): "66456a53839a31b54f8999fa2621bee7"
                "37ec9335976da208f4e58c83920658ba",
     ("s4", 3): "adc76768370bce43bba51b8e1df7ac21"

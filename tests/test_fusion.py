@@ -7,8 +7,9 @@ from bflab.algebra import group_algebra
 from bflab.blocks import analyze_block, build_group_algebra
 from bflab.cli import _dividing_primes
 from bflab.fusion import (BrauerPairPoset, BrauerPairs, FusionError,
-                          block_fusion, defect_groups, fixed_point_presystem,
-                          fusion_equal, fusion_from_group, is_divisible)
+                          FusionSystem, block_fusion, defect_groups,
+                          fixed_point_presystem, fusion_equal,
+                          fusion_from_group, is_divisible)
 from bflab.gf import make_field
 from bflab.groups import (all_subgroups, group_from_generators, load_group,
                           pinv, pmul, sylow_subgroup)
@@ -261,3 +262,21 @@ def test_centralizer_algebra_rejects_tampered_reps():
             engine.centralizer_algebra(P)
     bq.reps = good
     engine.centralizer_algebra(P)
+
+
+def test_hom_set_order_does_not_depend_on_insertion_order():
+    # frozensets compare by inclusion, so only a total key on the graphs
+    # makes "the first morphism" well defined
+    S = D8.full_subgroup()
+    F = fusion_from_group(S, D8)
+    fwd = FusionSystem(S, {k: sorted(v, key=sorted)
+                           for k, v in F.homs.items()})
+    bwd = FusionSystem(S, {k: sorted(v, key=sorted, reverse=True)
+                           for k, v in F.homs.items()})
+    assert fwd.serialize() == bwd.serialize()
+    for P in F.subgroups:
+        for Q in F.subgroups:
+            assert [m.graph for m in fwd.hom_maps(P, Q)] == \
+                [m.graph for m in bwd.hom_maps(P, Q)]
+            assert [m.graph for m in fwd.isomorphisms(P, Q)] == \
+                [m.graph for m in bwd.isomorphisms(P, Q)]
