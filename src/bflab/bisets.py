@@ -17,19 +17,13 @@ query a fusion system, and the Sylow condition is arithmetic on sizes.
 import numpy as np
 
 from . import linalg
-from .groups import (GroupInjection, TwistedClasses, TwistedDiagonal,
-                     all_subgroups, identity_injection, pinv)
+from .groups import (GroupInjection, TwistedDiagonal, all_subgroups,
+                     identity_injection, pinv, twisted_classes)
 from .interior import decode_pair, pair_subgroup
 
 
 class BisetError(ValueError):
     pass
-
-
-def twisted_classes(D):
-    if not hasattr(D, "_twisted_classes"):
-        D._twisted_classes = TwistedClasses(D)
-    return D._twisted_classes
 
 
 class BisetShape:

@@ -8,7 +8,10 @@ ordered pair of subgroups of S, the set of injective homomorphisms
 * the block fusion system F_D(b): conjugations compatible with the
   family of Brauer pairs under a chosen maximal pair; and
 * the fixed-point presystem fF_S(A): all injections whose twisted
-  Brauer quotient is nonzero.
+  Brauer quotient is nonzero.  Conjugation by D x D carries A(U) onto
+  A(gUg^-1), so the quotient is built once per twisted-diagonal class,
+  at the representative `bisets.shape_from_brauer_dims` also reads, and
+  every diagonal of a nonzero class is a morphism.
 
 Brauer pairs of a group algebra are subgroups P with a block of the
 quotient algebra (kG)(P) ~ kC_G(P); containment is decided through the
@@ -27,8 +30,8 @@ import numpy as np
 from . import linalg
 from .algebra import group_algebra, group_conjugation_perm
 from .groups import (GroupInjection, all_subgroups, centralizer,
-                     conjugation_injection, injective_maps,
-                     p_subgroups_up_to_conjugacy, pinv, pmul, sylow_subgroup)
+                     conjugation_injection, p_subgroups_up_to_conjugacy,
+                     pinv, pmul, sylow_subgroup, twisted_classes)
 from .idempotents import block_idempotents
 from .interior import InteriorAlgebra
 from .points import refine_idempotent
@@ -98,13 +101,6 @@ class FusionSystem:
         return all(self.homs.get(k, frozenset()) ==
                    other.homs.get(k, frozenset()) for k in keys)
 
-    def morphism_counts(self):
-        return {(len(self.subgroup(a).elements),
-                 len(self.subgroup(b).elements), i): len(v)
-                for i, ((a, b), v) in enumerate(sorted(
-                    self.homs.items(),
-                    key=lambda kv: (len(kv[0][0]), len(kv[0][1]))))}
-
     def summary(self):
         per = {}
         for (a, b), v in self.homs.items():
@@ -153,19 +149,22 @@ def fusion_from_group(S, G, label=None):
 
 
 def fixed_point_presystem(ia, label="fF"):
-    """Hom(P, Q) = injections with nonzero twisted Brauer quotient."""
-    from .groups import TwistedDiagonal
+    """Hom(P, Q) = injections phi: P -> Q with A(Delta(phi, P)) != 0,
+    decided once per twisted-diagonal class of D x D."""
     D = ia.D
     subgroups = all_subgroups(D)
-    homs = {}
-    for P in subgroups:
-        for Q in subgroups:
-            graphs = set()
-            for phi in injective_maps(P, Q):
-                into_d = GroupInjection(P, D, phi.mapping, check=False)
-                if ia.brauer(TwistedDiagonal(into_d)).dim > 0:
-                    graphs.add(phi.graph)
-            homs[(P.key, Q.key)] = graphs
+    homs = {(P.key, Q.key): set() for P in subgroups for Q in subgroups}
+    tc = twisted_classes(D)
+    for i, td in enumerate(tc.reps):
+        if ia.brauer(td).dim == 0:
+            continue
+        for pairs in tc.members(i):
+            source = frozenset(u for _, u in pairs)
+            image = frozenset(a for a, _ in pairs)
+            graph = frozenset((u, a) for a, u in pairs)
+            for Q in subgroups:
+                if image <= Q.key:
+                    homs[(source, Q.key)].add(graph)
     return FusionSystem(D, homs, label=label)
 
 

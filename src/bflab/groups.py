@@ -2,7 +2,8 @@
 
 Permutations on {0..n-1} are tuples of images.  Groups are closed
 element lists (order cap enforced at construction); subgroups carry a
-reference to their parent group.  Everything downstream is dense in the
+reference to their parent group, which memoizes every fact about a
+subgroup by its element set.  Everything downstream is dense in the
 group order, so brute-force enumeration is the intended regime.
 
 Also here: injective homomorphisms between subgroups, twisted diagonal
@@ -80,7 +81,14 @@ class PermGroup:
         self.elements = sorted(_close(self.generators, degree, order_cap))
         self.element_set = frozenset(self.elements)
         self.identity = identity_perm(degree)
-        self._maximal_memo = {}   # subgroup key -> maximal_subgroups
+        # Facts about subgroups are owned by the parent group, keyed by
+        # the subgroup's element set, and live as long as the group: two
+        # Subgroup objects with one key share them.
+        self._subgroups_memo = {}        # key -> all_subgroups tuple
+        self._maximal_memo = {}          # key -> maximal_subgroups tuple
+        self._generated_memo = {}        # generator set -> Subgroup
+        self._pair_group_memo = {}       # key -> D x D (bflab.interior)
+        self._twisted_classes_memo = {}  # key -> TwistedClasses
 
     @property
     def order(self):
@@ -93,8 +101,14 @@ class PermGroup:
         return Subgroup(self, frozenset(elems))
 
     def generated_subgroup(self, gens):
-        return Subgroup(self, frozenset(_close(list(gens), self.degree,
-                                               self.order)))
+        """The subgroup generated by gens, memoized by generator set."""
+        gens = frozenset(gens)
+        sub = self._generated_memo.get(gens)
+        if sub is None:
+            sub = Subgroup(self, frozenset(_close(list(gens), self.degree,
+                                                  self.order)))
+            self._generated_memo[gens] = sub
+        return sub
 
     def exponent(self):
         from math import lcm
@@ -139,11 +153,6 @@ class Subgroup:
 
     def subgroup(self, elems):
         return Subgroup(self.parent, frozenset(elems))
-
-    def generated(self, gens):
-        return Subgroup(self.parent,
-                        frozenset(_close(list(gens), self.parent.degree,
-                                         self.parent.order)))
 
     def generating_sequence(self):
         """Greedy short generating sequence."""
@@ -264,7 +273,12 @@ def _is_p_power(n, p):
 
 
 def all_subgroups(H):
-    """Every subgroup of H (H small: intended for p-groups of order <= 64)."""
+    """Every subgroup of the Subgroup H, by order then elements, memoized
+    on its parent group (read-only; H small: intended for p-groups of
+    order <= 64)."""
+    memo = H.parent._subgroups_memo
+    if H.key in memo:
+        return memo[H.key]
     seen = {frozenset([H.identity])}
     frontier = [frozenset([H.identity])]
     while frontier:
@@ -279,8 +293,9 @@ def all_subgroups(H):
                     seen.add(bigger)
                     new.append(bigger)
         frontier = new
-    return sorted((H.subgroup(s) for s in seen),
-                  key=lambda s: (s.order, s.elements))
+    memo[H.key] = tuple(sorted((H.subgroup(s) for s in seen),
+                               key=lambda s: (s.order, s.elements)))
+    return memo[H.key]
 
 
 def maximal_subgroups(P):
@@ -486,6 +501,7 @@ class TwistedClasses:
     decreasing |P| then canonical form; this is the elimination order
     for inverting the table of marks.  marks[i][j] counts the
     Delta_i-fixed points of the transitive biset (D x D)/Delta_j.
+    `members(i)` is the orbit of class i, every twisted diagonal in it.
     """
 
     def __init__(self, D):
@@ -507,7 +523,8 @@ class TwistedClasses:
         index = {k: i for i, k in enumerate(order)}
         self._class_of = {pairs: index[key]
                           for pairs, key in orbit_key.items()}
-        self.marks = self._marks_table([found[k][1] for k in order])
+        self._orbits = [frozenset(found[k][1]) for k in order]
+        self.marks = self._marks_table(self._orbits)
 
     def __len__(self):
         return len(self.reps)
@@ -516,6 +533,10 @@ class TwistedClasses:
         pairs = td_or_pairs.pairs if isinstance(td_or_pairs, TwistedDiagonal) \
             else frozenset(td_or_pairs)
         return self._class_of[pairs]
+
+    def members(self, i):
+        """Pair sets of the twisted diagonals in class i."""
+        return self._orbits[i]
 
     def _conjugates(self, pairs):
         out = set()
@@ -540,8 +561,9 @@ class TwistedClasses:
         return marks
 
 
-def twisted_diagonal_classes(D):
-    """Conjugacy-class representatives of twisted diagonals with their
-    table of marks (the elimination order is decreasing |P| then
-    canonical form)."""
-    return TwistedClasses(D)
+def twisted_classes(D):
+    """The TwistedClasses of the Subgroup D, memoized on its parent group."""
+    memo = D.parent._twisted_classes_memo
+    if D.key not in memo:
+        memo[D.key] = TwistedClasses(D)
+    return memo[D.key]

@@ -26,17 +26,18 @@ from .groups import (PermGroup, TwistedDiagonal, maximal_subgroups,
 
 
 def _pair_perm_group(D):
-    """D x D as a permutation group of degree 2 * degree(D), cached on D."""
-    if not hasattr(D, "_pair_group"):
+    """D x D as a permutation group of degree 2 * degree(D), memoized on
+    D's parent group."""
+    memo = D.parent._pair_group_memo
+    if D.key not in memo:
         n = D.parent.degree
         gens = []
         for g in D.generating_sequence() or [D.identity]:
             gens.append(tuple(g) + tuple(i + n for i in range(n)))
             gens.append(tuple(range(n)) + tuple(g[i] + n for i in range(n)))
-        big = PermGroup(2 * n, gens, label="DxD",
-                        order_cap=max(D.order ** 2, 1))
-        D._pair_group = big
-    return D._pair_group
+        memo[D.key] = PermGroup(2 * n, gens, label="DxD",
+                                order_cap=max(D.order ** 2, 1))
+    return memo[D.key]
 
 
 def encode_pair(D, a, b):

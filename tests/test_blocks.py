@@ -172,14 +172,14 @@ def test_operation_level_api_surface():
     import numpy as np
     from bflab import linalg
     from bflab.fusion import BrauerPairPoset, defect_groups
-    from bflab.groups import diagonal, twisted_diagonal_classes
+    from bflab.groups import diagonal, twisted_classes
     from bflab.interior import InteriorAlgebra
     from bflab.groups import sylow_subgroup
     from bflab.radical import radical_subspace
     r = np.random.default_rng(0)
     A = build_group_algebra(S3, 3)
     D = sylow_subgroup(S3, 3)
-    assert len(twisted_diagonal_classes(D)) == 3
+    assert len(twisted_classes(D)) == 3
     ia = InteriorAlgebra(A, D)
     td = diagonal(D)
     assert ia.fixed_rows(td.pairs).shape[0] == 4

@@ -10,9 +10,11 @@ from bflab.fusion import (BrauerPairPoset, BrauerPairs, FusionError,
                           FusionSystem, block_fusion, defect_groups,
                           fixed_point_presystem, fusion_equal,
                           fusion_from_group, is_divisible)
+from bflab import fusion, groups
 from bflab.gf import make_field
-from bflab.groups import (all_subgroups, group_from_generators, load_group,
-                          pinv, pmul, sylow_subgroup)
+from bflab.groups import (GroupInjection, TwistedDiagonal, all_subgroups,
+                          group_from_generators, injective_maps, load_group,
+                          pinv, pmul, sylow_subgroup, twisted_classes)
 from bflab.idempotents import block_idempotents
 from bflab.interior import InteriorAlgebra
 
@@ -280,3 +282,73 @@ def test_hom_set_order_does_not_depend_on_insertion_order():
                 [m.graph for m in bwd.hom_maps(P, Q)]
             assert [m.graph for m in fwd.isomorphisms(P, Q)] == \
                 [m.graph for m in bwd.isomorphisms(P, Q)]
+
+
+def per_injection_presystem(ia):
+    """fF by its definition: one twisted Brauer quotient per injection
+    P -> Q (the oracle of the per-class construction)."""
+    D = ia.D
+    subgroups = all_subgroups(D)
+    homs = {}
+    for P in subgroups:
+        for Q in subgroups:
+            graphs = set()
+            for phi in injective_maps(P, Q):
+                into_d = GroupInjection(P, D, phi.mapping, check=False)
+                if ia.brauer(TwistedDiagonal(into_d)).dim > 0:
+                    graphs.add(phi.graph)
+            homs[(P.key, Q.key)] = graphs
+    return FusionSystem(D, homs)
+
+
+def _catalog_group(name):
+    return A5 if name == "a5" else \
+        load_group(os.path.join(DATA, f"{name}.json"))
+
+
+@pytest.mark.parametrize("name,p", CATALOG)
+def test_presystem_per_class_matches_per_injection(name, p):
+    A = build_group_algebra(_catalog_group(name), p)
+    S = sylow_subgroup(A.group, p)
+    got = fixed_point_presystem(InteriorAlgebra(A, S))
+    assert got.homs == per_injection_presystem(InteriorAlgebra(A, S)).homs
+
+
+@pytest.mark.parametrize("name", ["s4", "sl23"])
+def test_source_presystem_per_class_matches_per_injection(name):
+    A = build_group_algebra(_catalog_group(name), 2)
+    r = rng()
+    engine = BrauerPairs(A, r)
+    for i, b in enumerate(block_idempotents(A, r)):
+        ia = analyze_block(engine, b, i, r).ia_S
+        ref = InteriorAlgebra(ia.A, ia.D, structural=ia.structural)
+        assert fixed_point_presystem(ia).homs == \
+            per_injection_presystem(ref).homs
+
+
+def test_twisted_quotient_dimension_is_constant_on_classes():
+    # A(U) and A(gUg^-1) are isomorphic for g in D x D
+    S4 = _catalog_group("s4")
+    ia = InteriorAlgebra(group_algebra(S4, make_field(2, 1)),
+                         sylow_subgroup(S4, 2))
+    tc = twisted_classes(ia.D)
+    assert ia.D.order == 8 and len(tc) > 1
+    for i, td in enumerate(tc.reps):
+        assert {ia.brauer(pairs).dim for pairs in tc.members(i)} == \
+            {ia.brauer(td).dim}
+
+
+def test_presystem_enumerates_no_injections(monkeypatch):
+    ia = InteriorAlgebra(group_algebra(D8, make_field(2, 1)),
+                         D8.full_subgroup())
+    twisted_classes(ia.D)
+    calls = []
+
+    def counting(P, Q):
+        calls.append((P, Q))
+        return injective_maps(P, Q)
+
+    monkeypatch.setattr(groups, "injective_maps", counting)
+    monkeypatch.setattr(fusion, "injective_maps", counting, raising=False)
+    fixed_point_presystem(ia)
+    assert calls == []

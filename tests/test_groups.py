@@ -1,11 +1,12 @@
 import pytest
 
 from bflab.groups import (GroupError, OrderCapExceeded, TwistedClasses,
-                          all_subgroups, centralizer,
-                          group_from_generators, injective_maps,
+                          TwistedDiagonal, all_subgroups, centralizer,
+                          group_from_generators, injective_maps, load_group,
                           maximal_subgroups, normalizer,
                           p_subgroups_up_to_conjugacy, pinv, pmul,
-                          sylow_subgroup)
+                          sylow_subgroup, twisted_classes)
+from bflab.interior import _pair_perm_group, pair_subgroup
 
 
 def S3():
@@ -159,7 +160,6 @@ def test_marks_triangular_with_normalizer_diagonal():
                     len(tc.keys[i]) == len(tc.keys[j]), \
                     "nonzero above the block diagonal"
     # diagonal = |N_{DxD}(R) / R|
-    from bflab.interior import pair_subgroup, _pair_perm_group
     big = _pair_perm_group(D)
     for i, td in enumerate(tc.reps):
         sub = pair_subgroup(D, td.pairs)
@@ -185,7 +185,6 @@ def _canonical_pair_set(pairs, D):
 def test_class_index_matches_conjugation_sweep():
     # the stored lookup agrees with the D x D conjugation sweep on every
     # twisted diagonal, and still rejects a pair set that is not one
-    from bflab.groups import TwistedDiagonal
     D = D8().full_subgroup()
     tc = TwistedClasses(D)
     for P in all_subgroups(D):
@@ -203,3 +202,43 @@ def test_maximal_subgroups_of_d8():
     full = D8().full_subgroup()
     maxes = maximal_subgroups(full)
     assert sorted(m.order for m in maxes) == [4, 4, 4]
+
+
+def test_members_partition_the_twisted_diagonals():
+    D = D8().full_subgroup()
+    tc = TwistedClasses(D)
+    every = {TwistedDiagonal(phi).pairs for P in all_subgroups(D)
+             for phi in injective_maps(P, D)}
+    seen = set()
+    for i, td in enumerate(tc.reps):
+        members = tc.members(i)
+        assert td.pairs in members
+        assert all(tc.class_index(pairs) == i for pairs in members)
+        assert not members & seen
+        seen |= members
+    assert seen == every
+
+
+D8_DOC = {"label": "D8", "degree": 4,
+          "generators": [[2, 3, 4, 1], [2, 1, 4, 3]]}
+
+
+def test_subgroup_facts_are_owned_by_the_parent_group():
+    G = load_group(D8_DOC)
+    a, b = G.full_subgroup(), G.subgroup(G.elements)
+    assert a is not b and a.key == b.key
+    subs = all_subgroups(a)
+    assert isinstance(subs, tuple) and all_subgroups(b) is subs
+    assert maximal_subgroups(b) is maximal_subgroups(a)
+    assert _pair_perm_group(b) is _pair_perm_group(a)
+    assert twisted_classes(b) is twisted_classes(a)
+    pairs = [(x, x) for x in a.elements]
+    assert pair_subgroup(b, pairs) is pair_subgroup(a, pairs)
+    assert G.generated_subgroup(G.generators) is \
+        G.generated_subgroup(reversed(G.generators))
+    # a fresh group starts with fresh memos
+    c = load_group(D8_DOC).full_subgroup()
+    assert all_subgroups(c) is not subs and all_subgroups(c) == subs
+    assert _pair_perm_group(c) is not _pair_perm_group(a)
+    assert twisted_classes(c) is not twisted_classes(a)
+    assert pair_subgroup(c, pairs) is not pair_subgroup(a, pairs)
