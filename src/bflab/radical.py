@@ -13,7 +13,8 @@ needs field divisions and is exact here.  Level 0 reads c_1 = -trace off
 one product-sum.  Each later level stacks the products L_t L_k of the
 left-multiplication matrices of the upper-triangle basis pairs (t <= k;
 the form is symmetric since charpoly(AB) = charpoly(BA)) and runs one
-batched Hessenberg reduction and recurrence per stack, `charpolys`.
+batched Hessenberg reduction and recurrence per stack, `charpolys`, which
+keeps only the top p^i + 1 coefficients of each leading-block polynomial.
 A stack holds at most `_STACK_BUDGET` matrix entries, and its products
 are built in parts whose n^3-element temporaries stay under the same
 budget.  `charpoly`, the one-matrix reduction, is the reference for
@@ -102,16 +103,11 @@ def charpoly(f, m):
     return [int(c) for c in rows[n]]
 
 
-def charpolys(f, stack):
-    """Characteristic polynomials of an (N, n, n) stack, as an (N, n + 1)
-    array of coefficients of det(tI - m), highest degree first.
-
-    One batched Hessenberg reduction (pivot: each matrix's first nonzero
-    entry below the diagonal) and one batched recurrence; `charpoly` is
-    its one-matrix reference.
-    """
+def _hessenbergs(f, stack):
+    """`hessenberg` of each matrix of an (N, n, n) stack, batched (pivot:
+    each matrix's first nonzero entry below the diagonal)."""
     h = np.array(stack, dtype=np.int64)
-    count, n = h.shape[0], h.shape[1]
+    n = h.shape[1]
     for j in range(n - 2):
         below = h[:, j + 1:, j] != 0
         piv = j + 1 + below.argmax(axis=1)      # j + 1 when none is nonzero
@@ -137,22 +133,43 @@ def charpolys(f, stack):
         h[:, :, j + 1] = f.add(h[:, :, j + 1],
                                f.mul_sum(h[:, :, j + 2:],
                                          factors[:, None, :], axis=2))
+    return h
+
+
+def charpolys(f, stack, j):
+    """The coefficient c_j of det(tI - m) (of t^(n - j)) for each matrix
+    m of an (N, n, n) stack, 0 <= j <= n, as a length-N array.
+
+    One batched Hessenberg reduction and one batched recurrence that
+    keeps only the top j + 1 coefficients of each leading-block
+    polynomial; `charpoly` is its one-matrix reference.
+    """
+    count, n = np.shape(stack)[:2]
+    if not 0 <= j <= n:
+        raise ValueError(f"no coefficient c_{j} of a degree-{n} polynomial")
+    h = _hessenbergs(f, stack)
     # polys[:, k] = charpoly of the leading k x k block, lowest degree
-    # first: p_k = t p_{k-1} - sum_{j<k} h[j, k-1] s_{j+1}...s_{k-1} p_j
-    # with s_i = h[i, i-1]; beta[:, j] holds that subdiagonal product
+    # first: p_k = t p_{k-1} - sum_{i<k} h[i, k-1] s_{i+1}...s_{k-1} p_i
+    # with s_i = h[i, i-1]; beta[:, i] holds that subdiagonal product.
+    # c_j of p_n needs degrees >= n - j of it, and those need only the
+    # degrees >= k - j of each p_k (p_i with i < k - j cannot reach them):
+    # step k fills that window from the p_i with i >= k - j
     polys = np.zeros((count, n + 1, n + 1), dtype=np.int64)
     polys[:, 0, 0] = 1
     beta = np.zeros((count, n), dtype=np.int64)
     for k in range(1, n + 1):
+        lo = max(0, k - j)
         if k > 1:
-            beta[:, :k - 1] = f.mul(beta[:, :k - 1], h[:, k - 1, k - 2, None])
+            beta[:, lo:k - 1] = f.mul(beta[:, lo:k - 1],
+                                      h[:, k - 1, k - 2, None])
         beta[:, k - 1] = 1
-        weights = f.mul(h[:, :k, k - 1], beta[:, :k])
-        polys[:, k, 1:] = polys[:, k - 1, :-1]
-        polys[:, k] = f.sub(polys[:, k],
-                            f.mul_sum(weights[:, :, None], polys[:, :k],
-                                      axis=1))
-    return polys[:, n, ::-1].copy()
+        weights = f.mul(h[:, lo:k, k - 1], beta[:, lo:k])
+        shift = max(lo, 1)                       # t p_{k-1}
+        polys[:, k, shift:k + 1] = polys[:, k - 1, shift - 1:k]
+        polys[:, k, lo:k + 1] = f.sub(
+            polys[:, k, lo:k + 1],
+            f.mul_sum(weights[:, :, None], polys[:, lo:k, lo:k + 1], axis=1))
+    return polys[:, n, n - j].copy()
 
 
 def radical_rows(A):
@@ -214,7 +231,7 @@ def _radical_rows_impl(A):
                     f.mul_sum(mats[t[s:s + sub]][:, :, :, None],
                               mats[k[s:s + sub]][:, None, :, :], axis=2)
                     for s in range(0, t.size, sub)])
-                vals[lo:lo + step] = charpolys(f, prods)[:, pi]
+                vals[lo:lo + step] = charpolys(f, prods, pi)
             forms = linalg.zeros(r, r)
             forms[left, right] = vals
             forms[right, left] = vals

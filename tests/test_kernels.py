@@ -1,8 +1,9 @@
 """The field and charpoly kernels against their reference paths: array
 `mul`, the product-sum kernel and the table-driven add/neg against the
 scalar and `vec_sum` paths, stacked `charpolys` against the one-matrix
-`charpoly`; and that no module of `bflab` has an `assert`, which
-`python -O` would skip."""
+`charpoly`; that no module of `bflab` has an `assert`, which
+`python -O` would skip, and none caches on an object's private
+attributes behind `hasattr`."""
 
 import ast
 import pathlib
@@ -128,10 +129,11 @@ def matrix_stacks(draw):
 def test_charpolys_match_charpoly(case):
     f, stack = case
     n = stack.shape[1]
-    got = charpolys(f, stack)
-    assert got.shape == (stack.shape[0], n + 1)
-    for m, cp in zip(stack, got):
-        assert cp.tolist() == charpoly(f, m)
+    want = [charpoly(f, m) for m in stack]
+    for j in range(n + 1):
+        got = charpolys(f, stack, j)
+        assert got.shape == (stack.shape[0],)
+        assert got.tolist() == [cp[j] for cp in want]
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -150,9 +152,9 @@ def test_charpolys_mix_swap_and_no_swap_pivots(p, m):
     stack[3, 2:, 0] = 0
     stack[3, 2:, 1] = 0
     stack[3, 4, 1] = 1
-    got = charpolys(f, stack)
-    for mat, cp in zip(stack, got):
-        assert cp.tolist() == charpoly(f, mat)
+    want = [charpoly(f, mat) for mat in stack]
+    for j in range(6):
+        assert charpolys(f, stack, j).tolist() == [cp[j] for cp in want]
 
 
 def test_kernel_checks_raise():
@@ -161,6 +163,8 @@ def test_kernel_checks_raise():
         linalg.matmul(f, linalg.eye(f, 2), linalg.eye(f, 3))
     with pytest.raises(ValueError):
         f.mul_sum(np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64), 1)
+    with pytest.raises(ValueError):
+        charpolys(f, np.zeros((1, 2, 2), dtype=np.int64), 3)
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
@@ -169,3 +173,17 @@ def test_no_bare_assert_in_kernel_layer(module):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert not lines, f"{module}: assert at lines {lines} vanishes under -O"
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_hasattr_cache_on_private_names(module):
+    # a cached fact has one owner that makes its memo up front; a
+    # hasattr probe for a private name is a cache bolted onto an object
+    tree = ast.parse((SRC / module).read_text())
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == "hasattr" and len(node.args) == 2
+             and isinstance(node.args[1], ast.Constant)
+             and str(node.args[1].value).startswith("_")]
+    assert not lines, f"{module}: hasattr cache at lines {lines}"
