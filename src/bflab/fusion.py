@@ -412,20 +412,22 @@ def block_fusion(poset, max_idx, label=None):
             family.setdefault(P.key, ei)
     if any(P.key not in family for P in all_subgroups(D)):
         raise FusionError("missing Brauer subpair below the maximal pair")
-    homs = {}
     subs = all_subgroups(D)
+    homs = {(P.key, Q.key): set() for P in subs for Q in subs}
     for P in subs:
-        for Q in subs:
-            graphs = set()
-            for g in G.elements:
-                Pg = P.conjugate(g)
-                if not Pg.key <= Q.key:
-                    continue
-                moved = engine.image_under(
-                    P, engine.blocks_at(P)[family[P.key]], g)
-                if engine.block_index(Pg, moved) == family[Pg.key]:
-                    graphs.add(conjugation_injection(P, g, Q).graph)
-            homs[(P.key, Q.key)] = graphs
+        e = engine.blocks_at(P)[family[P.key]]
+        for g in G.elements:
+            Pg = P.conjugate(g)
+            if not Pg.key <= D.key:
+                continue
+            moved = engine.image_under(P, e, g)
+            if engine.block_index(Pg, moved) != family[Pg.key]:
+                continue
+            # a graph does not depend on the codomain: one for every Q
+            graph = conjugation_injection(P, g, D).graph
+            for Q in subs:
+                if Pg.key <= Q.key:
+                    homs[(P.key, Q.key)].add(graph)
     F = FusionSystem(D, homs, label=label or "F_D(b)")
     F.pair_family = family
     F.defect = D

@@ -246,7 +246,7 @@ class FiniteField:
             self._log0[np.asarray(b, dtype=np.int64)]
         if not np.ndim(out):
             return int(self._exp0[out])
-        np.take(self._exp0, out, out=out, mode="clip")
+        self._exp0.take(out, out=out, mode="clip")
         return out
 
     def inv(self, a):
@@ -328,13 +328,35 @@ class FiniteField:
         # reads each index before it writes the same slot
         if self.p == 2:
             prods = self._log0[a] + self._log0[b]
-            np.take(self._exp0, prods, out=prods, mode="clip")
+            self._exp0.take(prods, out=prods, mode="clip")
             return np.bitwise_xor.reduce(prods, axis=axis)
         packed = self._log0[a] + self._log0[b]
-        np.take(self._pexp, packed, out=packed, mode="clip")
+        self._pexp.take(packed, out=packed, mode="clip")
         packed = packed.sum(axis=axis)
         digits = (packed[..., None] >> self._shifts) & self._mask
         return (digits % self.p) @ self._powers
+
+    def sub_outer(self, a, x, y):
+        """a - x (outer) y, the rank-one update of an elimination step.
+
+        The one rank-one kernel; `sub(a, mul(x[:, None], y))` is its
+        reference.  The field picks the path, as for `mul_sum`: an AND and
+        an XOR for GF(2), an in-place zero-sentinel gather and an XOR for
+        GF(2^m), an int64 product reduced mod p for other primes, and
+        otherwise `add` of the product with -x, negated on the short side.
+        """
+        a = np.asarray(a, dtype=np.int64)
+        x = np.asarray(x, dtype=np.int64)[:, None]
+        y = np.asarray(y, dtype=np.int64)
+        if self.q == 2:
+            return a ^ (x & y)
+        if self.m == 1:
+            return (a - x * y) % self.p
+        if self.p == 2:
+            prods = self._log0[x] + self._log0[y]
+            self._exp0.take(prods, out=prods, mode="clip")
+            return a ^ prods
+        return self.add(a, self.mul(self.neg(x), y))
 
     def frobenius(self, a, k=1):
         """a ** (p**k), the k-fold Frobenius."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import AlgebraContext
-from .groups import (PermGroup, TwistedDiagonal, maximal_subgroups,
+from .groups import (PermGroup, TwistedDiagonal, diagonal, maximal_subgroups,
                      pinv, pmul)
 
 
@@ -144,6 +144,8 @@ class InteriorAlgebra:
         self._lmats = {}
         self._rmats = {}
         self._bq_cache = {}
+        # P.key -> the quotient at Delta(P), an entry of _bq_cache
+        self._bq_at = {}
         self._fixed_cache = {}
         # point data of bflab.points, keyed by subgroup (and idempotent)
         self._points_cache = {"ctx": {}, "decomp": {}, "points": {},
@@ -267,8 +269,10 @@ class InteriorAlgebra:
 
     def brauer_at(self, P):
         """Standard Brauer quotient A(P) at the diagonal Delta(P)."""
-        from .groups import diagonal
-        return self.brauer(diagonal(P, self.D))
+        bq = self._bq_at.get(P.key)
+        if bq is None:
+            bq = self._bq_at[P.key] = self.brauer(diagonal(P, self.D))
+        return bq
 
     def fixed_subalgebra(self, P):
         """A^P (conjugation-fixed) as a subalgebra context."""

@@ -4,6 +4,14 @@ Matrices are 2-D numpy int64 arrays of field codes; every routine takes
 the field as its first argument.  Everything is plain Gaussian
 elimination, chosen deterministic (first nonzero pivot) so that reduced
 forms, representatives and solutions are reproducible bit for bit.
+
+`rref` is the one elimination kernel.  A matrix already in RREF with no
+zero row comes back as a copy after one vectorized check.  Otherwise
+each pivot swaps and scales only the columns from its own on (the rows
+below it are zero to the left), skips the scaling when its entry is
+already 1, and updates only the rows with a nonzero in its column,
+through the field's rank-one kernel `sub_outer`.  The RREF of a matrix
+is unique, so none of this changes a result.
 """
 
 import numpy as np
@@ -47,26 +55,53 @@ def rref(f, m):
     """Reduced row echelon form; returns (R, pivot column list)."""
     m = np.array(m, dtype=np.int64)
     rows, cols = m.shape
+    if m.size == 0:
+        return m[:0], []
+    pivots = _reduced_pivots(m)
+    if pivots is not None:
+        return m, pivots
     pivots = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
+        # rows r.. are zero left of c: their row operations start at c
         piv = r + int(nz[0])
         if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        m[r] = f.mul(m[r], f.inv(int(m[r, c])))
+            row = m[piv, c:].copy()
+            m[piv, c:] = m[r, c:]
+            m[r, c:] = row
+        lead = int(m[r, c])
+        if lead != 1:
+            m[r, c:] = f.mul(m[r, c:], f.inv(lead))
         col = m[:, c].copy()
         col[r] = 0
-        hit = np.nonzero(col)[0]
+        hit = col.nonzero()[0]
         if hit.size:
-            m[hit] = f.sub(m[hit], f.mul(col[hit, None], m[r][None, :]))
+            m[hit, c:] = f.sub_outer(m[hit, c:], col[hit], m[r, c:])
         pivots.append(c)
         r += 1
     return m[:r], pivots
+
+
+def _reduced_pivots(m):
+    """Leading columns of a nonempty m in RREF with no zero row, else None.
+
+    In RREF the leading columns strictly increase, each leading entry is 1
+    (so no row is zero) and is the only nonzero in its column.
+    """
+    rows = m.shape[0]
+    nonzero = m != 0
+    lead = nonzero.argmax(axis=1)
+    if (lead[1:] <= lead[:-1]).any():
+        return None
+    if np.count_nonzero(nonzero[:, lead]) != rows or \
+            (m[np.arange(rows), lead] != 1).any():
+        return None
+    return lead.tolist()
 
 
 def rank(f, m):

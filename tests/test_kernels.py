@@ -1,9 +1,10 @@
 """The field and charpoly kernels against their reference paths: array
-`mul`, the product-sum kernel and the table-driven add/neg against the
-scalar and `vec_sum` paths, stacked `charpolys` against the one-matrix
-`charpoly`; that no module of `bflab` has an `assert`, which
-`python -O` would skip, and none caches on an object's private
-attributes behind `hasattr`."""
+`mul`, the product-sum kernel, the rank-one kernel and the table-driven
+add/neg against the scalar, `vec_sum` and `sub`/`mul` paths, stacked
+`charpolys` against the one-matrix `charpoly`; that no module of `bflab`
+has an `assert`, which `python -O` would skip, none caches on an
+object's private attributes behind `hasattr`, and none but `gf` reads a
+field's private tables."""
 
 import ast
 import pathlib
@@ -65,6 +66,22 @@ def test_mul_sum_matches_reference(case, budget):
         got = f.mul_sum(a, b, axis)
     assert type(got) is type(expect)
     assert np.array_equal(got, expect)
+
+
+@st.composite
+def rank_one_updates(draw):
+    f = field(*draw(st.sampled_from(FIELDS)))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    return (f, draw(codes(f, (rows, cols))), draw(codes(f, rows)),
+            draw(codes(f, cols)))
+
+
+@given(rank_one_updates())
+def test_sub_outer_matches_reference(case):
+    f, a, x, y = case
+    got = f.sub_outer(a, x, y)
+    assert got.shape == a.shape
+    assert np.array_equal(got, f.sub(a, f.mul(x[:, None], y)))
 
 
 @given(st.sampled_from(FIELDS).flatmap(
@@ -187,3 +204,18 @@ def test_no_hasattr_cache_on_private_names(module):
              and isinstance(node.args[1], ast.Constant)
              and str(node.args[1].value).startswith("_")]
     assert not lines, f"{module}: hasattr cache at lines {lines}"
+
+
+FIELD_TABLES = {"_log0", "_exp0", "_pexp", "_add_table", "_neg_table",
+                "_log_list", "_exp_list"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                          if p.name != "gf.py"))
+def test_field_tables_are_read_only_in_gf(module):
+    # a field-specific path belongs in a FiniteField method, which picks
+    # it per field; a module reading the tables would fork that choice
+    tree = ast.parse((SRC / module).read_text())
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in FIELD_TABLES]
+    assert not lines, f"{module}: field table read at lines {lines}"

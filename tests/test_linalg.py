@@ -1,9 +1,37 @@
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bflab import linalg
 from bflab.gf import field
+
+
+def rref_oracle(f, m):
+    """Plain Gauss-Jordan over whole rows, every pivot scaled and every
+    row updated: the reference for `linalg.rref`."""
+    m = np.array(m, dtype=np.int64)
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+        m[r] = f.mul(m[r], f.inv(int(m[r, c])))
+        col = m[:, c].copy()
+        col[r] = 0
+        hit = np.nonzero(col)[0]
+        if hit.size:
+            m[hit] = f.sub(m[hit], f.mul(col[hit, None], m[r][None, :]))
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
 
 
 def test_rank_identity():
@@ -141,3 +169,67 @@ def test_subspace_reduce_matches_solve(case):
     assert S.contains(v) == (ref is not None)
     if linalg.rank(f, rows) == n:
         assert got is not None
+
+
+RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (3, 4)]
+FROM_REDUCED = ["reduced", "leading entry", "above a pivot", "zero row",
+               "repeated row", "rows out of order"]
+
+
+@st.composite
+def rref_inputs(draw, kind):
+    """Random, rank-deficient and reduced matrices, and reduced ones with
+    one defect: a leading entry other than 1, a nonzero above a pivot, a
+    zero row (in the middle or last), a repeated row or two rows
+    swapped."""
+    f = field(*draw(st.sampled_from(RREF_FIELDS)))
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    codes = st.integers(0, f.q - 1)
+    m = draw(arrays(np.int64, (rows, cols), elements=codes))
+    if kind == "rank-deficient":
+        k = draw(st.integers(0, min(rows, cols) - 1))
+        left = draw(arrays(np.int64, (rows, k), elements=codes))
+        right = draw(arrays(np.int64, (k, cols), elements=codes))
+        m = linalg.matmul(f, left, right) if k else linalg.zeros(rows, cols)
+    elif kind in FROM_REDUCED:
+        m, pivots = rref_oracle(f, m)
+        r = m.shape[0]
+        if r == 0:
+            return f, m
+        i = draw(st.integers(0, r - 1))
+        if kind == "leading entry" and f.q > 2:
+            m[i] = f.mul(m[i], draw(st.integers(2, f.q - 1)))
+        elif kind == "above a pivot" and i > 0:
+            m[draw(st.integers(0, i - 1)), pivots[i]] = \
+                draw(st.integers(1, f.q - 1))
+        elif kind == "zero row":
+            m = np.insert(m, draw(st.integers(1, r)), 0, axis=0)
+        elif kind == "repeated row":
+            m = np.insert(m, draw(st.integers(0, r)), m[i], axis=0)
+        elif kind == "rows out of order" and i > 0:
+            m[[0, i]] = m[[i, 0]]
+    return f, m
+
+
+@pytest.mark.parametrize("kind", ["random", "rank-deficient"] + FROM_REDUCED)
+@given(data=st.data())
+def test_rref_matches_oracle(kind, data):
+    f, m = data.draw(rref_inputs(kind))
+    before = m.copy()
+    got, pivots = linalg.rref(f, m)
+    want, want_pivots = rref_oracle(f, m)
+    assert pivots == want_pivots
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(m, before)            # the input is not touched
+    if got.size:
+        assert not np.shares_memory(got, m)
+
+
+@pytest.mark.parametrize("shape,reduced", [((0, 4), (0, 4)), ((4, 0), (0, 0)),
+                                           ((0, 0), (0, 0))])
+def test_rref_of_empty_shapes(shape, reduced):
+    # an (n, 0) matrix has n zero rows, all dropped
+    f = field(3)
+    for rref in (linalg.rref, rref_oracle):
+        got, pivots = rref(f, linalg.zeros(*shape))
+        assert got.shape == reduced and pivots == []
