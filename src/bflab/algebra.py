@@ -7,8 +7,9 @@ bare numpy coefficient vectors; all operations live on the context.
 
 Subalgebras (fixed-point algebras, corners e.A.e, centers) are
 AlgebraContexts carrying an `embed` matrix whose rows express their
-basis inside the parent, plus an exact coordinate extractor.  A proper
-subalgebra gets a dense tensor; the whole of a table-driven algebra
+basis inside the parent; `from_parent` reads coordinates over those
+rows through `linalg.Coordinates`.  A proper subalgebra gets a dense
+tensor from `linalg.structure_tensor`; the whole of a table-driven algebra
 (the corner at its unit, the fixed points of the trivial group) shares
 the parent's index tables, so kG stays table-driven through them.
 
@@ -38,12 +39,12 @@ class AlgebraContext:
         self.unit = None if unit is None else np.asarray(unit, dtype=np.int64)
         self.parent = parent
         self.embed = embed          # rows: our basis in parent coordinates
-        self._extract = None
         # a root owns the radicals of every algebra built under it
         # (see bflab.radical.radical_rows)
         self.radical_memo = {} if parent is None else None
         if parent is not None:
-            self._prepare_extractor()
+            self._coords = linalg.Coordinates(field, embed,
+                                              error=AlgebraError)
         if check and self.unit is not None:
             self._check_unit()
             # views and quotients of associative algebras are associative
@@ -113,9 +114,6 @@ class AlgebraContext:
     def is_idempotent(self, e):
         return np.array_equal(self.mul(e, e), np.asarray(e))
 
-    def commutes(self, x, y):
-        return np.array_equal(self.mul(x, y), self.mul(y, x))
-
     def random_element(self, rng):
         return self.field.random_elements(rng, self.dim)
 
@@ -124,34 +122,13 @@ class AlgebraContext:
 
     # -- parent coordinate plumbing ---------------------------------------
 
-    def _prepare_extractor(self):
-        f = self.field
-        pivots = linalg.rref(f, self.embed)[1]
-        inv = linalg.inverse(f, self.embed[:, pivots].T)
-        if inv is None:
-            raise AlgebraError("embed rows are dependent")
-        self._extract = (pivots, inv)
-
     def to_parent(self, x):
         return linalg.vecmat(self.field, np.asarray(x), self.embed)
 
     def from_parent(self, v, check=True):
-        """Coordinates of a parent vector lying in our span."""
-        return self._from_parent_columns(np.asarray(v)[:, None], check)[:, 0]
-
-    def _from_parent_columns(self, vs, check=True):
-        """Coordinates (as columns) of the parent vectors in vs's columns."""
-        pivots, inv = self._extract
-        c = linalg.matmul(self.field, inv, vs[pivots, :])
-        if check and not np.array_equal(
-                linalg.matmul(self.field, c.T, self.embed), vs.T):
-            raise AlgebraError("vector is outside the subalgebra")
-        return c
-
-    def span_contains(self, v):
-        pivots, inv = self._extract
-        c = linalg.matvec(self.field, inv, np.asarray(v)[pivots])
-        return np.array_equal(self.to_parent(c), np.asarray(v))
+        """Coordinates of a parent vector lying in our span; of each
+        column for a matrix."""
+        return self._coords(v, check)
 
     def to_root(self, x):
         """Coordinates in the outermost ancestor algebra."""
@@ -182,12 +159,8 @@ class AlgebraContext:
             # the whole of a table-driven algebra: same basis, same tables
             sub._ltable, sub._rtable = self._ltable, self._rtable
         else:
-            tensor = np.zeros((r, r, r), dtype=np.int64)
-            for i in range(r):
-                li = self.lmul_matrix(rows[i])
-                prods = linalg.matmul(f, li, rows.T)   # columns: b_i * b_j
-                tensor[i] = sub._from_parent_columns(prods, check).T
-            sub.mult_tensor = tensor
+            sub.mult_tensor = linalg.structure_tensor(
+                f, self.lmul_matrix, rows, sub._coords, check)
         sub.unit = sub.from_parent(unit, check=check)
         sub._check_unit()
         return sub
@@ -208,9 +181,6 @@ class AlgebraContext:
             b = self.basis_vector(i)
             stacked.append(f.sub(self.lmul_matrix(b), self.rmul_matrix(b)))
         return linalg.nullspace(f, np.concatenate(stacked, axis=0))
-
-    def center(self):
-        return self.subalgebra(self.center_rows())
 
     # -- invariant checks ---------------------------------------------------
 

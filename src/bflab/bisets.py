@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .groups import (GroupInjection, TwistedDiagonal, all_subgroups,
-                     identity_injection, pinv, twisted_classes)
+                     identity_injection, twisted_classes)
 from .interior import decode_pair, pair_subgroup
 
 
@@ -142,21 +142,8 @@ class InvariantBasis:
         self.vectors = vectors
         self.orbit_slices = orbit_slices      # list of (start, length)
         self.stabilizers = stabilizers        # TwistedDiagonal per orbit
-        self._index = {np.asarray(v).tobytes(): t
-                       for t, v in enumerate(vectors)}
-        if len(self._index) != len(vectors):
+        if len({np.asarray(v).tobytes() for v in vectors}) != len(vectors):
             raise ValueError("duplicate basis vectors")
-
-    def index_of(self, v):
-        return self._index.get(np.asarray(v).tobytes())
-
-    def act_index(self, d1, d2, t):
-        """Index of d1 . y_t . d2."""
-        w = self.ia.act(d1, pinv(d2), self.vectors[t])
-        j = self.index_of(w)
-        if j is None:
-            raise ValueError("basis is not invariant")
-        return j
 
     def shape(self):
         counts = {}

@@ -244,8 +244,7 @@ def cmd_catalog(args):
         path = os.path.join(args.dir, name)
         try:
             doc = _group_doc(path)
-            from .groups import load_group as lg
-            order = lg(doc, order_cap=args.order_cap).order
+            order = load_group(doc, order_cap=args.order_cap).order
         except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
             rows.append({"file": name, "status": "input-error",
                          "detail": str(exc)})

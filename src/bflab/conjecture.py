@@ -20,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bisets import (_into_group, characteristic_report,
+from .bisets import (_expand_orbit, _into_group, characteristic_report,
                      explicit_invariant_basis)
 from .fusion import fixed_point_presystem
 from .groups import GroupInjection, TwistedDiagonal, all_subgroups
 from .idempotents import are_associate, sandwich_rows, transpotent_pair
-from .interior import decode_pair, pair_subgroup, quotient_product
+from .interior import pair_subgroup, quotient_product
 from .points import (Point, conjugate_point, local_points,
                      local_invariant_decomposition, point_of, points,
                      refine_idempotent, relative_multiplicity,
@@ -129,27 +129,14 @@ def _replace_basis_orbit(ia, vectors, start, length, td, y, u):
     f = A.field
     d2_group = pair_subgroup(ia.D, [(a, b) for a in ia.D.elements
                                     for b in ia.D.elements])
-    sub = pair_subgroup(ia.D, td.pairs)
-    reps = d2_group.left_coset_reps(sub)
     others = [v for t, v in enumerate(vectors)
               if not (start <= t < start + length)]
     for lam in range(f.q):
         cand = A.add(y, A.scale(lam, u))
         if not A.is_unit(cand):
             continue
-        orbit = []
-        seen = set()
-        good = True
-        for enc in reps:
-            d1, d2 = decode_pair(ia.D, enc)
-            w = ia.act(d1, d2, cand)
-            wb = np.asarray(w).tobytes()
-            if wb in seen:
-                good = False
-                break
-            seen.add(wb)
-            orbit.append(w)
-        if not good:
+        orbit = _expand_orbit(ia, d2_group, td, cand)
+        if orbit is None:
             continue
         stacked = np.array(others + orbit, dtype=np.int64)
         if linalg.rank(f, stacked) != A.dim:

@@ -354,12 +354,6 @@ class BrauerPairPoset:
                 return True
         return False
 
-    def pair(self, idx):
-        return self.pairs[idx]
-
-    def maximal_pairs(self):
-        return [self.pairs[a] for a in self.maximal]
-
 
 def defect_groups(pairs, b):
     """Maximal p-subgroup classes where br_P(b) survives, as subgroups of

@@ -143,9 +143,6 @@ class Subgroup:
     def contains(self, x):
         return x in self.key
 
-    def is_subset(self, other):
-        return self.key <= other.key
-
     def conjugate(self, g):
         gi = pinv(g)
         return Subgroup(self.parent, frozenset(pmul(pmul(g, x), gi)
@@ -352,9 +349,6 @@ class GroupInjection:
     def image(self):
         return self.codomain.subgroup(self.mapping.values())
 
-    def is_iso_onto(self, Q):
-        return self.image().key == Q.key
-
     def compose(self, other):
         """self after other."""
         if not other.image().key <= self.domain.key:
@@ -472,11 +466,6 @@ class TwistedDiagonal:
 
     def sorted_pairs(self):
         return tuple(sorted(self.pairs))
-
-    def conjugate_pairs(self, a, b):
-        ai, bi = pinv(a), pinv(b)
-        return frozenset((pmul(pmul(a, x), ai), pmul(pmul(b, y), bi))
-                         for x, y in self.pairs)
 
     def __eq__(self, other):
         return isinstance(other, TwistedDiagonal) and self.pairs == other.pairs

@@ -42,34 +42,31 @@ def quotient_algebra(A, ideal_rows):
 
     Representatives are the standard basis vectors at the non-pivot
     coordinates of the ideal's RREF, so the quotient basis is canonical.
+    The ideal rows must be independent.
     """
     f = A.field
-    ideal_rows = linalg.rref(f, np.asarray(ideal_rows, dtype=np.int64))[0] \
-        if np.asarray(ideal_rows).size else linalg.zeros(0, A.dim)
-    pivots = linalg.rref(f, ideal_rows)[1] if ideal_rows.size else []
+    ideal_rows = np.asarray(ideal_rows, dtype=np.int64)
+    if ideal_rows.size == 0:
+        ideal_rows = linalg.zeros(0, A.dim)
+    pivots = linalg.rref(f, ideal_rows)[1]
     free = [c for c in range(A.dim) if c not in pivots]
-    reps = linalg.zeros(len(free), A.dim)
-    for t, c in enumerate(free):
-        reps[t, c] = 1
-    di = ideal_rows.shape[0]
-    stacked = np.concatenate([ideal_rows, reps], axis=0)
-    minv = linalg.inverse(f, stacked.T)
-    if minv is None:
-        raise AlgebraError("ideal rows dependent or not complementary")
-    proj_matrix = minv[di:, :]
+    reps = linalg.eye(f, A.dim)[free]
+    coords = linalg.Coordinates(f, np.concatenate([ideal_rows, reps]),
+                                mod=ideal_rows.shape[0], error=AlgebraError)
 
     def proj(v):
-        return linalg.matvec(f, proj_matrix, v)
+        """Class of v (of each column for a matrix) over the reps."""
+        return coords(v, check=False)
 
     def lift(c):
+        """The rep combination of c; of each column for a matrix."""
+        if np.ndim(c) == 2:
+            return linalg.matmul(f, reps.T, c)
         return linalg.vecmat(f, c, reps)
 
-    r = len(free)
-    tensor = np.zeros((r, r, r), dtype=np.int64)
-    for i in range(r):
-        prods = linalg.matmul(f, A.lmul_matrix(reps[i]), reps.T)
-        tensor[i] = linalg.matmul(f, proj_matrix, prods).T
-    Q = AlgebraContext(f, r, mult_tensor=tensor, unit=proj(A.unit),
+    tensor = linalg.structure_tensor(f, A.lmul_matrix, reps, coords,
+                                     check=False)
+    Q = AlgebraContext(f, len(free), mult_tensor=tensor, unit=proj(A.unit),
                        check=False)
     Q._check_unit()
     Q.lift = lift
@@ -206,12 +203,10 @@ def is_primitive(A, e):
     return C.dim - radical_rows(C).shape[0] == 1
 
 
-def block_idempotents(A, rng, center_rows=None):
+def block_idempotents(A, rng):
     """Central primitive idempotents, via the centre."""
     from .algebra import class_sum_rows
-    rows = center_rows
-    if rows is None:
-        rows = class_sum_rows(A) if hasattr(A, "group") else A.center_rows()
+    rows = class_sum_rows(A) if hasattr(A, "group") else A.center_rows()
     Z = A.subalgebra(linalg.rref(A.field, rows)[0])
     blocks = [Z.to_parent(e) for e in
               primitive_decomposition(Z, Z.unit, rng, verify=True)]

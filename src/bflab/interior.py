@@ -20,7 +20,7 @@ plain spaces linked by the pairing A(psi) x A(phi) -> A(psi o phi).
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraContext
+from .algebra import AlgebraContext, group_element_vector
 from .groups import (PermGroup, TwistedDiagonal, diagonal, maximal_subgroups,
                      pinv, pmul)
 
@@ -60,16 +60,20 @@ class BrauerQuotient:
     """A(U) presented by representative rows inside the U-fixed module."""
 
     def __init__(self, interior, pairs, fixed_rows, trace_rows, reps,
-                 proj_data, phi=None):
+                 phi=None):
+        f = interior.A.field
         self.interior = interior
         self.pairs = frozenset(pairs)
         self.phi = phi
-        self.fixed = linalg.Subspace(interior.A.field, interior.A.dim,
-                                     fixed_rows)
-        self.traces = linalg.Subspace(interior.A.field, interior.A.dim,
-                                      trace_rows)
-        self.reps = reps
-        self._proj = proj_data
+        self.fixed = linalg.Subspace(f, interior.A.dim, fixed_rows)
+        self.traces = linalg.Subspace(f, interior.A.dim, trace_rows)
+        # a class is the reps part of the coordinates over [traces; reps];
+        # the traces and the reps are views of that one array
+        t = self.traces.dim
+        self._coords = linalg.Coordinates(
+            f, np.concatenate([self.traces.basis, reps], axis=0), mod=t)
+        self.traces.basis = self._coords.rows[:t]
+        self.reps = self._coords.rows[t:]
         self._algebra = None
 
     @property
@@ -77,20 +81,9 @@ class BrauerQuotient:
         return self.reps.shape[0]
 
     def project(self, v, check=True):
-        """Class of a U-fixed vector, as coordinates over the reps."""
-        return self._project_columns(np.asarray(v)[:, None], check)[:, 0]
-
-    def _project_columns(self, vs, check=True):
-        """Classes of the U-fixed vectors in vs's columns, as columns."""
-        f = self.interior.A.field
-        pivots, inv, t = self._proj
-        c = linalg.matmul(f, inv, vs[pivots, :])
-        if check:
-            stacked = np.concatenate([self.traces.basis, self.reps], axis=0) \
-                if self.traces.dim else self.reps
-            if not np.array_equal(linalg.matmul(f, c.T, stacked), vs.T):
-                raise ValueError("vector is not in the fixed module")
-        return c[t:]
+        """Class of a U-fixed vector, as coordinates over the reps; of
+        each column for a matrix."""
+        return self._coords(v, check)
 
     def lift(self, c):
         """The rep combination of a class; of each column for a matrix."""
@@ -107,16 +100,10 @@ class BrauerQuotient:
         i.e. for diagonal subgroups Delta(P))."""
         if self._algebra is None:
             A = self.interior.A
-            f = A.field
-            r = self.dim
-            tensor = np.zeros((r, r, r), dtype=np.int64)
-            for i in range(r):
-                prods = linalg.matmul(f, A.lmul_matrix(self.reps[i]),
-                                      self.reps.T)
-                tensor[i] = self._project_columns(prods).T
-            unit = self.project(np.asarray(A.unit))
-            Q = AlgebraContext(f, r, mult_tensor=tensor, unit=unit,
-                               check=False)
+            tensor = linalg.structure_tensor(A.field, A.lmul_matrix,
+                                             self.reps, self._coords)
+            Q = AlgebraContext(A.field, self.dim, mult_tensor=tensor,
+                               unit=self.project(A.unit), check=False)
             Q._check_unit()
             self._algebra = Q
         return self._algebra
@@ -138,7 +125,7 @@ class InteriorAlgebra:
             raise ValueError("the interior group must be a p-group for the "
                              "coefficient characteristic")
         if structural is None:
-            structural = {g: _group_vec(A, g) for g in D.elements}
+            structural = {g: group_element_vector(A, g) for g in D.elements}
         self.structural = {g: np.asarray(v, dtype=np.int64)
                            for g, v in structural.items()}
         self._lmats = {}
@@ -255,15 +242,7 @@ class InteriorAlgebra:
         t = traces.shape[0]
         cols = linalg.rref(f, np.concatenate([traces, fixed], axis=0).T)[1]
         reps = fixed[[c - t for c in cols if c >= t]]
-        stacked = np.concatenate([traces, reps], axis=0) if traces.size \
-            else reps
-        if stacked.size:
-            pivots = linalg.rref(f, stacked)[1]
-            inv = linalg.inverse(f, stacked[:, pivots].T)
-        else:
-            pivots, inv = [], linalg.zeros(0, 0)
-        bq = BrauerQuotient(self, pairs, fixed, traces, reps,
-                            (pivots, inv, traces.shape[0]), phi=phi)
+        bq = BrauerQuotient(self, pairs, fixed, traces, reps, phi=phi)
         self._bq_cache[key] = bq
         return bq
 
@@ -291,12 +270,6 @@ class InteriorAlgebra:
             v = self.A.mul(self.structural[g], e)
             struct[g] = C.from_parent(v)
         return InteriorAlgebra(C, self.D, structural=struct)
-
-
-def _group_vec(A, g):
-    v = A.zero()
-    v[A.element_index[g]] = 1
-    return v
 
 
 def quotient_product(bq_left, bq_right, c_left, c_right, bq_out=None):
@@ -330,7 +303,7 @@ def quotient_product(bq_left, bq_right, c_left, c_right, bq_out=None):
         cols = c_right if c_right.ndim == 2 else c_right[:, None]
         w = linalg.matmul(A.field, A.lmul_matrix(bq_left.lift(c_left)),
                           bq_right.lift(cols))
-    out = bq_out._project_columns(w)
+    out = bq_out.project(w)
     if c_left.ndim == c_right.ndim == 1:
         out = out[:, 0]
     return out, bq_out

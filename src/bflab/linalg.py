@@ -12,6 +12,11 @@ below it are zero to the left), skips the scaling when its entry is
 already 1, and updates only the rows with a nonzero in its column,
 through the field's rank-one kernel `sub_outer`.  The RREF of a matrix
 is unique, so none of this changes a result.
+
+`Coordinates` is the one coordinate map over the rows of a matrix of
+full row rank, and `structure_tensor` the one fill of a multiplication
+table from it; every subalgebra, Brauer quotient and radical quotient
+goes through both.
 """
 
 import numpy as np
@@ -156,6 +161,57 @@ def inverse(f, m):
     return r[:, n:]
 
 
+class Coordinates:
+    """Coordinates over the rows of a matrix of full row rank.
+
+    The pivot columns come from one `rref` (every column of a square
+    matrix), and the inverse of the rows at those columns from one
+    `inverse`; each call is then one product.  With `mod` = t the map
+    gives the coordinates over rows[t:] only: the class of v modulo the
+    span of rows[:t].  Dependent rows, and a checked vector outside the
+    row span, raise `error`.
+    """
+
+    def __init__(self, f, rows, mod=0, error=ValueError):
+        rows = np.asarray(rows, dtype=np.int64)
+        n, cols = rows.shape
+        self.field = f
+        self.rows = rows
+        self.mod = mod
+        self.error = error
+        self.pivots = list(range(n)) if n == cols else rref(f, rows)[1]
+        inv = inverse(f, rows[:, self.pivots].T) \
+            if len(self.pivots) == n else None
+        if inv is None:
+            raise error("rows are dependent")
+        self._inv = inv
+
+    def __call__(self, v, check=True):
+        """Coordinates of v; of each column for a matrix.  Checked, they
+        must rebuild v."""
+        v = np.asarray(v, dtype=np.int64)
+        vs = v if v.ndim == 2 else v[:, None]
+        f = self.field
+        c = matmul(f, self._inv if check else self._inv[self.mod:],
+                   vs[self.pivots])
+        if check:
+            if not np.array_equal(matmul(f, c.T, self.rows), vs.T):
+                raise self.error("vector is outside the row span")
+            c = c[self.mod:]
+        return c if v.ndim == 2 else c[:, 0]
+
+
+def structure_tensor(f, lmul, rows, coords, check=True):
+    """t[i, j] = coords(rows[i] * rows[j]), one product per slice i;
+    lmul(v) is the left multiplication matrix of v in the ambient
+    algebra."""
+    r = rows.shape[0]
+    tensor = np.zeros((r, r, r), dtype=np.int64)
+    for i in range(r):
+        tensor[i] = coords(matmul(f, lmul(rows[i]), rows.T), check).T
+    return tensor
+
+
 class Subspace:
     """Row space of a matrix, held in RREF."""
 
@@ -190,9 +246,6 @@ class Subspace:
         if not np.array_equal(vecmat(self.field, x, self.basis), v):
             return None
         return x
-
-    def contains_space(self, other):
-        return all(self.contains(other.basis[i]) for i in range(other.dim))
 
     def sum(self, other):
         self._check(other)

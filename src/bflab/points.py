@@ -187,18 +187,9 @@ def _corner_fixed_ctx(ia, H_or_rows, e):
 def _sigma_matrix(ia, ctx, x):
     """Conjugation by x as a matrix on a subalgebra view ctx."""
     f = ia.A.field
-    cols = []
-    for i in range(ctx.dim):
-        v = ctx.to_parent(ctx.basis_vector(i))
-        cols.append(ctx.from_parent(ia.conj(x, v)))
-    return np.array(cols, dtype=np.int64).T
-
-
-def _matrix_power_apply(f, S, v, a):
-    out = np.asarray(v)
-    for _ in range(a):
-        out = linalg.matvec(f, S, out)
-    return out
+    conj = linalg.matmul(f, ia.lmat(x),
+                         linalg.matmul(f, ia.rmat(pinv(x)), ctx.embed.T))
+    return ctx.from_parent(conj)
 
 
 def _semisimple_orbit_idempotent(B, S, p, rng):
@@ -240,11 +231,7 @@ def _fixed_block_orbit_idempotent(B, S, blk, p, rng):
     f = B.field
     Qb = B.corner(blk)
     # sigma restricted to the corner
-    cols = []
-    for i in range(Qb.dim):
-        v = Qb.to_parent(Qb.basis_vector(i))
-        cols.append(Qb.from_parent(linalg.matvec(f, S, v)))
-    Sb = np.array(cols, dtype=np.int64).T
+    Sb = Qb.from_parent(linalg.matmul(f, S, Qb.embed.T))
     # sigma = conjugation by g: solve sigma(y).g = g.y for all basis y
     constraints = []
     for i in range(Qb.dim):
@@ -281,12 +268,9 @@ def _fixed_block_orbit_idempotent(B, S, blk, p, rng):
     n = vrows.shape[0]
     if n * n != Qb.dim:
         raise LocalDecompositionError("block is not split simple")
-    Vctx_extract = _row_extractor(f, vrows)
+    V = linalg.Coordinates(f, vrows)
     # action of g on V in the vrows basis
-    Gmat = linalg.zeros(n, n)
-    for i in range(n):
-        img = Qb.mul(g, vrows[i])
-        Gmat[:, i] = Vctx_extract(img)
+    Gmat = V(linalg.matmul(f, Qb.lmul_matrix(g), vrows.T), check=False)
     eta = f.sub(Gmat, linalg.eye(f, n))
     if not (n % p == 0 and linalg.nullspace(f, eta).shape[0] == n // p):
         raise LocalDecompositionError(
@@ -312,39 +296,23 @@ def _fixed_block_orbit_idempotent(B, S, blk, p, rng):
             rows = linalg.matmul(f, Gmat, rows.T).T
         blocks_rows.append(rows)
     full = np.concatenate(blocks_rows, axis=0)
-    inv = linalg.inverse(f, full.T)
-    if inv is None:
-        raise LocalDecompositionError("free basis construction failed")
+    coords = linalg.Coordinates(f, full, error=LocalDecompositionError)
     r = U.shape[0]
-    proj_mat = linalg.matmul(f, full[:r].T, inv[:r])
-    # back to an element of Qb: solve sum_e x_e . (L_e restricted to V) = proj
-    cols = [_left_action_matrix(f, Qb, vrows, Vctx_extract, e).reshape(-1)
-            for e in range(Qb.dim)]
-    jb = linalg.solve(f, np.array(cols).T, proj_mat.reshape(-1))
+    proj_mat = linalg.matmul(f, full[:r].T,
+                             coords(linalg.eye(f, n), check=False)[:r])
+    # back to an element of Qb: solve sum_e x_e . (L_e restricted to V) =
+    # proj.  Column i.dim + e of the products is b_e . v_i, so entry
+    # (a, i.dim + e) of their V-coordinates is entry (a, i) of L_e on V,
+    # and row a.n + i of the reshaped matrix holds it for every e
+    prods = np.concatenate([Qb.rmul_matrix(v) for v in vrows], axis=1)
+    acts = V(prods, check=False).reshape(n * n, Qb.dim)
+    jb = linalg.solve(f, acts, proj_mat.reshape(-1))
     if jb is None:
         raise LocalDecompositionError(
             "projection is not realized in the block")
     if not Qb.is_idempotent(jb):
         raise LocalDecompositionError("projection element not idempotent")
     return Qb.to_parent(jb)
-
-
-def _left_action_matrix(f, Qb, vrows, extract, e):
-    n = vrows.shape[0]
-    out = linalg.zeros(n, n)
-    base = Qb.basis_vector(e)
-    for i in range(n):
-        out[:, i] = extract(Qb.mul(base, vrows[i]))
-    return out
-
-
-def _row_extractor(f, rows):
-    pivots = linalg.rref(f, rows)[1]
-    inv = linalg.inverse(f, rows[:, pivots].T)
-
-    def extract(v):
-        return linalg.matvec(f, inv, np.asarray(v)[pivots])
-    return extract
 
 
 def _pth_root_scalar(f, a, p):
@@ -361,9 +329,7 @@ def _orbit_idempotent(ia, B, S, p, rng):
     f = B.field
     nrows = radical_rows(B)
     Q = quotient_algebra(B, nrows)
-    Sq = linalg.zeros(Q.dim, Q.dim)
-    for i in range(Q.dim):
-        Sq[:, i] = Q.proj(linalg.matvec(f, S, Q.lift(Q.basis_vector(i))))
+    Sq = Q.proj(linalg.matmul(f, S, Q.lift(Q.basis_matrix())))
     jbar = _semisimple_orbit_idempotent(Q, Sq, p, rng)
     x = Q.lift(jbar)
 

@@ -111,20 +111,6 @@ def derivative(f, a):
     return trim(out)
 
 
-def evaluate(f, a, x):
-    acc = 0
-    for c in reversed(a):
-        acc = f.add(f.mul(acc, x), c)
-    return acc
-
-
-def from_roots(f, roots):
-    out = (1,)
-    for r in roots:
-        out = mul(f, out, (f.neg(r), 1))
-    return out
-
-
 def pth_root(f, a):
     """g with g(x)^p = a(x), for a with zero derivative."""
     out = []

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from bflab.algebra import group_algebra
+from bflab.algebra import AlgebraError, group_algebra
 from bflab.gf import field, make_field
 from bflab.groups import group_from_generators
 from bflab.idempotents import (are_associate, block_idempotents,
@@ -106,6 +107,15 @@ def test_quotient_algebra_semisimple_quotient():
     Q = quotient_algebra(A, radical_rows(A))
     assert Q.dim == 2
     assert radical_rows(Q).shape[0] == 0
+    # class coordinates do not depend on the basis of the ideal, and
+    # dependent ideal rows are refused
+    J = radical_rows(A)
+    mixed = quotient_algebra(A, J[::-1])
+    assert np.array_equal(mixed.mult_tensor, Q.mult_tensor)
+    v = A.random_element(rng())
+    assert np.array_equal(mixed.proj(v), Q.proj(v))
+    with pytest.raises(AlgebraError):
+        quotient_algebra(A, np.concatenate([J, J[:1]]))
 
 
 def test_associates_in_matrix_block():

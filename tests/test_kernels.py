@@ -219,3 +219,18 @@ def test_field_tables_are_read_only_in_gf(module):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in FIELD_TABLES]
     assert not lines, f"{module}: field table read at lines {lines}"
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                          if p.name != "linalg.py"))
+def test_inverse_is_called_only_in_linalg(module):
+    # coordinates over rows go through linalg.Coordinates, which owns the
+    # one pivot inverse; an inverse elsewhere is a second coordinate map
+    tree = ast.parse((SRC / module).read_text())
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "inverse"
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "linalg"]
+    assert not lines, f"{module}: linalg.inverse called at lines {lines}"

@@ -233,3 +233,66 @@ def test_rref_of_empty_shapes(shape, reduced):
     for rref in (linalg.rref, rref_oracle):
         got, pivots = rref(f, linalg.zeros(*shape))
         assert got.shape == reduced and pivots == []
+
+
+@st.composite
+def full_rank_rows(draw):
+    """A field and an r x n matrix of full row rank, 0 <= r <= n: random
+    columns, except that r of them hold L.U with L unit lower and U upper
+    triangular with a nonzero diagonal."""
+    f = field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)])))
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(0, n))
+    codes = st.integers(0, f.q - 1)
+    rows = draw(arrays(np.int64, (r, n), elements=codes))
+    if r:
+        low = np.tril(draw(arrays(np.int64, (r, r), elements=codes)), -1)
+        up = np.triu(draw(arrays(np.int64, (r, r), elements=codes)), 1)
+        np.fill_diagonal(low, 1)
+        np.fill_diagonal(up, draw(arrays(np.int64, r,
+                                         elements=st.integers(1, f.q - 1))))
+        cols = draw(st.permutations(range(n)))[:r]
+        rows[:, cols] = linalg.matmul(f, low, up)
+    return f, rows
+
+
+@given(full_rank_rows(), st.data())
+def test_coordinates_match_solve(case, data):
+    f, rows = case
+    r, n = rows.shape
+    coords = linalg.Coordinates(f, rows)
+    codes = st.integers(0, f.q - 1)
+    # coordinates of random combinations come back, in one call per matrix
+    k = data.draw(st.integers(1, 4))
+    combos = data.draw(arrays(np.int64, (k, r), elements=codes))
+    vs = linalg.matmul(f, combos, rows).T if r else linalg.zeros(n, k)
+    for check in (True, False):
+        assert np.array_equal(coords(vs, check), combos.T)
+    mod = data.draw(st.integers(0, r))
+    assert np.array_equal(linalg.Coordinates(f, rows, mod=mod)(vs),
+                          combos.T[mod:])
+    # one vector against the exact reference: outside the span, a
+    # checked call raises
+    v = data.draw(arrays(np.int64, n, elements=codes))
+    ref = linalg.solve(f, rows.T, v) if r else \
+        (None if v.any() else linalg.zeros(1, 0)[0])
+    if ref is None:
+        with pytest.raises(ValueError):
+            coords(v)
+        with pytest.raises(Refused):
+            linalg.Coordinates(f, rows, error=Refused)(v)
+    else:
+        assert np.array_equal(coords(v), ref)
+
+
+class Refused(Exception):
+    pass
+
+
+def test_coordinates_reject_dependent_rows():
+    # dependent rows raise the caller's error, square or not
+    f = field(3)
+    rows = linalg.mat([[1, 2, 0], [2, 1, 0]])
+    for m in (rows, rows[:, :2]):
+        with pytest.raises(Refused):
+            linalg.Coordinates(f, m, error=Refused)

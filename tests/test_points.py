@@ -313,3 +313,19 @@ def test_odd_orbit_correction_recovers_perturbations():
             if x is None:
                 break
     assert recovered >= 18        # Newton may hit isolated degeneracies
+
+
+def test_sigma_matrix_matches_column_loop():
+    # one coordinate call over a matrix of columns against the column
+    # loop it replaced: conjugate each basis vector, read its coordinates
+    from bflab.points import _corner_fixed_ctx, _sigma_matrix
+    S4 = group_from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)], "S4")
+    ia = interior(S4, 2)
+    for R in all_subgroups(ia.D):
+        B = _corner_fixed_ctx(ia, R, ia.A.unit)
+        for x in ia.D.elements:
+            if R.conjugate(x).key != R.key:
+                continue
+            want = [B.from_parent(ia.conj(x, B.to_parent(B.basis_vector(i))))
+                    for i in range(B.dim)]
+            assert np.array_equal(_sigma_matrix(ia, B, x), np.array(want).T)
