@@ -191,14 +191,15 @@ class AlgebraContext:
                 and np.array_equal(self.rmul_matrix(self.unit), ident)):
             raise AlgebraError("unit is not a two-sided identity")
 
-    def _check_associative(self, sample_cap=200):
+    def _check_associative(self):
+        """Every basis triple up to dim 12, else 200 sampled triples."""
         import itertools
         n = self.dim
         if n <= 12:
             triples = itertools.product(range(n), repeat=3)
         else:
             rng = np.random.default_rng(1)
-            triples = (tuple(rng.integers(0, n, 3)) for _ in range(sample_cap))
+            triples = (tuple(rng.integers(0, n, 3)) for _ in range(200))
         for i, j, k in triples:
             bi, bj, bk = (self.basis_vector(t) for t in (i, j, k))
             left = self.mul(self.mul(bi, bj), bk)

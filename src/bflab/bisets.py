@@ -167,16 +167,16 @@ class BasisSearchError(RuntimeError):
     """Retry budget exhausted; carries the seed for reproduction."""
 
 
-def explicit_invariant_basis(ia, rng, shape=None, retries=24):
-    """Greedy top-down construction of an invariant basis matching the shape."""
+def explicit_invariant_basis(ia, rng):
+    """Greedy top-down construction of an invariant basis matching the
+    shape, with 24 restarts."""
     A = ia.A
     f = A.field
-    if shape is None:
-        shape = shape_from_brauer_dims(ia)
+    shape = shape_from_brauer_dims(ia)
     tc = shape.classes
     d2_group = pair_subgroup(ia.D, [(a, b) for a in ia.D.elements
                                     for b in ia.D.elements])
-    for attempt in range(retries):
+    for attempt in range(24):
         vectors, slices, stabs = [], [], []
         ok = True
         for ci in range(len(tc.reps)):
@@ -218,7 +218,7 @@ def explicit_invariant_basis(ia, rng, shape=None, retries=24):
                 return InvariantBasis(ia, [np.asarray(v) for v in vectors],
                                       slices, stabs)
     raise BasisSearchError(
-        f"invariant basis search failed after {retries} restarts")
+        "invariant basis search failed after 24 restarts")
 
 
 def _expand_orbit(ia, d2_group, td, v):

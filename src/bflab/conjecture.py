@@ -45,13 +45,30 @@ class Finding(RuntimeError):
 # units in twisted fixed subspaces
 # ---------------------------------------------------------------------------
 
-def _coefficient_vectors(q, d):
-    """The nonzero vectors of GF(q)^d in the order of the integers whose
-    base-q digits, least significant first, they are."""
-    vectors = itertools.product(range(q), repeat=d)
-    next(vectors)                           # the zero vector
-    for digits in vectors:
-        yield np.array(digits[::-1], dtype=np.int64)
+def _search(f, d, test, rng, limit, samples):
+    """The first result of `test` other than None on a nonzero vector of
+    GF(q)^d, or None, with the search record {dim, samples, exhaustive}.
+
+    When q^d <= limit every nonzero vector is tried, in the order of the
+    integers whose base-q digits (least significant first) they are, so
+    a negative is certain.  Otherwise `samples` vectors are drawn; a zero
+    draw counts as a sample but is not tested.
+    """
+    record = {"dim": int(d), "samples": 0, "exhaustive": f.q ** d <= limit}
+    if record["exhaustive"]:
+        vectors = itertools.product(range(f.q), repeat=d)
+        next(vectors)                       # the zero vector
+        candidates = (np.array(digits[::-1], dtype=np.int64)
+                      for digits in vectors)
+    else:
+        candidates = (f.random_elements(rng, d) for _ in range(samples))
+    for c in candidates:
+        if not record["exhaustive"]:
+            record["samples"] += 1
+        hit = test(c) if np.any(c) else None
+        if hit is not None:
+            return hit, record
+    return None, record
 
 
 def unit_in_subspace(ia, rows, rng, exhaustive=False):
@@ -67,24 +84,15 @@ def unit_in_subspace(ia, rows, rng, exhaustive=False):
     record = {"dim": int(rows.shape[0]), "samples": 0, "exhaustive": False}
     if rows.shape[0] == 0:
         return None, record
-    for t in range(rows.shape[0]):
-        if A.is_unit(rows[t]):
-            return rows[t], record
-    space = f.q ** rows.shape[0]
-    if (exhaustive or space <= 4096) and space <= 2 ** 20:
-        record["exhaustive"] = True
-        for coeffs in _coefficient_vectors(f.q, rows.shape[0]):
-            v = linalg.vecmat(f, coeffs, rows)
-            if np.any(v) and A.is_unit(v):
-                return v, record
-        return None, record
-    for _ in range(64):
-        record["samples"] += 1
-        coeffs = f.random_elements(rng, rows.shape[0])
-        v = linalg.vecmat(f, coeffs, rows)
-        if np.any(v) and A.is_unit(v):
-            return v, record
-    return None, record
+    for row in rows:
+        if A.is_unit(row):
+            return row, record
+
+    def unit(c):
+        v = linalg.vecmat(f, c, rows)
+        return v if A.is_unit(v) else None
+    return _search(f, rows.shape[0], unit, rng,
+                   2 ** 20 if exhaustive else 4096, 64)
 
 
 class ExtensionNeeded(RuntimeError):
@@ -244,21 +252,12 @@ def twisted_unit_exists(ia, phi, rng):
 def _search_twisted_unit(ia, phi, rng):
     """Every nonzero class of A(phi) when there are at most 2^16, else 64
     random ones, until one has a twisted inverse."""
-    f = ia.A.field
     quotients = _iso_quotients(ia, phi)
     d = quotients[0].dim
     if d == 0 or any(bq.dim != d for bq in quotients):
         return None
-    if f.q ** d <= 2 ** 16:
-        candidates = _coefficient_vectors(f.q, d)
-    else:
-        candidates = (c for c in (f.random_elements(rng, d)
-                                  for _ in range(64)) if np.any(c))
-    for coords in candidates:
-        tu = _try_twisted(ia, quotients, coords)
-        if tu is not None:
-            return tu
-    return None
+    return _search(ia.A.field, d, lambda c: _try_twisted(ia, quotients, c),
+                   rng, 2 ** 16, 64)[0]
 
 
 def _try_twisted(ia, quotients, coords):
@@ -416,6 +415,20 @@ def twisted_unit_laws_report(ia, presystem, rng):
             rhs = linalg.matmul(f, Qalg.lmul_matrix(conj[:, a]), conj)
             if not np.array_equal(lhs, rhs):
                 report["conjugation_multiplicative"] = False
+        # biregular translations to a second twisted unit, drawn at
+        # random: unique x_P with u.x_P = v and unique x_Q with x_Q.u = v
+        tu2, _ = _search(f, bq_phi.dim,
+                         lambda c: _try_twisted(ia, quotients, c), rng, 0, 4)
+        if tu2 is None:
+            continue
+        left, _ = quotient_product(bq_phi, bq_P, tu.u,
+                                   linalg.eye(f, bq_P.dim), bq_phi)
+        right, _ = quotient_product(bq_Q, bq_phi, linalg.eye(f, bq_Q.dim),
+                                    tu.u, bq_phi)
+        for m in (left, right):
+            if linalg.solve(f, m, tu2.u) is None or \
+                    linalg.nullspace(f, m).shape[0] != 0:
+                report["translation_regular"] = False
     # composable products of twisted units are twisted units
     for P1, Q1, phi in isos:
         for P2, Q2, psi in isos:
@@ -428,28 +441,6 @@ def twisted_unit_laws_report(ia, presystem, rng):
                                           units[_phi_label(phi)].u)
             if _try_twisted(ia, _iso_quotients(ia, bq_comp.phi), w) is None:
                 report["closure"] = False
-    # biregular translations between two twisted units
-    for P, Q, phi in isos:
-        tu = units[_phi_label(phi)]
-        quotients = _iso_quotients(ia, phi)
-        bq_phi, _, bq_P, bq_Q = quotients
-        tu2 = None
-        for _ in range(4):
-            cand = f.random_elements(rng, bq_phi.dim)
-            tu2 = _try_twisted(ia, quotients, cand)
-            if tu2 is not None:
-                break
-        if tu2 is None:
-            continue
-        # unique x_P with u.x_P = v and unique x_Q with x_Q.u = v
-        left, _ = quotient_product(bq_phi, bq_P, tu.u,
-                                   linalg.eye(f, bq_P.dim), bq_phi)
-        right, _ = quotient_product(bq_Q, bq_phi, linalg.eye(f, bq_Q.dim),
-                                    tu.u, bq_phi)
-        for m in (left, right):
-            if linalg.solve(f, m, tu2.u) is None or \
-                    linalg.nullspace(f, m).shape[0] != 0:
-                report["translation_regular"] = False
     return report
 
 
@@ -652,7 +643,7 @@ def intrinsic_balance_report(ia, presystem, rng):
     return report
 
 
-def ambient_balance_report(ia_hat, ell, presystem, rng):
+def ambient_balance_report(ia_hat, ell, presystem, rng, exhaustive=False):
     """Balance of the corner l.A^.l inside A^ against theta of A^.
 
     ia_hat is the ambient interior algebra (e.g. the block algebra as an
@@ -662,7 +653,8 @@ def ambient_balance_report(ia_hat, ell, presystem, rng):
     report = {"ambient_unital_certified": None, "balanced": True}
     D = ia_hat.D
     ok_units, _ = unital_basis_exists(
-        ia_hat, fixed_point_presystem(ia_hat, label="fF(ambient)"), rng)
+        ia_hat, fixed_point_presystem(ia_hat, label="fF(ambient)"), rng,
+        exhaustive=exhaustive)
     report["ambient_unital_certified"] = ok_units
     witness = None
     for P, Q, phi in presystem.all_isomorphisms():
@@ -695,6 +687,17 @@ def _relative_mult_of_idempotent(ia, P, pt, ell, rng):
 # the three-way equivalence report
 # ---------------------------------------------------------------------------
 
+def intrinsic_conditions(ia, presystem, rng, exhaustive):
+    """Conditions (i)-(iii) of an interior algebra with its fixed-point
+    presystem, each computed on its own: (unital basis or None, the
+    evidence of a negative, all twisted units, intrinsic balance report).
+    """
+    basis, negative = build_unital_basis(ia, rng, exhaustive=exhaustive)
+    twisted, _ = has_all_twisted_units(ia, presystem, rng)
+    return (basis, negative, twisted,
+            intrinsic_balance_report(ia, presystem, rng))
+
+
 def equivalence_report(data, rng, thorough=False, exhaustive=False):
     """Independently compute (i) unital basis, (ii) all twisted units,
     (iii) intrinsic and ambient balance; report agreement."""
@@ -702,20 +705,16 @@ def equivalence_report(data, rng, thorough=False, exhaustive=False):
     F = data.source_presystem
     out = {}
 
-    basis, neg = build_unital_basis(ia, rng, exhaustive=exhaustive)
+    basis, neg, twisted, intr = intrinsic_conditions(ia, F, rng, exhaustive)
     out["unital_basis"] = basis is not None
     if neg is not None:
         out["unital_basis_negative"] = neg
-
-    tw_ok, tw_table = has_all_twisted_units(ia, F, rng)
-    out["all_twisted_units"] = tw_ok
-
-    intr = intrinsic_balance_report(ia, F, rng)
+    out["all_twisted_units"] = twisted
     out["intrinsic_balance"] = intr["balanced"]
     out["intrinsic_detail"] = intr
 
     amb = ambient_balance_report(data.ia_B, data.ia_B.A.from_parent(data.ell),
-                                 F, rng)
+                                 F, rng, exhaustive=exhaustive)
     out["ambient_balance"] = amb["balanced"]
     out["ambient_detail"] = amb
     out["ambient_matches_intrinsic"] = (out["intrinsic_balance"] ==
@@ -741,11 +740,11 @@ def equivalence_report(data, rng, thorough=False, exhaustive=False):
         agree = True
         for cand in data.source_candidates[1:]:
             ia2 = data.ia_B.corner(data.ia_B.A.from_parent(cand))
-            F2 = fixed_point_presystem(ia2, label="fF(alt source)")
-            b2, _ = build_unital_basis(ia2, rng)
-            t2, _ = has_all_twisted_units(ia2, F2, rng)
-            i2 = intrinsic_balance_report(ia2, F2, rng)["balanced"]
-            if not (b2 is not None) == t2 == i2 == out["unital_basis"]:
+            b2, _, t2, i2 = intrinsic_conditions(
+                ia2, fixed_point_presystem(ia2, label="fF(alt source)"), rng,
+                exhaustive)
+            if not (b2 is not None) == t2 == i2["balanced"] == \
+                    out["unital_basis"]:
                 agree = False
         out["thorough_candidates_agree"] = agree
         if not agree:

@@ -122,10 +122,11 @@ def _poly_ext_gcd(f, g, h):
     return polys.scale(f, s0, lead), polys.scale(f, t0, lead)
 
 
-def _proper_idempotent_mod_radical(A, Q, rng, budget=None):
-    """Proper idempotent of the semisimple quotient Q, or NonSplitError."""
+def _proper_idempotent_mod_radical(A, Q, rng):
+    """Proper idempotent of the semisimple quotient Q, or NonSplitError
+    after 64 + 8 dim Q draws."""
     f = A.field
-    budget = budget or (64 + 8 * Q.dim)
+    budget = 64 + 8 * Q.dim
     for _ in range(budget):
         z = Q.random_element(rng)
         mp = minimal_polynomial(Q, z)
@@ -176,24 +177,27 @@ def primitive_decomposition(A, e, rng, verify=True, verify_primitive=False):
         return []
     C = A.corner(e, check=False)
     parts = [C.to_parent(z) for z in decompose_unit(C, rng)]
-    if verify:
-        acc = A.zero()
-        for x in parts:
-            if not A.is_idempotent(x):
-                raise AlgebraError("piece is not idempotent")
-            acc = A.add(acc, x)
-        if not np.array_equal(acc, np.asarray(e)):
-            raise AlgebraError("pieces do not sum to e")
-        for a in range(len(parts)):
-            for b in range(a + 1, len(parts)):
-                if np.any(A.mul(parts[a], parts[b])) or \
-                        np.any(A.mul(parts[b], parts[a])):
-                    raise AlgebraError("pieces are not orthogonal")
+    if verify and not _is_orthogonal_decomposition(A, parts, e):
+        raise AlgebraError("pieces are not orthogonal idempotents summing "
+                           "to e")
     if verify_primitive:
         for x in parts:
             if not is_primitive(A, x):
                 raise AlgebraError("piece is not primitive")
     return parts
+
+
+def _is_orthogonal_decomposition(A, parts, e):
+    """Whether the parts are idempotents with pairwise products zero and
+    sum e: the products of each part with all of them are one product."""
+    f = A.field
+    cols = np.array(parts, dtype=np.int64).reshape(len(parts), A.dim).T
+    for a, x in enumerate(parts):
+        want = np.zeros_like(cols)
+        want[:, a] = x
+        if not np.array_equal(linalg.matmul(f, A.lmul_matrix(x), cols), want):
+            return False
+    return np.array_equal(f.vec_sum(cols, axis=1), np.asarray(e))
 
 
 def is_primitive(A, e):

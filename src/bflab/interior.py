@@ -59,13 +59,12 @@ def pair_subgroup(D, pairs):
 class BrauerQuotient:
     """A(U) presented by representative rows inside the U-fixed module."""
 
-    def __init__(self, interior, pairs, fixed_rows, trace_rows, reps,
-                 phi=None):
+    def __init__(self, interior, pairs, fixed, trace_rows, reps, phi=None):
         f = interior.A.field
         self.interior = interior
         self.pairs = frozenset(pairs)
         self.phi = phi
-        self.fixed = linalg.Subspace(f, interior.A.dim, fixed_rows)
+        self.fixed = fixed          # the interior algebra's cached Subspace
         self.traces = linalg.Subspace(f, interior.A.dim, trace_rows)
         # a class is the reps part of the coordinates over [traces; reps];
         # the traces and the reps are views of that one array
@@ -180,22 +179,26 @@ class InteriorAlgebra:
     # -- fixed points, traces, quotients ---------------------------------
 
     def fixed_rows(self, pairs):
-        """Rows spanning {a : d1 a = a d2 for (d1, d2) generating pairs}."""
-        f = self.A.field
-        sub = pair_subgroup(self.D, pairs)
-        if sub.key in self._fixed_cache:
-            return self._fixed_cache[sub.key]
-        gens = sub.generating_sequence()
-        if not gens:
-            rows = linalg.eye(f, self.A.dim)
-        else:
-            blocks = []
-            for enc in gens:
+        """Rows spanning {a : d1 a = a d2 for (d1, d2) generating pairs},
+        in RREF and read-only."""
+        return self._fixed(pair_subgroup(self.D, pairs)).basis
+
+    def _fixed(self, U):
+        """The U-fixed module of a pair subgroup U, as one read-only
+        Subspace per U."""
+        space = self._fixed_cache.get(U.key)
+        if space is None:
+            f = self.A.field
+            blocks = [linalg.zeros(0, self.A.dim)]
+            for enc in U.generating_sequence():
                 d1, d2 = decode_pair(self.D, enc)
                 blocks.append(f.sub(self.lmat(d1), self.rmat(d2)))
-            rows = linalg.nullspace(f, np.concatenate(blocks, axis=0))
-        self._fixed_cache[sub.key] = rows
-        return rows
+            # nullspace rows (eye for no generator) are in RREF already,
+            # so the Subspace takes them without elimination
+            space = self._fixed_cache[U.key] = linalg.Subspace(
+                f, self.A.dim, linalg.nullspace(f, np.concatenate(blocks)))
+            space.basis.flags.writeable = False
+        return space
 
     def trace_map(self, sub_pairs, super_pairs):
         """Relative trace matrix tr: A^V -> A^U between pair subgroups."""
@@ -223,14 +226,13 @@ class InteriorAlgebra:
         if key in self._bq_cache:
             return self._bq_cache[key]
         f = self.A.field
-        fixed = self.fixed_rows(pairs)
         U = pair_subgroup(self.D, pairs)
+        fixed = self._fixed(U)
         trace_imgs = []
         for V in maximal_subgroups(U):
             v_pairs = [decode_pair(self.D, e) for e in V.elements]
-            sub_fixed = self.fixed_rows(v_pairs)
             tm = self.trace_map(v_pairs, pairs)
-            img = linalg.matmul(f, tm, sub_fixed.T).T
+            img = linalg.matmul(f, tm, self._fixed(V).basis.T).T
             trace_imgs.append(img)
         if trace_imgs:
             traces = linalg.rref(f, np.concatenate(trace_imgs, axis=0))[0]
@@ -240,8 +242,9 @@ class InteriorAlgebra:
         # pivot columns of [traces; fixed]^T past the traces are the fixed
         # rows independent of the traces and of the fixed rows before them
         t = traces.shape[0]
-        cols = linalg.rref(f, np.concatenate([traces, fixed], axis=0).T)[1]
-        reps = fixed[[c - t for c in cols if c >= t]]
+        cols = linalg.rref(f, np.concatenate([traces, fixed.basis],
+                                             axis=0).T)[1]
+        reps = fixed.basis[[c - t for c in cols if c >= t]]
         bq = BrauerQuotient(self, pairs, fixed, traces, reps, phi=phi)
         self._bq_cache[key] = bq
         return bq

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .groups import Subgroup, maximal_subgroups, pinv
-from .idempotents import (NonSplitError, is_primitive,
-                          primitive_decomposition, quotient_algebra)
+from .groups import Subgroup, diagonal, maximal_subgroups, pinv
+from .idempotents import (NonSplitError, _is_orthogonal_decomposition,
+                          is_primitive, primitive_decomposition,
+                          quotient_algebra, sandwich_rows)
 from .radical import radical_rows
 
 
@@ -171,17 +172,10 @@ def _stabilizer(ia, P, v):
                       if np.array_equal(ia.conj(g, v), np.asarray(v)))
 
 
-def _corner_fixed_ctx(ia, H_or_rows, e):
+def _corner_fixed_ctx(ia, R, e):
     """Subalgebra e.(A^R).e with unit e, as a context view of A."""
-    A = ia.A
-    f = A.field
-    rows = ia.fixed_rows([(g, g) for g in H_or_rows.generating_sequence()]
-                         or [(H_or_rows.identity, H_or_rows.identity)])
-    le = A.lmul_matrix(e)
-    re = A.rmul_matrix(e)
-    sandwiched = linalg.matmul(f, le, linalg.matmul(f, re, rows.T)).T
-    rows2 = linalg.rref(f, sandwiched)[0]
-    return A.subalgebra(rows2, unit=np.asarray(e))
+    rows = sandwich_rows(ia.A, e, fixed_ctx(ia, R).embed, e)
+    return ia.A.subalgebra(rows, unit=np.asarray(e))
 
 
 def _sigma_matrix(ia, ctx, x):
@@ -320,7 +314,7 @@ def _pth_root_scalar(f, a, p):
     return f.pow(a, p ** ((f.m - 1) % max(f.m, 1))) if f.m > 1 else a
 
 
-def _orbit_idempotent(ia, B, S, p, rng):
+def _orbit_idempotent(B, S, p, rng):
     """Idempotent j in B with free orthogonal sigma-orbit summing to 1_B.
 
     B is a corner-of-fixed-points view, S the matrix of the order-p
@@ -332,20 +326,13 @@ def _orbit_idempotent(ia, B, S, p, rng):
     Sq = Q.proj(linalg.matmul(f, S, Q.lift(Q.basis_matrix())))
     jbar = _semisimple_orbit_idempotent(Q, Sq, p, rng)
     x = Q.lift(jbar)
-
-    def trace(v):
-        acc = np.asarray(v)
-        out = acc
-        for _ in range(p - 1):
-            acc = linalg.matvec(f, S, acc)
-            out = f.add(out, acc)
-        return out
+    powers, tsum = _sigma_powers(f, S, p)
 
     # exact sum normalization: d is sigma-fixed, so (1 + d)^-1 is too
-    d = B.sub(trace(x), B.unit)
+    d = B.sub(linalg.matvec(f, tsum, x), B.unit)
     corr = B.inv(B.add(B.unit, d))
     x = B.mul(corr, x)
-    if not np.array_equal(trace(x), B.unit):
+    if not np.array_equal(linalg.matvec(f, tsum, x), B.unit):
         raise LocalDecompositionError("orbit trace is not the unit")
 
     if p == 2:
@@ -354,7 +341,7 @@ def _orbit_idempotent(ia, B, S, p, rng):
             if B.is_idempotent(x):
                 break
             x = B.mul(x, x)
-        if _verify_orbit(ia, B, S, x, p):
+        if _verify_orbit(B, powers, x):
             return x
         raise LocalDecompositionError("char-2 orbit lift failed")
 
@@ -368,62 +355,48 @@ def _orbit_idempotent(ia, B, S, p, rng):
             x = x0
         else:
             if shift_rows is None:
-                shift_rows = _sum_exact_radical_shifts(f, B, S, nrows, p)
+                shift_rows = _sum_exact_radical_shifts(f, tsum, nrows)
             if shift_rows.shape[0] == 0:
                 break
             coeffs = f.random_elements(rng, shift_rows.shape[0])
             x = B.add(x0, linalg.vecmat(f, coeffs, shift_rows))
         for _ in range(8 * B.dim + 16):
-            if _verify_orbit(ia, B, S, x, p):
+            if _verify_orbit(B, powers, x):
                 return x
-            x = _odd_orbit_correction(f, B, S, trace, x, p)
+            x = _odd_orbit_correction(f, B, powers, tsum, x)
             if x is None:
                 break
     raise LocalDecompositionError("odd-p orbit lift failed")
 
 
-def _sum_exact_radical_shifts(f, B, S, radical, p):
+def _sigma_powers(f, S, p):
+    """The matrices S^0, ..., S^(p-1) of sigma's powers, and their sum,
+    the trace id + sigma + ... + sigma^(p-1)."""
+    powers = [linalg.eye(f, S.shape[0])]
+    for _ in range(p - 1):
+        powers.append(linalg.matmul(f, S, powers[-1]))
+    return powers, f.vec_sum(np.array(powers), axis=0)
+
+
+def _sum_exact_radical_shifts(f, tsum, radical):
     """Rows of J(B) combos killed by the trace sum id + sigma + ..."""
     if radical.shape[0] == 0:
         return radical
-    tsum = linalg.eye(f, B.dim)
-    acc = linalg.eye(f, B.dim)
-    for _ in range(p - 1):
-        acc = linalg.matmul(f, S, acc)
-        tsum = f.add(tsum, acc)
     combos = linalg.nullspace(f, linalg.matmul(f, tsum, radical.T))
     return linalg.matmul(f, combos, radical)
 
 
-def _verify_orbit(ia, B, S, x, p):
-    f = B.field
-    if not B.is_idempotent(x):
-        return False
-    orbit = [np.asarray(x)]
-    for _ in range(p - 1):
-        orbit.append(linalg.matvec(f, S, orbit[-1]))
-    total = B.zero()
-    for v in orbit:
-        total = B.add(total, v)
-    if not np.array_equal(total, B.unit):
-        return False
-    for a in range(p):
-        for b in range(p):
-            if a != b and np.any(B.mul(orbit[a], orbit[b])):
-                return False
-    return True
+def _verify_orbit(B, powers, x):
+    """Whether the sigma-orbit of x is an orthogonal decomposition of 1."""
+    orbit = [linalg.matvec(B.field, m, x) for m in powers]
+    return _is_orthogonal_decomposition(B, orbit, B.unit)
 
 
-def _odd_orbit_correction(f, B, S, trace, x, p):
+def _odd_orbit_correction(f, B, powers, tsum, x):
     """One Newton step: solve for delta with trace(delta) = 0 killing the
     current orthogonality/idempotency defects to first order."""
     n = B.dim
-    orbit = [np.asarray(x)]
-    for _ in range(p - 1):
-        orbit.append(linalg.matvec(f, S, orbit[-1]))
-    Smats = [linalg.eye(f, n)]
-    for _ in range(p - 1):
-        Smats.append(linalg.matmul(f, S, Smats[-1]))
+    orbit = [linalg.matvec(f, m, x) for m in powers]
     rows = []
     rhs = []
     # idempotency: x d + d x - d = -(x^2 - x)
@@ -432,20 +405,17 @@ def _odd_orbit_correction(f, B, S, trace, x, p):
     rows.append(f.sub(f.add(lx, rx), linalg.eye(f, n)))
     rhs.append(f.neg(B.sub(B.mul(x, x), x)))
     # orthogonality vs each shifted copy: x sigma^a(d) + d sigma^a(x) = -x sigma^a(x)
-    for a in range(1, p):
-        ma = f.add(linalg.matmul(f, lx, Smats[a]),
+    for a in range(1, len(powers)):
+        ma = f.add(linalg.matmul(f, lx, powers[a]),
                    B.rmul_matrix(orbit[a]))
         rows.append(ma)
         rhs.append(f.neg(B.mul(x, orbit[a])))
         # sigma^a(x) d + sigma^a(d) x = -(sigma^a(x) x)
         mb = f.add(B.lmul_matrix(orbit[a]),
-                   linalg.matmul(f, rx, Smats[a]))
+                   linalg.matmul(f, rx, powers[a]))
         rows.append(mb)
         rhs.append(f.neg(B.mul(orbit[a], x)))
     # sum preservation: trace(d) = 0
-    tsum = Smats[0]
-    for a in range(1, p):
-        tsum = f.add(tsum, Smats[a])
     rows.append(tsum)
     rhs.append(B.zero())
     big = np.concatenate(rows, axis=0)
@@ -497,18 +467,14 @@ def _descend_orbit(ia, H, e, rng):
     for R in maximal_subgroups(H):
         B = _corner_fixed_ctx(ia, R, e)
         # does e lie in the trace image tr_R^H(B)?
-        reps = H.left_coset_reps(R)
-        tmat = linalg.zeros(ia.A.dim, ia.A.dim)
-        for c in reps:
-            m = linalg.matmul(f, ia.lmat(c), ia.rmat(pinv(c)))
-            tmat = f.add(tmat, m)
-        img = linalg.matmul(f, tmat, B.embed.T).T
-        if linalg.solve(f, img.T, np.asarray(e)) is None:
+        tmat = ia.trace_map(diagonal(R, ia.D).pairs, diagonal(H, ia.D).pairs)
+        img = linalg.matmul(f, tmat, B.embed.T)
+        if linalg.solve(f, img, np.asarray(e)) is None:
             continue
         x = next(c for c in H.elements if c not in R.key)
         S = _sigma_matrix(ia, B, x)
-        p = len(reps)
-        j = _orbit_idempotent(ia, B, S, p, rng)
+        p = H.order // R.order
+        j = _orbit_idempotent(B, S, p, rng)
         jA = B.to_parent(j)
         orbit = [jA]
         for _ in range(p - 1):
@@ -541,21 +507,15 @@ def _replace_orbit(ia, P, system, v, H, pieces):
 
 
 def _verify_lid(ia, P, tagged):
-    A = ia.A
-    total = A.zero()
     for v, H in tagged:
-        total = A.add(total, v)
         if not _is_primitive_cached(ia, H, v):
             raise LocalDecompositionError("piece not primitive")
         if not _is_local_cached(ia, H, v):
             raise LocalDecompositionError("piece not local")
-    if not np.array_equal(total, A.unit):
-        raise LocalDecompositionError("pieces do not sum to 1")
     vecs = [v for v, _ in tagged]
-    for a in range(len(vecs)):
-        for b in range(len(vecs)):
-            if a != b and np.any(A.mul(vecs[a], vecs[b])):
-                raise LocalDecompositionError("pieces not orthogonal")
+    if not _is_orthogonal_decomposition(ia.A, vecs, ia.A.unit):
+        raise LocalDecompositionError(
+            "pieces are not an orthogonal decomposition of 1")
     keys = {np.asarray(v).tobytes() for v in vecs}
     for v, _ in tagged:
         for g in P.elements:

@@ -14,6 +14,8 @@ import sys
 
 import numpy as np
 
+from .bisets import BisetError
+
 SCHEMA = "bflab-report/1"
 
 
@@ -52,7 +54,7 @@ def block_record(data, extra=None):
     }
     try:
         rec["source_shape"] = data.source_shape.describe()
-    except Exception as exc:            # surfaced, never silently dropped
+    except BisetError as exc:           # surfaced, never silently dropped
         rec["source_shape_error"] = repr(exc)
     if extra:
         rec.update(extra)

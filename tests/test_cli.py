@@ -347,3 +347,31 @@ def test_one_twisted_unit_search_per_isomorphism(tmp_path, monkeypatch,
     blocks = json.loads(capsys.readouterr().out)["blocks"]
     assert len(blocks) == 1
     assert len(searched) == len(set(searched)) == 13
+
+
+def test_block_record_surfaces_only_biset_errors():
+    # a BisetError from the shape lands in the record as a string; any
+    # other exception is a bug and propagates
+    from bflab import report
+    from bflab.bisets import BisetError
+
+    C2 = group_from_generators(2, [(1, 0)], "C2")
+
+    class Stub:
+        index, b, D, eD_index, ell = 0, [1, 0], C2.full_subgroup(), 0, [1, 0]
+        source_candidates, principal = [[1, 0]], True
+        ia_B = ia_S = type("IA", (), {"A": type("A", (), {"dim": 2})})
+
+        def __init__(self, exc):
+            self.exc = exc
+
+        @property
+        def source_shape(self):
+            raise self.exc
+
+    rec = report.block_record(Stub(BisetError("marks inversion fails")))
+    assert rec["source_shape_error"] == \
+        repr(BisetError("marks inversion fails"))
+    assert "source_shape" not in rec
+    with pytest.raises(KeyError):
+        report.block_record(Stub(KeyError("bug")))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -269,3 +270,98 @@ def test_thorough_checks_all_source_candidates():
     rep = equivalence_report(dz, r, thorough=True)
     assert rep["thorough_candidates_agree"]
     assert rep["conditions_agree"]
+
+
+def test_thorough_exhaustive_reaches_every_search(monkeypatch):
+    # under --thorough --exhaustive every source candidate's unital-basis
+    # search, and every unit search of the run, takes the run's flag
+    A = build_group_algebra(S3, 2)
+    r = rng()
+    blocks = block_idempotents(A, r)
+    pairs = BrauerPairs(A, r)
+    datas = [analyze_block(pairs, b, i, r) for i, b in enumerate(blocks)]
+    dz = [d for d in datas if d.D.order == 1][0]
+    seen = {"build_unital_basis": [], "unit_in_subspace": []}
+    for name, calls in seen.items():
+        def wrapped(*args, _real=getattr(conjecture, name), _calls=calls,
+                    **kwargs):
+            _calls.append(kwargs.get("exhaustive"))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(conjecture, name, wrapped)
+    rep = equivalence_report(dz, r, thorough=True, exhaustive=True)
+    assert rep["thorough_candidates_agree"]
+    assert seen["build_unital_basis"] == [True, True]   # ell, then the other
+    assert seen["unit_in_subspace"]
+    assert all(seen["unit_in_subspace"])
+
+
+class _Tested:
+    """A search test that records its inputs and accepts a predicate."""
+
+    def __init__(self, accept=lambda c: False):
+        self.accept = accept
+        self.inputs = []
+
+    def __call__(self, c):
+        self.inputs.append(c.copy())
+        return c if self.accept(c) else None
+
+
+def _code(f, c):
+    return sum(int(x) * f.q ** i for i, x in enumerate(c))
+
+
+def test_search_limit_is_inclusive():
+    f = field(2)
+    test = _Tested()
+    hit, record = conjecture._search(f, 3, test, rng(), 8, 5)
+    assert hit is None and len(test.inputs) == 7
+    assert record == {"dim": 3, "samples": 0, "exhaustive": True}
+    test = _Tested()
+    hit, record = conjecture._search(f, 3, test, rng(), 7, 5)
+    assert hit is None and not record["exhaustive"]
+    assert record["samples"] == 5 and len(test.inputs) <= 5
+
+
+def test_search_exhaustive_returns_least_code_hit():
+    f = field(3)
+    accept = lambda c: int(c[1]) == 2 and int(c[2]) != 0   # noqa: E731
+    test = _Tested(accept)
+    hit, record = conjecture._search(f, 3, test, rng(), 27, 64)
+    assert record["exhaustive"]
+    # every nonzero vector in code order, up to the least accepted one
+    codes = [_code(f, c) for c in test.inputs]
+    assert codes == list(range(1, len(codes) + 1))
+    least = min(_code(f, c) for c in itertools.product(range(3), repeat=3)
+                if accept(np.array(c)))
+    assert _code(f, hit) == least == codes[-1]
+
+
+class _ScriptedRng:
+    """Stands in for a numpy Generator: integers() returns scripted draws."""
+
+    def __init__(self, draws):
+        self.draws = [np.array(d, dtype=np.int64) for d in draws]
+
+    def integers(self, low, high, size, dtype):
+        return self.draws.pop(0)
+
+
+def test_search_counts_zero_draws_without_testing_them():
+    f = field(2)
+    test = _Tested(lambda c: True)
+    scripted = _ScriptedRng([[0, 0], [0, 0], [1, 0]])
+    hit, record = conjecture._search(f, 2, test, scripted, 0, 4)
+    assert np.array_equal(hit, [1, 0])
+    assert record["samples"] == 3
+    assert len(test.inputs) == 1
+
+
+def test_search_draws_exactly_the_samples():
+    f = field(2, 2)
+    searched, fresh = rng(), rng()
+    hit, record = conjecture._search(f, 5, _Tested(), searched, 16, 9)
+    assert hit is None and record["samples"] == 9
+    for _ in range(9):
+        f.random_elements(fresh, 5)
+    assert searched.bit_generator.state == fresh.bit_generator.state

@@ -157,3 +157,35 @@ def test_corner_unit_inverse():
     # nilpotents have no corner inverse: 1 + g in kC2 over GF(2)
     A2 = group_algebra(C2, field(2))
     assert corner_unit_inverse(A2, A2.unit, np.array([1, 1])) is None
+
+
+def test_orthogonal_decomposition_check_matches_pairwise_oracle():
+    # one product per part against the pairwise loop it replaced, on a
+    # decomposition of 1 in kS3 and kA4 and on tampered lists
+    from bflab.idempotents import _is_orthogonal_decomposition
+
+    def oracle(A, parts, e):
+        if not all(A.is_idempotent(x) for x in parts):
+            return False
+        if not np.array_equal(A.field.vec_sum(np.array(parts), axis=0), e):
+            return False
+        return not any(np.any(A.mul(x, y)) for a, x in enumerate(parts)
+                       for b, y in enumerate(parts) if a != b)
+
+    r = rng()
+    for G, p, e in ((S3, 3, 2), (A4, 2, 3), (S3, 2, 3)):
+        A = group_algebra(G, make_field(p, e))
+        parts = primitive_decomposition(A, A.unit, r)
+        assert len(parts) > 1
+        cases = [(parts, A.unit), (parts[1:], A.unit),
+                 (parts[1:], A.sub(A.unit, parts[0])),
+                 ([A.add(parts[0], parts[1])] + parts[2:], A.unit),
+                 (parts + [A.zero()], A.unit),
+                 ([A.mul(parts[0], A.random_element(r))] + parts[1:],
+                  A.unit)]
+        cases += [([A.random_element(r) for _ in range(3)], A.unit)
+                  for _ in range(4)]
+        want = [True, False, True, True, True, False] + [False] * 4
+        for (ps, e), w in zip(cases, want):
+            assert _is_orthogonal_decomposition(A, ps, e) == \
+                oracle(A, ps, e) == w

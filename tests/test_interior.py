@@ -271,3 +271,17 @@ def test_corner_interior_structure():
     assert corner.A.dim == 2
     for g in ia.D.elements:
         assert corner.A.is_unit(corner.structural[g])
+
+
+def test_brauer_quotient_shares_the_cached_fixed_rows():
+    # one read-only Subspace per pair subgroup: every quotient at it, and
+    # fixed_rows, hand out the same array
+    ia = interior(A4, 2)
+    td = diagonal(ia.D)
+    bq = ia.brauer(td)
+    rows = ia.fixed_rows(td.pairs)
+    assert bq.fixed.basis is rows
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
+    with pytest.raises(ValueError):
+        bq.fixed.basis[...] = 0

@@ -261,7 +261,7 @@ def _nilpotent_matrix_block():
 
 def test_orbit_idempotent_odd_prime_with_radical():
     from bflab import linalg
-    from bflab.points import _orbit_idempotent, _verify_orbit
+    from bflab.points import _orbit_idempotent, _sigma_powers, _verify_orbit
     B, g, index = _nilpotent_matrix_block()
     f = B.field
     # twist the action by a radical unit so the canonical lift is inexact
@@ -269,23 +269,24 @@ def test_orbit_idempotent_odd_prime_with_radical():
     u[index[(0, 1, 1)]] = 1
     gp = B.mul(B.mul(u, g), B.inv(u))
     S = linalg.matmul(f, B.lmul_matrix(gp), B.rmul_matrix(B.inv(gp)))
-    j = _orbit_idempotent(None, B, S, 3, np.random.default_rng(3))
-    assert _verify_orbit(None, B, S, j, 3)
+    j = _orbit_idempotent(B, S, 3, np.random.default_rng(3))
+    assert _verify_orbit(B, _sigma_powers(f, S, 3)[0], j)
 
 
 def test_odd_orbit_correction_recovers_perturbations():
     from bflab import linalg
-    from bflab.points import (_odd_orbit_correction,
+    from bflab.points import (_odd_orbit_correction, _sigma_powers,
                               _sum_exact_radical_shifts, _verify_orbit)
     from bflab.radical import radical_rows
     B, g, index = _nilpotent_matrix_block()
     f = B.field
     S = linalg.matmul(f, B.lmul_matrix(g), B.rmul_matrix(B.inv(g)))
     p = 3
+    powers, tsum = _sigma_powers(f, S, p)
     j = np.zeros(B.dim, dtype=np.int64)
     j[index[(0, 0, 0)]] = 1
-    assert _verify_orbit(None, B, S, j, p)
-    shifts = _sum_exact_radical_shifts(f, B, S, radical_rows(B), p)
+    assert _verify_orbit(B, powers, j)
+    shifts = _sum_exact_radical_shifts(f, tsum, radical_rows(B))
     assert shifts.shape[0] == 6
 
     def trace(v):
@@ -301,15 +302,15 @@ def test_odd_orbit_correction_recovers_perturbations():
     while tried < 20:
         coeffs = f.random_elements(r, shifts.shape[0])
         x = f.add(j, linalg.vecmat(f, coeffs, shifts))
-        if _verify_orbit(None, B, S, x, p):
+        if _verify_orbit(B, powers, x):
             continue
         assert np.array_equal(trace(x), B.unit)
         tried += 1
         for _ in range(40):
-            if _verify_orbit(None, B, S, x, p):
+            if _verify_orbit(B, powers, x):
                 recovered += 1
                 break
-            x = _odd_orbit_correction(f, B, S, trace, x, p)
+            x = _odd_orbit_correction(f, B, powers, tsum, x)
             if x is None:
                 break
     assert recovered >= 18        # Newton may hit isolated degeneracies
