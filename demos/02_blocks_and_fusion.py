@@ -13,7 +13,6 @@ from bflab.blocks import (analyze_block, build_group_algebra,
                           source_fusion_identity_report)
 from bflab.fusion import BrauerPairs, fusion_equal, fusion_from_group
 from bflab.groups import group_from_generators
-from bflab.idempotents import block_idempotents
 
 rng = np.random.default_rng(2)
 S3 = group_from_generators(3, [(1, 2, 0), (1, 0, 2)], "S3")
@@ -21,9 +20,8 @@ S3 = group_from_generators(3, [(1, 2, 0), (1, 0, 2)], "S3")
 for p in (2, 3):
     print(f"== kS3 at p = {p} ==")
     A = build_group_algebra(S3, p)
-    blocks = block_idempotents(A, rng)
     pairs = BrauerPairs(A, rng)         # one engine for all blocks of kS3
-    for i, b in enumerate(blocks):
+    for i, b in enumerate(pairs.blocks):
         data = analyze_block(pairs, b, i, rng)
         kind = "principal" if data.principal else "non-principal"
         print(f"  block {i} ({kind}): dim B = {data.ia_B.A.dim}, "
@@ -32,8 +30,8 @@ for p in (2, 3):
 
 print("== the principal block of kS3 at p = 3, in detail ==")
 A = build_group_algebra(S3, 3)
-data = analyze_block(BrauerPairs(A, rng), block_idempotents(A, rng)[0], 0,
-                     rng)
+pairs = BrauerPairs(A, rng)
+data = analyze_block(pairs, pairs.blocks[0], 0, rng)
 fdb = data.block_fusion_system
 print("block fusion morphism counts:", fdb.summary())
 

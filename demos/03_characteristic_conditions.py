@@ -15,14 +15,13 @@ from bflab.bisets import characteristic_report, opposite_shape
 from bflab.blocks import analyze_block, build_group_algebra
 from bflab.fusion import BrauerPairs
 from bflab.groups import TwistedDiagonal, group_from_generators, injective_maps
-from bflab.idempotents import block_idempotents
 
 rng = np.random.default_rng(3)
 A4 = group_from_generators(4, [(1, 2, 0, 3), (1, 0, 3, 2)], "A4")
 
 A = build_group_algebra(A4, 2)
-data = analyze_block(BrauerPairs(A, rng), block_idempotents(A, rng)[0], 0,
-                     rng)
+pairs = BrauerPairs(A, rng)
+data = analyze_block(pairs, pairs.blocks[0], 0, rng)
 print(f"defect group V4 of order {data.D.order}, "
       f"source algebra of dimension {data.ia_S.A.dim}")
 

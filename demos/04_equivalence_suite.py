@@ -18,15 +18,14 @@ from bflab.conjecture import (build_unital_basis, equivalence_report,
                               twisted_unit_exists, unit_in_subspace)
 from bflab.fusion import BrauerPairs
 from bflab.groups import TwistedDiagonal, group_from_generators
-from bflab.idempotents import block_idempotents
 
 rng = np.random.default_rng(4)
 S4 = group_from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)], "S4")
 
 A = build_group_algebra(S4, 3)
-blocks = block_idempotents(A, rng)
 pairs = BrauerPairs(A, rng)
-datas = [analyze_block(pairs, b, i, rng) for i, b in enumerate(blocks)]
+datas = [analyze_block(pairs, b, i, rng)
+         for i, b in enumerate(pairs.blocks)]
 data = [d for d in datas if d.principal][0]
 ia = data.ia_S
 F = data.source_presystem

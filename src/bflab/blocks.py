@@ -4,9 +4,10 @@ data and the proved sanity conditions that every run re-verifies.
 
 The Brauer pairs (P, e) of kG belong to (G, p), not to one block: one
 `fusion.BrauerPairs` engine, built once per group algebra, owns the
-interior S-algebra kG, the quotients (kG)(P) and their blocks, and
-every block of the run is analyzed against it.  A BlockData holds only
-the facts of its block and reaches G, p and kG through that engine.
+interior S-algebra kG, the quotients (kG)(P) and their blocks (those
+of kG = (kG)(1) among them), and every block of the run is analyzed
+against it.  A BlockData holds only the facts of its block and reaches
+G, p and kG through that engine.
 
 All choices (defect representative, maximal pair, source idempotent) are
 made deterministically under the run seed and recorded, since the block
@@ -127,7 +128,7 @@ def analyze_block(pairs, b, index, rng):
         pairs=pairs, b=b, index=index, poset=poset, max_pair_index=chosen,
         D=D, eD_index=eD_idx, ia_kG_D=ia_kG_D, ia_B=B,
         source_candidates=cands, ia_S=B.corner(B.A.from_parent(cands[0])),
-        principal=bool(np.any(pairs.brauer_image(pairs.S, b))))
+        principal=bool(np.any(pairs.quotient(pairs.S).project(b))))
     _sanity(data)
     return data
 

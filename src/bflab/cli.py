@@ -39,7 +39,7 @@ from .fusion import BrauerPairs
 # `_dividing_primes` is the name perfbench/workloads.py imports
 from .gf import _prime_factors as _dividing_primes, field
 from .groups import OrderCapExceeded, load_group
-from .idempotents import NonSplitError, block_idempotents
+from .idempotents import NonSplitError
 
 DEFAULT_SEED = 0xB10CF
 
@@ -87,9 +87,8 @@ def _analyze_blocks_over(A, doc, prime, seed, deep, thorough, exhaustive):
     rng = np.random.default_rng(seed)
     records = []
     findings = []
-    blocks = block_idempotents(A, rng)
     pairs = BrauerPairs(A, rng)
-    for index, b in enumerate(blocks):
+    for index, b in enumerate(pairs.blocks):
         t0 = time.time()
         data = analyze_block(pairs, b, index, rng)
         choices = {

@@ -14,9 +14,12 @@ ordered pair of subgroups of S, the set of injective homomorphisms
   every diagonal of a nonzero class is a morphism.
 
 Brauer pairs of a group algebra are subgroups P with a block of the
-quotient algebra (kG)(P) ~ kC_G(P); containment is decided through the
-pointed-group criterion (a local summand chain), and the block's defect
-groups are the maximal subgroups where b survives the Brauer map.
+quotient algebra (kG)(P) ~ kC_G(P), and the block's defect groups are
+the maximal subgroups where b survives the Brauer map.  Below a maximal
+pair (D, e_D), each P < D lies under N_D(P) > P, and the Alperin-Broue
+criterion finds its block with no rng draw: for Q normal in R,
+(Q, f) <= (R, e) iff f is R-stable and e.br_R(f) = e (by Broue-Puig,
+this is the pointed-group order).
 
 The Brauer map sends the class of g in C_G(P) to g, so (kG)(P) is
 multiplied as the table-driven group algebra kC_G(P), on the quotient's
@@ -30,11 +33,11 @@ import numpy as np
 from . import linalg
 from .algebra import group_algebra, group_conjugation_perm
 from .groups import (GroupInjection, all_subgroups, centralizer,
-                     conjugation_injection, p_subgroups_up_to_conjugacy,
-                     pinv, pmul, sylow_subgroup, twisted_classes)
+                     conjugation_injection, normalizer,
+                     p_subgroups_up_to_conjugacy, pinv, pmul, sylow_subgroup,
+                     twisted_classes)
 from .idempotents import block_idempotents
 from .interior import InteriorAlgebra
-from .points import refine_idempotent
 
 
 class FusionError(ValueError):
@@ -216,7 +219,8 @@ class BrauerPairs:
 
     One engine serves every block of kG: it owns the interior S-algebra
     kG, the Brauer quotients (kG)(P), their algebras kC_G(P) and their
-    blocks.
+    blocks, the blocks of kG = (kG)(1) among them.  Its rng is drawn only
+    to find blocks.
     """
 
     def __init__(self, A, rng):
@@ -233,7 +237,8 @@ class BrauerPairs:
         return self.ia.brauer_at(P)
 
     def centralizer_algebra(self, P):
-        """(kG)(P) as the group algebra kC_G(P), in quotient coordinates.
+        """(kG)(P) as the group algebra kC_G(P), in quotient coordinates;
+        kG itself when C_G(P) = G.
 
         Raises FusionError unless the quotient's reps are the group
         elements of C_G(P) in sorted order, the basis of kC_G(P)."""
@@ -245,7 +250,8 @@ class BrauerPairs:
             raise FusionError("(kG)(P) is not presented on the basis of "
                               "C_G(P)")
         if Q is None:
-            Q = group_algebra(C, self.A.field)
+            Q = self.A if C.order == self.G.order else \
+                group_algebra(C, self.A.field)
             self._centralizer_algebras[P.key] = Q
         return Q
 
@@ -255,6 +261,11 @@ class BrauerPairs:
             Q = self.centralizer_algebra(P)
             self._blocks[P.key] = block_idempotents(Q, self.rng)
         return self._blocks[P.key]
+
+    @property
+    def blocks(self):
+        """The blocks of kG = (kG)(1), in kG coordinates."""
+        return self.blocks_at(all_subgroups(self.S)[0])
 
     def block_index(self, P, vec):
         for i, e in enumerate(self.blocks_at(P)):
@@ -267,10 +278,6 @@ class BrauerPairs:
         lifted = self.quotient(P).lift(e_qcoords)
         conj = lifted[group_conjugation_perm(self.A, g)]
         return self.quotient(P.conjugate(g)).project(conj)
-
-    def brauer_image(self, P, vec_in_A):
-        """br_P of an A-vector fixed by conjugation, in quotient coords."""
-        return self.quotient(P).project(vec_in_A)
 
     def under_block(self, P, i_vec):
         """The unique block e of (kG)(P) with e.br_P(i) = br_P(i), or None
@@ -286,73 +293,70 @@ class BrauerPairs:
             raise FusionError("Brauer image not under a unique block")
         return hits[0]
 
-    def pair_leq(self, P, eP_idx, Q, eQ_idx):
-        """(P, e_P) <= (Q, e_Q) via the local pointed-group criterion."""
-        if not P.key <= Q.key:
-            return False
-        if P.key == Q.key:
-            return eP_idx == eQ_idx
-        from .points import unit_decomposition
-        for i in unit_decomposition(self.ia, Q, self.rng):
-            if self.under_block(Q, i) != eQ_idx:
-                continue
-            for j in refine_idempotent(self.ia, P, i, self.rng):
-                if self.under_block(P, j) == eP_idx:
-                    return True
-        return False
+    def absorbed(self, P, x):
+        """Indices of the blocks e of (kG)(P) with e.br_P(x) = e, for a
+        P-fixed vector x of kG."""
+        img = self.quotient(P).project(x)
+        if not np.any(img):
+            return []
+        mul = self.centralizer_algebra(P).mul
+        return [t for t, e in enumerate(self.blocks_at(P))
+                if np.array_equal(mul(e, img), e)]
 
     def pairs_over_block(self, b):
         """All pairs (P, e) with (1, b) <= (P, e), over subgroups of S."""
-        out = []
-        for P in all_subgroups(self.S):
-            bq = self.quotient(P)
-            bimg = bq.project(np.asarray(b))
-            if not np.any(bimg):
-                continue
-            Qalg = self.centralizer_algebra(P)
-            for idx, e in enumerate(self.blocks_at(P)):
-                if np.array_equal(Qalg.mul(e, bimg), e):
-                    out.append((P, idx))
-        return out
+        return [(P, t) for P in all_subgroups(self.S)
+                for t in self.absorbed(P, b)]
+
+    def below(self, R, e_idx, Q):
+        """The block f of (kG)(Q), for Q normal in R, with (Q, f) <= (R, e):
+        the one R-stable f with e.br_R(f) = e, br_R read on f lifted to kG
+        (Alperin-Broue)."""
+        gens = R.generating_sequence()
+        if any(Q.conjugate(g).key != Q.key for g in gens):
+            raise FusionError("Q is not normal in R")
+        hits = [t for t, f in enumerate(self.blocks_at(Q))
+                if all(np.array_equal(self.image_under(Q, f, g), f)
+                       for g in gens)
+                and e_idx in self.absorbed(R, self.quotient(Q).lift(f))]
+        if len(hits) != 1:
+            raise FusionError(f"{len(hits)} blocks of (kG)(Q) lie below "
+                              "one Brauer pair (R, e)")
+        return hits[0]
+
+    def family(self, D, eD_idx):
+        """Subgroup key -> block index of the pairs below (D, e_D), each
+        P < D found below N_D(P) > P, walking down by order."""
+        family = {D.key: eD_idx}
+        for P in reversed(all_subgroups(D)[:-1]):
+            N = normalizer(D, P)
+            family[P.key] = self.below(N, family[N.key], P)
+        return family
 
 
 class BrauerPairPoset:
-    """The interval of Brauer pairs over one block, with G-structure."""
+    """The Brauer pairs over one block, with G-structure.  Its maximal
+    pairs are those of top order, the defect groups'; they are checked
+    to be G-conjugate."""
 
     def __init__(self, pairs_engine, b):
         self.engine = pairs_engine
         self.b = np.asarray(b)
-        self.pairs = pairs_engine.pairs_over_block(b)
-        self.leq = {}
-        for a, (P, ei) in enumerate(self.pairs):
-            for c, (Q, ej) in enumerate(self.pairs):
-                if P.key <= Q.key:
-                    self.leq[(a, c)] = pairs_engine.pair_leq(P, ei, Q, ej)
-        self.maximal = [a for a in range(len(self.pairs))
-                        if not any(self.leq.get((a, c)) and a != c
-                                   for c in range(len(self.pairs)))]
+        self.pairs = pairs_engine.pairs_over_block(self.b)
+        top = max(P.order for P, _ in self.pairs)
+        self.maximal = [a for a, (P, _) in enumerate(self.pairs)
+                        if P.order == top]
         self._check_maximal_conjugate()
 
     def _check_maximal_conjugate(self):
-        if len(self.maximal) <= 1:
-            return
-        base = self.maximal[0]
-        for other in self.maximal[1:]:
-            if not self._conjugate_pairs(base, other):
+        engine = self.engine
+        P, ei = self.pairs[self.maximal[0]]
+        e = engine.blocks_at(P)[ei]
+        for Q, ej in (self.pairs[c] for c in self.maximal[1:]):
+            moved = (engine.image_under(P, e, g) for g in engine.G.elements
+                     if P.conjugate(g).key == Q.key)
+            if not any(engine.block_index(Q, f) == ej for f in moved):
                 raise FusionError("maximal Brauer pairs are not conjugate")
-
-    def _conjugate_pairs(self, a, c):
-        P, ei = self.pairs[a]
-        Q, ej = self.pairs[c]
-        if P.order != Q.order:
-            return False
-        for g in self.engine.G.elements:
-            if P.conjugate(g).key != Q.key:
-                continue
-            moved = self.engine.image_under(P, self.engine.blocks_at(P)[ei], g)
-            if self.engine.block_index(Q, moved) == ej:
-                return True
-        return False
 
 
 def defect_groups(pairs, b):
@@ -362,7 +366,7 @@ def defect_groups(pairs, b):
     reps = []
     for P in p_subgroups_up_to_conjugacy(G, pairs.p):
         Ps = pairs.S.subgroup(_conjugate_into(G, P, pairs.S))
-        if np.any(pairs.brauer_image(Ps, b)):
+        if np.any(pairs.quotient(Ps).project(b)):
             reps.append(Ps)
     maximal = [P for P in reps
                if not any(P.order < Q.order and _subconjugate(G, P, Q)
@@ -398,14 +402,10 @@ def block_fusion(poset, max_idx, label=None):
     engine = poset.engine
     G = engine.G
     D, eD_idx = poset.pairs[max_idx]
-    family = {}
-    for a, (P, ei) in enumerate(poset.pairs):
-        if P.key <= D.key and poset.leq.get((a, max_idx)):
-            if P.key in family and family[P.key] != ei:
-                raise FusionError("Brauer subpair is not unique")
-            family.setdefault(P.key, ei)
-    if any(P.key not in family for P in all_subgroups(D)):
-        raise FusionError("missing Brauer subpair below the maximal pair")
+    family = engine.family(D, eD_idx)
+    if not family.items() <= {(P.key, e) for P, e in poset.pairs}:
+        raise FusionError("a Brauer pair below the maximal pair is not "
+                          "over b")
     subs = all_subgroups(D)
     homs = {(P.key, Q.key): set() for P in subs for Q in subs}
     for P in subs:
@@ -422,7 +422,4 @@ def block_fusion(poset, max_idx, label=None):
             for Q in subs:
                 if Pg.key <= Q.key:
                     homs[(P.key, Q.key)].add(graph)
-    F = FusionSystem(D, homs, label=label or "F_D(b)")
-    F.pair_family = family
-    F.defect = D
-    return F
+    return FusionSystem(D, homs, label=label or "F_D(b)")

@@ -249,16 +249,16 @@ def sylow_subgroup(G, p):
     G = _as_subgroup(G)
     degree = G.parent.degree
     p_elements = [g for g in G.elements if _is_p_power(perm_order(g), p)]
-    cur = {G.identity}
+    cur, gens = {G.identity}, []          # cur = <gens>
     changed = True
     while changed:
         changed = False
         for x in p_elements:
             if x in cur:
                 continue
-            cand = _close(list(cur) + [x], degree, G.order)
+            cand = _close(gens + [x], degree, G.order)
             if _is_p_power(len(cand), p) and cand <= G.key:
-                cur = cand
+                cur, gens = cand, gens + [x]
                 changed = True
     return G.subgroup(cur)
 
@@ -276,7 +276,7 @@ def all_subgroups(H):
     memo = H.parent._subgroups_memo
     if H.key in memo:
         return memo[H.key]
-    seen = {frozenset([H.identity])}
+    seen = {frozenset([H.identity]): []}  # subgroup -> generators
     frontier = [frozenset([H.identity])]
     while frontier:
         new = []
@@ -284,10 +284,10 @@ def all_subgroups(H):
             for x in H.elements:
                 if x in sub:
                     continue
-                bigger = frozenset(_close(list(sub) + [x],
-                                          H.parent.degree, H.order))
+                gens = seen[sub] + [x]
+                bigger = frozenset(_close(gens, H.parent.degree, H.order))
                 if bigger not in seen:
-                    seen.add(bigger)
+                    seen[bigger] = gens
                     new.append(bigger)
         frontier = new
     memo[H.key] = tuple(sorted((H.subgroup(s) for s in seen),
@@ -495,6 +495,9 @@ class TwistedClasses:
 
     def __init__(self, D):
         self.D = D
+        # x -> a x a^-1 for each a in D; D x D acts on pairs through them
+        self._conj = [{x: pmul(pmul(a, x), pinv(a)) for x in D.elements}
+                      for a in D.elements]
         found = {}                        # key -> (first td, orbit)
         orbit_key = {}                    # pairs of every twisted diagonal
         for P in all_subgroups(D):
@@ -528,14 +531,9 @@ class TwistedClasses:
         return self._orbits[i]
 
     def _conjugates(self, pairs):
-        out = set()
-        for a in self.D.elements:
-            for b in self.D.elements:
-                ai, bi = pinv(a), pinv(b)
-                out.add(frozenset(
-                    (pmul(pmul(a, x), ai), pmul(pmul(b, y), bi))
-                    for x, y in pairs))
-        return out
+        conj = self._conj
+        return {frozenset((ca[x], cb[y]) for x, y in pairs)
+                for ca in conj for cb in conj}
 
     def _marks_table(self, conj):
         """The table of marks from the orbit of each class."""

@@ -228,9 +228,10 @@ def test_field_extension_restart(tmp_path, monkeypatch):
     assert all(b["defect_group"]["order"] == 1 for b in rep["blocks"])
 
 
-# sha256 of `check --out - --seed 1` reports.  A change that alters an
-# answer or the path the rng takes fails here; one that does so on
-# purpose updates the pin and says why.
+# sha256 of `check --out - --seed 1` reports, hashed from the session's
+# one pass (`seed1_reports`).  A change that alters an answer or the path
+# the rng takes fails here; one that does so on purpose updates the pin
+# and says why.
 GOLDEN_CHECK_SHA256 = {
     ("a4", 2): "f50a99e1e54874adf695364e5ee70f5b"
                "4cfe9e8a84e08673cd0d9ef9e23ab0b7",
@@ -240,18 +241,14 @@ GOLDEN_CHECK_SHA256 = {
                "153bc642ba0c7584d892debdb5bf5b99",
     ("s3", 3): "66456a53839a31b54f8999fa2621bee7"
                "37ec9335976da208f4e58c83920658ba",
-    ("s4", 3): "adc76768370bce43bba51b8e1df7ac21"
-               "76612b31c2e27e94f834410c9103906e",
+    ("s4", 3): "2f4c6939e9f9ee0f0b2403007c775824"
+               "6457c2a30b811f43d3fdd32aae5ac42a",
 }
 
 
 @pytest.mark.parametrize("name,prime", sorted(GOLDEN_CHECK_SHA256))
-def test_check_report_matches_pinned_hash(name, prime, tmp_path, capsys):
-    code = run(["check", "--group", os.path.join(DATA, f"{name}.json"),
-                "--prime", str(prime), "--seed", "1", "--out", "-",
-                "--findings-dir", str(tmp_path / "f")])
-    assert code == 0
-    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+def test_check_report_matches_pinned_hash(name, prime, seed1_reports):
+    got = hashlib.sha256(seed1_reports[(name, prime)]).hexdigest()
     assert got == GOLDEN_CHECK_SHA256[(name, prime)]
 
 
@@ -280,28 +277,23 @@ def _a5_doc():
                            [i + 1 for i in (1, 2, 0, 3, 4)]]}
 
 
-# sha256 of `analyze --out - --seed 1` on A5 at p = 3: three blocks over
-# GF(81), whose Brauer quotients (kG)(P) are the algebras kC_G(P).
-GOLDEN_A5_ANALYZE_SHA256 = ("cbb597f8996b4788aaf559f91cf63d45"
-                            "bf5335bd0aad33b649c3d74066d09846")
+# sha256 of `analyze --out - --seed 1` on A5 at p = 3, hashed from the
+# session's one pass: three blocks over GF(81), whose Brauer quotients
+# (kG)(P) are the algebras kC_G(P).
+GOLDEN_A5_ANALYZE_SHA256 = ("5e54feed712c299aab5dd157f405354f"
+                            "78dc924e88613badf8cecbe7c87b01fc")
 
 
-def test_a5_analyze_report_matches_pinned_hash(tmp_path, capsys):
-    path = tmp_path / "a5.json"
-    path.write_text(json.dumps(_a5_doc()))
-    code = run(["analyze", "--group", str(path), "--prime", "3",
-                "--seed", "1", "--out", "-",
-                "--findings-dir", str(tmp_path / "f")])
-    assert code == 0
-    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+def test_a5_analyze_report_matches_pinned_hash(seed1_reports):
+    got = hashlib.sha256(seed1_reports[("a5", 3)]).hexdigest()
     assert got == GOLDEN_A5_ANALYZE_SHA256
 
 
 @pytest.mark.parametrize("name", ["a5", "s4"])
 def test_one_brauer_pair_engine_per_run(name, tmp_path, monkeypatch, capsys):
     # A5 and S4 at p = 3 have three blocks and Sylow subgroup C3.  The
-    # blocks of kG are found once, then those of (kG)(1) and (kG)(C3) once
-    # each for the whole run, not once per block that reaches them.
+    # blocks of kG = (kG)(1) and those of (kG)(C3) are found once each
+    # for the whole run, not once per block that reaches them.
     if name == "a5":
         path = tmp_path / "a5.json"
         path.write_text(json.dumps(_a5_doc()))
@@ -324,7 +316,7 @@ def test_one_brauer_pair_engine_per_run(name, tmp_path, monkeypatch, capsys):
     assert len(json.loads(capsys.readouterr().out)["blocks"]) == 3
     order = 60 if name == "a5" else 24
     assert dims[0] == order                 # kG itself
-    assert len(dims) == 3, dims
+    assert len(dims) == 2, dims
 
 
 def test_one_twisted_unit_search_per_isomorphism(tmp_path, monkeypatch,

@@ -17,6 +17,7 @@ from bflab.groups import (GroupInjection, TwistedDiagonal, all_subgroups,
                           pinv, pmul, sylow_subgroup, twisted_classes)
 from bflab.idempotents import block_idempotents
 from bflab.interior import InteriorAlgebra
+from bflab.points import refine_idempotent, unit_decomposition
 
 
 C2 = group_from_generators(2, [(1, 0)], "C2")
@@ -28,6 +29,25 @@ D8 = group_from_generators(4, [(1, 2, 3, 0), (1, 0, 3, 2)], "D8")
 
 def rng():
     return np.random.default_rng(55)
+
+
+def pair_leq(engine, P, eP_idx, Q, eQ_idx, r):
+    """(P, e_P) <= (Q, e_Q) by the local pointed-group criterion: a
+    primitive idempotent i of (kG)^Q with br_Q(i) under e_Q has a
+    primitive piece j in (kG)^P with br_P(j) under e_P.  Broue and Puig
+    show this is the Brauer-pair order; it is the oracle of the engine's
+    Alperin-Broue walk."""
+    if not P.key <= Q.key:
+        return False
+    if P.key == Q.key:
+        return eP_idx == eQ_idx
+    for i in unit_decomposition(engine.ia, Q, r):
+        if engine.under_block(Q, i) != eQ_idx:
+            continue
+        for j in refine_idempotent(engine.ia, P, i, r):
+            if engine.under_block(P, j) == eP_idx:
+                return True
+    return False
 
 
 def first_block(A, r):
@@ -133,10 +153,10 @@ def test_unique_subpair_below_maximal_pair():
     engine = BrauerPairs(A, r)
     poset = BrauerPairPoset(engine, b)
     mx = poset.maximal[0]
-    D = poset.pairs[mx][0]
+    D, eD = poset.pairs[mx]
     for P in all_subgroups(D):
         under = [a for a, (Q, e) in enumerate(poset.pairs)
-                 if Q.key == P.key and poset.leq.get((a, mx))]
+                 if Q.key == P.key and pair_leq(engine, Q, e, D, eD, r)]
         assert len(under) == 1
 
 
@@ -215,7 +235,9 @@ def test_brauer_pair_poset_order_axioms():
         engine = BrauerPairs(A, r)
         poset = BrauerPairPoset(engine, b)
         n = len(poset.pairs)
-        leq = poset.leq
+        leq = {(a, c): pair_leq(engine, P, ei, Q, ej, r)
+               for a, (P, ei) in enumerate(poset.pairs)
+               for c, (Q, ej) in enumerate(poset.pairs) if P.key <= Q.key}
         for a in range(n):
             assert leq.get((a, a), False) or \
                 poset.pairs[a][0].key != poset.pairs[a][0].key
@@ -352,3 +374,82 @@ def test_presystem_enumerates_no_injections(monkeypatch):
     monkeypatch.setattr(fusion, "injective_maps", counting, raising=False)
     fixed_point_presystem(ia)
     assert calls == []
+
+
+def _check_families(engine, r):
+    """Below every maximal pair of every block, the Alperin-Broue walk
+    finds exactly the one pair per subgroup that the pointed-group
+    criterion finds.  Returns the blocks' posets."""
+    posets = [BrauerPairPoset(engine, b) for b in engine.blocks]
+    for poset in posets:
+        for mx in poset.maximal:
+            D, eD = poset.pairs[mx]
+            family = engine.family(D, eD)
+            assert set(family) == {P.key for P in all_subgroups(D)}
+            for P in all_subgroups(D):
+                assert [e for e in range(len(engine.blocks_at(P)))
+                        if pair_leq(engine, P, e, D, eD, r)] == \
+                    [family[P.key]]
+    return posets
+
+
+@pytest.mark.parametrize("name,p", CATALOG + [("a5", 3), ("a5", 5)])
+def test_family_is_the_pointed_group_subpairs(name, p):
+    engine = BrauerPairs(build_group_algebra(_catalog_group(name), p), rng())
+    _check_families(engine, rng())
+
+
+# C3 x| D8, with D8 acting on C3 through D8 / V4 = C2: (kG)(V4) =
+# k(C3 x V4) has two blocks that D8 swaps, so only stability singles
+# out the pair below (D8, e)
+C3_D8 = group_from_generators(
+    7, [(1, 2, 0, 3, 4, 5, 6), (1, 0, 2, 4, 5, 6, 3), (0, 1, 2, 3, 6, 5, 4)],
+    "C3:D8")
+
+
+def test_family_rejects_blocks_that_are_not_stable():
+    engine = BrauerPairs(build_group_algebra(C3_D8, 2), rng())
+    principal = next(b for b in engine.blocks
+                     if np.any(engine.quotient(engine.S).project(b)))
+    poset = BrauerPairPoset(engine, principal)
+    D, eD = poset.pairs[poset.maximal[0]]
+    assert D.order == 8
+    V = next(P for P in all_subgroups(D)
+             if P.order == 4 and len(engine.blocks_at(P)) == 3)
+    gens = D.generating_sequence()
+    stable = [t for t, f in enumerate(engine.blocks_at(V))
+              if all(np.array_equal(engine.image_under(V, f, g), f)
+                     for g in gens)]
+    assert len(stable) == 1
+    assert engine.family(D, eD)[V.key] == stable[0]
+    # the other block has two maximal pairs (V4, e), swapped by D8
+    posets = _check_families(engine, rng())
+    assert sorted(len(poset.maximal) for poset in posets) == [1, 2]
+
+
+def _s3_poset_at_2():
+    engine = BrauerPairs(build_group_algebra(S3, 2), rng())
+    principal = next(b for b in engine.blocks
+                     if np.any(engine.quotient(engine.S).project(b)))
+    return engine, BrauerPairPoset(engine, principal)
+
+
+@pytest.mark.parametrize("absorbs,found", [(False, 0), (True, 2)])
+def test_walk_raises_unless_one_block_lies_below(absorbs, found,
+                                                 monkeypatch):
+    # kS3 at p = 2 has two blocks: both lie below (C2, e) when e.br(f) = e
+    # holds for every f, and none does when it holds for none
+    engine, poset = _s3_poset_at_2()
+    monkeypatch.setattr(engine, "absorbed", lambda P, x: list(
+        range(len(engine.blocks_at(P)))) if absorbs else [])
+    with pytest.raises(FusionError, match=f"^{found} blocks"):
+        block_fusion(poset, poset.maximal[0])
+
+
+def test_block_fusion_raises_on_a_pair_not_over_b(monkeypatch):
+    engine, poset = _s3_poset_at_2()
+    P, _ = poset.pairs[0]
+    assert P.order == 1 and poset.maximal == [len(poset.pairs) - 1]
+    monkeypatch.setattr(poset, "pairs", poset.pairs[1:])
+    with pytest.raises(FusionError, match="not over b"):
+        block_fusion(poset, len(poset.pairs) - 1)
