@@ -9,9 +9,11 @@ Subalgebras (fixed-point algebras, corners e.A.e, centers) are
 AlgebraContexts carrying an `embed` matrix whose rows express their
 basis inside the parent; `from_parent` reads coordinates over those
 rows through `linalg.Coordinates`.  A proper subalgebra gets a dense
-tensor from `linalg.structure_tensor`; the whole of a table-driven algebra
-(the corner at its unit, the fixed points of the trivial group) shares
-the parent's index tables, so kG stays table-driven through them.
+tensor from `linalg.structure_tensor`, which multiplies the stacked
+left multiplications of its rows (`lmul_matrix` of a matrix); the whole
+of an algebra (the corner at its unit, the fixed points of the trivial
+group) shares the parent's index tables or tensor, so kG stays
+table-driven through them.
 
 `group_algebra` builds kH for a group or a subgroup H; the Brauer
 quotients (kG)(P) of bflab.fusion are built this way, as kC_G(P).
@@ -72,20 +74,24 @@ class AlgebraContext:
         return self.field.sub(np.asarray(x), np.asarray(y))
 
     def lmul_matrix(self, x):
-        """Matrix L with L @ y = x * y."""
+        """Matrix L with L @ y = x * y; for a matrix of rows x, the stack
+        of their matrices.  An index gather, or one product with the
+        structure tensor."""
         x = np.asarray(x, dtype=np.int64)
-        f = self.field
         if self._ltable is not None:
-            return x[self._ltable]
-        return f.mul_sum(x[:, None, None], self.mult_tensor, axis=0).T
+            return x[..., self._ltable]
+        # L[k, j] = sum_i x_i t[i, j, k]
+        d = self.dim
+        prods = self.field.matmul(x, self.mult_tensor.reshape(d, d * d))
+        return prods.reshape(x.shape[:-1] + (d, d)).swapaxes(-1, -2)
 
     def rmul_matrix(self, y):
         """Matrix R with R @ x = x * y."""
         y = np.asarray(y, dtype=np.int64)
-        f = self.field
         if self._rtable is not None:
             return y[self._rtable]
-        return f.mul_sum(y[None, :, None], self.mult_tensor, axis=1).T
+        # R[k, i] = sum_j y_j t[i, j, k]
+        return self.field.matmul(y, self.mult_tensor).T
 
     def mul(self, x, y):
         return linalg.matvec(self.field, self.lmul_matrix(x), y)
@@ -154,10 +160,10 @@ class AlgebraContext:
         unit = self.unit if unit is None else np.asarray(unit)
         sub = AlgebraContext(f, r, mult_tensor=None, unit=None,
                              parent=self, embed=rows, check=False)
-        if self._ltable is not None and \
-                np.array_equal(rows, linalg.eye(f, self.dim)):
-            # the whole of a table-driven algebra: same basis, same tables
+        if np.array_equal(rows, linalg.eye(f, self.dim)):
+            # the whole algebra: same basis, same tables or tensor
             sub._ltable, sub._rtable = self._ltable, self._rtable
+            sub.mult_tensor = self.mult_tensor
         else:
             sub.mult_tensor = linalg.structure_tensor(
                 f, self.lmul_matrix, rows, sub._coords, check)

@@ -206,16 +206,19 @@ def isofusion(ia, phi, P, gamma, Q, delta):
 
 
 def theta_of_point(ia, phi, P, gamma, Q, rng):
-    """The unique local point delta of A^Q with phi: P_gamma ~ Q_delta."""
-    hits = []
-    for delta in local_points(ia, Q, rng):
-        if isofusion(ia, phi, P, gamma, Q, delta) is not None:
-            hits.append(delta)
-    if len(hits) > 1:
-        raise Finding("theta_target_not_unique",
-                      {"phi": _phi_label(phi), "gamma": gamma.index,
-                       "targets": [d.index for d in hits]})
-    return hits[0] if hits else None
+    """The unique local point delta of A^Q with phi: P_gamma ~ Q_delta, or
+    None; cached on the interior algebra (a finding is raised each time,
+    never cached)."""
+    key = (_phi_label(phi), Q.key, gamma.index)
+    if key not in ia._theta:
+        hits = [delta for delta in local_points(ia, Q, rng)
+                if isofusion(ia, phi, P, gamma, Q, delta) is not None]
+        if len(hits) > 1:
+            raise Finding("theta_target_not_unique",
+                          {"phi": _phi_label(phi), "gamma": gamma.index,
+                           "targets": [d.index for d in hits]})
+        ia._theta[key] = hits[0] if hits else None
+    return ia._theta[key]
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,8 @@ import numpy as np
 from . import linalg
 from .algebra import group_algebra, group_conjugation_perm
 from .groups import (GroupInjection, all_subgroups, centralizer,
-                     conjugation_injection, normalizer,
-                     p_subgroups_up_to_conjugacy, pinv, pmul, sylow_subgroup,
-                     twisted_classes)
+                     conjugation_injection, normalizer, pinv, pmul,
+                     subgroup_classes, sylow_subgroup, twisted_classes)
 from .idempotents import block_idempotents
 from .interior import InteriorAlgebra
 
@@ -218,9 +217,9 @@ class BrauerPairs:
     """Brauer pairs of kG over the subgroups of a fixed Sylow p-subgroup S.
 
     One engine serves every block of kG: it owns the interior S-algebra
-    kG, the Brauer quotients (kG)(P), their algebras kC_G(P) and their
-    blocks, the blocks of kG = (kG)(1) among them.  Its rng is drawn only
-    to find blocks.
+    kG, the G-classes of p-subgroups, the Brauer quotients (kG)(P), their
+    algebras kC_G(P) and their blocks, the blocks of kG = (kG)(1) among
+    them.  Its rng is drawn only to find blocks.
     """
 
     def __init__(self, A, rng):
@@ -228,9 +227,13 @@ class BrauerPairs:
         self.G = A.group
         self.p = A.field.p
         self.S = sylow_subgroup(self.G, self.p)
+        # one subgroup of S per G-class of p-subgroups
+        self.p_classes = subgroup_classes(self.G, self.S)
         self.ia = InteriorAlgebra(A, self.S)
         self.rng = rng
-        self._blocks = {}                 # P.key -> list of quotient blocks
+        # P.key -> list of quotient blocks; the key None holds the blocks
+        # of kG, shared by every P with C_G(P) = G
+        self._blocks = {}
         self._centralizer_algebras = {}   # P.key -> kC_G(P)
 
     def quotient(self, P):
@@ -256,10 +259,14 @@ class BrauerPairs:
         return Q
 
     def blocks_at(self, P):
-        """Central primitive idempotents of (kG)(P), in quotient coords."""
+        """Central primitive idempotents of (kG)(P), in quotient coords;
+        found once for all P with C_G(P) = G, where (kG)(P) is kG."""
         if P.key not in self._blocks:
             Q = self.centralizer_algebra(P)
-            self._blocks[P.key] = block_idempotents(Q, self.rng)
+            key = None if Q is self.A else P.key
+            if key not in self._blocks:
+                self._blocks[key] = block_idempotents(Q, self.rng)
+            self._blocks[P.key] = self._blocks[key]
         return self._blocks[P.key]
 
     @property
@@ -363,11 +370,8 @@ def defect_groups(pairs, b):
     """Maximal p-subgroup classes where br_P(b) survives, as subgroups of
     the engine's Sylow subgroup."""
     G = pairs.G
-    reps = []
-    for P in p_subgroups_up_to_conjugacy(G, pairs.p):
-        Ps = pairs.S.subgroup(_conjugate_into(G, P, pairs.S))
-        if np.any(pairs.quotient(Ps).project(b)):
-            reps.append(Ps)
+    reps = [P for P in pairs.p_classes
+            if np.any(pairs.quotient(P).project(b))]
     maximal = [P for P in reps
                if not any(P.order < Q.order and _subconjugate(G, P, Q)
                           for Q in reps)]
@@ -376,17 +380,6 @@ def defect_groups(pairs, b):
     if not all(_conjugate_subgroups(G, maximal[0], P) for P in maximal[1:]):
         raise FusionError("defect groups not conjugate")
     return maximal
-
-
-def _conjugate_into(G, P, S):
-    """Elements of a G-conjugate of P lying inside S."""
-    if P.key <= S.key:
-        return P.key
-    for g in G.elements:
-        moved = P.conjugate(g)
-        if moved.key <= S.key:
-            return moved.key
-    raise FusionError("p-subgroup cannot be conjugated into the Sylow group")
 
 
 def _subconjugate(G, P, Q):

@@ -308,7 +308,12 @@ def maximal_subgroups(P):
 
 def p_subgroups_up_to_conjugacy(G, p):
     """One representative per G-conjugacy class of p-subgroups (incl. 1)."""
-    S = sylow_subgroup(G, p)
+    return subgroup_classes(G, sylow_subgroup(G, p))
+
+
+def subgroup_classes(G, S):
+    """One representative per G-conjugacy class met by the subgroups of
+    S, the first of its class in `all_subgroups(S)`."""
     reps = []
     seen = set()
     for sub in all_subgroups(S):

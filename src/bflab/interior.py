@@ -136,8 +136,10 @@ class InteriorAlgebra:
         # point data of bflab.points, keyed by subgroup (and idempotent)
         self._points_cache = {"ctx": {}, "decomp": {}, "points": {},
                               "refine": {}, "prim": {}, "local": {}}
-        # twisted units of bflab.conjecture, keyed by isomorphism
+        # twisted units of bflab.conjecture, keyed by isomorphism, and
+        # its theta targets, keyed by (isomorphism, target, source point)
         self._twisted_units = {}
+        self._theta = {}
         if check:
             self._check_structural()
 

@@ -13,13 +13,18 @@ already 1, and updates only the rows with a nonzero in its column,
 through the field's rank-one kernel `sub_outer`.  The RREF of a matrix
 is unique, so none of this changes a result.
 
-`Coordinates` is the one coordinate map over the rows of a matrix of
-full row rank, and `structure_tensor` the one fill of a multiplication
-table from it; every subalgebra, Brauer quotient and radical quotient
+`matmul` checks shapes and calls the field's one product kernel,
+`FiniteField.matmul`.  `Coordinates` is the one coordinate map over the
+rows of a matrix of full row rank, and `structure_tensor` the one fill
+of a multiplication table from it, in one stacked product and one
+coordinate call; every subalgebra, Brauer quotient and radical quotient
 goes through both.
 """
 
 import numpy as np
+
+# Matrix entries of one stack of left multiplications in `structure_tensor`.
+_FILL_ENTRIES = 1 << 17
 
 
 def zeros(rows, cols):
@@ -40,12 +45,11 @@ def mat(rows):
 
 
 def matmul(f, a, b):
-    # contiguous operands: a transposed view makes every temporary strided
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    b = np.ascontiguousarray(b, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return f.mul_sum(a[:, :, None], b[None, :, :], axis=1)
+    return f.matmul(a, b)
 
 
 def matvec(f, a, v):
@@ -202,14 +206,21 @@ class Coordinates:
 
 
 def structure_tensor(f, lmul, rows, coords, check=True):
-    """t[i, j] = coords(rows[i] * rows[j]), one product per slice i;
-    lmul(v) is the left multiplication matrix of v in the ambient
-    algebra."""
-    r = rows.shape[0]
-    tensor = np.zeros((r, r, r), dtype=np.int64)
-    for i in range(r):
-        tensor[i] = coords(matmul(f, lmul(rows[i]), rows.T), check).T
-    return tensor
+    """t[i, j] = coords(rows[i] * rows[j]); lmul(x) stacks the left
+    multiplication matrices of the rows x in the ambient algebra.
+
+    The products are one product of those stacked matrices with rows.T,
+    at most `_FILL_ENTRIES` matrix entries at a time, and the coordinates
+    one call on all r^2 product columns."""
+    r, n = rows.shape
+    prods = np.empty((r, n, r), dtype=np.int64)
+    step = max(1, _FILL_ENTRIES // max(n * n, 1))
+    for lo in range(0, r, step):
+        stack = lmul(rows[lo:lo + step]).reshape(-1, n)
+        prods[lo:lo + step] = matmul(f, stack, rows.T).reshape(-1, n, r)
+    # column i r + j is rows[i] * rows[j]
+    cols = prods.transpose(1, 0, 2).reshape(n, r * r)
+    return coords(cols, check).T.reshape(r, r, r)
 
 
 class Subspace:

@@ -10,15 +10,15 @@ roots; after floor(log_p dim) + 1 steps the chain has converged to J(A).
 
 Characteristic polynomials come from Hessenberg reduction, which only
 needs field divisions and is exact here.  Level 0 reads c_1 = -trace off
-one product-sum.  Each later level stacks the products L_t L_k of the
-left-multiplication matrices of the upper-triangle basis pairs (t <= k;
-the form is symmetric since charpoly(AB) = charpoly(BA)) and runs one
-batched Hessenberg reduction and recurrence per stack, `charpolys`, which
-keeps only the top p^i + 1 coefficients of each leading-block polynomial.
-A stack holds at most `_STACK_BUDGET` matrix entries, and its products
-are built in parts whose n^3-element temporaries stay under the same
-budget.  `charpoly`, the one-matrix reduction, is the reference for
-`charpolys`.
+one product of the flattened left-multiplication matrices.  Each later
+level stacks the products L_t L_k of the left-multiplication matrices
+of the upper-triangle basis pairs (t <= k; the form is symmetric since
+charpoly(AB) = charpoly(BA)) and runs one batched Hessenberg reduction
+and recurrence per stack, `charpolys`, which keeps only the top p^i + 1
+coefficients of each leading-block polynomial.  A stack holds at most
+`_STACK_BUDGET` matrix entries; its products are one stacked
+`FiniteField.matmul`, which tiles its own temporaries.  `charpoly`, the
+one-matrix reduction, is the reference for `charpolys`.
 
 The radical of an algebra depends only on its structure data, and the
 pipeline keeps rebuilding equal algebras (the corner e.A.e for the same
@@ -38,8 +38,8 @@ import numpy as np
 from . import linalg
 from .linalg import Subspace
 
-# Largest stack of basis-pair products, and largest temporary of the
-# products that fill it, in elements (see `_radical_rows_impl`).
+# Largest stack of basis-pair products, in elements (see
+# `_radical_rows_impl`).
 _STACK_BUDGET = 1 << 17
 
 
@@ -67,8 +67,7 @@ def hessenberg(f, m):
                             f.mul(np.atleast_1d(factors)[:, None],
                                   h[j + 1][None, :]))
         h[:, j + 1] = f.add(h[:, j + 1],
-                            f.mul_sum(np.atleast_1d(factors)[None, :],
-                                      h[:, rows_idx], axis=1))
+                            f.matmul(h[:, rows_idx], np.atleast_1d(factors)))
     return h
 
 
@@ -131,8 +130,8 @@ def _hessenbergs(f, stack):
                                  f.mul(factors[:, :, None],
                                        h[:, None, j + 1, j:]))
         h[:, :, j + 1] = f.add(h[:, :, j + 1],
-                               f.mul_sum(h[:, :, j + 2:],
-                                         factors[:, None, :], axis=2))
+                               f.matmul(h[:, :, j + 2:],
+                                        factors[:, :, None])[:, :, 0])
     return h
 
 
@@ -168,7 +167,7 @@ def charpolys(f, stack, j):
         polys[:, k, shift:k + 1] = polys[:, k - 1, shift - 1:k]
         polys[:, k, lo:k + 1] = f.sub(
             polys[:, k, lo:k + 1],
-            f.mul_sum(weights[:, :, None], polys[:, lo:k, lo:k + 1], axis=1))
+            f.matmul(weights[:, None, :], polys[:, lo:k, lo:k + 1])[:, 0])
     return polys[:, n, n - j].copy()
 
 
@@ -200,37 +199,23 @@ def _radical_rows_impl(A):
     while p ** (levels + 1) <= n:
         levels += 1
     basis = linalg.eye(f, n)
-    lmats = {}
-
-    def lmat(row):
-        key = row.tobytes()
-        if key not in lmats:
-            lmats[key] = A.lmul_matrix(row)
-        return lmats[key]
-
+    mats = A.lmul_matrix(basis)
     for i in range(levels + 1):
         r = basis.shape[0]
         if r == 0:
             break
         pi = p ** i
-        mats = np.array([lmat(basis[t]) for t in range(r)])
         if pi == 1:
-            # c_1 is minus the trace: batch as flattened dot products
-            stack_t = mats.transpose(0, 2, 1).reshape(1, r, n * n)
-            forms = f.neg(f.mul_sum(mats.reshape(r, 1, n * n), stack_t,
-                                    axis=2))
+            # c_1 is minus the trace, tr(L_t L_k) = vec(L_t) . vec(L_k^T)
+            transposed = mats.transpose(0, 2, 1).reshape(r, n * n)
+            forms = f.neg(f.matmul(mats.reshape(r, n * n), transposed.T))
         else:
             left, right = np.triu_indices(r)
             vals = np.empty(left.size, dtype=np.int64)
-            # step matrices per stack, sub of them per n^3 temporary
             step = max(1, _STACK_BUDGET // n ** 2)
-            sub = max(1, _STACK_BUDGET // n ** 3)
             for lo in range(0, left.size, step):
-                t, k = left[lo:lo + step], right[lo:lo + step]
-                prods = np.concatenate([
-                    f.mul_sum(mats[t[s:s + sub]][:, :, :, None],
-                              mats[k[s:s + sub]][:, None, :, :], axis=2)
-                    for s in range(0, t.size, sub)])
+                prods = f.matmul(mats[left[lo:lo + step]],
+                                 mats[right[lo:lo + step]])
                 vals[lo:lo + step] = charpolys(f, prods, pi)
             forms = linalg.zeros(r, r)
             forms[left, right] = vals
@@ -244,6 +229,7 @@ def _radical_rows_impl(A):
             for b in range(r):
                 x_rows[a, b] = _root(f, int(u_rows[a, b]), i)
         basis = linalg.rref(f, linalg.matmul(f, x_rows, basis))[0]
+        mats = A.lmul_matrix(basis)
     return basis
 
 

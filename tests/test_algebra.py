@@ -131,6 +131,40 @@ def test_identity_subalgebras_share_the_group_tables():
     e = sum(group_element_vector(A, h) for h in (G.identity, c, pmul(c, c)))
     C = A.corner(e)
     assert C.dim < A.dim and C.mult_tensor is not None and C._ltable is None
+    # and the whole of a dense algebra shares its tensor
+    assert C.corner(C.unit).mult_tensor is C.mult_tensor
+
+
+def tensor_lmul(f, tensor, x):
+    """L with L @ y = x * y, summed from the tensor entry by entry."""
+    return f.vec_sum(f.mul(x[:, None, None], tensor), axis=0).T
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 4), (5, 1)])
+def test_structure_tensor_matches_the_per_slice_fill(p, m):
+    # the oracle fills slice i with the coordinates of L(rows[i]) @ rows.T,
+    # one product per slice
+    f = field(p, m)
+    A = group_algebra(group_from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)],
+                                            "S4"), f)
+    rng = np.random.default_rng(12)
+    rows = f.random_elements(rng, (A.dim, A.dim))
+    while linalg.rank(f, rows) < A.dim:
+        rows = f.random_elements(rng, (A.dim, A.dim))
+    B = A.subalgebra(rows)              # kS4 on a random basis: dense
+    for parent, sub in ((A, rows), (B, B.center_rows())):
+        coords = linalg.Coordinates(f, sub)
+        tensor = linalg.structure_tensor(f, parent.lmul_matrix, sub, coords)
+        lmats = parent.lmul_matrix(sub)
+        for i, x in enumerate(sub):
+            want = parent.lmul_matrix(x) if parent.mult_tensor is None \
+                else tensor_lmul(f, parent.mult_tensor, x)
+            assert np.array_equal(lmats[i], want)
+            assert np.array_equal(
+                tensor[i], coords(linalg.matmul(f, want, sub.T)).T)
+    y = B.random_element(rng)
+    want = f.vec_sum(f.mul(y[None, :, None], B.mult_tensor), axis=1).T
+    assert np.array_equal(B.rmul_matrix(y), want)
 
 
 def test_raw_context_associativity_check():

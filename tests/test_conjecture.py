@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 
 import numpy as np
+import pytest
 
 from bflab import conjecture
 from bflab.algebra import group_algebra
@@ -149,6 +150,31 @@ def test_theta_identity_is_identity():
     P = ia.D
     tm = theta_map(ia, identity_injection(P).corestrict(), P, P, r)
     assert tm == {pt.index: pt.index for pt in local_points(ia, P, r)}
+
+
+def test_theta_is_searched_once_and_a_finding_raised_each_time(monkeypatch):
+    ia = interior(S3, 3)
+    r = rng()
+    P = ia.D
+    phi = identity_injection(P).corestrict()
+    gamma = local_points(ia, P, r)[0]
+    tests = []
+    real = conjecture.isofusion
+    monkeypatch.setattr(conjecture, "isofusion",
+                        lambda *args: tests.append(args) or real(*args))
+    delta = conjecture.theta_of_point(ia, phi, P, gamma, P, r)
+    assert delta is not None
+    assert len(tests) == len(local_points(ia, P, r))
+    assert conjecture.theta_of_point(ia, phi, P, gamma, P, r) is delta
+    assert len(tests) == len(local_points(ia, P, r))
+    # two targets: the finding is raised again on the next call
+    fresh = interior(S3, 3)
+    monkeypatch.setattr(conjecture, "local_points",
+                        lambda ia, Q, rng: [gamma, gamma])
+    monkeypatch.setattr(conjecture, "isofusion", lambda *args: (1, 1))
+    for _ in range(2):
+        with pytest.raises(conjecture.Finding):
+            conjecture.theta_of_point(fresh, phi, P, gamma, P, r)
 
 
 def test_theta_inner_is_conjugation_transport():

@@ -225,6 +225,23 @@ def test_defect_groups_examples():
     assert defs[0].order == 3
 
 
+def test_blocks_of_kg_are_found_once(monkeypatch):
+    # in D8 at p = 2, C_G(P) = G for P = 1 and P = Z(D8): kG's blocks are
+    # found once for both, and every other (kG)(P) once
+    calls = []
+    real = fusion.block_idempotents
+    monkeypatch.setattr(fusion, "block_idempotents",
+                        lambda Q, r: calls.append(Q) or real(Q, r))
+    engine = BrauerPairs(build_group_algebra(D8, 2), rng())
+    subs = all_subgroups(engine.S)
+    for P in subs + subs:
+        engine.blocks_at(P)
+    central = [P for P in subs if engine.centralizer_algebra(P) is engine.A]
+    assert len(central) == 2
+    assert len(calls) == len(subs) - 1
+    assert all(engine.blocks_at(P) is engine.blocks for P in central)
+
+
 def test_brauer_pair_poset_order_axioms():
     # reflexive, antisymmetric, transitive, and G-equivariant on the
     # stored interval

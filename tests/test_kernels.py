@@ -1,12 +1,15 @@
 """The field and charpoly kernels against their reference paths: array
-`mul`, the product-sum kernel, the rank-one kernel and the table-driven
-add/neg against the scalar, `vec_sum` and `sub`/`mul` paths, stacked
-`charpolys` against the one-matrix `charpoly`; that no module of `bflab`
-has an `assert`, which `python -O` would skip, none caches on an
-object's private attributes behind `hasattr`, and none but `gf` reads a
-field's private tables."""
+`mul`, the product kernel `matmul`, the rank-one kernel and the
+table-driven add/neg against the scalar, `vec_sum` and `sub`/`mul`
+paths, the vectorized field tables against a per-element build, stacked
+`charpolys` against the one-matrix `charpoly`; that no BLAS call of
+`matmul` is large enough to go multithreaded, no module of `bflab` has
+an `assert`, which `python -O` would skip, none caches on an object's
+private attributes behind `hasattr`, and none but `gf` reads a field's
+private tables."""
 
 import ast
+import math
 import pathlib
 from unittest import mock
 
@@ -45,25 +48,52 @@ def test_array_mul_matches_scalar_reference(case):
         assert type(out) is int and out == f.mul(int(x), int(y))
 
 
+def reference(f, a, b):
+    """a @ b through `vec_sum` of `mul`, 1-D operands promoted and
+    dropped as numpy `matmul` does."""
+    a2 = a[None] if a.ndim == 1 else a
+    b2 = b[:, None] if b.ndim == 1 else b
+    out = f.vec_sum(f.mul(a2[..., :, :, None], b2[..., None, :, :]), axis=-2)
+    if b.ndim == 1:
+        out = out[..., 0]
+    if a.ndim == 1:
+        out = out[..., 0, :] if b.ndim > 1 else out[..., 0]
+    return out if np.ndim(out) else int(out)
+
+
 @st.composite
-def product_sums(draw):
+def products(draw):
     f = field(*draw(st.sampled_from(FIELDS)))
-    shape = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
-    # each operand keeps a dimension or broadcasts it (size 1 or missing)
-    a_shape = [n if draw(st.booleans()) else 1 for n in shape]
-    b_shape = [n if draw(st.booleans()) else 1 for n in shape]
-    b_shape = b_shape[draw(st.integers(0, len(shape) - 1)):]
-    axis = draw(st.integers(-len(shape), len(shape) - 1))
-    return f, draw(codes(f, a_shape)), draw(codes(f, b_shape)), axis
+    n, k, l = (draw(st.integers(0, 9)) for _ in range(3))
+    stack = draw(st.lists(st.integers(0, 3), max_size=2))
+    # each operand keeps a stack axis or broadcasts it (size 1 or missing)
+    a_stack = [s if draw(st.booleans()) else 1 for s in stack]
+    b_stack = [s if draw(st.booleans()) else 1 for s in stack]
+    b_stack = b_stack[draw(st.integers(0, len(stack))):]
+    a_shape = [k] if not a_stack and draw(st.booleans()) else a_stack + [n, k]
+    b_shape = [k] if not b_stack and draw(st.booleans()) else b_stack + [k, l]
+    return f, draw(codes(f, a_shape)), draw(codes(f, b_shape))
 
 
-@given(product_sums(), st.sampled_from([1 << 22, 1, 7]))
-def test_mul_sum_matches_reference(case, budget):
-    # a tiny temporary budget sends every shape through the chunked path
-    f, a, b, axis = case
-    expect = f.vec_sum(f.mul(a, b), axis=axis)
-    with mock.patch.object(gf, "_TEMP_BUDGET", budget):
-        got = f.mul_sum(a, b, axis)
+# (tile, multiply-adds per BLAS call, gather threshold): the defaults;
+# tiny tiles on the BLAS path wherever the shape allows; tiny tiles on
+# the gather path
+BUDGETS = [(gf._TILE, gf._BLAS_MACS, gf._GATHER_BELOW), (4, 16, 1),
+           (4, 16, 1 << 30)]
+
+
+def budgets(tile, macs, gather_below):
+    return mock.patch.multiple(gf, _TILE=tile, _BLAS_MACS=macs,
+                               _GATHER_BELOW=gather_below)
+
+
+@given(products(), st.sampled_from(BUDGETS))
+def test_matmul_matches_reference(case, budget):
+    # the tiny budgets cut every shape into tiles, inner dimension too
+    f, a, b = case
+    expect = reference(f, a, b)
+    with budgets(*budget):
+        got = f.matmul(a, b)
     assert type(got) is type(expect)
     assert np.array_equal(got, expect)
 
@@ -96,21 +126,57 @@ def test_add_neg_match_scalar_reference(case):
         assert negated[i] == f._scalar_neg(x)
 
 
-def test_mul_sum_chunks_past_the_packed_width():
-    # GF(3^8): 8 digit fields of 7 bits hold at most 63 products, so an
-    # inner dimension of 127 makes chunks of 63, 63 and 1
-    f = field(3, 8)
+class BlasCalls:
+    """Wraps np.matmul and records the multiply-adds of each float64 call."""
+
+    def __init__(self):
+        self.macs = []
+        self.real = np.matmul
+
+    def __call__(self, x, y, *args, **kwargs):
+        if x.dtype == np.float64:
+            stack = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+            self.macs.append(math.prod(stack) * x.shape[-2] * x.shape[-1]
+                             * y.shape[-1])
+        return self.real(x, y, *args, **kwargs)
+
+
+@pytest.mark.parametrize("p,m,n,k,l", [(3, 8, 3, 127, 4), (3, 4, 9, 600, 10),
+                                       (3, 4, 2, 600, 3)])
+def test_matmul_cuts_past_the_packed_width(p, m, n, k, l):
+    # GF(3^8): 8 digit fields of 6 bits hold 31 sums of digits, so the
+    # gather cuts an inner dimension of 127 into 31s; GF(3^4): a 13-bit
+    # field holds 511 terms of the BLAS path, so k = 600 is cut in two,
+    # and the thin (2, 600, 3) gathers in one piece
+    f = field(p, m)
     rng = np.random.default_rng(5)
-    a = f.random_elements(rng, (3, 127))
-    b = f.random_elements(rng, (127, 4))
+    a = f.random_elements(rng, (n, k))
+    b = f.random_elements(rng, (k, l))
     a[1], b[:, 1] = f.q - 1, 1      # every digit p - 1: the widest sums
-    expect = f.vec_sum(f.mul(a[:, :, None], b[None, :, :]), axis=1)
-    assert np.array_equal(linalg.matmul(f, a, b), expect)
-    assert f.mul_sum(a[0], b[:, 0], 0) == expect[0, 0]
-    # an operand broadcast along the cut axis is not cut
-    col = a[:, :1]
-    assert np.array_equal(f.mul_sum(col, a, 1),
-                          f.vec_sum(f.mul(col, a), axis=1))
+    expect = reference(f, a, b)
+    calls = BlasCalls()
+    with mock.patch.object(np, "matmul", calls):
+        assert np.array_equal(linalg.matmul(f, a, b), expect)
+    assert len(calls.macs) == (2 if (m, n) == (4, 9) else 0)
+    assert f.matmul(a[0], b[:, 0]) == expect[0, 0]
+    # an operand broadcast against a stack
+    assert np.array_equal(f.matmul(a, np.stack([b, b])),
+                          np.stack([expect, expect]))
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2), (3, 4)])
+def test_blas_calls_stay_below_the_thread_threshold(p, m):
+    # OpenBLAS splits a call above 2^18 multiply-adds across threads
+    f = field(p, m)
+    rng = np.random.default_rng(2)
+    cases = [((120, 90), (90, 110)), ((5, 70, 60), (5, 60, 70)),
+             ((300, 200), (200, 1)), ((1, 200), (200, 300))]
+    calls = BlasCalls()
+    with mock.patch.object(np, "matmul", calls):
+        for sa, sb in cases:
+            a, b = f.random_elements(rng, sa), f.random_elements(rng, sb)
+            assert np.array_equal(f.matmul(a, b), reference(f, a, b))
+    assert calls.macs and max(calls.macs) <= 1 << 18
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 1)])
@@ -124,6 +190,37 @@ def test_matmul_past_the_temporary_budget(p, m):
     for i in range(0, 300, 37):
         row = f.vec_sum(f.mul(a[i][:, None], b), axis=0)
         assert np.array_equal(out[i], row)
+
+
+@pytest.mark.parametrize("p,m", FIELDS + [(2, 12)])
+def test_field_tables_match_per_element_build(p, m):
+    # the reference multiplies by the generator one element at a time
+    f = field(p, m)
+    exp = [1]
+    for _ in range(f.q - 2):
+        exp.append(f._poly_mul_code(exp[-1], f.generator))
+    assert f._poly_mul_code(exp[-1], f.generator) == 1
+    assert len(set(exp)) == f.q - 1
+    assert f._exp_list == exp + exp
+    log = [0] * f.q
+    for i, c in enumerate(exp):
+        log[c] = i
+    assert f._log_list == log
+    if m == 1:
+        return
+    # packed words: digit t of c in bits [w t, w (t + 1))
+    codes = np.arange(f.q)
+
+    def words(c):
+        return (c[:, None] // f._powers % p << f._offsets).sum(axis=1)
+
+    if p != 2:
+        assert np.array_equal(f._pack, words(codes))
+    if f._blas_k:
+        assert np.array_equal(f._planes, codes[:, None] // f._powers % p)
+        for i in range(m):
+            shifted = f.mul(f.pow(p, i), codes)      # the code p is x
+            assert np.array_equal(f._folded[:, i], words(shifted))
 
 
 @st.composite
@@ -179,7 +276,9 @@ def test_kernel_checks_raise():
     with pytest.raises(ValueError):
         linalg.matmul(f, linalg.eye(f, 2), linalg.eye(f, 3))
     with pytest.raises(ValueError):
-        f.mul_sum(np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64), 1)
+        f.matmul(np.ones(3, dtype=np.int64), np.ones(4, dtype=np.int64))
+    with pytest.raises(ValueError):
+        f.matmul(np.ones((2, 3), dtype=np.int64), 1)
     with pytest.raises(ValueError):
         charpolys(f, np.zeros((1, 2, 2), dtype=np.int64), 3)
 
@@ -206,8 +305,8 @@ def test_no_hasattr_cache_on_private_names(module):
     assert not lines, f"{module}: hasattr cache at lines {lines}"
 
 
-FIELD_TABLES = {"_log0", "_exp0", "_pexp", "_add_table", "_neg_table",
-                "_log_list", "_exp_list"}
+FIELD_TABLES = {"_log0", "_exp0", "_add_table", "_neg_table", "_log_list",
+                "_exp_list", "_pack", "_planes", "_folded"}
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
