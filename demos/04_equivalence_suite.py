@@ -10,7 +10,6 @@ explicit global unit in a twisted fixed module two different ways.
 
 import numpy as np
 
-from bflab.bisets import _into_group
 from bflab.blocks import analyze_block, build_group_algebra
 from bflab.conjecture import (build_unital_basis, equivalence_report,
                               has_all_twisted_units,
@@ -61,6 +60,6 @@ u, v = lift_to_global_unit(ia, phi, phi.domain, phi.image(), rng)
 print("  lifted unit verifies u.v = v.u = 1:",
       np.array_equal(ia.A.mul(u, v), ia.A.unit) and
       np.array_equal(ia.A.mul(v, u), ia.A.unit))
-rows = ia.brauer(TwistedDiagonal(_into_group(phi, ia.D))).fixed
+rows = ia.brauer(TwistedDiagonal(phi)).fixed
 w, record = unit_in_subspace(ia, rows.basis, rng)
 print("  independent direct search also finds a unit:", w is not None)

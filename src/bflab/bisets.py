@@ -17,8 +17,8 @@ query a fusion system, and the Sylow condition is arithmetic on sizes.
 import numpy as np
 
 from . import linalg
-from .groups import (GroupInjection, TwistedDiagonal, all_subgroups,
-                     identity_injection, twisted_classes)
+from .groups import (TwistedDiagonal, all_subgroups, identity_injection,
+                     twisted_classes)
 from .interior import decode_pair, pair_subgroup
 
 
@@ -265,8 +265,7 @@ def characteristic_report(shape, fusion, p):
     stable = True
     stable_witness = None
     for P, Q, phi in fusion.all_isomorphisms():
-        td_phi = TwistedDiagonal(_into_group(phi, D))
-        cnt_phi = shape.fixed_count(td_phi)
+        cnt_phi = shape.fixed_count(TwistedDiagonal(phi))
         cnt_p = shape.fixed_count(TwistedDiagonal(identity_injection(P, D)))
         cnt_q = shape.fixed_count(TwistedDiagonal(identity_injection(Q, D)))
         if not (cnt_phi == cnt_p == cnt_q):
@@ -286,7 +285,3 @@ def characteristic_report(shape, fusion, p):
                          "sylow"))
     return report
 
-
-def _into_group(phi, D):
-    """View an injection P -> Q <= D as an injection into D."""
-    return GroupInjection(phi.domain, D, phi.mapping, check=False)

@@ -17,6 +17,10 @@ it is written through a temporary file, so a failed write leaves none.
 
 Exit codes: 0 success, 2 input error, 3 order cap exceeded, 4 a finding
 was emitted (a proved statement failed or the equivalences disagreed).
+The input (the group file, the group it loads and the prime) is checked
+before the pipeline runs, and only its failures are input errors; an
+error raised inside the pipeline is a fault of the program and
+propagates with its traceback.
 """
 
 import argparse
@@ -37,7 +41,7 @@ from .conjecture import (ExtensionNeeded, Finding, equivalence_report,
                          twisted_unit_laws_report)
 from .fusion import BrauerPairs
 # `_dividing_primes` is the name perfbench/workloads.py imports
-from .gf import _prime_factors as _dividing_primes, field
+from .gf import _prime_factors as _dividing_primes, field, is_prime
 from .groups import OrderCapExceeded, load_group
 from .idempotents import NonSplitError
 
@@ -53,15 +57,14 @@ def _group_doc(path):
         return json.load(fh)
 
 
-def _analyze_blocks(doc, prime, seed, order_cap, deep, thorough=False,
+def _analyze_blocks(doc, G, prime, seed, deep, thorough=False,
                     exhaustive=False):
-    """Returns (block_records, findings).
+    """Returns (block_records, findings) of the group G loaded from doc.
 
     When a corner fails to split or a search certifiably needs more
     scalars, the whole analysis restarts over a doubled-degree field
     (at most twice) so that every verdict is stated over one field.
     """
-    G = load_group(doc, order_cap=order_cap)
     degree = None
     last = None
     for _ in range(3):
@@ -147,13 +150,13 @@ def _analyze_blocks_over(A, doc, prime, seed, deep, thorough, exhaustive):
     return records, findings
 
 
-def _run_one(doc, prime, args, deep):
+def _run_one(doc, G, prime, args, deep):
     seed = args.seed
     config = {"order_cap": args.order_cap, "exhaustive": args.exhaustive,
               "thorough": args.thorough, "mode": "check" if deep
               else "analyze"}
     records, findings = _analyze_blocks(
-        doc, prime, seed, args.order_cap, deep,
+        doc, G, prime, seed, deep,
         thorough=args.thorough, exhaustive=args.exhaustive)
     rep = report_mod.make_report(doc, prime, seed, config, records, findings)
     return rep, findings
@@ -174,17 +177,16 @@ def _write_findings(findings, out_dir):
 def cmd_analyze(args, deep=False):
     try:
         doc = _group_doc(args.group)
-    except (OSError, json.JSONDecodeError) as exc:
-        _log(f"input error: {exc}")
-        return 2
-    try:
-        rep, findings = _run_one(doc, args.prime, args, deep)
+        G = load_group(doc, order_cap=args.order_cap)
+        if not is_prime(args.prime):
+            raise ValueError(f"{args.prime} is not prime")
     except OrderCapExceeded as exc:
         _log(f"order cap: {exc}")
         return 3
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         _log(f"input error: {exc}")
         return 2
+    rep, findings = _run_one(doc, G, args.prime, args, deep)
     report_mod.dump_report(rep, args.out)
     if findings:
         paths = _write_findings(findings, args.findings_dir)
@@ -243,13 +245,17 @@ def cmd_catalog(args):
         path = os.path.join(args.dir, name)
         try:
             doc = _group_doc(path)
-            order = load_group(doc, order_cap=args.order_cap).order
-        except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+            G = load_group(doc, order_cap=args.order_cap)
+        except OrderCapExceeded:
+            rows.append({"file": name, "status": "order-cap"})
+            worst = max(worst, 3)
+            continue
+        except (OSError, ValueError, KeyError) as exc:
             rows.append({"file": name, "status": "input-error",
                          "detail": str(exc)})
             worst = max(worst, 2)
             continue
-        for prime in _dividing_primes(order):
+        for prime in _dividing_primes(G.order):
             config = {"order_cap": args.order_cap,
                       "exhaustive": args.exhaustive,
                       "thorough": args.thorough, "mode": "check"}
@@ -263,13 +269,7 @@ def cmd_catalog(args):
                 findings = rep["findings"]
                 status = "ok(cached)" if not findings else "FINDING(cached)"
             else:
-                try:
-                    rep, findings = _run_one(doc, prime, args, deep=True)
-                except OrderCapExceeded:
-                    rows.append({"file": name, "prime": prime,
-                                 "status": "order-cap"})
-                    worst = max(worst, 3)
-                    continue
+                rep, findings = _run_one(doc, G, prime, args, deep=True)
                 if cached:
                     _write_json_atomic(cached, rep)
                 status = "ok" if not findings else "FINDING"

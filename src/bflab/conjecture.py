@@ -20,15 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bisets import (_expand_orbit, _into_group, characteristic_report,
+from .bisets import (_expand_orbit, characteristic_report,
                      explicit_invariant_basis)
 from .fusion import fixed_point_presystem
 from .groups import GroupInjection, TwistedDiagonal, all_subgroups
 from .idempotents import are_associate, sandwich_rows, transpotent_pair
 from .interior import pair_subgroup, quotient_product
 from .points import (Point, conjugate_point, local_points,
-                     local_invariant_decomposition, point_of, points,
-                     refine_idempotent, relative_multiplicity,
+                     local_invariant_decomposition, point_multiplicity,
+                     point_of, points, relative_multiplicity,
                      _associate_in_fixed)
 
 
@@ -166,8 +166,8 @@ def _check_invariant(ia, basis):
 
 
 def _quotient_of(ia, phi):
-    """A(phi), the Brauer quotient at Delta(phi, P), with phi viewed into D."""
-    return ia.brauer(TwistedDiagonal(_into_group(phi, ia.D)))
+    """A(phi), the Brauer quotient at Delta(phi, P)."""
+    return ia.brauer(TwistedDiagonal(phi))
 
 
 def unital_basis_exists(ia, presystem, rng, exhaustive=False):
@@ -234,10 +234,8 @@ class TwistedUnit:
 
 def _iso_quotients(ia, phi):
     """(A(phi), A(phi^-1), A(P), A(Q)) for an isomorphism phi: P -> Q."""
-    phi_d = _into_group(phi, ia.D)
-    return (_quotient_of(ia, phi),
-            _quotient_of(ia, phi.corestrict().inverse()),
-            ia.brauer_at(phi_d.domain), ia.brauer_at(phi_d.image()))
+    return (_quotient_of(ia, phi), _quotient_of(ia, phi.inverse()),
+            ia.brauer_at(phi.domain), ia.brauer_at(phi.image()))
 
 
 def twisted_unit_exists(ia, phi, rng):
@@ -305,23 +303,26 @@ def has_all_twisted_units(ia, presystem, rng):
     return ok, table
 
 
+def _composable_pairs(isos):
+    """(phi, psi) for the listed isomorphisms (P, Q, phi) and (Q, R, psi),
+    phi-major in list order: psi o phi is defined, as phi maps P onto Q."""
+    return [(phi, psi) for _, Q, phi in isos for Q2, _, psi in isos
+            if Q.key == Q2.key]
+
+
 def _pairing_surjectivity_check(ia, isos, rng):
     """Pairing surjectivity: products span A(psi.phi) for composable isos
     whenever all twisted units exist (20 sampled pairs)."""
     f = ia.A.field
-    comp = [(p1, p2) for p1 in isos for p2 in isos
-            if p1[2].image().key == p2[0].key]
+    comp = _composable_pairs(isos)
     if not comp:
         return
     idx = rng.permutation(len(comp))[:20]
     for t in idx:
-        (P, Q, phi), (Q2, R, psi) = comp[int(t)]
-        phi_d = _into_group(phi, ia.D)
-        psi_d = _into_group(psi, ia.D)
-        bq_phi = ia.brauer(TwistedDiagonal(phi_d))
-        bq_psi = ia.brauer(TwistedDiagonal(psi_d))
-        comp_inj = psi_d.compose(phi_d.corestrict(psi_d.domain))
-        bq_out = ia.brauer(TwistedDiagonal(comp_inj))
+        phi, psi = comp[int(t)]
+        bq_phi = _quotient_of(ia, phi)
+        bq_psi = _quotient_of(ia, psi)
+        bq_out = _quotient_of(ia, psi.compose(phi.corestrict(psi.domain)))
         if bq_out.dim == 0:
             continue
         # the products of all basis classes, one call per class of A(psi)
@@ -433,17 +434,13 @@ def twisted_unit_laws_report(ia, presystem, rng):
                     linalg.nullspace(f, m).shape[0] != 0:
                 report["translation_regular"] = False
     # composable products of twisted units are twisted units
-    for P1, Q1, phi in isos:
-        for P2, Q2, psi in isos:
-            if phi.image().key != P2.key:
-                continue
-            bq_phi = _quotient_of(ia, phi)
-            bq_psi = _quotient_of(ia, psi)
-            w, bq_comp = quotient_product(bq_psi, bq_phi,
-                                          units[_phi_label(psi)].u,
-                                          units[_phi_label(phi)].u)
-            if _try_twisted(ia, _iso_quotients(ia, bq_comp.phi), w) is None:
-                report["closure"] = False
+    for phi, psi in _composable_pairs(isos):
+        w, bq_comp = quotient_product(_quotient_of(ia, psi),
+                                      _quotient_of(ia, phi),
+                                      units[_phi_label(psi)].u,
+                                      units[_phi_label(phi)].u)
+        if _try_twisted(ia, _iso_quotients(ia, bq_comp.phi), w) is None:
+            report["closure"] = False
     return report
 
 
@@ -561,11 +558,9 @@ def lift_to_global_unit(ia, phi, P, Q, rng):
             raise Finding("lift_orbit_count_mismatch",
                           {"phi": _phi_label(phi), "R_order": R.order,
                            "E": len(e_orbit_reps), "F": len(f_orbit_reps)})
-        sub_pairs = TwistedDiagonal(_into_group(res, ia.D)).pairs
-        res_inv = res.inverse()
-        sub_pairs_inv = TwistedDiagonal(_into_group(res_inv, ia.D)).pairs
-        tr_up = ia.trace_map(sub_pairs, bq_phi.pairs)
-        tr_up_inv = ia.trace_map(sub_pairs_inv, bq_inv.pairs)
+        tr_up = ia.trace_map(TwistedDiagonal(res).pairs, bq_phi.pairs)
+        tr_up_inv = ia.trace_map(TwistedDiagonal(res.inverse()).pairs,
+                                 bq_inv.pairs)
         for e_rep, f_rep in zip(e_orbit_reps, f_orbit_reps):
             ge = Point(subgroup=R, index=-1, rep=e_rep, multiplicity=1,
                        local=True)
@@ -666,10 +661,8 @@ def ambient_balance_report(ia_hat, ell, presystem, rng, exhaustive=False):
             if delta_hat is None:
                 raise Finding("ambient_theta_undefined",
                               {"phi": _phi_label(phi)})
-            m_src = _relative_mult_of_idempotent(ia_hat, P, gamma_hat, ell,
-                                                 rng)
-            m_dst = _relative_mult_of_idempotent(ia_hat, Q, delta_hat, ell,
-                                                 rng)
+            m_src = point_multiplicity(ia_hat, P, gamma_hat, ell, rng)
+            m_dst = point_multiplicity(ia_hat, Q, delta_hat, ell, rng)
             if m_src != m_dst:
                 report["balanced"] = False
                 witness = witness or {"phi": _phi_label(phi),
@@ -678,12 +671,6 @@ def ambient_balance_report(ia_hat, ell, presystem, rng, exhaustive=False):
     if witness:
         report["witness"] = witness
     return report
-
-
-def _relative_mult_of_idempotent(ia, P, pt, ell, rng):
-    """Members of the point among a primitive decomposition of ell in A^P."""
-    parts = refine_idempotent(ia, P, np.asarray(ell), rng)
-    return sum(1 for x in parts if _associate_in_fixed(ia, P, x, pt.rep))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ recurse on complementary corners until every piece has a local corner.
 conjugacy: given i = sum of products t_a.s_b with i primitive, locality
 of i.A.i forces one summand to be invertible in the corner, and that
 summand is massaged into an exact pair (s, t) with t.s = i, s.t = j.
+`are_associate` asks the same solve only whether a solution exists.
 """
 
 import numpy as np
@@ -232,17 +233,6 @@ def corner_unit_inverse(A, i, w):
     return A.mul(A.mul(i, z), i)
 
 
-def product_span_rows(A, left_rows, right_rows):
-    """Rows spanning {l * r : l in span(left), r in span(right)}."""
-    prods = []
-    for a in range(left_rows.shape[0]):
-        la = A.lmul_matrix(left_rows[a])
-        prods.append(linalg.matmul(A.field, la, right_rows.T).T)
-    if not prods:
-        return linalg.zeros(0, A.dim)
-    return linalg.rref(A.field, np.concatenate(prods, axis=0))[0]
-
-
 def sandwich_rows(A, i, rows, j):
     """Rows spanning i.V.j for V given by rows."""
     f = A.field
@@ -252,30 +242,31 @@ def sandwich_rows(A, i, rows, j):
     return linalg.rref(f, out)[0]
 
 
+def _product_coefficients(A, i, t_rows, s_rows):
+    """Coefficients c with i = sum c[a.|s| + b] t_a.s_b (a-major), or
+    None when i is not in the span of the pairwise products."""
+    if t_rows.shape[0] == 0 or s_rows.shape[0] == 0:
+        return None
+    f = A.field
+    # products[a] is the matrix whose column b is t_a.s_b
+    products = f.matmul(A.lmul_matrix(t_rows), s_rows.T)
+    cols = products.transpose(1, 0, 2).reshape(A.dim, -1)
+    return linalg.solve(f, cols, np.asarray(i))
+
+
 def transpotent_pair(A, i, j, t_rows, s_rows):
     """Exact (s, t) with t.s = i and s.t = j, t in span(t_rows) and s in
     span(s_rows), assuming i, j primitive.  None if i is not in the span
     of the pairwise products t_a.s_b.
     """
-    f = A.field
-    if t_rows.shape[0] == 0 or s_rows.shape[0] == 0:
-        return None
-    prods = []
-    pairs = []
-    for a in range(t_rows.shape[0]):
-        la = A.lmul_matrix(t_rows[a])
-        block = linalg.matmul(f, la, s_rows.T)
-        for b in range(s_rows.shape[0]):
-            prods.append(block[:, b])
-            pairs.append((a, b))
-    coeffs = linalg.solve(f, np.array(prods).T, np.asarray(i))
+    coeffs = _product_coefficients(A, i, t_rows, s_rows)
     if coeffs is None:
         return None
     for idx, c in enumerate(coeffs):
         c = int(c)
         if c == 0:
             continue
-        a, b = pairs[idx]
+        a, b = divmod(idx, s_rows.shape[0])
         t = t_rows[a]
         s0 = A.scale(c, s_rows[b])
         w = A.mul(t, s0)
@@ -294,9 +285,5 @@ def are_associate(A, i, j):
     if np.array_equal(np.asarray(i), np.asarray(j)):
         return True
     basis = A.basis_matrix()
-    t_rows = sandwich_rows(A, i, basis, j)
-    s_rows = sandwich_rows(A, j, basis, i)
-    if t_rows.shape[0] == 0 or s_rows.shape[0] == 0:
-        return False
-    span = product_span_rows(A, t_rows, s_rows)
-    return linalg.solve(A.field, span.T, np.asarray(i)) is not None
+    return _product_coefficients(A, i, sandwich_rows(A, i, basis, j),
+                                 sandwich_rows(A, j, basis, i)) is not None

@@ -133,9 +133,11 @@ class InteriorAlgebra:
         # P.key -> the quotient at Delta(P), an entry of _bq_cache
         self._bq_at = {}
         self._fixed_cache = {}
-        # point data of bflab.points, keyed by subgroup (and idempotent)
-        self._points_cache = {"ctx": {}, "decomp": {}, "points": {},
-                              "refine": {}, "prim": {}, "local": {}}
+        # P.key -> A^P as a subalgebra context
+        self._fixed_algebras = {}
+        # point data of bflab.points: the points of each A^P, and the
+        # primitive decompositions keyed by (subgroup, idempotent)
+        self._points_cache = {"points": {}, "decomp": {}}
         # twisted units of bflab.conjecture, keyed by isomorphism, and
         # its theta targets, keyed by (isomorphism, target, source point)
         self._twisted_units = {}
@@ -259,10 +261,13 @@ class InteriorAlgebra:
         return bq
 
     def fixed_subalgebra(self, P):
-        """A^P (conjugation-fixed) as a subalgebra context."""
-        rows = self.fixed_rows([(g, g) for g in P.generating_sequence()]
-                               or [(P.identity, P.identity)])
-        return self.A.subalgebra(rows)
+        """A^P (conjugation-fixed) as a subalgebra context, one per P."""
+        ctx = self._fixed_algebras.get(P.key)
+        if ctx is None:
+            rows = self.fixed_rows([(g, g) for g in P.generating_sequence()]
+                                   or [(P.identity, P.identity)])
+            ctx = self._fixed_algebras[P.key] = self.A.subalgebra(rows)
+        return ctx
 
     def corner(self, e):
         """Interior algebra on the corner e.A.e; structural map d -> d.e.

@@ -2,9 +2,12 @@
 
 A point of A^P is a conjugacy class of primitive idempotents of the
 P-fixed subalgebra; it is local when its Brauer image at P survives.
-All point data for one interior algebra is cached on the algebra: a
-fixed primitive decomposition of 1 in each A^P, the grouping of its
-pieces into points, and Brauer locality flags.
+The interior algebra owns each A^P (`fixed_subalgebra`) and each Brauer
+quotient A(P) (`brauer_at`), and holds two caches of this module: the
+points of each A^P, locality flagged, and the primitive decompositions
+of idempotents inside each A^P, keyed by (P, idempotent).  The
+decomposition of 1 in A^P, whose pieces the points group, is one of
+them.
 
 A local invariant decomposition under P is a P-stable orthogonal
 decomposition of 1 whose members are primitive and local in the fixed
@@ -23,8 +26,9 @@ import numpy as np
 from . import linalg
 from .groups import Subgroup, diagonal, maximal_subgroups, pinv
 from .idempotents import (NonSplitError, _is_orthogonal_decomposition,
-                          is_primitive, primitive_decomposition,
-                          quotient_algebra, sandwich_rows)
+                          are_associate, is_primitive,
+                          primitive_decomposition, quotient_algebra,
+                          sandwich_rows)
 from .radical import radical_rows
 
 
@@ -43,50 +47,19 @@ class Point:
                 f"#{self.index}, m={self.multiplicity})")
 
 
-def _is_primitive_cached(ia, H, v):
-    c = ia._points_cache["prim"]
-    key = (H.key, np.asarray(v).tobytes())
-    if key not in c:
-        ctx = fixed_ctx(ia, H)
-        c[key] = is_primitive(ctx, ctx.from_parent(v))
-    return c[key]
-
-
-def _is_local_cached(ia, H, v):
-    c = ia._points_cache["local"]
-    key = (H.key, np.asarray(v).tobytes())
-    if key not in c:
-        c[key] = is_local_idempotent(ia, H, v)
-    return c[key]
-
-
-def fixed_ctx(ia, P):
-    c = ia._points_cache["ctx"]
-    if P.key not in c:
-        c[P.key] = ia.fixed_subalgebra(P)
-    return c[P.key]
-
-
 def unit_decomposition(ia, P, rng):
     """Fixed primitive decomposition of 1 in A^P (A-coordinates), cached."""
-    c = ia._points_cache["decomp"]
-    if P.key not in c:
-        ctx = fixed_ctx(ia, P)
-        parts = [ctx.to_parent(v)
-                 for v in primitive_decomposition(ctx, ctx.unit, rng)]
-        c[P.key] = parts
-    return c[P.key]
-
-
-def is_local_idempotent(ia, P, idem):
-    bq = ia.brauer_at(P)
-    return not bq.is_zero_class(idem)
+    return refine_idempotent(ia, P, ia.A.unit, rng)
 
 
 def _associate_in_fixed(ia, P, x, y):
-    ctx = fixed_ctx(ia, P)
-    from .idempotents import are_associate
+    ctx = ia.fixed_subalgebra(P)
     return are_associate(ctx, ctx.from_parent(x), ctx.from_parent(y))
+
+
+def _primitive_in_fixed(ia, P, x):
+    ctx = ia.fixed_subalgebra(P)
+    return is_primitive(ctx, ctx.from_parent(x))
 
 
 def points(ia, P, rng):
@@ -107,7 +80,7 @@ def points(ia, P, rng):
     for idx, cls in enumerate(classes):
         out.append(Point(subgroup=P, index=idx, rep=cls[0],
                          multiplicity=len(cls),
-                         local=is_local_idempotent(ia, P, cls[0])))
+                         local=not ia.brauer_at(P).is_zero_class(cls[0])))
     c[P.key] = out
     return out
 
@@ -126,22 +99,27 @@ def point_of(ia, P, idem, rng):
 
 def refine_idempotent(ia, R, idem, rng):
     """Cached primitive decomposition of idem inside A^R."""
-    c = ia._points_cache["refine"]
+    c = ia._points_cache["decomp"]
     key = (R.key, np.asarray(idem).tobytes())
     if key not in c:
-        ctx = fixed_ctx(ia, R)
+        ctx = ia.fixed_subalgebra(R)
         parts = primitive_decomposition(ctx, ctx.from_parent(idem), rng)
         c[key] = [ctx.to_parent(v) for v in parts]
     return c[key]
+
+
+def point_multiplicity(ia, P, pt, idem, rng):
+    """Members of the point pt of A^P in a primitive decomposition of the
+    idempotent idem inside A^P."""
+    return sum(1 for x in refine_idempotent(ia, P, idem, rng)
+               if _associate_in_fixed(ia, P, x, pt.rep))
 
 
 def relative_multiplicity(ia, Rp, pt_prime, R, pt, rng):
     """m(R'_eps', R_eps): members of eps' in a decomposition of e in eps."""
     if not Rp.key <= R.key:
         raise ValueError("relative multiplicity needs R' <= R")
-    parts = refine_idempotent(ia, Rp, pt.rep, rng)
-    return sum(1 for x in parts
-               if _associate_in_fixed(ia, Rp, x, pt_prime.rep))
+    return point_multiplicity(ia, Rp, pt_prime, pt.rep, rng)
 
 
 def pointed_leq(ia, Q, pt_delta, P, pt_gamma, rng):
@@ -172,9 +150,9 @@ def _stabilizer(ia, P, v):
                       if np.array_equal(ia.conj(g, v), np.asarray(v)))
 
 
-def _corner_fixed_ctx(ia, R, e):
+def _fixed_corner(ia, R, e):
     """Subalgebra e.(A^R).e with unit e, as a context view of A."""
-    rows = sandwich_rows(ia.A, e, fixed_ctx(ia, R).embed, e)
+    rows = sandwich_rows(ia.A, e, ia.fixed_subalgebra(R).embed, e)
     return ia.A.subalgebra(rows, unit=np.asarray(e))
 
 
@@ -442,10 +420,10 @@ def local_invariant_decomposition(ia, P, rng):
         tagged = [(v, _stabilizer(ia, P, v)) for v in system]
         work = None
         for v, H in tagged:
-            if not _is_primitive_cached(ia, H, v):
+            if not _primitive_in_fixed(ia, H, v):
                 work = (v, H, "split")
                 break
-            if not _is_local_cached(ia, H, v):
+            if ia.brauer_at(H).is_zero_class(v):
                 work = (v, H, "descend")
                 break
         if work is None:
@@ -465,7 +443,7 @@ def _descend_orbit(ia, H, e, rng):
     """Free orbit refinement of a primitive non-local e in A^H."""
     f = ia.A.field
     for R in maximal_subgroups(H):
-        B = _corner_fixed_ctx(ia, R, e)
+        B = _fixed_corner(ia, R, e)
         # does e lie in the trace image tr_R^H(B)?
         tmat = ia.trace_map(diagonal(R, ia.D).pairs, diagonal(H, ia.D).pairs)
         img = linalg.matmul(f, tmat, B.embed.T)
@@ -508,9 +486,9 @@ def _replace_orbit(ia, P, system, v, H, pieces):
 
 def _verify_lid(ia, P, tagged):
     for v, H in tagged:
-        if not _is_primitive_cached(ia, H, v):
+        if not _primitive_in_fixed(ia, H, v):
             raise LocalDecompositionError("piece not primitive")
-        if not _is_local_cached(ia, H, v):
+        if ia.brauer_at(H).is_zero_class(v):
             raise LocalDecompositionError("piece not local")
     vecs = [v for v, _ in tagged]
     if not _is_orthogonal_decomposition(ia.A, vecs, ia.A.unit):

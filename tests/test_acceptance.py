@@ -281,8 +281,7 @@ def test_criterion_09_unit_lift_cross_validation():
         F = data.source_presystem
         for P, Q, phi in F.all_isomorphisms():
             u, v = lift_to_global_unit(ia, phi, P, Q, rng)
-            rows = ia.brauer(
-                TwistedDiagonal(_into(phi, ia.D))).fixed
+            rows = ia.brauer(TwistedDiagonal(phi)).fixed
             if not (ia.A.is_unit(u) and rows.contains(u)):
                 ok = False
             w, _ = unit_in_subspace(ia, rows.basis, rng)
@@ -290,11 +289,6 @@ def test_criterion_09_unit_lift_cross_validation():
                 ok = False
     assert verdict(9, ok, "lift_to_global_unit and unit_in_subspace both "
                    "produce verified units on S3(p=3), A4(p=2), D8(p=2)")
-
-
-def _into(phi, D):
-    from bflab.bisets import _into_group
-    return _into_group(phi, D)
 
 
 def test_criterion_10_stability_report():

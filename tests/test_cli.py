@@ -56,6 +56,31 @@ def test_input_error_exit_code(tmp_path):
     code = run(["analyze", "--group", str(tmp_path / "missing.json"),
                 "--prime", "2", "--findings-dir", str(tmp_path / "f")])
     assert code == 2
+    c2 = os.path.join(DATA, "c2.json")
+    for prime in ("4", "1", "0"):
+        assert run(["analyze", "--group", c2, "--prime", prime,
+                    "--findings-dir", str(tmp_path / "f")]) == 2
+    for i, doc in enumerate(({"label": "X", "degree": 3},
+                             {"label": "X", "degree": 3,
+                              "generators": [[1, 1, 2]]})):
+        gpath = tmp_path / f"malformed{i}.json"
+        gpath.write_text(json.dumps(doc))
+        assert run(["analyze", "--group", str(gpath), "--prime", "2",
+                    "--findings-dir", str(tmp_path / "f")]) == 2
+
+
+def test_pipeline_error_is_not_an_input_error(tmp_path, monkeypatch):
+    # FusionError is a ValueError; raised inside the pipeline it is a
+    # fault of the program, not of the input, so it must not exit 2
+    from bflab.fusion import FusionError
+
+    def broken(pairs, b, index, rng):
+        raise FusionError("maximal pair subgroup is not a defect group")
+
+    monkeypatch.setattr(cli, "analyze_block", broken)
+    with pytest.raises(FusionError):
+        run(["analyze", "--group", os.path.join(DATA, "c2.json"),
+             "--prime", "2", "--findings-dir", str(tmp_path / "f")])
 
 
 def test_order_cap_exit_code(tmp_path):
@@ -65,6 +90,15 @@ def test_order_cap_exit_code(tmp_path):
     code = run(["analyze", "--group", str(gpath), "--prime", "2",
                 "--order-cap", "3", "--findings-dir", str(tmp_path / "f")])
     assert code == 3
+    # catalog marks the file order-cap, not input-error
+    out = tmp_path / "catalog.json"
+    code = run(["catalog", "--dir", str(tmp_path), "--order-cap", "3",
+                "--out", str(out), "--no-cache",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--findings-dir", str(tmp_path / "f")])
+    assert code == 3
+    assert json.loads(out.read_text())["rows"] == [
+        {"file": "c6.json", "status": "order-cap"}]
 
 
 def test_reports_byte_identical_same_seed(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 
 from bflab import conjecture
 from bflab.algebra import group_algebra
-from bflab.bisets import _into_group
 from bflab.blocks import analyze_block, build_group_algebra
 from bflab.conjecture import (ambient_balance_report, build_unital_basis,
                               equivalence_report, has_all_twisted_units,
@@ -212,8 +211,7 @@ def test_lift_to_global_unit_cross_validates():
             u, v = lift_to_global_unit(ia, phi, P, Q, r)
             assert ia.A.is_unit(u)
             assert np.array_equal(ia.A.mul(v, u), ia.A.unit)
-            rows = ia.brauer(
-                TwistedDiagonal(_into_group(phi, ia.D))).fixed
+            rows = ia.brauer(TwistedDiagonal(phi)).fixed
             assert rows.contains(u)
             w, _ = unit_in_subspace(ia, rows.basis, r)
             assert w is not None and ia.A.is_unit(w)

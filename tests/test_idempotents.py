@@ -147,6 +147,39 @@ def test_non_associates_in_k_times_k():
     assert not are_associate(A, parts[0], parts[1])
 
 
+def _associate_by_span_oracle(A, i, j):
+    """are_associate through the RREF of the product span (iAj).(jAi)."""
+    from bflab import linalg
+    from bflab.idempotents import sandwich_rows
+    if np.array_equal(i, j):
+        return True
+    t_rows = _sandwich(A, i, j)
+    s_rows = _sandwich(A, j, i)
+    if t_rows.shape[0] == 0 or s_rows.shape[0] == 0:
+        return False
+    prods = [linalg.matmul(A.field, A.lmul_matrix(t), s_rows.T).T
+             for t in t_rows]
+    span = linalg.rref(A.field, np.concatenate(prods, axis=0))[0]
+    return linalg.solve(A.field, span.T, i) is not None
+
+
+@pytest.mark.parametrize("G,p,m", [(S3, 2, 1), (S3, 2, 2), (A4, 3, 1),
+                                   (A4, 3, 2)])
+def test_are_associate_matches_product_span_oracle(G, p, m):
+    # kS3 in characteristic 2 and kA4 in characteristic 3 each have a
+    # split matrix block (associate primitives) beside a principal block
+    A = group_algebra(G, field(p, m))
+    parts = primitive_decomposition(A, A.unit, rng(), verify_primitive=True)
+    seen = set()
+    for a, x in enumerate(parts):
+        for b, y in enumerate(parts):
+            got = are_associate(A, x, y)
+            assert got == _associate_by_span_oracle(A, x, y)
+            if a != b:
+                seen.add(got)
+    assert seen == {True, False}
+
+
 def test_corner_unit_inverse():
     A = group_algebra(S3, make_field(2, 3))
     blocks = block_idempotents(A, rng())

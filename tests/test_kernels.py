@@ -320,6 +320,28 @@ def test_field_tables_are_read_only_in_gf(module):
     assert not lines, f"{module}: field table read at lines {lines}"
 
 
+CACHE_OWNERS = {"_points_cache": "points.py", "_theta": "conjecture.py",
+                "_twisted_units": "conjecture.py"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_interior_caches_are_read_by_their_owner(module):
+    # the point and theta caches live on an InteriorAlgebra, which makes
+    # them empty in its __init__; only the module that fills one reads it
+    tree = ast.parse((SRC / module).read_text())
+    exempt = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "InteriorAlgebra":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    exempt.update(map(id, ast.walk(fn)))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and CACHE_OWNERS.get(node.attr, module) != module
+             and id(node) not in exempt]
+    assert not lines, f"{module}: another module's cache read at {lines}"
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
                                           if p.name != "linalg.py"))
 def test_inverse_is_called_only_in_linalg(module):

@@ -5,9 +5,10 @@ from bflab.gf import field, make_field
 from bflab.groups import all_subgroups, group_from_generators, sylow_subgroup
 from bflab.idempotents import is_primitive
 from bflab.interior import InteriorAlgebra
-from bflab.points import (fixed_ctx, local_invariant_decomposition,
-                          local_points, pointed_leq,
-                          points, relative_multiplicity, unit_decomposition)
+from bflab.points import (local_invariant_decomposition, local_points,
+                          point_multiplicity, pointed_leq, points,
+                          refine_idempotent, relative_multiplicity,
+                          unit_decomposition)
 
 
 import os
@@ -53,6 +54,40 @@ def test_points_at_trivial_subgroup_are_all_points():
     assert all(pt.local for pt in pts)     # br_1 is the identity
     assert sum(pt.multiplicity for pt in pts) == \
         len(unit_decomposition(ia, triv, r))
+
+
+def test_fixed_subalgebra_has_one_owner():
+    ia = interior(S3, 2)
+    for P in all_subgroups(ia.D):
+        ctx = ia.fixed_subalgebra(P)
+        assert ia.fixed_subalgebra(P) is ctx
+        # a second Subgroup object for the same P reads the same context
+        assert ia.fixed_subalgebra(P.subgroup(P.elements)) is ctx
+    assert set(ia._points_cache) == {"points", "decomp"}
+
+
+def test_unit_decomposition_is_the_refinement_of_one():
+    # the decomposition of 1 is the cached refinement of the unit, drawn
+    # with the same rng draws
+    for G, p in ((S3, 2), (S3, 3), (A4, 2)):
+        ia, ia2 = interior(G, p), interior(G, p)
+        for P in all_subgroups(ia.D):
+            r = np.random.default_rng(5)
+            parts = unit_decomposition(ia, P, r)
+            assert refine_idempotent(ia, P, ia.A.unit, r) is parts
+            fresh = refine_idempotent(ia2, P, ia2.A.unit,
+                                      np.random.default_rng(5))
+            assert [v.tolist() for v in fresh] == [v.tolist() for v in parts]
+
+
+def test_point_multiplicity_of_one_is_the_multiplicity():
+    for G, p in ((S3, 2), (A4, 2), (S3, 3)):
+        ia = interior(G, p)
+        r = rng()
+        for P in all_subgroups(ia.D):
+            for pt in points(ia, P, r):
+                assert point_multiplicity(ia, P, pt, ia.A.unit, r) == \
+                    pt.multiplicity
 
 
 def test_multiplicity_in_k_times_k():
@@ -188,7 +223,7 @@ def test_lid_orbit_sums_primitive_in_fixed_algebra():
                     done.add(wb)
                     acc = ia.A.add(acc, w)
             sums.append(acc)
-        ctx = fixed_ctx(ia, P)
+        ctx = ia.fixed_subalgebra(P)
         total = ia.A.zero()
         for s in sums:
             assert is_primitive(ctx, ctx.from_parent(s))
@@ -319,11 +354,11 @@ def test_odd_orbit_correction_recovers_perturbations():
 def test_sigma_matrix_matches_column_loop():
     # one coordinate call over a matrix of columns against the column
     # loop it replaced: conjugate each basis vector, read its coordinates
-    from bflab.points import _corner_fixed_ctx, _sigma_matrix
+    from bflab.points import _fixed_corner, _sigma_matrix
     S4 = group_from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)], "S4")
     ia = interior(S4, 2)
     for R in all_subgroups(ia.D):
-        B = _corner_fixed_ctx(ia, R, ia.A.unit)
+        B = _fixed_corner(ia, R, ia.A.unit)
         for x in ia.D.elements:
             if R.conjugate(x).key != R.key:
                 continue
