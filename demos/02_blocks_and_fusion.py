@@ -34,6 +34,9 @@ pairs = BrauerPairs(A, rng)
 data = analyze_block(pairs, pairs.blocks[0], 0, rng)
 fdb = data.block_fusion_system
 print("block fusion morphism counts:", fdb.summary())
+print("its isomorphisms; each morphism is stored once, as a graph:")
+for phi in fdb.all_isomorphisms():
+    print(f"  |P| = {phi.domain.order}:", sorted(phi.graph))
 
 F_group = fusion_from_group(data.D, S3)
 print("F_D(b) equals F_C3(S3):", fusion_equal(fdb, F_group))

@@ -51,12 +51,12 @@ for key in ("unital_basis", "all_twisted_units", "intrinsic_balance",
     print(f"  {key:22s} {eq[key]}")
 
 print("\nlifting a twisted unit to a global unit:")
-phi = next(phi for P, Q, phi in F.all_isomorphisms()
-           if P.order == data.D.order and
-           phi.graph != frozenset((x, x) for x in P.elements))
+phi = next(phi for phi in F.all_isomorphisms()
+           if phi.domain.order == data.D.order and
+           phi.graph != frozenset((x, x) for x in phi.domain.elements))
 tu = twisted_unit_exists(ia, phi, rng)
 print("  twisted unit in A(phi) exists:", tu is not None)
-u, v = lift_to_global_unit(ia, phi, phi.domain, phi.image(), rng)
+u, v = lift_to_global_unit(ia, phi, rng)
 print("  lifted unit verifies u.v = v.u = 1:",
       np.array_equal(ia.A.mul(u, v), ia.A.unit) and
       np.array_equal(ia.A.mul(v, u), ia.A.unit))

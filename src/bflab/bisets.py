@@ -264,7 +264,8 @@ def characteristic_report(shape, fusion, p):
 
     stable = True
     stable_witness = None
-    for P, Q, phi in fusion.all_isomorphisms():
+    for phi in fusion.all_isomorphisms():
+        P, Q = phi.domain, phi.codomain
         cnt_phi = shape.fixed_count(TwistedDiagonal(phi))
         cnt_p = shape.fixed_count(TwistedDiagonal(identity_injection(P, D)))
         cnt_q = shape.fixed_count(TwistedDiagonal(identity_injection(Q, D)))

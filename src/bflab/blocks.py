@@ -24,26 +24,16 @@ from .bisets import characteristic_report, shape_from_brauer_dims
 from .fusion import (BrauerPairPoset, FusionError, block_fusion,
                      defect_groups, fixed_point_presystem, fusion_equal,
                      is_divisible)
-from .gf import make_field
+from .gf import make_field, p_part
 from .groups import Subgroup, TwistedDiagonal, injective_maps
 from .interior import InteriorAlgebra
 from .points import unit_decomposition
 
 
-def p_part(n, p):
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
-
-
 def splitting_field(G, p):
     """GF(p^m) with m minimal so that the p'-part of exp(G) divides p^m - 1."""
     e = G.exponent()
-    while e % p == 0:
-        e //= p
-    return make_field(p, e)
+    return make_field(p, e // p_part(e, p))
 
 
 @dataclass(eq=False)

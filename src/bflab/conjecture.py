@@ -175,7 +175,7 @@ def unital_basis_exists(ia, presystem, rng, exhaustive=False):
     isomorphism's twisted fixed module."""
     table = {}
     ok = True
-    for P, Q, phi in presystem.all_isomorphisms():
+    for phi in presystem.all_isomorphisms():
         rows = _quotient_of(ia, phi).fixed.basis
         u, record = unit_in_subspace(ia, rows, rng, exhaustive=exhaustive)
         table[_phi_label(phi)] = (u is not None, record)
@@ -185,6 +185,7 @@ def unital_basis_exists(ia, presystem, rng, exhaustive=False):
 
 
 def _phi_label(phi):
+    """phi for the tables and witnesses of a report."""
     return (tuple(sorted(phi.domain.elements)),
             tuple(sorted(phi.graph)))
 
@@ -193,9 +194,10 @@ def _phi_label(phi):
 # isofusion (unital local Puig category)
 # ---------------------------------------------------------------------------
 
-def isofusion(ia, phi, P, gamma, Q, delta):
-    """Transpotent test: phi in Iso(P_gamma, Q_delta)?  Returns (s, t) or
-    None; witnesses satisfy t.s = i and s.t = j exactly."""
+def isofusion(ia, phi, gamma, delta):
+    """Transpotent test: phi in Iso(P_gamma, Q_delta) for the isomorphism
+    phi: P -> Q?  Returns (s, t) or None; witnesses satisfy t.s = i and
+    s.t = j exactly."""
     A = ia.A
     i = np.asarray(gamma.rep)
     j = np.asarray(delta.rep)
@@ -205,14 +207,14 @@ def isofusion(ia, phi, P, gamma, Q, delta):
     return transpotent_pair(A, i, j, t_rows, s_rows)
 
 
-def theta_of_point(ia, phi, P, gamma, Q, rng):
-    """The unique local point delta of A^Q with phi: P_gamma ~ Q_delta, or
-    None; cached on the interior algebra (a finding is raised each time,
-    never cached)."""
-    key = (_phi_label(phi), Q.key, gamma.index)
+def theta_of_point(ia, phi, gamma, rng):
+    """The unique local point delta of A^Q with phi: P_gamma ~ Q_delta,
+    for phi an isomorphism onto its codomain Q, or None; cached on the
+    interior algebra (a finding is raised each time, never cached)."""
+    key = (phi.graph, gamma.index)
     if key not in ia._theta:
-        hits = [delta for delta in local_points(ia, Q, rng)
-                if isofusion(ia, phi, P, gamma, Q, delta) is not None]
+        hits = [delta for delta in local_points(ia, phi.codomain, rng)
+                if isofusion(ia, phi, gamma, delta) is not None]
         if len(hits) > 1:
             raise Finding("theta_target_not_unique",
                           {"phi": _phi_label(phi), "gamma": gamma.index,
@@ -244,10 +246,9 @@ def twisted_unit_exists(ia, phi, rng):
     The search runs once per isomorphism of an interior algebra; later
     calls return the cached answer.
     """
-    key = _phi_label(phi)
-    if key not in ia._twisted_units:
-        ia._twisted_units[key] = _search_twisted_unit(ia, phi, rng)
-    return ia._twisted_units[key]
+    if phi.graph not in ia._twisted_units:
+        ia._twisted_units[phi.graph] = _search_twisted_unit(ia, phi, rng)
+    return ia._twisted_units[phi.graph]
 
 
 def _search_twisted_unit(ia, phi, rng):
@@ -293,7 +294,7 @@ def has_all_twisted_units(ia, presystem, rng):
     table = {}
     ok = True
     isos = list(presystem.all_isomorphisms())
-    for P, Q, phi in isos:
+    for phi in isos:
         tu = twisted_unit_exists(ia, phi, rng)
         table[_phi_label(phi)] = tu is not None
         if tu is None:
@@ -304,10 +305,11 @@ def has_all_twisted_units(ia, presystem, rng):
 
 
 def _composable_pairs(isos):
-    """(phi, psi) for the listed isomorphisms (P, Q, phi) and (Q, R, psi),
-    phi-major in list order: psi o phi is defined, as phi maps P onto Q."""
-    return [(phi, psi) for _, Q, phi in isos for Q2, _, psi in isos
-            if Q.key == Q2.key]
+    """(phi, psi) for the listed isomorphisms phi: P -> Q and psi: Q -> R,
+    phi-major in list order: psi o phi is defined, as phi maps P onto
+    its codomain Q."""
+    return [(phi, psi) for phi in isos for psi in isos
+            if phi.codomain.key == psi.domain.key]
 
 
 def _pairing_surjectivity_check(ia, isos, rng):
@@ -322,7 +324,7 @@ def _pairing_surjectivity_check(ia, isos, rng):
         phi, psi = comp[int(t)]
         bq_phi = _quotient_of(ia, phi)
         bq_psi = _quotient_of(ia, psi)
-        bq_out = _quotient_of(ia, psi.compose(phi.corestrict(psi.domain)))
+        bq_out = _quotient_of(ia, psi.compose(phi))
         if bq_out.dim == 0:
             continue
         # the products of all basis classes, one call per class of A(psi)
@@ -337,24 +339,25 @@ def _pairing_surjectivity_check(ia, isos, rng):
                            "rank": int(got), "dim": int(bq_out.dim)})
 
 
-def theta_map(ia, phi, P, Q, rng, tu=None):
-    """theta_phi : LP(A^P) -> LP(A^Q) by the transpotent criterion;
-    when a twisted unit is given, the conjugation transport must induce
-    the same map on points, and any mismatch is a finding."""
+def theta_map(ia, phi, rng, tu=None):
+    """theta_phi : LP(A^P) -> LP(A^Q) by the transpotent criterion, for
+    phi: P -> Q onto its codomain; when a twisted unit of phi is given,
+    the conjugation transport must induce the same map on points, and
+    any mismatch is a finding."""
     mapping = {}
-    for gamma in local_points(ia, P, rng):
-        delta = theta_of_point(ia, phi, P, gamma, Q, rng)
+    for gamma in local_points(ia, phi.domain, rng):
+        delta = theta_of_point(ia, phi, gamma, rng)
         if delta is None:
             return None
         mapping[gamma.index] = delta.index
     if len(set(mapping.values())) != len(mapping):
         raise Finding("theta_not_injective", {"phi": _phi_label(phi),
                                               "mapping": mapping})
-    if len(mapping) != len(local_points(ia, Q, rng)):
+    if len(mapping) != len(local_points(ia, phi.codomain, rng)):
         raise Finding("theta_not_surjective", {"phi": _phi_label(phi),
                                                "mapping": mapping})
     if tu is not None:
-        via_unit = theta_map_via_twisted_unit(ia, phi, tu, P, Q, rng)
+        via_unit = theta_map_via_twisted_unit(ia, tu, rng)
         if via_unit != mapping:
             raise Finding("theta_disagrees_with_twisted_unit",
                           {"phi": _phi_label(phi), "transpotent": mapping,
@@ -362,8 +365,11 @@ def theta_map(ia, phi, P, Q, rng, tu=None):
     return mapping
 
 
-def theta_map_via_twisted_unit(ia, phi, tu, P, Q, rng):
-    """e -> class of u . br(e) . u-dagger, matched to local points of Q."""
+def theta_map_via_twisted_unit(ia, tu, rng):
+    """e -> class of u . br(e) . u-dagger, matched to local points of Q,
+    for the twisted unit u of phi: P -> Q."""
+    phi = tu.phi
+    P, Q = phi.domain, phi.image()
     quotients = _iso_quotients(ia, phi)
     bq_P, bq_Q = quotients[2:]
     Qalg = bq_Q.algebra()
@@ -389,17 +395,17 @@ def twisted_unit_laws_report(ia, presystem, rng):
     conjugation transport."""
     isos = list(presystem.all_isomorphisms())
     units = {}
-    for P, Q, phi in isos:
+    for phi in isos:
         tu = twisted_unit_exists(ia, phi, rng)
         if tu is None:
             return {"all_twisted_units": False}
-        units[_phi_label(phi)] = tu
+        units[phi.graph] = tu
     report = {"all_twisted_units": True, "closure": True,
               "inverse_unique": True, "translation_regular": True,
               "conjugation_multiplicative": True}
     f = ia.A.field
-    for P, Q, phi in isos:
-        tu = units[_phi_label(phi)]
+    for phi in isos:
+        tu = units[phi.graph]
         quotients = _iso_quotients(ia, phi)
         bq_phi, bq_inv, bq_P, bq_Q = quotients
         # the twisted inverse is unique
@@ -437,8 +443,8 @@ def twisted_unit_laws_report(ia, presystem, rng):
     for phi, psi in _composable_pairs(isos):
         w, bq_comp = quotient_product(_quotient_of(ia, psi),
                                       _quotient_of(ia, phi),
-                                      units[_phi_label(psi)].u,
-                                      units[_phi_label(phi)].u)
+                                      units[psi.graph].u,
+                                      units[phi.graph].u)
         if _try_twisted(ia, _iso_quotients(ia, bq_comp.phi), w) is None:
             report["closure"] = False
     return report
@@ -448,18 +454,19 @@ def twisted_unit_laws_report(ia, presystem, rng):
 # point transport on the pointed Brown poset, and the global-unit lift
 # ---------------------------------------------------------------------------
 
-def theta_structure_report(ia, phi, P, Q, rng):
+def theta_structure_report(ia, phi, rng):
     """Structure of the point transport across the pointed Brown posets:
     order preservation, conjugation equivariance, and (relative)
-    multiplicity preservation under every restriction of phi."""
+    multiplicity preservation under every restriction of phi: P -> Q."""
+    P = phi.domain
     report = {"defined": True, "order": True, "equivariant": True,
               "multiplicity": True, "relative_multiplicity": True}
     theta = {}
     for R in all_subgroups(P):
         res = phi.restrict(R).corestrict()
-        Rimg = res.image()
+        Rimg = res.codomain
         for eps in local_points(ia, R, rng):
-            tgt = theta_of_point(ia, res, R, eps, Rimg, rng)
+            tgt = theta_of_point(ia, res, eps, rng)
             if tgt is None:
                 report["defined"] = False
                 report["undefined_at"] = (R.order, eps.index)
@@ -509,10 +516,11 @@ def _pointed_class_key(ia, P, H, pt, rng):
     return best
 
 
-def lift_to_global_unit(ia, phi, P, Q, rng):
-    """Unit of A inside the twisted fixed module, assembled from matched
-    local invariant decompositions via relative traces of transporters;
-    returns (u, v) with v.u = u.v = 1."""
+def lift_to_global_unit(ia, phi, rng):
+    """Unit of A inside the twisted fixed module of phi: P -> Q (onto its
+    codomain), assembled from matched local invariant decompositions via
+    relative traces of transporters; returns (u, v) with v.u = u.v = 1."""
+    P, Q = phi.domain, phi.codomain
     A = ia.A
     f = A.field
     bq_phi, bq_inv, _, _ = _iso_quotients(ia, phi)
@@ -539,8 +547,8 @@ def lift_to_global_unit(ia, phi, P, Q, rng):
         R = P.subgroup(R_elems)
         eps = points(ia, R, rng)[eps_index]
         res = phi.restrict(R).corestrict()
-        Rimg = res.image()
-        eps_t = theta_of_point(ia, res, R, eps, Rimg, rng)
+        Rimg = res.codomain
+        eps_t = theta_of_point(ia, res, eps, rng)
         if eps_t is None:
             raise Finding("lift_missing_theta",
                           {"phi": _phi_label(phi), "R_order": R.order})
@@ -566,7 +574,7 @@ def lift_to_global_unit(ia, phi, P, Q, rng):
                        local=True)
             gf = Point(subgroup=Rimg, index=-1, rep=f_rep, multiplicity=1,
                        local=True)
-            pair = isofusion(ia, res, R, ge, Rimg, gf)
+            pair = isofusion(ia, res, ge, gf)
             if pair is None:
                 raise Finding("lift_transporter_missing",
                               {"phi": _phi_label(phi), "R_order": R.order})
@@ -620,9 +628,9 @@ def intrinsic_balance_report(ia, presystem, rng):
     and matched local points have equal multiplicities."""
     report = {"isofusion_everywhere": True, "multiplicities_match": True}
     witness = None
-    for P, Q, phi in presystem.all_isomorphisms():
-        for gamma in local_points(ia, P, rng):
-            delta = theta_of_point(ia, phi, P, gamma, Q, rng)
+    for phi in presystem.all_isomorphisms():
+        for gamma in local_points(ia, phi.domain, rng):
+            delta = theta_of_point(ia, phi, gamma, rng)
             if delta is None:
                 report["isofusion_everywhere"] = False
                 witness = witness or {"phi": _phi_label(phi),
@@ -655,9 +663,10 @@ def ambient_balance_report(ia_hat, ell, presystem, rng, exhaustive=False):
         exhaustive=exhaustive)
     report["ambient_unital_certified"] = ok_units
     witness = None
-    for P, Q, phi in presystem.all_isomorphisms():
+    for phi in presystem.all_isomorphisms():
+        P, Q = phi.domain, phi.codomain
         for gamma_hat in local_points(ia_hat, P, rng):
-            delta_hat = theta_of_point(ia_hat, phi, P, gamma_hat, Q, rng)
+            delta_hat = theta_of_point(ia_hat, phi, gamma_hat, rng)
             if delta_hat is None:
                 raise Finding("ambient_theta_undefined",
                               {"phi": _phi_label(phi)})
@@ -746,19 +755,19 @@ def _basis_realization_check(ia, F, basis, rng):
     """With a unital basis, every isofusion is realized by some basis
     element, and each source point has a unique target point."""
     A = ia.A
-    for P, Q, phi in F.all_isomorphisms():
+    for phi in F.all_isomorphisms():
         bspace = _quotient_of(ia, phi).fixed
         carriers = [v for v in basis.vectors if bspace.contains(v)]
         if not carriers:
             return False
-        for gamma in local_points(ia, P, rng):
-            delta = theta_of_point(ia, phi, P, gamma, Q, rng)
+        for gamma in local_points(ia, phi.domain, rng):
+            delta = theta_of_point(ia, phi, gamma, rng)
             if delta is None:
                 return False
             realized = False
             for y in carriers:
                 yi = A.mul(A.mul(y, np.asarray(gamma.rep)), A.inv(y))
-                if _associate_in_fixed(ia, Q, yi, delta.rep):
+                if _associate_in_fixed(ia, phi.codomain, yi, delta.rep):
                     realized = True
                     break
             if not realized:

@@ -1,10 +1,12 @@
 """Fusion systems and Brauer pairs.
 
-A fusion system on the p-group S is stored extensionally: for every
-ordered pair of subgroups of S, the set of injective homomorphisms
-(as graphs) belonging to the category.  Three constructions appear:
+A fusion system on the p-group S is stored as one set of graphs: every
+morphism is an isomorphism onto its image followed by an inclusion, so
+its graph is the whole datum, and Hom(P, Q) is derived as the graphs
+from P whose image lies in Q.  Divisibility is checked on the graphs:
+inclusions, inverses and composites.  Three constructions list graphs:
 
-* F_S(G): all conjugation maps c_g with g in an ambient group;
+* F_S(G): the conjugations c_g restricted to each P with gPg^-1 <= S;
 * the block fusion system F_D(b): conjugations compatible with the
   family of Brauer pairs under a chosen maximal pair; and
 * the fixed-point presystem fF_S(A): all injections whose twisted
@@ -44,89 +46,78 @@ class FusionError(ValueError):
 
 
 class FusionSystem:
-    """Category on the subgroups of S with injective group maps.
+    """Category on the subgroups of S with injective group maps, stored
+    as one set of graphs.
 
-    A hom set is listed in the order of its graphs' sorted pair lists, a
-    total order, so it does not depend on how the set was filled."""
+    A morphism is an isomorphism onto its image followed by an
+    inclusion, so its graph is the whole datum: Hom(P, Q) is derived as
+    the graphs from P whose image lies in Q.  The graphs from each
+    domain are listed in the order of their sorted pair lists, a total
+    order, so no hom set depends on how the graphs were given."""
 
-    def __init__(self, S, homs, label=""):
+    def __init__(self, S, graphs, label=""):
         self.S = S
         self.subgroups = all_subgroups(S)
-        self._by_key = {P.key: P for P in self.subgroups}
-        # homs: dict (P.key, Q.key) -> frozenset of graphs
-        self.homs = {k: frozenset(v) for k, v in homs.items()}
+        self.graphs = frozenset(graphs)
         self.label = label
-
-    def subgroup(self, key):
-        return self._by_key[key]
+        by_key = {P.key: P for P in self.subgroups}
+        # P.key -> [(graph, image subgroup)] of the morphisms from P
+        self._from = {}
+        for graph in sorted(self.graphs, key=sorted):
+            domain = frozenset(x for x, _ in graph)
+            image = by_key.get(frozenset(y for _, y in graph))
+            if domain not in by_key or image is None:
+                raise FusionError("a morphism's domain or image is not a "
+                                  "subgroup of S")
+            self._from.setdefault(domain, []).append((graph, image))
 
     def hom_graphs(self, P, Q):
-        return self.homs.get((P.key, Q.key), frozenset())
-
-    def hom_maps(self, P, Q):
-        return [GroupInjection(P, Q, dict(g), check=False)
-                for g in sorted(self.hom_graphs(P, Q), key=sorted)]
+        """Hom(P, Q): the graphs from P whose image lies in Q."""
+        return [g for g, img in self._from.get(P.key, ())
+                if img.key <= Q.key]
 
     def contains(self, phi):
         """Is the injection phi (into any overgroup of its image) in F?"""
-        img = frozenset(phi.mapping.values())
-        targets = [Q for Q in self.subgroups if img <= Q.key]
-        if not targets:
-            return False
-        Q = min(targets, key=lambda t: t.order)
-        return phi.graph in self.hom_graphs(self.subgroup(phi.domain.key), Q)
+        return phi.graph in self.graphs
 
     def isomorphisms(self, P, Q):
-        """Graphs in Hom(P, Q) that are bijections onto Q."""
-        if P.order != Q.order:
-            return []
-        out = []
-        for g in sorted(self.hom_graphs(P, Q), key=sorted):
-            mp = dict(g)
-            if frozenset(mp.values()) == Q.key:
-                out.append(GroupInjection(P, Q, mp, check=False))
-        return out
+        """The morphisms of P onto Q, as injections P -> Q."""
+        return [GroupInjection(P, Q, dict(g), check=False)
+                for g, img in self._from.get(P.key, ()) if img.key == Q.key]
 
     def all_isomorphisms(self):
+        """Every morphism, as an isomorphism onto its image."""
         for P in self.subgroups:
             for Q in self.subgroups:
-                for phi in self.isomorphisms(P, Q):
-                    yield P, Q, phi
+                if P.order == Q.order:
+                    yield from self.isomorphisms(P, Q)
 
     def automorphisms(self, P):
         return self.isomorphisms(P, P)
 
-    def equals(self, other):
-        if self.S.key != other.S.key:
-            raise FusionError("fusion systems live on different groups")
-        keys = set(self.homs) | set(other.homs)
-        return all(self.homs.get(k, frozenset()) ==
-                   other.homs.get(k, frozenset()) for k in keys)
-
     def summary(self):
+        """Morphism count per (|P|, |Q|), over every pair of subgroups."""
         per = {}
-        for (a, b), v in self.homs.items():
-            pa = self.subgroup(a).order
-            pb = self.subgroup(b).order
-            per.setdefault((pa, pb), 0)
-            per[(pa, pb)] += len(v)
+        for P in self.subgroups:
+            for Q in self.subgroups:
+                n = len(self.hom_graphs(P, Q))
+                per[(P.order, Q.order)] = per.get((P.order, Q.order), 0) + n
         return {f"{a}->{b}": n for (a, b), n in sorted(per.items())}
 
     def serialize(self):
-        """Per subgroup pair: morphism count and one representative
-        morphism described on the domain's generators."""
-        sub_index = {P.key: i for i, P in enumerate(self.subgroups)}
+        """Per nonempty hom set: morphism count and the first morphism,
+        described on the domain's generators."""
         out = []
-        for P in self.subgroups:
+        for i, P in enumerate(self.subgroups):
             gens = P.generating_sequence()
-            for Q in self.subgroups:
+            for j, Q in enumerate(self.subgroups):
                 graphs = self.hom_graphs(P, Q)
                 if not graphs:
                     continue
-                rep = dict(min(graphs, key=sorted))
+                rep = dict(graphs[0])
                 out.append({
-                    "source": {"index": sub_index[P.key], "order": P.order},
-                    "target": {"index": sub_index[Q.key], "order": Q.order},
+                    "source": {"index": i, "order": P.order},
+                    "target": {"index": j, "order": Q.order},
                     "count": len(graphs),
                     "representative_on_generators": [
                         [list(g), list(rep[g])] for g in gens],
@@ -136,77 +127,50 @@ class FusionSystem:
 
 def fusion_from_group(S, G, label=None):
     """F_S(G): morphisms are restrictions of conjugations by G."""
-    subgroups = all_subgroups(S)
-    homs = {}
-    for P in subgroups:
-        for Q in subgroups:
-            graphs = set()
-            for g in G.elements:
-                gi = pinv(g)
-                if all(pmul(pmul(g, x), gi) in Q.key for x in P.elements):
-                    graphs.add(frozenset((x, pmul(pmul(g, x), gi))
-                                         for x in P.elements))
-            homs[(P.key, Q.key)] = graphs
-    return FusionSystem(S, homs, label=label or f"F_S({G.label})")
+    graphs = set()
+    for P in all_subgroups(S):
+        for g in G.elements:
+            gi = pinv(g)
+            graph = frozenset((x, pmul(pmul(g, x), gi)) for x in P.elements)
+            if all(y in S.key for _, y in graph):
+                graphs.add(graph)
+    return FusionSystem(S, graphs, label=label or f"F_S({G.label})")
 
 
 def fixed_point_presystem(ia, label="fF"):
-    """Hom(P, Q) = injections phi: P -> Q with A(Delta(phi, P)) != 0,
-    decided once per twisted-diagonal class of D x D."""
-    D = ia.D
-    subgroups = all_subgroups(D)
-    homs = {(P.key, Q.key): set() for P in subgroups for Q in subgroups}
-    tc = twisted_classes(D)
-    for i, td in enumerate(tc.reps):
-        if ia.brauer(td).dim == 0:
-            continue
-        for pairs in tc.members(i):
-            source = frozenset(u for _, u in pairs)
-            image = frozenset(a for a, _ in pairs)
-            graph = frozenset((u, a) for a, u in pairs)
-            for Q in subgroups:
-                if image <= Q.key:
-                    homs[(source, Q.key)].add(graph)
-    return FusionSystem(D, homs, label=label)
+    """The injections phi: P -> D with A(Delta(phi, P)) != 0, decided
+    once per twisted-diagonal class of D x D."""
+    tc = twisted_classes(ia.D)
+    graphs = {frozenset((u, a) for a, u in pairs)
+              for i, td in enumerate(tc.reps) if ia.brauer(td).dim > 0
+              for pairs in tc.members(i)}
+    return FusionSystem(ia.D, graphs, label=label)
 
 
 def is_divisible(F):
-    """Puig divisibility: inclusions, iso-then-inclusion factoring,
-    closure under composition; all checked literally on homsets."""
-    for P in F.subgroups:
+    """Puig divisibility on the graphs: every inclusion, the inverse of
+    every morphism, and every composite of composable morphisms is in F.
+    (Each morphism factors through its image by construction.)"""
+    if any(frozenset((x, x) for x in P.elements) not in F.graphs
+           for P in F.subgroups):
+        return False
+    for g1, image in (m for ms in F._from.values() for m in ms):
+        if frozenset((y, x) for x, y in g1) not in F.graphs:
+            return False
         for Q in F.subgroups:
-            if P.key <= Q.key:
-                inc = frozenset((x, x) for x in P.elements)
-                if inc not in F.hom_graphs(P, Q):
+            if not image.key <= Q.key:
+                continue
+            for g2, _ in F._from.get(Q.key, ()):
+                m2 = dict(g2)
+                if frozenset((x, m2[y]) for x, y in g1) not in F.graphs:
                     return False
-    for P in F.subgroups:
-        for Q in F.subgroups:
-            for g in F.hom_graphs(P, Q):
-                mp = dict(g)
-                img_key = frozenset(mp.values())
-                img = F.subgroup(img_key) if img_key in F._by_key else None
-                if img is None:
-                    return False
-                if g not in F.hom_graphs(P, img):
-                    return False
-                ginv = frozenset((y, x) for x, y in mp.items())
-                if ginv not in F.hom_graphs(img, P):
-                    return False
-    for P in F.subgroups:
-        for Q in F.subgroups:
-            for R in F.subgroups:
-                for g1 in F.hom_graphs(P, Q):
-                    m1 = dict(g1)
-                    for g2 in F.hom_graphs(Q, R):
-                        m2 = dict(g2)
-                        comp = frozenset((x, m2[y]) for x, y in m1.items())
-                        if comp not in F.hom_graphs(P, R):
-                            return False
     return True
 
 
 def fusion_equal(F1, F2):
-    return F1.equals(F2)
+    if F1.S.key != F2.S.key:
+        raise FusionError("fusion systems live on different groups")
+    return F1.graphs == F2.graphs
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +363,14 @@ def block_fusion(poset, max_idx, label=None):
     if not family.items() <= {(P.key, e) for P, e in poset.pairs}:
         raise FusionError("a Brauer pair below the maximal pair is not "
                           "over b")
-    subs = all_subgroups(D)
-    homs = {(P.key, Q.key): set() for P in subs for Q in subs}
-    for P in subs:
+    graphs = set()
+    for P in all_subgroups(D):
         e = engine.blocks_at(P)[family[P.key]]
         for g in G.elements:
             Pg = P.conjugate(g)
             if not Pg.key <= D.key:
                 continue
             moved = engine.image_under(P, e, g)
-            if engine.block_index(Pg, moved) != family[Pg.key]:
-                continue
-            # a graph does not depend on the codomain: one for every Q
-            graph = conjugation_injection(P, g, D).graph
-            for Q in subs:
-                if Pg.key <= Q.key:
-                    homs[(P.key, Q.key)].add(graph)
-    return FusionSystem(D, homs, label=label or "F_D(b)")
+            if engine.block_index(Pg, moved) == family[Pg.key]:
+                graphs.add(conjugation_injection(P, g, D).graph)
+    return FusionSystem(D, graphs, label=label or "F_D(b)")

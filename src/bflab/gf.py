@@ -81,6 +81,17 @@ def is_prime(n):
     return True
 
 
+def p_part(n, p):
+    """The largest power of p dividing the positive integer n."""
+    if p < 2:
+        raise ValueError(f"p = {p} has no p-part")
+    out = 1
+    while n % p == 0:
+        out *= p
+        n //= p
+    return out
+
+
 def _prime_factors(n):
     out = []
     d = 2

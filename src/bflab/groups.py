@@ -13,7 +13,7 @@ of marks used to convert Brauer-quotient dimensions into biset shapes.
 
 import json
 
-from .gf import is_prime
+from .gf import is_prime, p_part
 
 DEFAULT_ORDER_CAP = 500
 
@@ -248,7 +248,8 @@ def sylow_subgroup(G, p):
         raise GroupError(f"{p} is not prime")
     G = _as_subgroup(G)
     degree = G.parent.degree
-    p_elements = [g for g in G.elements if _is_p_power(perm_order(g), p)]
+    p_elements = [g for g in G.elements
+                  if p_part(o := perm_order(g), p) == o]
     cur, gens = {G.identity}, []          # cur = <gens>
     changed = True
     while changed:
@@ -257,16 +258,10 @@ def sylow_subgroup(G, p):
             if x in cur:
                 continue
             cand = _close(gens + [x], degree, G.order)
-            if _is_p_power(len(cand), p) and cand <= G.key:
+            if p_part(len(cand), p) == len(cand) and cand <= G.key:
                 cur, gens = cand, gens + [x]
                 changed = True
     return G.subgroup(cur)
-
-
-def _is_p_power(n, p):
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def all_subgroups(H):

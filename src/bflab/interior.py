@@ -21,6 +21,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import AlgebraContext, group_element_vector
+from .gf import p_part
 from .groups import (PermGroup, TwistedDiagonal, diagonal, maximal_subgroups,
                      pinv, pmul)
 
@@ -117,10 +118,7 @@ class InteriorAlgebra:
     def __init__(self, A, D, structural=None, check=True):
         self.A = A
         self.D = D
-        n = D.order
-        while n % A.field.p == 0:
-            n //= A.field.p
-        if n != 1:
+        if p_part(D.order, A.field.p) != D.order:
             raise ValueError("the interior group must be a p-group for the "
                              "coefficient characteristic")
         if structural is None:
@@ -138,8 +136,8 @@ class InteriorAlgebra:
         # point data of bflab.points: the points of each A^P, and the
         # primitive decompositions keyed by (subgroup, idempotent)
         self._points_cache = {"points": {}, "decomp": {}}
-        # twisted units of bflab.conjecture, keyed by isomorphism, and
-        # its theta targets, keyed by (isomorphism, target, source point)
+        # twisted units of bflab.conjecture, keyed by the isomorphism's
+        # graph, and its theta targets, keyed by (graph, source point)
         self._twisted_units = {}
         self._theta = {}
         if check:
@@ -297,12 +295,10 @@ def quotient_product(bq_left, bq_right, c_left, c_right, bq_out=None):
     psi, phi = bq_left.phi, bq_right.phi
     if psi is None or phi is None:
         raise ValueError("need twisted diagonals")
-    if not phi.image().key <= psi.domain.key:
-        raise ValueError("pairing is not composable")
+    comp = psi.compose(phi)        # a GroupError unless composable
     c_left, c_right = np.asarray(c_left), np.asarray(c_right)
     if c_left.ndim == 2 and c_right.ndim == 2:
         raise ValueError("only one side may be a matrix")
-    comp = psi.compose(phi.corestrict(psi.domain))
     if bq_out is None:
         bq_out = interior.brauer(TwistedDiagonal(comp))
     A = interior.A

@@ -229,7 +229,7 @@ def _fixed_block_orbit_idempotent(B, S, blk, p, rng):
     if not (scal is not None and scal != 0 and
             np.array_equal(gp, Qb.scale(scal, Qb.unit))):
         raise LocalDecompositionError("g^p is not scalar")
-    mu = _pth_root_scalar(f, f.inv(scal), p)
+    mu = f.frobenius_inv(f.inv(scal))
     g = Qb.scale(mu, g)
     if not np.array_equal(Qb.power(g, p), Qb.unit):
         raise LocalDecompositionError("normalization failed")
@@ -285,11 +285,6 @@ def _fixed_block_orbit_idempotent(B, S, blk, p, rng):
     if not Qb.is_idempotent(jb):
         raise LocalDecompositionError("projection element not idempotent")
     return Qb.to_parent(jb)
-
-
-def _pth_root_scalar(f, a, p):
-    """mu with mu^p = a in GF(p^m)."""
-    return f.pow(a, p ** ((f.m - 1) % max(f.m, 1))) if f.m > 1 else a
 
 
 def _orbit_idempotent(B, S, p, rng):

@@ -227,18 +227,10 @@ def _radical_rows_impl(A):
         x_rows = np.zeros_like(u_rows)
         for a in range(u_rows.shape[0]):
             for b in range(r):
-                x_rows[a, b] = _root(f, int(u_rows[a, b]), i)
+                x_rows[a, b] = f.frobenius_inv(u_rows[a, b], i)
         basis = linalg.rref(f, linalg.matmul(f, x_rows, basis))[0]
         mats = A.lmul_matrix(basis)
     return basis
-
-
-def _root(f, a, i):
-    """Unique p^i-th root in GF(p^m)."""
-    if i == 0 or a in (0, 1):
-        return a
-    k = (-i) % f.m if f.m > 1 else 0
-    return f.pow(a, f.p ** k) if k else a
 
 
 def radical_subspace(A):

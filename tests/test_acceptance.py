@@ -245,22 +245,22 @@ def test_criterion_08_section_5_structure_suite():
                 print(f"  {name} p={p} block {data.index}: laws {laws}")
             # one representative phi per ordered pair of subgroup classes
             reps = {}
-            for P, Q, phi in F.all_isomorphisms():
-                key = (P.key, Q.key)
+            for phi in F.all_isomorphisms():
+                key = (phi.domain.key, phi.codomain.key)
                 if key not in reps or sorted(phi.graph) < \
-                        sorted(reps[key][2].graph):
-                    reps[key] = (P, Q, phi)
-            for P, Q, phi in reps.values():
+                        sorted(reps[key].graph):
+                    reps[key] = phi
+            for phi in reps.values():
                 tu = twisted_unit_exists(ia, phi, rng)
                 if tu is None:
                     ok = False
                     continue
                 # theta via transpotents, cross-checked against the
                 # twisted-unit transport
-                tm = theta_map(ia, phi, P, Q, rng, tu=tu)
+                tm = theta_map(ia, phi, rng, tu=tu)
                 if tm is None:
                     ok = False
-                rep = theta_structure_report(ia, phi, P, Q, rng)
+                rep = theta_structure_report(ia, phi, rng)
                 if not rep["all"]:
                     ok = False
                     print(f"  {name} p={p} block {data.index} "
@@ -279,8 +279,8 @@ def test_criterion_09_unit_lift_cross_validation():
         data = [d for d in e["datas"] if d.principal][0]
         ia = data.ia_S
         F = data.source_presystem
-        for P, Q, phi in F.all_isomorphisms():
-            u, v = lift_to_global_unit(ia, phi, P, Q, rng)
+        for phi in F.all_isomorphisms():
+            u, v = lift_to_global_unit(ia, phi, rng)
             rows = ia.brauer(TwistedDiagonal(phi)).fixed
             if not (ia.A.is_unit(u) and rows.contains(u)):
                 ok = False

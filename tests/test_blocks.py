@@ -1,14 +1,19 @@
 import numpy as np
 
-from bflab.blocks import (analyze_block, build_group_algebra, p_part,
+from bflab.blocks import (analyze_block, build_group_algebra,
                           splitting_field, source_fusion_identity_report)
 from bflab.bisets import characteristic_report
 from bflab.fusion import BrauerPairs
+from bflab.gf import p_part
 from bflab.groups import (TwistedDiagonal, group_from_generators,
                           injective_maps, load_group)
 from bflab.idempotents import block_idempotents
 
 import os
+import subprocess
+import sys
+
+import pytest
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "bflab", "data")
 
@@ -38,6 +43,26 @@ def first_block(A, r):
 
 def test_p_part():
     assert p_part(24, 2) == 8 and p_part(24, 3) == 3 and p_part(7, 2) == 1
+
+
+@pytest.mark.parametrize("p", [1, 0])
+def test_build_group_algebra_rejects_p_below_two(p):
+    # p = 1 once looped forever in splitting_field; the call runs in a
+    # subprocess with a timeout, so a regression fails instead of hanging
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep +
+               os.environ.get("PYTHONPATH", ""))
+    code = ("from bflab.blocks import build_group_algebra\n"
+            "from bflab.groups import group_from_generators\n"
+            "C2 = group_from_generators(2, [(1, 0)], 'C2')\n"
+            "try:\n"
+            f"    build_group_algebra(C2, {p})\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_splitting_field_choices():

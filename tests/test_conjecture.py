@@ -84,7 +84,7 @@ def test_isofusion_identity():
     r = rng()
     P = ia.D
     for gamma in local_points(ia, P, r):
-        pair = isofusion(ia, identity_injection(P), P, gamma, P, gamma)
+        pair = isofusion(ia, identity_injection(P), gamma, gamma)
         assert pair is not None
         s, t = pair
         assert np.array_equal(ia.A.mul(t, s), gamma.rep)
@@ -102,7 +102,7 @@ def test_isofusion_rejects_non_associate_points():
     r = rng()
     pts = points(ia, D, r)
     assert len(pts) == 2
-    pair = isofusion(ia, identity_injection(D), D, pts[0], D, pts[1])
+    pair = isofusion(ia, identity_injection(D), pts[0], pts[1])
     assert pair is None
 
 
@@ -147,7 +147,7 @@ def test_theta_identity_is_identity():
     ia = interior(S3, 3)
     r = rng()
     P = ia.D
-    tm = theta_map(ia, identity_injection(P).corestrict(), P, P, r)
+    tm = theta_map(ia, identity_injection(P).corestrict(), r)
     assert tm == {pt.index: pt.index for pt in local_points(ia, P, r)}
 
 
@@ -161,10 +161,10 @@ def test_theta_is_searched_once_and_a_finding_raised_each_time(monkeypatch):
     real = conjecture.isofusion
     monkeypatch.setattr(conjecture, "isofusion",
                         lambda *args: tests.append(args) or real(*args))
-    delta = conjecture.theta_of_point(ia, phi, P, gamma, P, r)
+    delta = conjecture.theta_of_point(ia, phi, gamma, r)
     assert delta is not None
     assert len(tests) == len(local_points(ia, P, r))
-    assert conjecture.theta_of_point(ia, phi, P, gamma, P, r) is delta
+    assert conjecture.theta_of_point(ia, phi, gamma, r) is delta
     assert len(tests) == len(local_points(ia, P, r))
     # two targets: the finding is raised again on the next call
     fresh = interior(S3, 3)
@@ -173,7 +173,7 @@ def test_theta_is_searched_once_and_a_finding_raised_each_time(monkeypatch):
     monkeypatch.setattr(conjecture, "isofusion", lambda *args: (1, 1))
     for _ in range(2):
         with pytest.raises(conjecture.Finding):
-            conjecture.theta_of_point(fresh, phi, P, gamma, P, r)
+            conjecture.theta_of_point(fresh, phi, gamma, r)
 
 
 def test_theta_inner_is_conjugation_transport():
@@ -183,7 +183,7 @@ def test_theta_inner_is_conjugation_transport():
     Z = ia.D.subgroup([ia.D.identity, (2, 3, 0, 1)])
     from bflab.groups import conjugation_injection
     phi = conjugation_injection(Z, g, ia.D).corestrict()
-    tm = theta_map(ia, phi, Z, phi.image(), r)
+    tm = theta_map(ia, phi, r)
     assert tm is not None and len(tm) == len(local_points(ia, Z, r))
 
 
@@ -192,13 +192,13 @@ def test_theta_structure_s3_inversion():
     r = rng()
     F = fixed_point_presystem(ia)
     P = ia.D
-    inv = [phi for _, _, phi in F.all_isomorphisms()
+    inv = [phi for phi in F.all_isomorphisms()
            if phi.domain.key == P.key and
            phi.graph != frozenset((x, x) for x in P.elements)][0]
-    rep = theta_structure_report(ia, inv, P, P, r)
+    rep = theta_structure_report(ia, inv, r)
     assert rep["all"], rep
     tu = twisted_unit_exists(ia, inv, r)
-    tm = theta_map(ia, inv, P, P, r, tu=tu)   # transport agreement check
+    tm = theta_map(ia, inv, r, tu=tu)   # transport agreement check
     assert tm is not None
 
 
@@ -207,8 +207,8 @@ def test_lift_to_global_unit_cross_validates():
         ia = interior(G, p)
         F = fixed_point_presystem(ia)
         r = rng()
-        for P, Q, phi in F.all_isomorphisms():
-            u, v = lift_to_global_unit(ia, phi, P, Q, r)
+        for phi in F.all_isomorphisms():
+            u, v = lift_to_global_unit(ia, phi, r)
             assert ia.A.is_unit(u)
             assert np.array_equal(ia.A.mul(v, u), ia.A.unit)
             rows = ia.brauer(TwistedDiagonal(phi)).fixed

@@ -98,6 +98,48 @@ def test_divisibility_of_group_fusion():
         assert is_divisible(fusion_from_group(S, G))
 
 
+def _identity_graph(P):
+    return frozenset((x, x) for x in P.elements)
+
+
+def test_divisibility_fails_without_an_inclusion():
+    S = sylow_subgroup(A4, 2)
+    F = fusion_from_group(S, A4)
+    for P in all_subgroups(S):
+        assert not is_divisible(FusionSystem(S, F.graphs - {_identity_graph(P)}))
+
+
+def test_divisibility_fails_without_an_inverse_or_a_composite():
+    # V4 = {1, a, b, ab} fuses nothing in F_V4(V4): its graphs are the
+    # inclusions.  With g: <a> -> <b> added, every composite is present
+    # (g o 1_<a>, 1_R o g for R >= <b>, and the restriction of g to 1)
+    # but g^-1 is not; with g, h: <b> -> <ab> and their inverses added,
+    # every inverse is present but h o g is not, until a <-> ab is added
+    S = sylow_subgroup(A4, 2)
+    F = fusion_from_group(S, _as_group(S))
+    assert F.graphs == {_identity_graph(P) for P in all_subgroups(S)}
+    e, a, b, ab = S.elements
+
+    def iso(x, y):
+        return {frozenset({(e, e), (x, y)}), frozenset({(e, e), (y, x)})}
+    g = frozenset({(e, e), (a, b)})
+    assert is_divisible(FusionSystem(S, F.graphs | iso(a, b)))
+    assert not is_divisible(FusionSystem(S, F.graphs | {g}))
+    assert not is_divisible(FusionSystem(S, F.graphs | iso(a, b) |
+                                         iso(b, ab)))
+    assert is_divisible(FusionSystem(S, F.graphs | iso(a, b) | iso(b, ab) |
+                                     iso(a, ab)))
+
+
+def test_graphs_off_the_subgroups_of_s_are_rejected():
+    S = sylow_subgroup(A4, 2)
+    e, a = S.elements[:2]
+    t = next(x for x in A4.elements if x not in S.key)
+    for graph in ({(a, a)}, {(e, e), (a, t)}):
+        with pytest.raises(FusionError, match="not a subgroup of S"):
+            FusionSystem(S, [frozenset(graph)])
+
+
 def test_presystem_of_group_algebra_is_group_fusion():
     # fixed points of the group basis realize exactly the G-conjugations
     for G, p in ((S3, 3), (A4, 2)):
@@ -183,8 +225,7 @@ def test_block_fusion_contains_inner_fusion():
         d = first_block(A, r)
         fdb = d.block_fusion_system
         inner = fusion_from_group(d.D, _as_group(d.D))
-        for key, graphs in inner.homs.items():
-            assert graphs <= fdb.homs.get(key, frozenset())
+        assert inner.graphs <= fdb.graphs
 
 
 def test_block_fusion_independent_of_maximal_pair():
@@ -310,22 +351,20 @@ def test_hom_set_order_does_not_depend_on_insertion_order():
     # makes "the first morphism" well defined
     S = D8.full_subgroup()
     F = fusion_from_group(S, D8)
-    fwd = FusionSystem(S, {k: sorted(v, key=sorted)
-                           for k, v in F.homs.items()})
-    bwd = FusionSystem(S, {k: sorted(v, key=sorted, reverse=True)
-                           for k, v in F.homs.items()})
+    fwd = FusionSystem(S, sorted(F.graphs, key=sorted))
+    bwd = FusionSystem(S, sorted(F.graphs, key=sorted, reverse=True))
     assert fwd.serialize() == bwd.serialize()
     for P in F.subgroups:
         for Q in F.subgroups:
-            assert [m.graph for m in fwd.hom_maps(P, Q)] == \
-                [m.graph for m in bwd.hom_maps(P, Q)]
+            assert fwd.hom_graphs(P, Q) == bwd.hom_graphs(P, Q)
             assert [m.graph for m in fwd.isomorphisms(P, Q)] == \
                 [m.graph for m in bwd.isomorphisms(P, Q)]
 
 
 def per_injection_presystem(ia):
-    """fF by its definition: one twisted Brauer quotient per injection
-    P -> Q (the oracle of the per-class construction)."""
+    """fF by its definition, per pair of subgroups: Hom(P, Q) is the set
+    of injections P -> Q with a nonzero twisted Brauer quotient, one
+    quotient per injection (the oracle of the per-class construction)."""
     D = ia.D
     subgroups = all_subgroups(D)
     homs = {}
@@ -337,7 +376,13 @@ def per_injection_presystem(ia):
                 if ia.brauer(TwistedDiagonal(into_d)).dim > 0:
                     graphs.add(phi.graph)
             homs[(P.key, Q.key)] = graphs
-    return FusionSystem(D, homs)
+    return homs
+
+
+def _assert_hom_sets(F, homs):
+    for P in F.subgroups:
+        for Q in F.subgroups:
+            assert set(F.hom_graphs(P, Q)) == homs[(P.key, Q.key)]
 
 
 def _catalog_group(name):
@@ -350,7 +395,7 @@ def test_presystem_per_class_matches_per_injection(name, p):
     A = build_group_algebra(_catalog_group(name), p)
     S = sylow_subgroup(A.group, p)
     got = fixed_point_presystem(InteriorAlgebra(A, S))
-    assert got.homs == per_injection_presystem(InteriorAlgebra(A, S)).homs
+    _assert_hom_sets(got, per_injection_presystem(InteriorAlgebra(A, S)))
 
 
 @pytest.mark.parametrize("name", ["s4", "sl23"])
@@ -361,8 +406,8 @@ def test_source_presystem_per_class_matches_per_injection(name):
     for i, b in enumerate(block_idempotents(A, r)):
         ia = analyze_block(engine, b, i, r).ia_S
         ref = InteriorAlgebra(ia.A, ia.D, structural=ia.structural)
-        assert fixed_point_presystem(ia).homs == \
-            per_injection_presystem(ref).homs
+        _assert_hom_sets(fixed_point_presystem(ia),
+                         per_injection_presystem(ref))
 
 
 def test_twisted_quotient_dimension_is_constant_on_classes():

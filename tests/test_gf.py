@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bflab.gf import FiniteField, field, make_field
+from bflab.gf import FiniteField, field, make_field, p_part
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 
@@ -78,3 +78,19 @@ def test_frobenius_roots():
     for a in f.elements():
         assert f.frobenius(f.frobenius_inv(a)) == a
         assert f.pow(a, 3) == f.frobenius(a)
+    # the unique p^k-th root, for every k up to m (k = 0 and k = m: a)
+    for p, m in ((2, 2), (3, 2), (3, 4)):
+        f = field(p, m)
+        for k in range(m + 1):
+            for a in f.elements():
+                root = f.frobenius_inv(a, k)
+                assert f.pow(root, p ** k) == a
+                if k in (0, m):
+                    assert root == a
+
+
+def test_p_part_rejects_p_below_two():
+    assert p_part(48, 2) == 16 and p_part(48, 3) == 3 and p_part(5, 7) == 1
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError):
+            p_part(12, p)

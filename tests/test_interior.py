@@ -154,6 +154,18 @@ def test_quotient_product_kc2():
     assert not out.any()
 
 
+def test_quotient_product_rejects_a_pairing_that_does_not_compose():
+    # 1_C maps C into D, but 1_D maps D outside the domain of 1_C
+    ia = interior(A4, 2)
+    C = next(P for P in all_subgroups(ia.D) if P.order == 2)
+    bq_C, bq_D = ia.brauer_at(C), ia.brauer_at(ia.D)
+    c_C, c_D = bq_C.project(ia.A.unit), bq_D.project(ia.A.unit)
+    out, bq_out = quotient_product(bq_D, bq_C, c_D, c_C)
+    assert bq_out.pairs == bq_C.pairs
+    with pytest.raises(ValueError):
+        quotient_product(bq_C, bq_D, c_C, c_D)
+
+
 def test_quotient_product_independent_of_lifts():
     ia = interior(S3, 3)
     D = ia.D

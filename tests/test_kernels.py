@@ -342,6 +342,24 @@ def test_interior_caches_are_read_by_their_owner(module):
     assert not lines, f"{module}: another module's cache read at {lines}"
 
 
+REPO = SRC.parents[1]
+PY_FILES = sorted(str(p.relative_to(REPO)) for d in ("src", "tests", "demos",
+                                                       "perfbench")
+                  for p in (REPO / d).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", PY_FILES)
+def test_fusion_graph_index_is_read_only_in_fusion(path):
+    # a FusionSystem is its set of graphs; the per-domain index that
+    # derives hom sets from it is fusion.py's format, and no per-pair
+    # `homs` table exists any more
+    tree = ast.parse((REPO / path).read_text())
+    banned = {"homs"} if path == "src/bflab/fusion.py" else {"homs", "_from"}
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in banned]
+    assert not lines, f"{path}: fusion index read at lines {lines}"
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
                                           if p.name != "linalg.py"))
 def test_inverse_is_called_only_in_linalg(module):
