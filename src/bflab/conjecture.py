@@ -9,9 +9,17 @@ verified by direct multiplication, and the three top-level conditions
     (iii) the algebra is (intrinsically) balanced,
 
 are computed independently and compared; a mismatch is surfaced as a
-finding, never patched over.  Twisted units are searched once per
-isomorphism and cached on the interior algebra, so the twisted-unit law
-suite checks the units that condition (ii) found.
+finding, never patched over.
+
+Each condition is decided once per D x D-class of isomorphisms of the
+presystem (`FusionSystem.outer_class_reps`): D acts by structural units,
+so (d, e) carries a unit of A(phi) to one of A(c_d o phi o c_e^-1) by
+u -> d.u.e^-1, and a point theta_phi(gamma) to its conjugate with the
+same multiplicities.  An inner class c_d restricted to P passes all
+three, as d itself is a twisted unit and theta is conjugation, so inner
+classes are skipped.  Twisted units are searched once per outer class
+and cached on the interior algebra; the law suite checks those units,
+and gets the units of the other isomorphisms by transport.
 """
 
 import itertools
@@ -23,7 +31,8 @@ from . import linalg
 from .bisets import (_expand_orbit, characteristic_report,
                      explicit_invariant_basis)
 from .fusion import fixed_point_presystem
-from .groups import GroupInjection, TwistedDiagonal, all_subgroups
+from .groups import (GroupInjection, TwistedDiagonal, all_subgroups,
+                     twisted_classes)
 from .idempotents import are_associate, sandwich_rows, transpotent_pair
 from .interior import pair_subgroup, quotient_product
 from .points import (Point, conjugate_point, local_points,
@@ -165,18 +174,13 @@ def _check_invariant(ia, basis):
                               {"d": [int(x) for x in d]})
 
 
-def _quotient_of(ia, phi):
-    """A(phi), the Brauer quotient at Delta(phi, P)."""
-    return ia.brauer(TwistedDiagonal(phi))
-
-
 def unital_basis_exists(ia, presystem, rng, exhaustive=False):
-    """Fixed-point criterion for unital bases: a unit in every
-    isomorphism's twisted fixed module."""
+    """Fixed-point criterion for unital bases: a unit in the twisted fixed
+    module of each outer class of isomorphisms (an inner c_d has d)."""
     table = {}
     ok = True
-    for phi in presystem.all_isomorphisms():
-        rows = _quotient_of(ia, phi).fixed.basis
+    for phi in presystem.outer_class_reps():
+        rows = ia.brauer_of(phi).fixed.basis
         u, record = unit_in_subspace(ia, rows, rng, exhaustive=exhaustive)
         table[_phi_label(phi)] = (u is not None, record)
         if u is None:
@@ -229,14 +233,14 @@ def theta_of_point(ia, phi, gamma, rng):
 
 @dataclass
 class TwistedUnit:
-    phi: GroupInjection            # iso P -> Q, into D
+    phi: GroupInjection            # the caller's iso P -> Q
     u: np.ndarray                  # class coordinates in A(phi)
     udag: np.ndarray               # class coordinates in A(phi^-1)
 
 
 def _iso_quotients(ia, phi):
     """(A(phi), A(phi^-1), A(P), A(Q)) for an isomorphism phi: P -> Q."""
-    return (_quotient_of(ia, phi), _quotient_of(ia, phi.inverse()),
+    return (ia.brauer_of(phi), ia.brauer_of(phi.inverse()),
             ia.brauer_at(phi.domain), ia.brauer_at(phi.image()))
 
 
@@ -258,13 +262,14 @@ def _search_twisted_unit(ia, phi, rng):
     d = quotients[0].dim
     if d == 0 or any(bq.dim != d for bq in quotients):
         return None
-    return _search(ia.A.field, d, lambda c: _try_twisted(ia, quotients, c),
+    return _search(ia.A.field, d,
+                   lambda c: _try_twisted(ia, phi, quotients, c),
                    rng, 2 ** 16, 64)[0]
 
 
-def _try_twisted(ia, quotients, coords):
-    """coords (a class of A(phi)) as a TwistedUnit if it has a twisted
-    inverse v: v.u = 1 in A(P) and u.v = 1 in A(Q)."""
+def _try_twisted(ia, phi, quotients, coords):
+    """coords (a class of A(phi)) as a TwistedUnit of phi if it has a
+    twisted inverse v: v.u = 1 in A(P) and u.v = 1 in A(Q)."""
     A = ia.A
     f = A.field
     bq_phi, bq_inv, bq_P, bq_Q = quotients
@@ -277,7 +282,7 @@ def _try_twisted(ia, quotients, coords):
     c2, _ = quotient_product(bq_phi, bq_inv, coords, v, bq_Q)
     if not np.array_equal(c2, bq_Q.project(np.asarray(A.unit))):
         return None
-    return TwistedUnit(phi=bq_phi.phi, u=np.asarray(coords), udag=v)
+    return TwistedUnit(phi=phi, u=np.asarray(coords), udag=v)
 
 
 def _transport(quotients, tu, c):
@@ -289,19 +294,45 @@ def _transport(quotients, tu, c):
 
 
 def has_all_twisted_units(ia, presystem, rng):
-    """Twisted units for every presystem isomorphism, plus the pairing
+    """A twisted unit for each outer class of presystem isomorphisms
+    (then for every isomorphism, by transport), plus the pairing
     surjectivity spot-check on composable isomorphism pairs."""
     table = {}
     ok = True
-    isos = list(presystem.all_isomorphisms())
-    for phi in isos:
+    for phi in presystem.outer_class_reps():
         tu = twisted_unit_exists(ia, phi, rng)
         table[_phi_label(phi)] = tu is not None
         if tu is None:
             ok = False
     if ok:
-        _pairing_surjectivity_check(ia, isos, rng)
+        _pairing_surjectivity_check(ia, list(presystem.all_isomorphisms()),
+                                    rng)
     return ok, table
+
+
+def _transported_unit(ia, phi, units):
+    """A twisted unit of the presystem isomorphism phi, found by no
+    search: the unit u of the isomorphism rho of its class in units
+    (keyed by class index) carried by (d, e) with phi = c_d o rho o c_e^-1
+    to d.u.e^-1, with twisted inverse e.u-dagger.d^-1; for an inner class,
+    the structural image of d with phi = c_d restricted to P."""
+    tc = twisted_classes(ia.D)
+    target = TwistedDiagonal(phi).pairs
+    tu = units.get(tc.class_index(target))
+    if tu is not None:
+        if tu.phi.graph == phi.graph:
+            return tu
+        u = ia.brauer_of(tu.phi).lift(tu.u)
+        udag = ia.brauer_of(tu.phi.inverse()).lift(tu.udag)
+        source = TwistedDiagonal(tu.phi).pairs
+    else:
+        u = udag = ia.A.unit
+        source = frozenset((x, x) for x in phi.domain.elements)
+    d, e = tc.transporter(source, target)
+    return TwistedUnit(phi=phi,
+                       u=ia.brauer_of(phi).project(ia.act(d, e, u)),
+                       udag=ia.brauer_of(phi.inverse()).project(
+                           ia.act(e, d, udag)))
 
 
 def _composable_pairs(isos):
@@ -322,9 +353,9 @@ def _pairing_surjectivity_check(ia, isos, rng):
     idx = rng.permutation(len(comp))[:20]
     for t in idx:
         phi, psi = comp[int(t)]
-        bq_phi = _quotient_of(ia, phi)
-        bq_psi = _quotient_of(ia, psi)
-        bq_out = _quotient_of(ia, psi.compose(phi))
+        bq_phi = ia.brauer_of(phi)
+        bq_psi = ia.brauer_of(psi)
+        bq_out = ia.brauer_of(psi.compose(phi))
         if bq_out.dim == 0:
             continue
         # the products of all basis classes, one call per class of A(psi)
@@ -390,22 +421,22 @@ def theta_map_via_twisted_unit(ia, tu, rng):
 
 def twisted_unit_laws_report(ia, presystem, rng):
     """The twisted-unit laws verified on the twisted units found for
-    condition (ii): closure of composable products, uniqueness of
-    twisted inverses, biregular translations, and multiplicativity of
-    conjugation transport."""
-    isos = list(presystem.all_isomorphisms())
-    units = {}
-    for phi in isos:
+    condition (ii): uniqueness of twisted inverses, biregular
+    translations and multiplicativity of conjugation transport, once per
+    outer class, and closure of the composable products of the units of
+    every isomorphism, those outside the representatives by transport."""
+    units = []
+    for phi in presystem.outer_class_reps():
         tu = twisted_unit_exists(ia, phi, rng)
         if tu is None:
             return {"all_twisted_units": False}
-        units[phi.graph] = tu
+        units.append(tu)
     report = {"all_twisted_units": True, "closure": True,
               "inverse_unique": True, "translation_regular": True,
               "conjugation_multiplicative": True}
     f = ia.A.field
-    for phi in isos:
-        tu = units[phi.graph]
+    for tu in units:
+        phi = tu.phi
         quotients = _iso_quotients(ia, phi)
         bq_phi, bq_inv, bq_P, bq_Q = quotients
         # the twisted inverse is unique
@@ -428,7 +459,8 @@ def twisted_unit_laws_report(ia, presystem, rng):
         # biregular translations to a second twisted unit, drawn at
         # random: unique x_P with u.x_P = v and unique x_Q with x_Q.u = v
         tu2, _ = _search(f, bq_phi.dim,
-                         lambda c: _try_twisted(ia, quotients, c), rng, 0, 4)
+                         lambda c: _try_twisted(ia, phi, quotients, c),
+                         rng, 0, 4)
         if tu2 is None:
             continue
         left, _ = quotient_product(bq_phi, bq_P, tu.u,
@@ -440,12 +472,16 @@ def twisted_unit_laws_report(ia, presystem, rng):
                     linalg.nullspace(f, m).shape[0] != 0:
                 report["translation_regular"] = False
     # composable products of twisted units are twisted units
+    tc = twisted_classes(ia.D)
+    by_class = {tc.class_index(TwistedDiagonal(tu.phi)): tu for tu in units}
+    isos = list(presystem.all_isomorphisms())
+    every = {phi.graph: _transported_unit(ia, phi, by_class)
+             for phi in isos}
     for phi, psi in _composable_pairs(isos):
-        w, bq_comp = quotient_product(_quotient_of(ia, psi),
-                                      _quotient_of(ia, phi),
-                                      units[psi.graph].u,
-                                      units[phi.graph].u)
-        if _try_twisted(ia, _iso_quotients(ia, bq_comp.phi), w) is None:
+        w, _ = quotient_product(ia.brauer_of(psi), ia.brauer_of(phi),
+                                every[psi.graph].u, every[phi.graph].u)
+        comp = psi.compose(phi)
+        if _try_twisted(ia, comp, _iso_quotients(ia, comp), w) is None:
             report["closure"] = False
     return report
 
@@ -624,11 +660,12 @@ def _orbit_reps_normalized(ia, group, members, R, eps, rng):
 # ---------------------------------------------------------------------------
 
 def intrinsic_balance_report(ia, presystem, rng):
-    """Every presystem iso is an isofusion from every source local point,
-    and matched local points have equal multiplicities."""
+    """The representative of each outer class of presystem isomorphisms is
+    an isofusion from every source local point, and matched local points
+    have equal multiplicities."""
     report = {"isofusion_everywhere": True, "multiplicities_match": True}
     witness = None
-    for phi in presystem.all_isomorphisms():
+    for phi in presystem.outer_class_reps():
         for gamma in local_points(ia, phi.domain, rng):
             delta = theta_of_point(ia, phi, gamma, rng)
             if delta is None:
@@ -654,7 +691,8 @@ def ambient_balance_report(ia_hat, ell, presystem, rng, exhaustive=False):
 
     ia_hat is the ambient interior algebra (e.g. the block algebra as an
     interior D-algebra), ell the corner idempotent in ambient coordinates,
-    presystem the fixed-point system of the corner.
+    presystem the fixed-point system of the corner, walked once per outer
+    class of isomorphisms.
     """
     report = {"ambient_unital_certified": None, "balanced": True}
     D = ia_hat.D
@@ -663,7 +701,7 @@ def ambient_balance_report(ia_hat, ell, presystem, rng, exhaustive=False):
         exhaustive=exhaustive)
     report["ambient_unital_certified"] = ok_units
     witness = None
-    for phi in presystem.all_isomorphisms():
+    for phi in presystem.outer_class_reps():
         P, Q = phi.domain, phi.codomain
         for gamma_hat in local_points(ia_hat, P, rng):
             delta_hat = theta_of_point(ia_hat, phi, gamma_hat, rng)
@@ -752,11 +790,12 @@ def equivalence_report(data, rng, thorough=False, exhaustive=False):
 
 
 def _basis_realization_check(ia, F, basis, rng):
-    """With a unital basis, every isofusion is realized by some basis
-    element, and each source point has a unique target point."""
+    """With a unital basis, the isofusion of each outer class is realized
+    by some basis element, and each source point has a unique target
+    point."""
     A = ia.A
-    for phi in F.all_isomorphisms():
-        bspace = _quotient_of(ia, phi).fixed
+    for phi in F.outer_class_reps():
+        bspace = ia.brauer_of(phi).fixed
         carriers = [v for v in basis.vectors if bspace.contains(v)]
         if not carriers:
             return False

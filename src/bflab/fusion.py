@@ -15,6 +15,10 @@ inclusions, inverses and composites.  Three constructions list graphs:
   at the representative `bisets.shape_from_brauer_dims` also reads, and
   every diagonal of a nonzero class is a morphism.
 
+`FusionSystem.outer_class_reps` lists one isomorphism per D x D-class of
+morphisms that is not a class of inner maps: the walk on which
+`bflab.conjecture` decides the equivalence conditions.
+
 Brauer pairs of a group algebra are subgroups P with a block of the
 quotient algebra (kG)(P) ~ kC_G(P), and the block's defect groups are
 the maximal subgroups where b survives the Brauer map.  Below a maximal
@@ -94,6 +98,32 @@ class FusionSystem:
 
     def automorphisms(self, P):
         return self.isomorphisms(P, P)
+
+    def outer_class_reps(self):
+        """One isomorphism onto its image per D x D-class of morphisms of
+        F, in the order of `twisted_classes(S)`, skipping the classes of
+        inner maps c_d restricted to P.
+
+        (d, e) in D x D carries phi to c_d o phi o c_e^-1; F must be a
+        union of such classes (a FusionError otherwise).  A class is inner
+        when it holds a diagonal Delta(P)."""
+        tc = twisted_classes(self.S)
+        by_key = {P.key: P for P in self.subgroups}
+        reps = []
+        for i, td in enumerate(tc.reps):
+            graphs = {frozenset((u, a) for a, u in pairs)
+                      for pairs in tc.members(i)}
+            inside = graphs & self.graphs
+            if inside and inside != graphs:
+                raise FusionError("F is not closed under D x D conjugation")
+            if not inside or any(all(a == u for a, u in pairs)
+                                 for pairs in tc.members(i)):
+                continue
+            phi = td.phi
+            reps.append(GroupInjection(by_key[phi.domain.key],
+                                       by_key[phi.image().key], phi.mapping,
+                                       check=False))
+        return reps
 
     def summary(self):
         """Morphism count per (|P|, |Q|), over every pair of subgroups."""

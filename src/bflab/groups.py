@@ -530,6 +530,16 @@ class TwistedClasses:
         """Pair sets of the twisted diagonals in class i."""
         return self._orbits[i]
 
+    def transporter(self, source, target):
+        """(a, b) in D x D carrying the pair set source onto target, as
+        (x, y) -> (a x a^-1, b y b^-1); a GroupError when they lie in
+        different classes."""
+        for a, ca in zip(self.D.elements, self._conj):
+            for b, cb in zip(self.D.elements, self._conj):
+                if frozenset((ca[x], cb[y]) for x, y in source) == target:
+                    return a, b
+        raise GroupError("the pair sets are not D x D-conjugate")
+
     def _conjugates(self, pairs):
         conj = self._conj
         return {frozenset((ca[x], cb[y]) for x, y in pairs)

@@ -60,11 +60,10 @@ def pair_subgroup(D, pairs):
 class BrauerQuotient:
     """A(U) presented by representative rows inside the U-fixed module."""
 
-    def __init__(self, interior, pairs, fixed, trace_rows, reps, phi=None):
+    def __init__(self, interior, pairs, fixed, trace_rows, reps):
         f = interior.A.field
         self.interior = interior
         self.pairs = frozenset(pairs)
-        self.phi = phi
         self.fixed = fixed          # the interior algebra's cached Subspace
         self.traces = linalg.Subspace(f, interior.A.dim, trace_rows)
         # a class is the reps part of the coordinates over [traces; reps];
@@ -128,8 +127,10 @@ class InteriorAlgebra:
         self._lmats = {}
         self._rmats = {}
         self._bq_cache = {}
-        # P.key -> the quotient at Delta(P), an entry of _bq_cache
+        # P.key -> the quotient at Delta(P), and the graph of an injection
+        # phi -> the quotient at Delta(phi, P): entries of _bq_cache
         self._bq_at = {}
+        self._bq_of = {}
         self._fixed_cache = {}
         # P.key -> A^P as a subalgebra context
         self._fixed_algebras = {}
@@ -217,16 +218,11 @@ class InteriorAlgebra:
         return out
 
     def brauer(self, td_or_pairs):
-        """Brauer quotient at a subgroup of D x D (cached)."""
-        phi = None
-        if isinstance(td_or_pairs, TwistedDiagonal):
-            phi = td_or_pairs.phi
-            pairs = td_or_pairs.pairs
-        else:
-            pairs = frozenset(td_or_pairs)
-        key = pairs
-        if key in self._bq_cache:
-            return self._bq_cache[key]
+        """Brauer quotient at a subgroup of D x D, cached by its pair set."""
+        pairs = td_or_pairs.pairs if isinstance(td_or_pairs, TwistedDiagonal) \
+            else frozenset(td_or_pairs)
+        if pairs in self._bq_cache:
+            return self._bq_cache[pairs]
         f = self.A.field
         U = pair_subgroup(self.D, pairs)
         fixed = self._fixed(U)
@@ -247,8 +243,8 @@ class InteriorAlgebra:
         cols = linalg.rref(f, np.concatenate([traces, fixed.basis],
                                              axis=0).T)[1]
         reps = fixed.basis[[c - t for c in cols if c >= t]]
-        bq = BrauerQuotient(self, pairs, fixed, traces, reps, phi=phi)
-        self._bq_cache[key] = bq
+        bq = BrauerQuotient(self, pairs, fixed, traces, reps)
+        self._bq_cache[pairs] = bq
         return bq
 
     def brauer_at(self, P):
@@ -256,6 +252,14 @@ class InteriorAlgebra:
         bq = self._bq_at.get(P.key)
         if bq is None:
             bq = self._bq_at[P.key] = self.brauer(diagonal(P, self.D))
+        return bq
+
+    def brauer_of(self, phi):
+        """Twisted Brauer quotient A(phi) at Delta(phi, P), for an injection
+        phi: P -> D."""
+        bq = self._bq_of.get(phi.graph)
+        if bq is None:
+            bq = self._bq_of[phi.graph] = self.brauer(TwistedDiagonal(phi))
         return bq
 
     def fixed_subalgebra(self, P):
@@ -285,22 +289,28 @@ def quotient_product(bq_left, bq_right, c_left, c_right, bq_out=None):
 
     bq_left is at Delta(psi, Q), bq_right at Delta(phi, P) with
     phi(P) <= Q; the result is the class of lift(c_left) * lift(c_right)
-    in A(psi o phi).  One side may be a coordinate matrix: the result is
-    then the matrix whose columns are the classes of the products with
-    its columns.
+    in A(psi o phi), whose pairs {(psi(phi(u)), u)} are read off the two
+    pair sets.  One side may be a coordinate matrix: the result is then
+    the matrix whose columns are the classes of the products with its
+    columns.
     """
     interior = bq_left.interior
     if bq_right.interior is not interior:
         raise ValueError("quotients of different interior algebras")
-    psi, phi = bq_left.phi, bq_right.phi
-    if psi is None or phi is None:
+    psi = {q: z for z, q in bq_left.pairs}
+    if len(psi) != len(bq_left.pairs) or \
+            len({u for _, u in bq_right.pairs}) != len(bq_right.pairs):
         raise ValueError("need twisted diagonals")
-    comp = psi.compose(phi)        # a GroupError unless composable
+    if any(x not in psi for x, _ in bq_right.pairs):
+        raise ValueError("phi(P) leaves the domain of psi")
+    comp = frozenset((psi[x], u) for x, u in bq_right.pairs)
     c_left, c_right = np.asarray(c_left), np.asarray(c_right)
     if c_left.ndim == 2 and c_right.ndim == 2:
         raise ValueError("only one side may be a matrix")
     if bq_out is None:
-        bq_out = interior.brauer(TwistedDiagonal(comp))
+        bq_out = interior.brauer(comp)
+    elif bq_out.pairs != comp:
+        raise ValueError("bq_out is not at Delta(psi o phi)")
     A = interior.A
     if c_left.ndim == 2:
         w = linalg.matmul(A.field, A.rmul_matrix(bq_right.lift(c_right)),

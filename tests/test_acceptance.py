@@ -3,6 +3,10 @@
 The catalog is the ten bundled groups at every dividing prime.  Shared
 pipeline results are cached per (group, prime) so the criteria stay
 independent without recomputing blocks.
+
+Criterion 12 is the oracle of the class walk: the equivalence checkers
+decide each condition on one isomorphism per outer D x D-class
+(`FusionSystem.outer_class_reps`), and it runs them on every isomorphism.
 """
 
 import json
@@ -17,17 +21,25 @@ from bflab.bisets import (characteristic_report, explicit_invariant_basis,
 from bflab.blocks import (analyze_block, build_group_algebra,
                           group_basis_invariant, proved_conditions_report,
                           source_fusion_identity_report)
-from bflab.conjecture import (equivalence_report, lift_to_global_unit,
-                              theta_map, theta_structure_report,
-                              twisted_unit_exists, twisted_unit_laws_report,
-                              unit_in_subspace)
-from bflab.fusion import BrauerPairs
-from bflab.groups import (TwistedDiagonal, centralizer, load_group,
+from bflab.conjecture import (_basis_realization_check, _phi_label,
+                              ambient_balance_report, build_unital_basis,
+                              equivalence_report, has_all_twisted_units,
+                              intrinsic_balance_report, lift_to_global_unit,
+                              theta_map, theta_of_point,
+                              theta_structure_report, twisted_unit_exists,
+                              twisted_unit_laws_report, unit_in_subspace,
+                              unital_basis_exists)
+from bflab.fusion import BrauerPairs, fixed_point_presystem
+from bflab.groups import (TwistedDiagonal, all_subgroups, centralizer,
+                          identity_injection, load_group,
                           p_subgroups_up_to_conjugacy, sylow_subgroup)
 from bflab.idempotents import block_idempotents, is_primitive
 from bflab.interior import InteriorAlgebra
+from bflab.points import local_points
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "bflab", "data")
+A5_PATH = os.path.join(os.path.dirname(__file__), "..", "perfbench", "groups",
+                       "a5.json")
 CATALOG = ["c2", "c3", "c4", "v4", "s3", "d8", "q8", "a4", "sl23", "s4"]
 SEED = 0xB10CF
 
@@ -348,3 +360,93 @@ def test_criterion_11_determinism():
             ok = False
     assert verdict(11, ok, "same seed gives byte-identical reports; "
                    "different seeds give identical verdicts")
+
+
+class Walk:
+    """A presystem stand-in whose walk is the given isomorphisms."""
+
+    def __init__(self, isos):
+        self.isos = list(isos)
+
+    def outer_class_reps(self):
+        return self.isos
+
+    def all_isomorphisms(self):
+        return iter(self.isos)
+
+
+def _skipped(F):
+    reps = {phi.graph for phi in F.outer_class_reps()}
+    return [phi for phi in F.all_isomorphisms() if phi.graph not in reps]
+
+
+def _same_on_every_isomorphism(check, F):
+    """check(walk) -> (verdict, table by isomorphism) on the class walk
+    and on the all-isomorphism walk: equal verdicts, and a positive table
+    entry for every skipped isomorphism."""
+    by_class, _ = check(F)
+    ok, table = check(Walk(F.all_isomorphisms()))
+    assert ok == by_class
+    for phi in _skipped(F):
+        entry = table[_phi_label(phi)]
+        assert entry[0] if isinstance(entry, tuple) else entry
+    return ok
+
+
+def _class_walk_matches_every_isomorphism(d, r):
+    ia, F = d.ia_S, d.source_presystem
+    every = Walk(F.all_isomorphisms())
+    assert _skipped(F)
+    # (i) a unit in each twisted fixed module, intrinsic and ambient
+    assert _same_on_every_isomorphism(
+        lambda W: unital_basis_exists(ia, W, r), F)
+    assert _same_on_every_isomorphism(
+        lambda W: unital_basis_exists(d.ia_B, W, r),
+        fixed_point_presystem(d.ia_B))
+    # (ii) a twisted unit of each isomorphism
+    assert _same_on_every_isomorphism(
+        lambda W: has_all_twisted_units(ia, W, r), F)
+    # (iii) balance, intrinsic and ambient: a report over every
+    # isomorphism has no witness, so each skipped one passes
+    ell = d.ia_B.A.from_parent(d.ell)
+    for report in (lambda W: intrinsic_balance_report(ia, W, r),
+                   lambda W: ambient_balance_report(d.ia_B, ell, W, r)):
+        walked = report(every)
+        assert walked == report(F)
+        assert walked["balanced"] and "witness" not in walked
+    # the unital basis realizes every isomorphism, and the law suite
+    # holds for the unit of every isomorphism
+    basis, _ = build_unital_basis(ia, r)
+    assert _basis_realization_check(ia, every, basis, r) is True
+    assert _basis_realization_check(ia, F, basis, r) is True
+    laws = twisted_unit_laws_report(ia, every, r)
+    assert laws == twisted_unit_laws_report(ia, F, r)
+    assert all(laws.values())
+    # theta of an identity is the identity on points: one target each
+    # (theta_of_point raises a finding on two)
+    for P in all_subgroups(d.D):
+        for gamma in local_points(ia, P, r):
+            delta = theta_of_point(ia, identity_injection(P), gamma, r)
+            assert delta.index == gamma.index
+
+
+def test_criterion_12_class_walk_matches_every_isomorphism():
+    # every catalog block with |D| >= 4, on the data the criteria above
+    # built, and the principal block of A5 at p = 5
+    blocks = [d for name, p in catalog_pairs()
+              for d in entry(name, p)["datas"] if d.D.order >= 4]
+    assert len(blocks) == 7
+    for d in blocks:
+        _class_walk_matches_every_isomorphism(
+            d, np.random.default_rng(SEED + 12))
+    A = build_group_algebra(load_group(A5_PATH), 5)
+    r = np.random.default_rng(SEED + 12)
+    pairs = BrauerPairs(A, r)
+    i, b = next((i, b) for i, b in enumerate(pairs.blocks)
+                if np.any(pairs.quotient(pairs.S).project(b)))
+    d = analyze_block(pairs, b, i, r)
+    assert d.D.order == 5
+    _class_walk_matches_every_isomorphism(d, r)
+    assert verdict(12, True, "each condition decided on the outer "
+                   "DxD-classes agrees with the walk of every isomorphism, "
+                   "on every catalog block with |D| >= 4 and A5 at p = 5")

@@ -275,8 +275,8 @@ GOLDEN_CHECK_SHA256 = {
                "153bc642ba0c7584d892debdb5bf5b99",
     ("s3", 3): "66456a53839a31b54f8999fa2621bee7"
                "37ec9335976da208f4e58c83920658ba",
-    ("s4", 3): "2f4c6939e9f9ee0f0b2403007c775824"
-               "6457c2a30b811f43d3fdd32aae5ac42a",
+    ("s4", 3): "23f556c9400013e1e311d429138fd024"
+               "82a38fd85cd40f153b988022c3abefed",
 }
 
 
@@ -301,6 +301,20 @@ def test_check_report_under_python_O(name, prime, tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     got = hashlib.sha256(proc.stdout).hexdigest()
     assert got == GOLDEN_CHECK_SHA256[(name, prime)]
+
+
+def test_python_m_bflab_runs_the_cli(seed1_reports, tmp_path):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "bflab", "check", "--group",
+         os.path.join(DATA, "c2.json"), "--prime", "2", "--seed", "1",
+         "--out", "-", "--findings-dir", str(tmp_path / "f")],
+        env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == seed1_reports[("c2", 2)]
 
 
 def _a5_doc():
@@ -356,8 +370,9 @@ def test_one_brauer_pair_engine_per_run(name, tmp_path, monkeypatch, capsys):
 def test_one_twisted_unit_search_per_isomorphism(tmp_path, monkeypatch,
                                                   capsys):
     # A4 at p = 2 has one block; fF_D(S) on its Klein four defect group
-    # has 13 isomorphisms.  The equivalence and the law suite share one
-    # search for each, instead of searching twice.
+    # has 13 isomorphisms, each its own D x D-class as D is abelian.  The
+    # 5 identities are inner and need no search; the equivalence and the
+    # law suite share one search for each of the other 8.
     from bflab import conjecture
     real = conjecture._search_twisted_unit
     searched = []
@@ -372,7 +387,8 @@ def test_one_twisted_unit_search_per_isomorphism(tmp_path, monkeypatch,
     assert code == 0
     blocks = json.loads(capsys.readouterr().out)["blocks"]
     assert len(blocks) == 1
-    assert len(searched) == len(set(searched)) == 13
+    assert len(searched) == len(set(searched)) == 8
+    assert all(any(x != y for x, y in graph) for _, graph in searched)
 
 
 def test_block_record_surfaces_only_biset_errors():

@@ -16,7 +16,7 @@ from bflab.conjecture import (ambient_balance_report, build_unital_basis,
                               unit_in_subspace, unital_basis_exists)
 from bflab.fusion import BrauerPairs, fixed_point_presystem
 from bflab.gf import field, make_field
-from bflab.groups import (TwistedDiagonal, group_from_generators,
+from bflab.groups import (TwistedDiagonal, diagonal, group_from_generators,
                           identity_injection, sylow_subgroup)
 from bflab.idempotents import block_idempotents
 from bflab.interior import InteriorAlgebra
@@ -111,6 +111,19 @@ def test_twisted_unit_identity_map():
     P = ia.D
     tu = twisted_unit_exists(ia, identity_injection(P), rng())
     assert tu is not None
+
+
+def test_twisted_unit_after_a_bare_pair_set_quotient():
+    # the quotient at Delta(C3) first built from its bare pair set, as
+    # `TwistedClasses.members` yields them: the cache keeps no injection,
+    # so the twisted-unit search on the same quotient still runs
+    ia = InteriorAlgebra(group_algebra(S3, field(3, 2)),
+                         sylow_subgroup(S3, 3))
+    bq = ia.brauer(diagonal(ia.D).pairs)
+    phi = identity_injection(ia.D)
+    assert ia.brauer_of(phi) is bq
+    tu = twisted_unit_exists(ia, phi, rng())
+    assert tu is not None and tu.phi is phi
 
 
 def test_twisted_unit_kc2_full_diagonal():
@@ -298,13 +311,20 @@ def test_thorough_checks_all_source_candidates():
 
 def test_thorough_exhaustive_reaches_every_search(monkeypatch):
     # under --thorough --exhaustive every source candidate's unital-basis
-    # search, and every unit search of the run, takes the run's flag
-    A = build_group_algebra(S3, 2)
+    # search, and every unit search of the run, takes the run's flag: on
+    # the defect-zero block of kS3 at p = 2, which has two source
+    # candidates, and on kS3 at p = 3, where the inversion of C3 is the
+    # one outer class, so the ambient unit search runs
     r = rng()
-    blocks = block_idempotents(A, r)
-    pairs = BrauerPairs(A, r)
-    datas = [analyze_block(pairs, b, i, r) for i, b in enumerate(blocks)]
+    datas = []
+    for p in (2, 3):
+        A = build_group_algebra(S3, p)
+        pairs = BrauerPairs(A, r)
+        datas += [analyze_block(pairs, b, i, r)
+                  for i, b in enumerate(block_idempotents(A, r))]
     dz = [d for d in datas if d.D.order == 1][0]
+    d3 = [d for d in datas if d.D.order == 3][0]
+    assert len(d3.source_presystem.outer_class_reps()) == 1
     seen = {"build_unital_basis": [], "unit_in_subspace": []}
     for name, calls in seen.items():
         def wrapped(*args, _real=getattr(conjecture, name), _calls=calls,
@@ -315,6 +335,9 @@ def test_thorough_exhaustive_reaches_every_search(monkeypatch):
     rep = equivalence_report(dz, r, thorough=True, exhaustive=True)
     assert rep["thorough_candidates_agree"]
     assert seen["build_unital_basis"] == [True, True]   # ell, then the other
+    rep = equivalence_report(d3, r, thorough=True, exhaustive=True)
+    assert rep["conditions_agree"]
+    assert seen["build_unital_basis"] == [True, True, True]
     assert seen["unit_in_subspace"]
     assert all(seen["unit_in_subspace"])
 

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from bflab.algebra import group_algebra
+from bflab.algebra import group_algebra, group_conjugation_perm
 from bflab.blocks import analyze_block, build_group_algebra
 from bflab.cli import _dividing_primes
 from bflab.fusion import (BrauerPairPoset, BrauerPairs, FusionError,
@@ -228,32 +228,57 @@ def test_block_fusion_contains_inner_fusion():
         assert inner.graphs <= fdb.graphs
 
 
-def test_block_fusion_independent_of_maximal_pair():
-    # recompute with a second maximal pair and transport by conjugation
-    A = build_group_algebra(A4, 2)
+def test_block_fusion_independent_of_maximal_pair(monkeypatch):
+    # the one maximal pair (D, e_D) of kS4 at p = 2 over S, and its
+    # conjugate by g outside N_G(D), found from scratch by an engine over
+    # the Sylow subgroup gSg^-1: F_D(b) moves by conjugation with g
+    S4 = _catalog_group("s4")
+    A = build_group_algebra(S4, 2)
     r = rng()
-    b = block_idempotents(A, r)[0]
     engine = BrauerPairs(A, r)
+    b = engine.blocks[0]
     poset = BrauerPairPoset(engine, b)
-    if len(poset.maximal) < 2:
-        pytest.skip("only one maximal pair stored")
+    D1, e1 = poset.pairs[poset.maximal[0]]
+    g = next(g for g in S4.elements if D1.conjugate(g).key != D1.key)
+    monkeypatch.setattr(fusion, "sylow_subgroup",
+                        lambda G, p: engine.S.conjugate(g))
+    engine2 = BrauerPairs(A, r)
+    poset2 = BrauerPairPoset(engine2, b)
+    D2, e2 = poset2.pairs[poset2.maximal[0]]
+    assert D2.key == D1.conjugate(g).key != D1.key
+    lifted = engine.quotient(D1).lift(engine.blocks_at(D1)[e1])
+    e_moved = engine2.quotient(D2).project(
+        lifted[group_conjugation_perm(A, g)])
+    assert engine2.block_index(D2, e_moved) == e2
     F1 = block_fusion(poset, poset.maximal[0])
-    F2 = block_fusion(poset, poset.maximal[1])
-    D1 = poset.pairs[poset.maximal[0]][0]
-    D2 = poset.pairs[poset.maximal[1]][0]
-    g = next(g for g in A4.elements if D1.conjugate(g).key == D2.key)
+    F2 = block_fusion(poset2, poset2.maximal[0])
     gi = pinv(g)
     for P in all_subgroups(D1):
         for Q in all_subgroups(D1):
-            Pg = P.conjugate(g)
-            Qg = Q.conjugate(g)
             moved = set()
             for graph in F1.hom_graphs(P, Q):
-                mp = dict(graph)
-                moved.add(frozenset(
-                    (pmul(pmul(g, x), gi),
-                     pmul(pmul(g, mp[x]), gi)) for x in mp))
-            assert moved == set(F2.hom_graphs(Pg, Qg))
+                moved.add(frozenset((pmul(pmul(g, x), gi),
+                                     pmul(pmul(g, y), gi)) for x, y in graph))
+            assert moved == set(F2.hom_graphs(P.conjugate(g), Q.conjugate(g)))
+    assert len(F1.graphs) == len(F2.graphs) > len(all_subgroups(D1))
+
+
+def test_outer_class_reps_one_per_outer_class():
+    # F_S(S4) on a Sylow D8: 28 isomorphisms in 3 outer D x D-classes;
+    # a system that holds only part of a class is rejected
+    S4 = _catalog_group("s4")
+    S = sylow_subgroup(S4, 2)
+    F = fusion_from_group(S, S4)
+    tc = twisted_classes(S)
+    reps = F.outer_class_reps()
+    classes = [tc.class_index(TwistedDiagonal(phi)) for phi in reps]
+    assert len(list(F.all_isomorphisms())) == 28
+    assert len(set(classes)) == len(classes) == 3
+    assert all(phi.codomain.key == phi.image().key and F.contains(phi) and
+               phi.graph != frozenset((x, x) for x in phi.domain.elements)
+               for phi in reps)
+    with pytest.raises(FusionError):
+        FusionSystem(S, F.graphs - {reps[0].graph}).outer_class_reps()
 
 
 def test_defect_groups_examples():

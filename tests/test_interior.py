@@ -140,6 +140,19 @@ def test_projection_well_defined_modulo_traces():
         bq.project(group_element_vector(ia.A, (1, 0, 2)))
 
 
+def test_brauer_of_is_memoized_by_graph(monkeypatch):
+    # A(phi) comes from the one pair-set cache, and a second call builds
+    # no twisted diagonal
+    from bflab import interior as interior_mod
+    ia = interior(S3, 3)
+    inv = [m for m in injective_maps(ia.D, ia.D) if m.graph !=
+           frozenset((x, x) for x in ia.D.elements)][0]
+    bq = ia.brauer_of(inv)
+    assert bq is ia.brauer(TwistedDiagonal(inv))
+    monkeypatch.setattr(interior_mod, "TwistedDiagonal", None)
+    assert ia.brauer_of(inv) is bq
+
+
 def test_quotient_product_kc2():
     # br(g).br(g) = br(1) under Delta(C2) in kC2 char 2
     ia = interior(C2, 2)
@@ -254,6 +267,9 @@ def test_quotient_product_rejects_bad_pairs():
         quotient_product(bq_1, bq_D, bq_1.project(ia.A.unit), eye_D)
     with pytest.raises(ValueError):
         quotient_product(bq_D, bq_D, eye_D, eye_D)
+    # Delta(D) after Delta(D) is Delta(D), not Delta(1)
+    with pytest.raises(ValueError):
+        quotient_product(bq_D, bq_D, eye_D[0], eye_D[0], bq_1)
 
 
 def test_bifreeness_of_group_algebras():
