@@ -68,10 +68,6 @@ class BlockData:
         return shape_from_brauer_dims(self.ia_S)
 
     @cached_property
-    def block_shape(self):
-        return shape_from_brauer_dims(self.ia_B)
-
-    @cached_property
     def block_fusion_system(self):
         return block_fusion(self.poset, self.max_pair_index)
 

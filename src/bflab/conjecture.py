@@ -18,8 +18,10 @@ u -> d.u.e^-1, and a point theta_phi(gamma) to its conjugate with the
 same multiplicities.  An inner class c_d restricted to P passes all
 three, as d itself is a twisted unit and theta is conjugation, so inner
 classes are skipped.  Twisted units are searched once per outer class
-and cached on the interior algebra; the law suite checks those units,
-and gets the units of the other isomorphisms by transport.
+and cached on the interior algebra.  The closure law and the pairing
+check multiply along the composable class triples (phi, g, psi) of two
+outer representatives and an element g of D (`_composable_triples`),
+which stand for every composable pair of isomorphisms.
 """
 
 import itertools
@@ -32,7 +34,7 @@ from .bisets import (_expand_orbit, characteristic_report,
                      explicit_invariant_basis)
 from .fusion import fixed_point_presystem
 from .groups import (GroupInjection, TwistedDiagonal, all_subgroups,
-                     twisted_classes)
+                     conjugation_injection)
 from .idempotents import are_associate, sandwich_rows, transpotent_pair
 from .interior import pair_subgroup, quotient_product
 from .points import (Point, conjugate_point, local_points,
@@ -294,65 +296,52 @@ def _transport(quotients, tu, c):
 
 
 def has_all_twisted_units(ia, presystem, rng):
-    """A twisted unit for each outer class of presystem isomorphisms
-    (then for every isomorphism, by transport), plus the pairing
-    surjectivity spot-check on composable isomorphism pairs."""
+    """A twisted unit for each outer class of presystem isomorphisms, plus
+    the pairing surjectivity check on every composable class triple."""
     table = {}
     ok = True
-    for phi in presystem.outer_class_reps():
+    reps = presystem.outer_class_reps()
+    for phi in reps:
         tu = twisted_unit_exists(ia, phi, rng)
         table[_phi_label(phi)] = tu is not None
         if tu is None:
             ok = False
     if ok:
-        _pairing_surjectivity_check(ia, list(presystem.all_isomorphisms()),
-                                    rng)
+        _pairing_surjectivity_check(ia, reps)
     return ok, table
 
 
-def _transported_unit(ia, phi, units):
-    """A twisted unit of the presystem isomorphism phi, found by no
-    search: the unit u of the isomorphism rho of its class in units
-    (keyed by class index) carried by (d, e) with phi = c_d o rho o c_e^-1
-    to d.u.e^-1, with twisted inverse e.u-dagger.d^-1; for an inner class,
-    the structural image of d with phi = c_d restricted to P."""
-    tc = twisted_classes(ia.D)
-    target = TwistedDiagonal(phi).pairs
-    tu = units.get(tc.class_index(target))
-    if tu is not None:
-        if tu.phi.graph == phi.graph:
-            return tu
-        u = ia.brauer_of(tu.phi).lift(tu.u)
-        udag = ia.brauer_of(tu.phi.inverse()).lift(tu.udag)
-        source = TwistedDiagonal(tu.phi).pairs
-    else:
-        u = udag = ia.A.unit
-        source = frozenset((x, x) for x in phi.domain.elements)
-    d, e = tc.transporter(source, target)
-    return TwistedUnit(phi=phi,
-                       u=ia.brauer_of(phi).project(ia.act(d, e, u)),
-                       udag=ia.brauer_of(phi.inverse()).project(
-                           ia.act(e, d, udag)))
+def _composable_triples(D, reps):
+    """(phi, g, c_g o phi, psi) for isomorphisms phi: P -> Q and psi: R -> T
+    of reps, onto their images, and g in D with gQg^-1 = R, one g per
+    coset gQ.
+
+    On the outer class representatives these stand for every composable
+    pair of the presystem.  D acts by structural units: for
+    psi' = c_d o psi o c_e^-1 and phi' = c_a o phi o c_b^-1,
+    u_psi'.u_phi' = d.(u_psi.g.u_phi).b^-1 with g = e^-1 a, where g.u_phi
+    is the unit of c_g o phi, and A(psi').A(phi') moves by the same units.
+    g matters only up to gQ, as phi(u).u_phi = u_phi.u.  A pair with an
+    inner factor c_d restricted to Q passes trivially: d is its unit, and
+    d.A(phi) = A(c_d o phi)."""
+    for phi in reps:
+        Q = phi.codomain
+        for psi in reps:
+            R = psi.domain
+            if R.order != Q.order:
+                continue
+            for g in D.left_coset_reps(Q):
+                if Q.conjugate(g).key == R.key:
+                    yield (phi, g,
+                           conjugation_injection(Q, g, R).compose(phi), psi)
 
 
-def _composable_pairs(isos):
-    """(phi, psi) for the listed isomorphisms phi: P -> Q and psi: Q -> R,
-    phi-major in list order: psi o phi is defined, as phi maps P onto
-    its codomain Q."""
-    return [(phi, psi) for phi in isos for psi in isos
-            if phi.codomain.key == psi.domain.key]
-
-
-def _pairing_surjectivity_check(ia, isos, rng):
-    """Pairing surjectivity: products span A(psi.phi) for composable isos
-    whenever all twisted units exist (20 sampled pairs)."""
+def _pairing_surjectivity_check(ia, reps):
+    """Pairing surjectivity: products span A(psi o phi) on every composable
+    class triple of the outer representatives reps, whenever all twisted
+    units exist."""
     f = ia.A.field
-    comp = _composable_pairs(isos)
-    if not comp:
-        return
-    idx = rng.permutation(len(comp))[:20]
-    for t in idx:
-        phi, psi = comp[int(t)]
+    for _, _, phi, psi in _composable_triples(ia.D, reps):
         bq_phi = ia.brauer_of(phi)
         bq_psi = ia.brauer_of(psi)
         bq_out = ia.brauer_of(psi.compose(phi))
@@ -423,19 +412,20 @@ def twisted_unit_laws_report(ia, presystem, rng):
     """The twisted-unit laws verified on the twisted units found for
     condition (ii): uniqueness of twisted inverses, biregular
     translations and multiplicativity of conjugation transport, once per
-    outer class, and closure of the composable products of the units of
-    every isomorphism, those outside the representatives by transport."""
-    units = []
-    for phi in presystem.outer_class_reps():
+    outer class, and closure of the products u_psi.g.u_phi of the units
+    of every composable class triple."""
+    reps = presystem.outer_class_reps()
+    units = {}
+    for phi in reps:
         tu = twisted_unit_exists(ia, phi, rng)
         if tu is None:
             return {"all_twisted_units": False}
-        units.append(tu)
+        units[phi.graph] = tu
     report = {"all_twisted_units": True, "closure": True,
               "inverse_unique": True, "translation_regular": True,
               "conjugation_multiplicative": True}
     f = ia.A.field
-    for tu in units:
+    for tu in units.values():
         phi = tu.phi
         quotients = _iso_quotients(ia, phi)
         bq_phi, bq_inv, bq_P, bq_Q = quotients
@@ -472,15 +462,13 @@ def twisted_unit_laws_report(ia, presystem, rng):
                     linalg.nullspace(f, m).shape[0] != 0:
                 report["translation_regular"] = False
     # composable products of twisted units are twisted units
-    tc = twisted_classes(ia.D)
-    by_class = {tc.class_index(TwistedDiagonal(tu.phi)): tu for tu in units}
-    isos = list(presystem.all_isomorphisms())
-    every = {phi.graph: _transported_unit(ia, phi, by_class)
-             for phi in isos}
-    for phi, psi in _composable_pairs(isos):
-        w, _ = quotient_product(ia.brauer_of(psi), ia.brauer_of(phi),
-                                every[psi.graph].u, every[phi.graph].u)
-        comp = psi.compose(phi)
+    for phi, g, gphi, psi in _composable_triples(ia.D, reps):
+        bq_gphi = ia.brauer_of(gphi)
+        u_gphi = bq_gphi.project(
+            ia.left(g, ia.brauer_of(phi).lift(units[phi.graph].u)))
+        w, _ = quotient_product(ia.brauer_of(psi), bq_gphi,
+                                units[psi.graph].u, u_gphi)
+        comp = psi.compose(gphi)
         if _try_twisted(ia, comp, _iso_quotients(ia, comp), w) is None:
             report["closure"] = False
     return report

@@ -301,11 +301,6 @@ def maximal_subgroups(P):
     return memo[P.key]
 
 
-def p_subgroups_up_to_conjugacy(G, p):
-    """One representative per G-conjugacy class of p-subgroups (incl. 1)."""
-    return subgroup_classes(G, sylow_subgroup(G, p))
-
-
 def subgroup_classes(G, S):
     """One representative per G-conjugacy class met by the subgroups of
     S, the first of its class in `all_subgroups(S)`."""
@@ -529,16 +524,6 @@ class TwistedClasses:
     def members(self, i):
         """Pair sets of the twisted diagonals in class i."""
         return self._orbits[i]
-
-    def transporter(self, source, target):
-        """(a, b) in D x D carrying the pair set source onto target, as
-        (x, y) -> (a x a^-1, b y b^-1); a GroupError when they lie in
-        different classes."""
-        for a, ca in zip(self.D.elements, self._conj):
-            for b, cb in zip(self.D.elements, self._conj):
-                if frozenset((ca[x], cb[y]) for x, y in source) == target:
-                    return a, b
-        raise GroupError("the pair sets are not D x D-conjugate")
 
     def _conjugates(self, pairs):
         conj = self._conj

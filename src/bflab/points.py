@@ -122,13 +122,6 @@ def relative_multiplicity(ia, Rp, pt_prime, R, pt, rng):
     return point_multiplicity(ia, Rp, pt_prime, pt.rep, rng)
 
 
-def pointed_leq(ia, Q, pt_delta, P, pt_gamma, rng):
-    """Q_delta <= P_gamma: some summand of i_P in A^Q lies in delta."""
-    if not Q.key <= P.key:
-        return False
-    return relative_multiplicity(ia, Q, pt_delta, P, pt_gamma, rng) > 0
-
-
 def conjugate_point(ia, P, pt, g, rng):
     """^g(P_pt) as a (subgroup, Point) pair; g from the interior group."""
     Pg = P.conjugate(g)

@@ -36,7 +36,6 @@ level.  Stored rows are read-only.
 import numpy as np
 
 from . import linalg
-from .linalg import Subspace
 
 # Largest stack of basis-pair products, in elements (see
 # `_radical_rows_impl`).
@@ -231,7 +230,3 @@ def _radical_rows_impl(A):
         basis = linalg.rref(f, linalg.matmul(f, x_rows, basis))[0]
         mats = A.lmul_matrix(basis)
     return basis
-
-
-def radical_subspace(A):
-    return Subspace(A.field, A.dim, radical_rows(A))

@@ -7,21 +7,25 @@ independent without recomputing blocks.
 Criterion 12 is the oracle of the class walk: the equivalence checkers
 decide each condition on one isomorphism per outer D x D-class
 (`FusionSystem.outer_class_reps`), and it runs them on every isomorphism.
+The test after it drives the class-triple closure law and pairing check
+into their negative branches on the same block data.
 """
 
+import dataclasses
 import json
 import os
 import time
 
 import numpy as np
+import pytest
 
-from bflab import linalg
+from bflab import conjecture, linalg
 from bflab.bisets import (characteristic_report, explicit_invariant_basis,
                           shape_from_brauer_dims, twisted_classes)
 from bflab.blocks import (analyze_block, build_group_algebra,
                           group_basis_invariant, proved_conditions_report,
                           source_fusion_identity_report)
-from bflab.conjecture import (_basis_realization_check, _phi_label,
+from bflab.conjecture import (Finding, _basis_realization_check, _phi_label,
                               ambient_balance_report, build_unital_basis,
                               equivalence_report, has_all_twisted_units,
                               intrinsic_balance_report, lift_to_global_unit,
@@ -32,7 +36,7 @@ from bflab.conjecture import (_basis_realization_check, _phi_label,
 from bflab.fusion import BrauerPairs, fixed_point_presystem
 from bflab.groups import (TwistedDiagonal, all_subgroups, centralizer,
                           identity_injection, load_group,
-                          p_subgroups_up_to_conjugacy, sylow_subgroup)
+                          subgroup_classes, sylow_subgroup)
 from bflab.idempotents import block_idempotents, is_primitive
 from bflab.interior import InteriorAlgebra
 from bflab.points import local_points
@@ -135,7 +139,7 @@ def test_criterion_02_brauer_isomorphism_dimension():
         G = e["G"]
         S = sylow_subgroup(G, p)
         ia = InteriorAlgebra(e["A"], S)
-        for P in p_subgroups_up_to_conjugacy(G, p):
+        for P in subgroup_classes(G, S):
             moved = P if P.key <= S.key else next(
                 P.conjugate(g) for g in G.elements
                 if P.conjugate(g).key <= S.key)
@@ -450,3 +454,34 @@ def test_criterion_12_class_walk_matches_every_isomorphism():
     assert verdict(12, True, "each condition decided on the outer "
                    "DxD-classes agrees with the walk of every isomorphism, "
                    "on every catalog block with |D| >= 4 and A5 at p = 5")
+
+
+@pytest.mark.parametrize("name", ["s4", "sl23"])
+def test_class_triple_laws_reach_their_negative_branches(name, monkeypatch):
+    # at p = 2, one block with an outer class whose composable triples
+    # have a nonzero A(psi o phi)
+    d = entry(name, 2)["datas"][0]
+    ia, F = d.ia_S, d.source_presystem
+    r = np.random.default_rng(SEED + 13)
+    assert has_all_twisted_units(ia, F, r)[0]
+    reps = F.outer_class_reps()
+    real = linalg.rank
+    ranked = []
+    monkeypatch.setattr(linalg, "rank",
+                        lambda f, m: ranked.append(real(f, m)) or ranked[-1])
+    conjecture._pairing_surjectivity_check(ia, reps)
+    # one rank per composable class triple: 96 composable pairs of
+    # isomorphisms of F_D(S4) on D8, and 254 on Q8 for SL(2,3)
+    assert len(ranked) == {"s4": 8, "sl23": 28}[name]
+    # a span one short of A(psi o phi) is a finding
+    monkeypatch.setattr(linalg, "rank", lambda f, m: real(f, m) - 1)
+    with pytest.raises(Finding, match="pairing_not_surjective"):
+        conjecture._pairing_surjectivity_check(ia, reps)
+    monkeypatch.setattr(linalg, "rank", real)
+    # the zero class in place of one representative's twisted unit:
+    # every product with it is zero, so closure fails
+    tu = ia._twisted_units[reps[0].graph]
+    monkeypatch.setitem(ia._twisted_units, reps[0].graph,
+                        dataclasses.replace(tu, u=np.zeros_like(tu.u)))
+    laws = twisted_unit_laws_report(ia, F, r)
+    assert laws["all_twisted_units"] and laws["closure"] is False

@@ -2,7 +2,7 @@ import numpy as np
 
 from bflab.blocks import (analyze_block, build_group_algebra,
                           splitting_field, source_fusion_identity_report)
-from bflab.bisets import characteristic_report
+from bflab.bisets import characteristic_report, shape_from_brauer_dims
 from bflab.fusion import BrauerPairs
 from bflab.gf import p_part
 from bflab.groups import (TwistedDiagonal, group_from_generators,
@@ -147,7 +147,7 @@ def test_block_algebra_shape_is_fusion_stable():
         A = build_group_algebra(G, p)
         r = rng()
         d = first_block(A, r)
-        shape_b = d.block_shape
+        shape_b = shape_from_brauer_dims(d.ia_B)
         fdb = d.block_fusion_system
         rep = characteristic_report(shape_b, fdb, p)
         assert rep["f_stable"]
@@ -200,7 +200,7 @@ def test_operation_level_api_surface():
     from bflab.groups import diagonal, twisted_classes
     from bflab.interior import InteriorAlgebra
     from bflab.groups import sylow_subgroup
-    from bflab.radical import radical_subspace
+    from bflab.radical import radical_rows
     r = np.random.default_rng(0)
     A = build_group_algebra(S3, 3)
     D = sylow_subgroup(S3, 3)
@@ -211,7 +211,7 @@ def test_operation_level_api_surface():
     assert ia.brauer(td).dim == 3
     tr = ia.trace_map([(D.identity, D.identity)], td.pairs)
     assert not linalg.matvec(A.field, tr, A.unit).any()
-    assert radical_subspace(A).dim == 4
+    assert linalg.Subspace(A.field, A.dim, radical_rows(A)).dim == 4
     b = block_idempotents(A, r)[0]
     pairs = BrauerPairs(A, r)
     assert pairs.S.key == D.key

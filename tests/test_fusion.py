@@ -1,4 +1,6 @@
+import ast
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -279,6 +281,22 @@ def test_outer_class_reps_one_per_outer_class():
                for phi in reps)
     with pytest.raises(FusionError):
         FusionSystem(S, F.graphs - {reps[0].graph}).outer_class_reps()
+
+
+SRC = pathlib.Path(fusion.__file__).parent
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_fusion_names_all_isomorphisms(module):
+    # every checker walks FusionSystem.outer_class_reps(); the walk of
+    # every isomorphism is the test oracle's, so only its owner names it
+    tree = ast.parse((SRC / module).read_text())
+    lines = [node.lineno for node in ast.walk(tree)
+             if "all_isomorphisms" in (getattr(node, "attr", None),
+                                       getattr(node, "id", None),
+                                       getattr(node, "name", None))]
+    assert module == "fusion.py" or not lines, \
+        f"{module}: all_isomorphisms named at lines {lines}"
 
 
 def test_defect_groups_examples():

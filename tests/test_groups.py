@@ -3,9 +3,8 @@ import pytest
 from bflab.groups import (GroupError, OrderCapExceeded, TwistedClasses,
                           TwistedDiagonal, all_subgroups, centralizer,
                           group_from_generators, injective_maps, load_group,
-                          maximal_subgroups, normalizer,
-                          p_subgroups_up_to_conjugacy, pinv, pmul,
-                          sylow_subgroup, twisted_classes)
+                          maximal_subgroups, normalizer, pinv, pmul,
+                          subgroup_classes, sylow_subgroup, twisted_classes)
 from bflab.interior import _pair_perm_group, pair_subgroup
 
 
@@ -53,10 +52,12 @@ def test_sylow():
 
 
 def test_p_subgroup_classes():
-    assert sorted(s.order for s in p_subgroups_up_to_conjugacy(S3(), 3)) == \
-        [1, 3]
+    G = S3()
+    assert sorted(s.order for s in
+                  subgroup_classes(G, sylow_subgroup(G, 3))) == [1, 3]
     # D8 as its own ambient: 8 classes of 2-subgroups
-    assert len(p_subgroups_up_to_conjugacy(D8(), 2)) == 8
+    G = D8()
+    assert len(subgroup_classes(G, sylow_subgroup(G, 2))) == 8
 
 
 def test_centralizer_normalizer():

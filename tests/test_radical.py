@@ -14,7 +14,7 @@ from bflab.groups import (group_from_generators, load_group, perm_order,
                           sylow_subgroup)
 from bflab.idempotents import quotient_algebra
 from bflab.interior import InteriorAlgebra
-from bflab.radical import charpoly, radical_rows, radical_subspace
+from bflab.radical import charpoly, radical_rows
 
 GROUPS = {
     "C2": group_from_generators(2, [(1, 0)], "C2"),
@@ -106,7 +106,7 @@ def test_radical_is_nilpotent_two_sided_ideal():
     for name, p in (("S3", 3), ("A4", 2), ("C4", 2)):
         G = GROUPS[name]
         A = group_algebra(G, splitting(G, p))
-        J = radical_subspace(A)
+        J = linalg.Subspace(A.field, A.dim, radical_rows(A))
         for t in range(J.dim):
             for i in range(A.dim):
                 b = A.basis_vector(i)
