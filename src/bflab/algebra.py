@@ -129,11 +129,17 @@ class AlgebraContext:
     # -- parent coordinate plumbing ---------------------------------------
 
     def to_parent(self, x):
+        """Parent coordinates of x; x itself for a root, which is its own
+        parent."""
+        if self.parent is None:
+            return np.asarray(x)
         return linalg.vecmat(self.field, np.asarray(x), self.embed)
 
     def from_parent(self, v, check=True):
         """Coordinates of a parent vector lying in our span; of each
-        column for a matrix."""
+        column for a matrix.  A root's are the vector's own."""
+        if self.parent is None:
+            return np.asarray(v)
         return self._coords(v, check)
 
     def to_root(self, x):

@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .groups import (TwistedDiagonal, all_subgroups, identity_injection,
                      twisted_classes)
-from .interior import decode_pair, pair_subgroup
+from .interior import _pair_perm_group, decode_pair, pair_subgroup
 
 
 class BisetError(ValueError):
@@ -135,7 +135,8 @@ def shape_from_brauer_dims(ia):
 
 
 class InvariantBasis:
-    """Explicit (D,D)-invariant basis with its biset structure."""
+    """Explicit (D,D)-invariant basis with its biset structure: each
+    orbit slice holds the D x D-orbit of its first vector."""
 
     def __init__(self, ia, vectors, orbit_slices, stabilizers):
         self.ia = ia
@@ -157,7 +158,11 @@ class InvariantBasis:
         return np.array(self.vectors, dtype=np.int64)
 
     def is_unital(self):
-        return all(self.ia.A.is_unit(v) for v in self.vectors)
+        """Whether every basis vector is a unit, by one rank per orbit:
+        each slice is the D x D-orbit of its first vector, and D acts by
+        units, so d1.v.d2^-1 is a unit exactly when v is."""
+        return all(self.ia.A.is_unit(self.vectors[start])
+                   for start, _ in self.orbit_slices)
 
     def __len__(self):
         return len(self.vectors)
@@ -174,8 +179,7 @@ def explicit_invariant_basis(ia, rng):
     f = A.field
     shape = shape_from_brauer_dims(ia)
     tc = shape.classes
-    d2_group = pair_subgroup(ia.D, [(a, b) for a in ia.D.elements
-                                    for b in ia.D.elements])
+    d2_group = _pair_perm_group(ia.D).full_subgroup()
     for attempt in range(24):
         vectors, slices, stabs = [], [], []
         ok = True

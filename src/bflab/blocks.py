@@ -7,7 +7,10 @@ The Brauer pairs (P, e) of kG belong to (G, p), not to one block: one
 interior S-algebra kG, the quotients (kG)(P) and their blocks (those
 of kG = (kG)(1) among them), and every block of the run is analyzed
 against it.  A BlockData holds only the facts of its block and reaches
-G, p and kG through that engine.
+G, p and kG through that engine.  Its interior algebras are the
+engine's when they are the same algebra: kG over D is the engine's kG
+when D is the engine's Sylow subgroup, the block algebra is kG when
+b = 1, and the source algebra is the block algebra when l = 1_B.
 
 All choices (defect representative, maximal pair, source idempotent) are
 made deterministically under the run seed and recorded, since the block
@@ -96,8 +99,10 @@ def analyze_block(pairs, b, index, rng):
     if {P.order for P in defect_groups(pairs, b)} != {D.order}:
         raise FusionError("maximal pair subgroup is not a defect group")
 
-    ia_kG_D = InteriorAlgebra(pairs.A, D)
-    # block algebra as an interior D-algebra
+    # kG as an interior D-algebra is the engine's when D is its Sylow
+    # subgroup; the block algebra is kG itself when b = 1
+    ia_kG_D = pairs.ia if D.key == pairs.S.key else \
+        InteriorAlgebra(pairs.A, D)
     B = ia_kG_D.corner(b)
 
     # source idempotents: primitive in B^D, local, Brauer image under e_D

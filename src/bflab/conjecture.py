@@ -36,7 +36,7 @@ from .fusion import fixed_point_presystem
 from .groups import (GroupInjection, TwistedDiagonal, all_subgroups,
                      conjugation_injection)
 from .idempotents import are_associate, sandwich_rows, transpotent_pair
-from .interior import pair_subgroup, quotient_product
+from .interior import _pair_perm_group, quotient_product
 from .points import (Point, conjugate_point, local_points,
                      local_invariant_decomposition, point_multiplicity,
                      point_of, points, relative_multiplicity,
@@ -146,8 +146,7 @@ def build_unital_basis(ia, rng, exhaustive=False):
 def _replace_basis_orbit(ia, vectors, start, length, td, y, u):
     A = ia.A
     f = A.field
-    d2_group = pair_subgroup(ia.D, [(a, b) for a in ia.D.elements
-                                    for b in ia.D.elements])
+    d2_group = _pair_perm_group(ia.D).full_subgroup()
     others = [v for t, v in enumerate(vectors)
               if not (start <= t < start + length)]
     for lam in range(f.q):

@@ -385,9 +385,13 @@ def _conjugate_subgroups(G, P, Q):
 
 
 def block_fusion(poset, max_idx, label=None):
-    """F_D(b) from a chosen maximal pair (D, e_D)."""
+    """F_D(b) from a chosen maximal pair (D, e_D).
+
+    One g per coset g.C_G(P) is tried: for c in C_G(P), c_gc = c_g on P,
+    and ^(gc)e = ^g e, because e is a block of (kG)(P) = kC_G(P) and so
+    central there."""
     engine = poset.engine
-    G = engine.G
+    G = engine.G.full_subgroup()
     D, eD_idx = poset.pairs[max_idx]
     family = engine.family(D, eD_idx)
     if not family.items() <= {(P.key, e) for P, e in poset.pairs}:
@@ -396,7 +400,7 @@ def block_fusion(poset, max_idx, label=None):
     graphs = set()
     for P in all_subgroups(D):
         e = engine.blocks_at(P)[family[P.key]]
-        for g in G.elements:
+        for g in G.left_coset_reps(centralizer(G, P)):
             Pg = P.conjugate(g)
             if not Pg.key <= D.key:
                 continue

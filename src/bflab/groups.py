@@ -88,6 +88,7 @@ class PermGroup:
         self._maximal_memo = {}          # key -> maximal_subgroups tuple
         self._generated_memo = {}        # generator set -> Subgroup
         self._pair_group_memo = {}       # key -> D x D (bflab.interior)
+        self._injective_memo = {}        # (P key, D key) -> injective_maps
         self._twisted_classes_memo = {}  # key -> TwistedClasses
 
     @property
@@ -393,12 +394,20 @@ def conjugation_injection(P, g, codomain):
 
 
 def injective_maps(P, D):
-    """All injective homomorphisms P -> D."""
+    """All injective homomorphisms P -> D, memoized on the parent group
+    (read-only)."""
+    memo = P.parent._injective_memo
+    key = (P.key, D.key)
+    if key in memo:
+        return memo[key]
     if P.order > D.order:
-        return []
+        memo[key] = ()
+        return memo[key]
     gens = P.generating_sequence()
     if not gens:
-        return [GroupInjection(P, D, {P.identity: D.identity}, check=False)]
+        memo[key] = (GroupInjection(P, D, {P.identity: D.identity},
+                                    check=False),)
+        return memo[key]
     orders = [perm_order(g) for g in gens]
     candidates = [[d for d in D.elements if perm_order(d) == o]
                   for o in orders]
@@ -418,11 +427,21 @@ def injective_maps(P, D):
             extend(idx + 1, partial_images + [c])
 
     extend(0, [])
-    return out
+    memo[key] = tuple(out)
+    return memo[key]
 
 
 def _hom_from_generators(P, gens, images, D):
-    """Extend gens -> images to a homomorphism P -> D, or None."""
+    """Extend gens -> images to a homomorphism P -> D, or None.
+
+    The walk from 1 along the generator edges x -> g.x sets
+    f(g.x) = f(g).f(x) on every edge, with f(g) the image of g, and
+    returns None when an edge closes with another value.  Every element
+    is reached (P is finite, so each element is a product of
+    generators) and leaves along every edge, so f(g.x) = f(g).f(x) holds
+    for each generator g and all x; by induction on the length of a
+    product a = g_1...g_k, f(a.x) = f(g_1)...f(g_k).f(x) = f(a).f(x), so
+    f is a homomorphism and no product need be re-checked."""
     mapping = {P.identity: D.identity}
     frontier = [P.identity]
     while frontier:
@@ -440,10 +459,6 @@ def _hom_from_generators(P, gens, images, D):
         frontier = new
     if len(mapping) != P.order:
         return None
-    for a in P.elements:
-        for b in P.elements:
-            if mapping[pmul(a, b)] != pmul(mapping[a], mapping[b]):
-                return None
     return mapping
 
 

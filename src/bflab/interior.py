@@ -15,6 +15,13 @@ Delta(phi, P) the fixed module is the twisted space {a : phi(u).a = a.u}.
 Quotients at diagonal subgroups inherit the multiplication of A and are
 returned with a full AlgebraContext; quotients at twisted diagonals are
 plain spaces linked by the pairing A(psi) x A(phi) -> A(psi o phi).
+
+An InteriorAlgebra owns every cache of its algebra: the fixed modules
+and A^P, the quotients A(U), the points, the twisted units and theta.
+The corner at the unit is the interior algebra itself (d -> d.1 is its
+structural map), so a block algebra B = kG.b with b = 1 is the
+Brauer-pair engine's kG, and a source algebra l.B.l with l = 1_B is B,
+each with one set of caches.
 """
 
 import numpy as np
@@ -145,14 +152,25 @@ class InteriorAlgebra:
             self._check_structural()
 
     def _check_structural(self):
-        for g in self.D.elements:
-            for h in self.D.elements:
-                lhs = self.A.mul(self.structural[g], self.structural[h])
-                if not np.array_equal(lhs, self.structural[pmul(g, h)]):
-                    raise ValueError("structural map is not multiplicative")
-        for g in self.D.elements:
-            if not self.A.is_unit(self.structural[g]):
-                raise ValueError("structural image is not a unit")
+        """f(1) = 1 and f(g.h) = f(g).f(h) for each generator g of D and
+        every h in D, as one product per generator.
+
+        That is enough: for a = g_1...g_k a product of generators (every
+        element of the finite group D is one), induction on k gives
+        f(a.h) = f(g_1).f(g_2...g_k.h) = f(g_1)...f(g_k).f(h), and h = 1
+        gives f(a) = f(g_1)...f(g_k), so f(a.h) = f(a).f(h) on all of D.
+        Then f(h).f(h^-1) = f(1) = 1 = f(h^-1).f(h) makes every image a
+        unit."""
+        f = self.A.field
+        if not np.array_equal(self.structural[self.D.identity], self.A.unit):
+            raise ValueError("structural map does not send 1 to 1")
+        elems = self.D.elements
+        images = np.array([self.structural[h] for h in elems]).T
+        for g in self.D.generating_sequence():
+            moved = np.array([self.structural[pmul(g, h)] for h in elems]).T
+            if not np.array_equal(linalg.matmul(f, self.lmat(g), images),
+                                  moved):
+                raise ValueError("structural map is not multiplicative")
 
     def lmat(self, g):
         if g not in self._lmats:
@@ -274,8 +292,12 @@ class InteriorAlgebra:
     def corner(self, e):
         """Interior algebra on the corner e.A.e; structural map d -> d.e.
 
-        e must be fixed by the conjugation action of D.
+        e must be fixed by the conjugation action of D.  The corner at
+        the unit is this algebra itself, with all its caches: d -> d.1 is
+        the structural map.
         """
+        if np.array_equal(e, self.A.unit):
+            return self
         C = self.A.corner(e)
         struct = {}
         for g in self.D.elements:

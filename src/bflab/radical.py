@@ -1,8 +1,18 @@
 """Jacobson radical of a finite-dimensional algebra in characteristic p.
 
-The trace form alone is blind in small characteristic, so we run the
-iterated chain of characteristic-polynomial-coefficient forms on the
-left regular representation: starting from I_0 = A, the next term keeps
+A local algebra A with A/J(A) = k, such as kP for a p-group P and most
+fixed-point algebras of a source algebra, is tried first: its radical
+is the kernel of a local character lambda: A -> k (Eberly and
+Giesbrecht, J. Symbolic Comput. 29, 2000), which `_local_radical`
+guesses from one characteristic-polynomial coefficient per basis
+element and then proves (an algebra map with nilpotent kernel).  Only
+when no character is certified does the chain below run.  J(A) is one
+subspace and both paths return its RREF, which is unique, so which path
+ran changes no row, no rng draw and no report.
+
+Otherwise the trace form alone is blind in small characteristic, so we
+run the iterated chain of characteristic-polynomial-coefficient forms on
+the left regular representation: starting from I_0 = A, the next term keeps
 the x in I_i with c_{p^i}(xy) = 0 for every y in I_i, where c_j(M) is
 the degree-j coefficient of det(tI - M).  On I_i that form is
 p^i-semilinear, so each step is one linear solve after taking p^i-th
@@ -171,7 +181,9 @@ def charpolys(f, stack, j):
 
 
 def radical_rows(A):
-    """Rows (A-coordinates) spanning the Jacobson radical of A, read-only.
+    """Rows (A-coordinates) spanning the Jacobson radical of A, in RREF and
+    read-only: the kernel of a local character when one is certified,
+    else the end of the Cohen-Ivanyos-Wales chain.
 
     Memoized in `A.root().radical_memo` by A's structure tensor, or by
     its index table when A is table-driven."""
@@ -182,10 +194,70 @@ def radical_rows(A):
     memo = A.root().radical_memo
     rows = memo.get(key)
     if rows is None:
-        rows = _radical_rows_impl(A)
+        rows = _local_radical(A)
+        if rows is None:
+            rows = _radical_rows_impl(A)
         rows.setflags(write=False)
         memo[key] = rows
     return rows
+
+
+def _local_radical(A):
+    """J(A) as the kernel of a certified local character, or None.
+
+    If A is local with A/J(A) = k, the left multiplication by x is
+    triangular with diagonal lambda(x) on a composition series of A, so
+    det(tI - L_x) = (t - lambda(x))^n.  With p^a the exact power of p
+    dividing n = dim A, its coefficient c_(p^a) = C(n, p^a).(-lambda)^(p^a)
+    and C(n, p^a) = n / p^a != 0 mod p (Lucas), so one batched `charpolys`
+    coefficient guesses lambda on the basis (c_1, for p not dividing n, is
+    minus the trace, read off the trace form).  The guess is then proved:
+    lambda(1) = 1 and lambda(b_i.b_j) = lambda(b_i).lambda(b_j) make it an
+    algebra map, so K = ker lambda is an ideal of codimension 1 and the
+    chain K, K^2, ... decreases; its reaching 0 makes K nilpotent.  A
+    nilpotent ideal lies in J(A), and J(A) != A, so K = J(A).  Nothing
+    else is assumed of the guess: a wrong one fails a check and returns
+    None.
+
+    Such a lambda makes the trace form tr(L_(xy)) = n.lambda(x).lambda(y)
+    of rank at most 1, so a form of higher rank returns None at once.
+    """
+    f = A.field
+    n = A.dim
+    if n == 0:
+        return None
+    mats = A.lmul_matrix(linalg.eye(f, n))
+    # tr(L_t L_k) = vec(L_t) . vec(L_k^T)
+    traces = f.matmul(mats.reshape(n, n * n),
+                      mats.transpose(0, 2, 1).reshape(n, n * n).T)
+    if linalg.rank(f, traces) > 1:
+        return None
+    a, pa = 0, 1
+    while n % (pa * f.p) == 0:
+        a, pa = a + 1, pa * f.p
+    # tr(L_x) is the trace form at (x, 1)
+    coeffs = f.neg(f.matmul(traces, A.unit)) if pa == 1 else \
+        charpolys(f, mats, pa)
+    # lambda^(p^a) = -c_(p^a) / C(n, p^a), since (-1)^(p^a) = -1 in char p
+    powers = f.div(f.neg(coeffs), (n // pa) % f.p)
+    lam = np.array([f.frobenius_inv(int(x), a) for x in powers],
+                   dtype=np.int64)
+    if f.matmul(A.unit, lam) != 1:
+        return None
+    # lambda(b_i.b_j), with column j of L_(b_i) the product b_i.b_j
+    if not np.array_equal(f.matmul(lam, mats),
+                          f.mul(lam[:, None], lam[None, :])):
+        return None
+    kernel = linalg.nullspace(f, lam[None, :])
+    power = kernel
+    while power.shape[0]:
+        # the products x.y for x in K^m and y in K span K^(m+1)
+        prods = f.matmul(A.lmul_matrix(power), kernel.T)
+        nxt = linalg.rref(f, prods.transpose(0, 2, 1).reshape(-1, n))[0]
+        if nxt.shape[0] >= power.shape[0]:
+            return None
+        power = nxt
+    return kernel
 
 
 def _radical_rows_impl(A):

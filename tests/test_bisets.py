@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from bflab.algebra import group_algebra
-from bflab.bisets import (BisetError, BisetShape, characteristic_report,
-                          explicit_invariant_basis, opposite_shape,
-                          shape_from_brauer_dims, twisted_classes)
+from bflab.bisets import (BisetError, BisetShape, InvariantBasis,
+                          characteristic_report, explicit_invariant_basis,
+                          opposite_shape, shape_from_brauer_dims,
+                          twisted_classes)
 from bflab.blocks import group_basis_invariant
 from bflab.fusion import fusion_from_group
 from bflab.gf import make_field
@@ -171,3 +172,25 @@ def test_characteristic_report_generation_failure():
     F2 = fusion_from_group(ia.D, S3)
     rep2 = characteristic_report(shape, F2, 3)
     assert rep2["f_generated"] and rep2["all"]
+
+
+def test_is_unital_is_false_on_an_orbit_of_non_units():
+    # kV4 over GF(2) as an interior <a>-algebra: the orbits {1, a} and
+    # {b, ab} of the group basis are units; {1 + b, a + ab}, the orbit
+    # of the nilpotent 1 + b with the same stabilizer Delta(<a>), is not
+    V4 = group_from_generators(4, [(1, 0, 3, 2), (2, 3, 0, 1)], "V4")
+    A = group_algebra(V4, make_field(2, 1))
+    a, b = (1, 0, 3, 2), (2, 3, 0, 1)
+    D = V4.subgroup([V4.identity, a])
+    ia = InteriorAlgebra(A, D)
+    one, va, vb, vab = (A.basis_vector(A.element_index[g])
+                        for g in (V4.identity, a, b, pmul(a, b)))
+    stabs = [diagonal(D), diagonal(D)]
+    units = InvariantBasis(ia, [one, va, vb, vab], [(0, 2), (2, 2)], stabs)
+    assert units.is_unital()
+    for first in (False, True):
+        orbit = [A.add(one, vb), A.add(va, vab)]
+        vectors = orbit + [vb, vab] if first else [one, va] + orbit
+        mixed = InvariantBasis(ia, vectors, [(0, 2), (2, 2)], stabs)
+        assert not mixed.is_unital()
+        assert not all(A.is_unit(v) for v in vectors)

@@ -1,3 +1,6 @@
+import itertools
+import os
+
 import pytest
 
 from bflab.groups import (GroupError, OrderCapExceeded, TwistedClasses,
@@ -243,3 +246,42 @@ def test_subgroup_facts_are_owned_by_the_parent_group():
     assert _pair_perm_group(c) is not _pair_perm_group(a)
     assert twisted_classes(c) is not twisted_classes(a)
     assert pair_subgroup(c, pairs) is not pair_subgroup(a, pairs)
+
+
+def _brute_force_injections(P, Q):
+    """Graphs of the injective homomorphisms P -> Q: every choice of
+    generator images, extended along words, kept when all |P|^2 products
+    are respected and the map is injective."""
+    gens = P.generating_sequence()
+    out = set()
+    for images in itertools.product(Q.elements, repeat=len(gens)):
+        f = {P.identity: Q.identity}
+        frontier = [P.identity]
+        while frontier:
+            x = frontier.pop()
+            for g, img in zip(gens, images):
+                if pmul(g, x) not in f:
+                    f[pmul(g, x)] = pmul(img, f[x])
+                    frontier.append(pmul(g, x))
+        if len(set(f.values())) == P.order and all(
+                f[pmul(a, b)] == pmul(f[a], f[b])
+                for a in P.elements for b in P.elements):
+            out.add(frozenset(f.items()))
+    return out
+
+
+@pytest.mark.parametrize("name", ["d8", "q8", "sl23"])
+def test_injective_maps_match_the_brute_force_enumeration(name):
+    # the generator walk re-checks no product; on every pair of subgroups
+    # of a 2-group (of D8, Q8 and the Sylow 2-subgroup of SL(2,3)) it
+    # finds exactly the maps that respect all |P|^2 products
+    data = os.path.join(os.path.dirname(__file__), "..", "src", "bflab",
+                        "data", f"{name}.json")
+    S = sylow_subgroup(load_group(data), 2)
+    subs = all_subgroups(S)
+    for P in subs:
+        for Q in subs:
+            maps = injective_maps(P, Q)
+            assert {phi.graph for phi in maps} == \
+                _brute_force_injections(P, Q)
+            assert maps is injective_maps(P, Q)

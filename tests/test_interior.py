@@ -313,3 +313,34 @@ def test_brauer_quotient_shares_the_cached_fixed_rows():
         rows[0, 0] = 1
     with pytest.raises(ValueError):
         bq.fixed.basis[...] = 0
+
+
+def _d8_structural():
+    D8 = group_from_generators(4, [(1, 2, 3, 0), (1, 0, 3, 2)], "D8")
+    A = group_algebra(D8, field(2))
+    D = D8.full_subgroup()
+    return A, D, {g: group_element_vector(A, g) for g in D.elements}
+
+
+def test_structural_check_catches_each_tampered_image():
+    # the check multiplies only by generators, yet a change of any one
+    # image, generator or not, breaks some f(g.h) = f(g).f(h)
+    A, D, good = _d8_structural()
+    InteriorAlgebra(A, D, structural=good)
+    others = [g for g in D.elements if g != D.identity]
+    for g in others:
+        for h in others:
+            if h == g:
+                continue
+            bad = dict(good)
+            bad[g] = good[h]
+            with pytest.raises(ValueError, match="not multiplicative"):
+                InteriorAlgebra(A, D, structural=bad)
+
+
+def test_structural_check_catches_an_image_of_one_that_is_not_one():
+    A, D, good = _d8_structural()
+    bad = dict(good)
+    bad[D.identity] = good[D.elements[1]]
+    with pytest.raises(ValueError, match="1 to 1"):
+        InteriorAlgebra(A, D, structural=bad)

@@ -1,0 +1,144 @@
+"""One owner per structure: the Brauer-pair engine, the block algebra B
+and the source algebra S are one InteriorAlgebra whenever they are one
+algebra, so A^P, A(U), points, twisted units, theta and the structural
+check are built once; and the two radical paths are reached only
+through `radical.radical_rows`."""
+
+import ast
+import os
+import pathlib
+
+import numpy as np
+import pytest
+
+from bflab import conjecture, interior
+from bflab.blocks import analyze_block, build_group_algebra
+from bflab.conjecture import equivalence_report
+from bflab.fusion import BrauerPairs
+from bflab.groups import load_group
+from bflab.interior import InteriorAlgebra
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(ROOT, "src", "bflab", "data")
+A5_PATH = os.path.join(ROOT, "perfbench", "groups", "a5.json")
+SRC = pathlib.Path(interior.__file__).parent
+
+
+def _analyzed(path, p):
+    """The engine, every block's data and the rng of one run at seed 1."""
+    rng = np.random.default_rng(1)
+    pairs = BrauerPairs(build_group_algebra(load_group(path), p), rng)
+    return pairs, [analyze_block(pairs, b, i, rng)
+                   for i, b in enumerate(pairs.blocks)], rng
+
+
+def test_s4_engine_block_and_source_are_one_interior_algebra():
+    # b = 1, D = S and ell = 1_B: kG, B and S are one algebra
+    pairs, (data,), _ = _analyzed(os.path.join(DATA, "s4.json"), 2)
+    assert np.array_equal(data.b, pairs.A.unit)
+    assert data.D.key == pairs.S.key
+    assert np.array_equal(data.ell, pairs.A.unit)
+    assert data.ia_S is data.ia_B is data.ia_kG_D is pairs.ia
+
+
+def test_sl23_block_is_its_source_algebra_but_not_kg():
+    # the dim-12 block of SL(2,3) at p = 3 has ell = 1_B and b != 1
+    pairs, datas, _ = _analyzed(os.path.join(DATA, "sl23.json"), 3)
+    (data,) = [d for d in datas if d.ia_B.A.dim == 12]
+    assert data.ia_S is data.ia_B
+    assert data.ia_kG_D is pairs.ia
+    assert data.ia_B is not pairs.ia and data.ia_S is not pairs.ia
+
+
+def test_a5_principal_block_keeps_three_interior_algebras():
+    # ell != 1_B on the principal block of A5 at p = 3
+    pairs, datas, _ = _analyzed(A5_PATH, 3)
+    (data,) = [d for d in datas if d.principal]
+    assert data.ia_S.A.dim < data.ia_B.A.dim < pairs.A.dim
+    assert len({id(data.ia_S), id(data.ia_B), id(pairs.ia)}) == 3
+
+
+def test_s4_ambient_balance_finds_its_quotients_and_one_structural_check(
+        monkeypatch):
+    checks = []
+    check = InteriorAlgebra._check_structural
+
+    def counted_check(self):
+        checks.append(self)
+        return check(self)
+    monkeypatch.setattr(InteriorAlgebra, "_check_structural", counted_check)
+    new_quotients = []
+    ambient = conjecture.ambient_balance_report
+
+    def counted_ambient(ia_hat, *args, **kwargs):
+        before = len(ia_hat._bq_cache)
+        out = ambient(ia_hat, *args, **kwargs)
+        new_quotients.append(len(ia_hat._bq_cache) - before)
+        return out
+    monkeypatch.setattr(conjecture, "ambient_balance_report",
+                        counted_ambient)
+    pairs, (data,), rng = _analyzed(os.path.join(DATA, "s4.json"), 2)
+    report = equivalence_report(data, rng)
+    # every comparison still ran, on inputs already computed
+    assert report["ambient_balance"] and report["ambient_matches_intrinsic"]
+    assert new_quotients == [0]
+    assert checks == [pairs.ia]
+
+
+def _calls(tree, names):
+    """(enclosing qualified function, call node) of each call of one of
+    the names, as a bare name or an attribute."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else \
+                getattr(fn, "attr", None)
+            if name in names:
+                out.append((".".join(scope), node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+    visit(tree, ())
+    return out
+
+
+def _modules():
+    return sorted(p.name for p in SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_only_radical_rows_runs_a_radical_path(module):
+    # the certificate and the chain fill one memo; a second caller would
+    # compute a radical the memo already owns
+    tree = ast.parse((SRC / module).read_text())
+    where = {(module, scope) for scope, _ in
+             _calls(tree, {"_local_radical", "_radical_rows_impl"})}
+    assert where <= {("radical.py", "radical_rows")}
+
+
+def _in_orelse_of_sylow_test(tree, call):
+    """Whether the call is the else-branch of a conditional testing
+    D.key == pairs.S.key."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.IfExp) and \
+                ast.unparse(node.test) == "D.key == pairs.S.key" and \
+                any(n is call for n in ast.walk(node.orelse)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_interior_algebras_are_built_in_three_places(module):
+    # the engine's kG, a proper corner, and kG over a defect group that
+    # is not the engine's Sylow subgroup; every other interior algebra
+    # is one of these
+    tree = ast.parse((SRC / module).read_text())
+    for scope, call in _calls(tree, {"InteriorAlgebra"}):
+        assert (module, scope) in {("fusion.py", "BrauerPairs.__init__"),
+                                   ("interior.py", "InteriorAlgebra.corner"),
+                                   ("blocks.py", "analyze_block")}, scope
+        if scope == "analyze_block":
+            assert _in_orelse_of_sylow_test(tree, call)

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from bflab import linalg, radical
-from bflab.algebra import group_algebra
+from bflab.algebra import AlgebraContext, group_algebra
 from bflab.cli import main
 from bflab.gf import _prime_factors, field, make_field
 from bflab.groups import (group_from_generators, load_group, perm_order,
                           sylow_subgroup)
-from bflab.idempotents import quotient_algebra
+from bflab.idempotents import block_idempotents, quotient_algebra
 from bflab.interior import InteriorAlgebra
 from bflab.radical import charpoly, radical_rows
 
@@ -60,12 +60,13 @@ def test_radical_dimensions(name, p, expect):
 @pytest.mark.parametrize("name,p,expect", RADICAL_DIMS)
 def test_radical_rows_do_not_depend_on_stack_budget(name, p, expect, budget,
                                                     monkeypatch):
-    # one matrix per charpoly stack, or a whole level in one stack
+    # one matrix per charpoly stack, or a whole level in one stack; the
+    # chain runs even where the certificate would prove the radical
     G = GROUPS[name]
     k = splitting(G, p)
     expect_rows = radical_rows(group_algebra(G, k))
     monkeypatch.setattr(radical, "_STACK_BUDGET", budget)
-    rows = radical_rows(group_algebra(G, k))
+    rows = radical._radical_rows_impl(group_algebra(G, k))
     assert rows.shape[0] == expect
     assert np.array_equal(rows, expect_rows)
 
@@ -183,14 +184,15 @@ def test_corner_radical_is_sandwiched_radical():
 
 @pytest.fixture
 def chains(monkeypatch):
-    """Algebras whose radical chain actually runs, in call order."""
+    """Algebras whose radical is computed, by the certificate or by the
+    chain, in call order: the misses of the radical memo."""
     calls = []
-    impl = radical._radical_rows_impl
+    local = radical._local_radical
 
     def counted(A):
         calls.append(A)
-        return impl(A)
-    monkeypatch.setattr(radical, "_radical_rows_impl", counted)
+        return local(A)
+    monkeypatch.setattr(radical, "_local_radical", counted)
     return calls
 
 
@@ -248,3 +250,105 @@ def test_radical_rows_are_read_only():
         assert rows.shape[0] == 1 and not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 0
+
+
+def _tensor_algebra(f, products, unit):
+    """The algebra on basis b_0.. with b_i.b_j = products[(i, j)] (a basis
+    index; absent pairs multiply to 0)."""
+    n = len(unit)
+    tensor = np.zeros((n, n, n), dtype=np.int64)
+    for (i, j), k in products.items():
+        tensor[i, j, k] = 1
+    return AlgebraContext(f, n, mult_tensor=tensor, unit=unit)
+
+
+def _matrix_algebra(f):
+    # M_2(k) on E_11, E_12, E_21, E_22: E_ij.E_jl = E_il
+    units = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    return _tensor_algebra(
+        f, {(a, b): units.index((i, m)) for a, (i, j) in enumerate(units)
+            for b, (l, m) in enumerate(units) if j == l}, [1, 0, 0, 1])
+
+
+NOT_LOCAL = [
+    # k x k: the trace form has rank 2
+    ("k x k, p = 2", lambda: _tensor_algebra(field(2), {(0, 0): 0,
+                                                        (1, 1): 1}, [1, 1])),
+    ("k x k, p = 3", lambda: _tensor_algebra(field(3), {(0, 0): 0,
+                                                        (1, 1): 1}, [1, 1])),
+    # M_2(k) at p = 2: the trace form is 0, and the guess is no character
+    ("M_2(k), p = 2", lambda: _matrix_algebra(field(2))),
+    ("M_2(k), p = 3", lambda: _matrix_algebra(field(3))),
+    # k x k[x]/(x^2) at p = 2 on e, f, x: the guess is the projection to
+    # k, a character whose kernel k[x]/(x^2) is not nilpotent
+    ("k x k[x]/x^2", lambda: _tensor_algebra(
+        field(2), {(0, 0): 0, (1, 1): 1, (1, 2): 2, (2, 1): 2}, [1, 1, 0])),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in NOT_LOCAL],
+                         ids=[name for name, _ in NOT_LOCAL])
+def test_certificate_refuses_algebras_that_are_not_local(build):
+    A = build()
+    assert radical._local_radical(A) is None
+    rows = radical_rows(A)
+    assert np.array_equal(rows, radical._radical_rows_impl(A))
+    assert A.dim - rows.shape[0] > 1
+
+
+@pytest.mark.parametrize("name", ["C4", "D8"])
+def test_certificate_proves_the_radical_of_a_p_group_algebra(name):
+    # p = 2 divides dim kP = |P|, so the guess reads c_|P| of each L_x
+    A = group_algebra(GROUPS[name], field(2))
+    rows = radical._local_radical(A)
+    assert rows is not None and rows.shape[0] == A.dim - 1
+    assert np.array_equal(rows, radical._radical_rows_impl(A))
+
+
+def test_certificate_matches_the_chain_on_a_catalog_pass(monkeypatch,
+                                                          tmp_path):
+    # every certified radical of a `check` pass over the catalog is the
+    # chain's, and no local algebra (dim A - dim J = 1) is left to it
+    local, chain = radical._local_radical, radical._radical_rows_impl
+    certified, fallbacks = [], []
+
+    def recorded_local(A):
+        rows = local(A)
+        if rows is not None:
+            certified.append((A, rows))
+        return rows
+
+    def recorded_chain(A):
+        rows = chain(A)
+        fallbacks.append((A, rows))
+        return rows
+    monkeypatch.setattr(radical, "_local_radical", recorded_local)
+    monkeypatch.setattr(radical, "_radical_rows_impl", recorded_chain)
+    for name in sorted(os.listdir(DATA)):
+        path = os.path.join(DATA, name)
+        for p in _prime_factors(load_group(path).order):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(["check", "--group", path, "--prime", str(p),
+                             "--seed", "1", "--out", "-", "--findings-dir",
+                             str(tmp_path)]) == 0
+    assert len(certified) > len(fallbacks) > 0
+    for A, rows in certified:
+        assert np.array_equal(rows, chain(A))
+    assert all(A.dim - rows.shape[0] != 1 for A, rows in fallbacks)
+
+
+@pytest.mark.parametrize("doc,p", catalog_pairs())
+def test_block_radicals_count_p_regular_classes(doc, p):
+    # l(b) = dim Z(B/J(B)) counts the simple modules of the block B, so
+    # the l(b) sum to the p-regular classes (Brauer); each radical is of
+    # a corner of kG, by the certificate or by the chain
+    G = load_group(doc)
+    A = group_algebra(G, splitting(G, p))
+    regular = [c for c in G.conjugacy_classes() if perm_order(c[0]) % p]
+    counts = []
+    for b in block_idempotents(A, np.random.default_rng(1)):
+        B = A.corner(b)
+        counts.append(quotient_algebra(B, radical_rows(B))
+                      .center_rows().shape[0])
+    assert min(counts) >= 1 and sum(counts) == len(regular)
