@@ -157,7 +157,13 @@ def proved_conditions_report(data):
 
 
 def group_basis_invariant(ia):
-    """The group basis of kG as an explicit invariant basis."""
+    """The group basis of kG as an explicit invariant basis.
+
+    The D x D-orbits on G are walked here with `pmul`, not read off the
+    orbit sums that `InteriorAlgebra.brauer` builds from kG's tables: this
+    walk is the independent oracle that the acceptance suite compares
+    with `shape_from_brauer_dims`, so it shares no code with the path
+    it checks."""
     from .bisets import InvariantBasis
     from .groups import GroupInjection, pinv, pmul
     A = ia.A

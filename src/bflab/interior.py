@@ -22,6 +22,28 @@ The corner at the unit is the interior algebra itself (d -> d.1 is its
 structural map), so a block algebra B = kG.b with b = 1 is the
 Brauer-pair engine's kG, and a source algebra l.B.l with l = 1_B is B,
 each with one set of caches.
+
+On kG whose structural map is its group basis, the biaction permutes the
+basis, (d1, d2).g = d1.g.d2^-1, so kG is the permutation module k[G] and
+its Brauer quotient at U is k[G^U] (Broue, "On Scott modules and
+p-permutation modules: an approach through the Brauer morphism", Proc.
+AMS 93, 1985).  Everything is read off the U-orbits on G, with no
+elimination:
+
+* the U-orbit sums are a basis of A^U, and ordered by least index they
+  are its RREF;
+* for V <= U, Tr_V^U of the V-orbit sum of g is [Stab_U(g) : Stab_V(g)]
+  times the U-orbit sum of g.  If g is not U-fixed, Stab_U(g) < U lies in
+  some maximal V, where the index is 1; if g is U-fixed, the index is
+  [U : V] = p for every maximal V.  So the traces span the orbit sums
+  of the non-singleton orbits;
+* A(U) is presented by the unit vectors at G^U, the singleton orbits,
+  and the class of a U-fixed vector is its restriction to G^U.
+
+Corners kG.b != kG and source algebras l.B.l != B are not presented on a
+permuted basis and take the elimination path: a nullspace for A^U,
+relative trace matrices from the maximal subgroups, and coordinates by
+`linalg.Coordinates`.
 """
 
 import numpy as np
@@ -65,7 +87,8 @@ def pair_subgroup(D, pairs):
 
 
 class BrauerQuotient:
-    """A(U) presented by representative rows inside the U-fixed module."""
+    """A(U) presented by representative rows inside the U-fixed module,
+    with coordinates by elimination over [traces; reps]."""
 
     def __init__(self, interior, pairs, fixed, trace_rows, reps):
         f = interior.A.field
@@ -106,16 +129,74 @@ class BrauerQuotient:
         i.e. for diagonal subgroups Delta(P))."""
         if self._algebra is None:
             A = self.interior.A
-            tensor = linalg.structure_tensor(A.field, A.lmul_matrix,
-                                             self.reps, self._coords)
-            Q = AlgebraContext(A.field, self.dim, mult_tensor=tensor,
+            Q = AlgebraContext(A.field, self.dim, mult_tensor=self._tensor(),
                                unit=self.project(A.unit), check=False)
             Q._check_unit()
             self._algebra = Q
         return self._algebra
 
+    def _tensor(self):
+        A = self.interior.A
+        return linalg.structure_tensor(A.field, A.lmul_matrix, self.reps,
+                                       self._coords)
+
     def __repr__(self):
         return f"BrauerQuotient(dim {self.dim})"
+
+
+class OrbitQuotient(BrauerQuotient):
+    """A(U) = k[G^U] of kG with its group basis, read off the U-orbit sums
+    that are the fixed rows (see the module docstring): the singleton
+    orbits are G^U and give the reps, the other sums span the traces."""
+
+    def __init__(self, interior, pairs, fixed):
+        f, n = interior.A.field, interior.A.dim
+        self.interior = interior
+        self.pairs = frozenset(pairs)
+        self.fixed = fixed
+        pivots = np.asarray(fixed.pivots)
+        single = np.count_nonzero(fixed.basis, axis=1) == 1
+        self.traces = linalg.Subspace(f, n, fixed.basis[~single],
+                                      pivots=pivots[~single].tolist())
+        self._at = pivots[single]
+        # the least index in the orbit of each basis element
+        self._least = pivots[fixed.basis.argmax(axis=0)]
+        self.reps = linalg.eye(f, n)[self._at]
+        self._algebra = None
+
+    def project(self, v, check=True):
+        """Restriction to G^U of a U-fixed vector, or of each column of a
+        matrix; checked, each must be constant on the orbits."""
+        v = np.asarray(v, dtype=np.int64)
+        if check and not np.array_equal(v[self._least], v):
+            raise ValueError("vector is not U-fixed")
+        return v[self._at]
+
+    def lift(self, c):
+        c = np.asarray(c, dtype=np.int64)
+        out = np.zeros((self.interior.A.dim,) + c.shape[1:], dtype=np.int64)
+        out[self._at] = c
+        return out
+
+    def is_zero_class(self, v):
+        v = np.asarray(v, dtype=np.int64).reshape(-1)
+        return np.array_equal(v[self._least], v) and not v[self._at].any()
+
+    def _tensor(self):
+        """t[i, j, k] = 1 when g_i.g_j = g_k on G^U, from kG's table:
+        ltable[a, b] indexes g_a.g_b^-1, so ltable[e, j] indexes g_j^-1 for
+        e the index of 1, and ltable[i, j'] then g_i.g_j for j' that index."""
+        A, at = self.interior.A, self._at
+        inv = A._ltable[A.element_index[A.group.identity], at]
+        where = np.full(A.dim, -1)
+        where[at] = np.arange(at.size)
+        k = where[A._ltable[at[:, None], inv[None, :]]]
+        if (k < 0).any():
+            raise ValueError("G^U is not closed under products")
+        r = np.arange(at.size)
+        t = np.zeros((at.size,) * 3, dtype=np.int64)
+        t[r[:, None], r[None, :], k] = 1
+        return t
 
 
 class InteriorAlgebra:
@@ -148,6 +229,12 @@ class InteriorAlgebra:
         # graph, and its theta targets, keyed by (graph, source point)
         self._twisted_units = {}
         self._theta = {}
+        # kG with its group basis as structural map: the biaction permutes
+        # the basis, and A^U and A(U) are read off the U-orbits on G
+        index = getattr(A, "element_index", None)
+        self._permutes_basis = index is not None and all(
+            np.count_nonzero(v) == 1 and v[index[g]] == 1
+            for g, v in self.structural.items())
         if check:
             self._check_structural()
 
@@ -209,17 +296,38 @@ class InteriorAlgebra:
         Subspace per U."""
         space = self._fixed_cache.get(U.key)
         if space is None:
-            f = self.A.field
-            blocks = [linalg.zeros(0, self.A.dim)]
-            for enc in U.generating_sequence():
-                d1, d2 = decode_pair(self.D, enc)
-                blocks.append(f.sub(self.lmat(d1), self.rmat(d2)))
-            # nullspace rows (eye for no generator) are in RREF already,
-            # so the Subspace takes them without elimination
-            space = self._fixed_cache[U.key] = linalg.Subspace(
-                f, self.A.dim, linalg.nullspace(f, np.concatenate(blocks)))
+            f, n = self.A.field, self.A.dim
+            if self._permutes_basis:
+                # the orbit sums, ordered by least index, are in RREF
+                least = self._least_in_orbit(U)
+                pivots = np.flatnonzero(least == np.arange(n))
+                space = linalg.Subspace(
+                    f, n, (least == pivots[:, None]).astype(np.int64),
+                    pivots=pivots.tolist())
+            else:
+                blocks = [linalg.zeros(0, n)]
+                for enc in U.generating_sequence():
+                    d1, d2 = decode_pair(self.D, enc)
+                    blocks.append(f.sub(self.lmat(d1), self.rmat(d2)))
+                # nullspace rows (eye for no generator) are in RREF
+                # already, so the Subspace takes them without elimination
+                space = linalg.Subspace(
+                    f, n, linalg.nullspace(f, np.concatenate(blocks)))
             space.basis.flags.writeable = False
+            self._fixed_cache[U.key] = space
         return space
+
+    def _least_in_orbit(self, U):
+        """On kG with its group basis: the least index in the U-orbit of
+        each basis element, the least of its images under the elements of
+        U.  Each (d1, d2) moves g to d1.g.d2^-1, a gather from kG's tables
+        (rtable[a, b] indexes g_b^-1.g_a and ltable[a, b] g_a.g_b^-1)."""
+        A, idx = self.A, self.A.element_index
+        moves = []
+        for enc in U.elements:
+            d1, d2 = decode_pair(self.D, enc)
+            moves.append(A._ltable[A._rtable[:, idx[pinv(d1)]], idx[d2]])
+        return np.min(moves, axis=0)
 
     def trace_map(self, sub_pairs, super_pairs):
         """Relative trace matrix tr: A^V -> A^U between pair subgroups."""
@@ -236,14 +344,27 @@ class InteriorAlgebra:
         return out
 
     def brauer(self, td_or_pairs):
-        """Brauer quotient at a subgroup of D x D, cached by its pair set."""
+        """Brauer quotient at a subgroup U of D x D, cached by its pair set.
+
+        On kG with its group basis, A(U) = k[G^U] is an `OrbitQuotient`:
+        the U-orbit sums are the fixed rows, the non-singleton ones span
+        the traces (Tr_V^U of a V-orbit sum is [Stab_U(g) : Stab_V(g)]
+        times the U-orbit sum, 1 when V contains Stab_U(g) and p when g
+        is U-fixed), and the reps are the unit vectors at G^U (Broue,
+        Proc. AMS 93, 1985).  Any other algebra is eliminated: the trace
+        images from the maximal subgroups of U, their RREF, and the fixed
+        rows independent of them as reps.  The RREF of a span is unique,
+        so both give the same rows."""
         pairs = td_or_pairs.pairs if isinstance(td_or_pairs, TwistedDiagonal) \
             else frozenset(td_or_pairs)
         if pairs in self._bq_cache:
             return self._bq_cache[pairs]
-        f = self.A.field
         U = pair_subgroup(self.D, pairs)
         fixed = self._fixed(U)
+        if self._permutes_basis:
+            bq = self._bq_cache[pairs] = OrbitQuotient(self, pairs, fixed)
+            return bq
+        f = self.A.field
         trace_imgs = []
         for V in maximal_subgroups(U):
             v_pairs = [decode_pair(self.D, e) for e in V.elements]

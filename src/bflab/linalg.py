@@ -17,8 +17,9 @@ is unique, so none of this changes a result.
 `FiniteField.matmul`.  `Coordinates` is the one coordinate map over the
 rows of a matrix of full row rank, and `structure_tensor` the one fill
 of a multiplication table from it, in one stacked product and one
-coordinate call; every subalgebra, Brauer quotient and radical quotient
-goes through both.
+coordinate call; every subalgebra, radical quotient and Brauer quotient
+other than those of kG on its group basis (read off orbits in
+`bflab.interior`) goes through both.
 """
 
 import numpy as np
@@ -224,13 +225,17 @@ def structure_tensor(f, lmul, rows, coords, check=True):
 
 
 class Subspace:
-    """Row space of a matrix, held in RREF."""
+    """Row space of a matrix, held in RREF.  Rows already in RREF with no
+    zero row may come with their `pivots` and are then taken as they
+    are."""
 
-    def __init__(self, f, ambient_dim, rows=None):
+    def __init__(self, f, ambient_dim, rows=None, pivots=None):
         self.field = f
         self.ambient_dim = ambient_dim
         if rows is None or np.asarray(rows).size == 0:
             self.basis, self.pivots = zeros(0, ambient_dim), []
+        elif pivots is not None:
+            self.basis, self.pivots = rows, list(pivots)
         else:
             rows = np.asarray(rows, dtype=np.int64)
             if rows.ndim == 1:

@@ -1,14 +1,26 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
 from bflab import linalg
 from bflab.algebra import group_algebra, group_element_vector
-from bflab.gf import field, make_field
+from bflab.blocks import analyze_block, build_group_algebra
+from bflab.fusion import BrauerPairs
+from bflab.gf import _prime_factors, field, make_field
 from bflab.groups import (TwistedDiagonal, all_subgroups, diagonal,
                           group_from_generators, injective_maps,
-                          sylow_subgroup)
-from bflab.interior import InteriorAlgebra, quotient_product
+                          load_group, sylow_subgroup, twisted_classes)
+from bflab.interior import (BrauerQuotient, InteriorAlgebra, OrbitQuotient,
+                            quotient_product)
 
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(ROOT, "src", "bflab", "data")
+A5_DOC = os.path.join(ROOT, "perfbench", "groups", "a5.json")
 
 C2 = group_from_generators(2, [(1, 0)], "C2")
 C3 = group_from_generators(3, [(1, 2, 0)], "C3")
@@ -344,3 +356,184 @@ def test_structural_check_catches_an_image_of_one_that_is_not_one():
     bad[D.identity] = good[D.elements[1]]
     with pytest.raises(ValueError, match="1 to 1"):
         InteriorAlgebra(A, D, structural=bad)
+
+
+# -- kG with its group basis: quotients read off the orbits --------------
+
+
+def catalog_pairs():
+    for name in sorted(os.listdir(DATA)):
+        G = load_group(os.path.join(DATA, name))
+        for p in _prime_factors(G.order):
+            yield pytest.param(name[:-5], p, id=f"{name[:-5]}-p{p}")
+
+
+def orbit_and_eliminated(G, p):
+    """kG over a Sylow subgroup twice: on its group basis, and as the whole
+    of kG viewed as a subalgebra, which keeps kG's tables and structural
+    images but not its group labels, so that its quotients are built by
+    elimination."""
+    A = build_group_algebra(G, p)
+    fast = InteriorAlgebra(A, sylow_subgroup(G, p))
+    view = A.subalgebra(linalg.eye(A.field, A.dim))
+    slow = InteriorAlgebra(view, fast.D, structural=fast.structural)
+    return fast, slow
+
+
+def test_another_structural_map_on_kg_is_eliminated():
+    # d -> its inverse's basis element is multiplicative on C3 but is not
+    # the group basis map, so kG with it takes the elimination path
+    fast, _ = orbit_and_eliminated(S3, 3)
+    swapped = dict(fast.structural)
+    a, b = [g for g in fast.D.elements if g != fast.D.identity]
+    swapped[a], swapped[b] = fast.structural[b], fast.structural[a]
+    other = InteriorAlgebra(fast.A, fast.D, structural=swapped)
+    assert not other._permutes_basis
+    assert type(other.brauer(diagonal(fast.D))) is BrauerQuotient
+
+
+def _oracle_pair_sets(S):
+    subgroups = all_subgroups(S)
+    one = S.identity
+    out = [diagonal(P, S).pairs for P in subgroups]
+    out += [td.pairs for td in twisted_classes(S).reps]
+    for P in subgroups[1:]:
+        out.append(frozenset((g, one) for g in P.elements))    # P x 1
+        out.append(frozenset((one, g) for g in P.elements))    # 1 x P
+    return out
+
+
+@pytest.mark.parametrize("name,p", catalog_pairs())
+def test_orbit_quotients_match_elimination(name, p):
+    G = load_group(os.path.join(DATA, f"{name}.json"))
+    fast, slow = orbit_and_eliminated(G, p)
+    f, n = fast.A.field, fast.A.dim
+    rng = np.random.default_rng(20)
+    diagonals = {diagonal(P, fast.D).pairs for P in all_subgroups(fast.D)}
+    unit_vectors = linalg.eye(f, n)
+    for pairs in _oracle_pair_sets(fast.D):
+        q, r = fast.brauer(pairs), slow.brauer(pairs)
+        assert type(q) is OrbitQuotient and type(r) is BrauerQuotient
+        assert q.dim == r.dim
+        for a, b in ((q.fixed.basis, r.fixed.basis),
+                     (q.traces.basis, r.traces.basis), (q.reps, r.reps)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert q.fixed.pivots == r.fixed.pivots
+        assert q.traces.pivots == r.traces.pivots
+        rows = q.fixed.basis
+        v = linalg.vecmat(f, f.random_elements(rng, rows.shape[0]), rows)
+        m = linalg.matmul(f, rows.T, f.random_elements(rng, (rows.shape[0],
+                                                             3)))
+        for x in (v, m, unit_vectors[:, :0]):
+            assert np.array_equal(q.project(x), r.project(x))
+        c = f.random_elements(rng, q.dim)
+        cm = f.random_elements(rng, (q.dim, 2))
+        for x in (c, cm):
+            assert np.array_equal(q.lift(x), r.lift(x))
+        t = linalg.vecmat(f, f.random_elements(rng, q.traces.dim),
+                          q.traces.basis) if q.traces.dim else v
+        for x in [v, t, fast.A.zero(), fast.A.unit, *unit_vectors]:
+            assert q.is_zero_class(x) == r.is_zero_class(x)
+        for x in unit_vectors:
+            if not q.fixed.contains(x):
+                for bq in (q, r):
+                    with pytest.raises(ValueError):
+                        bq.project(x)
+        if pairs in diagonals:
+            qa, ra = q.algebra(), r.algebra()
+            assert np.array_equal(qa.mult_tensor, ra.mult_tensor)
+            assert np.array_equal(qa.unit, ra.unit)
+
+
+def test_both_paths_reject_an_unfixed_vector_under_python_O():
+    # the U-fixed check is a raise, not an assert
+    script = textwrap.dedent("""
+        import sys
+        from bflab import linalg
+        from bflab.algebra import group_algebra, group_element_vector
+        from bflab.gf import make_field
+        from bflab.groups import group_from_generators, sylow_subgroup
+        from bflab.interior import InteriorAlgebra
+        if __debug__:
+            sys.exit("not running under -O")
+        S3 = group_from_generators(3, [(1, 2, 0), (1, 0, 2)], "S3")
+        A = group_algebra(S3, make_field(3, 2))
+        fast = InteriorAlgebra(A, sylow_subgroup(S3, 3))
+        view = A.subalgebra(linalg.eye(A.field, A.dim))
+        slow = InteriorAlgebra(view, fast.D, structural=fast.structural)
+        transposition = group_element_vector(A, (1, 0, 2))
+        for ia in (fast, slow):
+            try:
+                ia.brauer_at(ia.D).project(transposition)
+            except ValueError:
+                continue
+            sys.exit("an unfixed vector was projected")
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         cwd=ROOT, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def _counted(monkeypatch):
+    """Counts of linalg.nullspace and InteriorAlgebra.trace_map calls."""
+    counts = {"nullspace": 0, "trace_map": 0}
+    nullspace, trace_map = linalg.nullspace, InteriorAlgebra.trace_map
+
+    def counted_nullspace(*args):
+        counts["nullspace"] += 1
+        return nullspace(*args)
+
+    def counted_trace_map(*args):
+        counts["trace_map"] += 1
+        return trace_map(*args)
+    monkeypatch.setattr(linalg, "nullspace", counted_nullspace)
+    monkeypatch.setattr(InteriorAlgebra, "trace_map", counted_trace_map)
+    return counts
+
+
+def _every_quotient(ia):
+    for P in all_subgroups(ia.D):
+        ia.brauer_at(P)
+    for td in twisted_classes(ia.D).reps:
+        ia.brauer(td)
+
+
+def test_engine_and_defect_kg_take_the_orbit_path(monkeypatch):
+    G = load_group(os.path.join(DATA, "s4.json"))
+    pairs = BrauerPairs(build_group_algebra(G, 2), np.random.default_rng(1))
+    counts = _counted(monkeypatch)
+    for ia in [pairs.ia] + [InteriorAlgebra(pairs.A, D)
+                            for D in all_subgroups(pairs.S)]:
+        assert ia._permutes_basis
+        _every_quotient(ia)
+    assert counts == {"nullspace": 0, "trace_map": 0}
+
+
+@pytest.mark.parametrize("doc,p,which", [
+    ("s4.json", 3, "blocks"), (A5_DOC, 2, "principal"),
+    (A5_DOC, 3, "source")], ids=["S4-p3-blocks", "A5-p2-principal",
+                                 "A5-p3-source"])
+def test_corners_and_source_algebras_keep_elimination(monkeypatch, doc, p,
+                                                       which):
+    G = load_group(os.path.join(DATA, doc))
+    rng = np.random.default_rng(1)
+    pairs = BrauerPairs(build_group_algebra(G, p), rng)
+    if which == "source":
+        data = next(analyze_block(pairs, b, i, rng)
+                    for i, b in enumerate(pairs.blocks)
+                    if np.any(pairs.quotient(pairs.S).project(b)))
+        assert data.ia_S.A.dim < data.ia_B.A.dim
+        algebras = [data.ia_S]
+    else:
+        blocks = pairs.blocks if which == "blocks" else [
+            b for b in pairs.blocks
+            if np.any(pairs.quotient(pairs.S).project(b))]
+        assert len(blocks) == (3 if which == "blocks" else 1)
+        algebras = [pairs.ia.corner(b) for b in blocks]
+    for ia in algebras:
+        assert not ia._permutes_basis
+        counts = _counted(monkeypatch)
+        _every_quotient(ia)
+        assert counts["nullspace"] > 0 and counts["trace_map"] > 0
+        monkeypatch.undo()

@@ -142,3 +142,13 @@ def test_interior_algebras_are_built_in_three_places(module):
                                    ("blocks.py", "analyze_block")}, scope
         if scope == "analyze_block":
             assert _in_orelse_of_sylow_test(tree, call)
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_brauer_quotients_are_built_only_by_brauer(module):
+    # one cache owns A(U): every quotient, on the orbit path or by
+    # elimination, comes from InteriorAlgebra.brauer
+    tree = ast.parse((SRC / module).read_text())
+    where = {(module, scope) for scope, _ in
+             _calls(tree, {"BrauerQuotient", "OrbitQuotient"})}
+    assert where <= {("interior.py", "InteriorAlgebra.brauer")}

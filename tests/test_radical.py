@@ -1,6 +1,8 @@
 import contextlib
 import io
+import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -9,10 +11,12 @@ import pytest
 from bflab import linalg, radical
 from bflab.algebra import AlgebraContext, group_algebra
 from bflab.cli import main
-from bflab.gf import _prime_factors, field, make_field
+from bflab.gf import _prime_factors, field, make_field, p_part
 from bflab.groups import (group_from_generators, load_group, perm_order,
                           sylow_subgroup)
-from bflab.idempotents import block_idempotents, quotient_algebra
+from bflab.idempotents import (are_associate, block_idempotents,
+                               primitive_decomposition, quotient_algebra,
+                               sandwich_rows)
 from bflab.interior import InteriorAlgebra
 from bflab.radical import charpoly, radical_rows
 
@@ -352,3 +356,54 @@ def test_block_radicals_count_p_regular_classes(doc, p):
         counts.append(quotient_algebra(B, radical_rows(B))
                       .center_rows().shape[0])
     assert min(counts) >= 1 and sum(counts) == len(regular)
+
+
+def _determinant(m):
+    """Exact integer determinant, by expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] *
+               _determinant([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _elementary_divisors(m):
+    """The Smith form diagonal of a nonsingular integer matrix: d_k /
+    d_(k-1), with d_k the gcd of its k x k minors."""
+    n = len(m)
+    d = [1]
+    for k in range(1, n + 1):
+        g = 0
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.combinations(range(n), k):
+                g = math.gcd(g, _determinant([[m[i][j] for j in cols]
+                                              for i in rows]))
+        d.append(g)
+    return [d[k] // d[k - 1] for k in range(1, n + 1)]
+
+
+def test_elementary_divisors_of_a_known_matrix():
+    # [[2, 4], [6, 8]] has minors gcd 2 and determinant -8: divisors 2, 4
+    assert _elementary_divisors([[2, 4], [6, 8]]) == [2, 4]
+    assert _elementary_divisors([[2, 1], [1, 2]]) == [1, 3]
+
+
+@pytest.mark.parametrize("doc,p", catalog_pairs())
+def test_cartan_matrix_elementary_divisors(doc, p):
+    # c_ij = dim e_i.kG.e_j over one primitive idempotent per associate
+    # class is the Cartan matrix: symmetric, with elementary divisors the
+    # p-parts |C_G(x)|_p over the p-regular classes (Brauer).  Nothing
+    # here goes through the Brauer-pair or block code.
+    G = load_group(doc)
+    A = group_algebra(G, splitting(G, p))
+    reps = []
+    for e in primitive_decomposition(A, A.unit, np.random.default_rng(1)):
+        if not any(are_associate(A, e, r) for r in reps):
+            reps.append(e)
+    basis = A.basis_matrix()
+    cartan = [[linalg.rank(A.field, sandwich_rows(A, a, basis, b))
+               for b in reps] for a in reps]
+    assert cartan == [list(row) for row in zip(*cartan)]
+    regular = [c for c in G.conjugacy_classes() if perm_order(c[0]) % p]
+    assert _elementary_divisors(cartan) == sorted(
+        p_part(G.order // len(c), p) for c in regular)
