@@ -22,10 +22,16 @@ base-p digit vectors as a GF(p)-linear map (`_linear_map`).
 - for m > 1 the product kernel `matmul` packs the m base-p digits of an
   element into w-bit fields of one word, w = 52 // m, so that a sum of
   packed words holds the digit sums of a product before reduction mod
-  p.  For odd p, `_pack` holds the packed word of each element.  Fields
-  whose packed products leave room for at least 64 inner terms per word
-  also hold `_planes`, the digits of each element as float64, and
-  `_folded`, where `_folded[c, i]` is the packed word of x^i * c.
+  p.  p = 2 reduces a digit sum by its low bit.  For odd p,
+  `_exp_pack[i]` is the packed word of g^i (of 0 past 2(q - 1)), so a
+  gathered product is one lookup, and `_residues` reduces a digit sum
+  by one lookup too; it has `_RESIDUES` entries (more only where the
+  BLAS path would otherwise hold fewer than 64 inner terms, fewer where
+  2^w is less), and the inner dimensions below are cut so that no digit
+  sum outgrows it.
+  Fields whose packed products leave room for at least 64 inner terms
+  per word also hold `_planes`, the digits of each element as float64,
+  and `_folded`, where `_folded[c, i]` is the packed word of x^i * c.
 
 `matmul` picks a path from the field and the shapes alone:
 
@@ -33,11 +39,13 @@ base-p digit vectors as a GF(p)-linear map (`_linear_map`).
   k (p - 1)^2 < 2^53 for an inner dimension k;
 - GF(p^m), large products: a's digit planes (n by k m) times b's folded
   words (k m by l), one float64 BLAS product in which the w-bit field t
-  of each entry sums digit t of the product, k m (p - 1)^2 < 2^w;
+  of each entry sums digit t of the product, k m (p - 1)^2 < 2^w (and
+  below the residue table for odd p);
 - GF(p^m), products with fewer than `_GATHER_BELOW` multiply-adds or
   thinner than 2m on either outer side, and fields too narrow for 64
   inner terms: the log-table gather of every product, reduced by XOR for
-  p = 2 and for odd p summed as packed words, k (p - 1) < 2^w.
+  p = 2 and for odd p summed as packed words, k (p - 1) < 2^w (and
+  below the residue table).
 
 The inner dimension is cut where a bound would fail, and every call is
 cut into tiles.  One BLAS call does at most `_BLAS_MACS` multiply-adds:
@@ -68,6 +76,8 @@ _TILE = 1 << 16
 _GATHER_BELOW = 1 << 12
 # Least inner dimension a packed word must hold for the BLAS path.
 _MIN_TERMS = 64
+# Entries of the residue table that reduces odd-p digit sums.
+_RESIDUES = 1 << 13
 
 
 def is_prime(n):
@@ -215,11 +225,17 @@ class FiniteField:
         w = 52 // m
         self._offsets = w * np.arange(m, dtype=np.int64)
         self._digit_mask = (1 << w) - 1
-        self._gather_k = sys.maxsize if p == 2 else self._digit_mask // (p - 1)
         codes = np.arange(q, dtype=np.int64)
+        # the largest digit sum `_unpack` meets: the packed width, and for
+        # odd p the residue table that reduces it, which still holds the
+        # digit sums of the least inner dimension of the BLAS path
+        top = self._digit_mask
         if p != 2:
-            self._pack = self._packed(codes)
-        self._blas_k = self._digit_mask // (m * (p - 1) ** 2)
+            top = min(top, max(_RESIDUES - 1, _MIN_TERMS * m * (p - 1) ** 2))
+            self._residues = np.arange(top + 1, dtype=np.int64) % p
+            self._exp_pack = self._packed(self._exp0)
+        self._gather_k = sys.maxsize if p == 2 else top // (p - 1)
+        self._blas_k = top // (m * (p - 1) ** 2)
         if self._blas_k < _MIN_TERMS:
             self._blas_k = 0
             return
@@ -474,18 +490,21 @@ class FiniteField:
         prods = left + right
         # in place, so the tile holds one temporary: take reads each
         # index before it writes the same slot
-        self._exp0.take(prods, out=prods, mode="clip")
         if self.p == 2:
+            self._exp0.take(prods, out=prods, mode="clip")
             return np.bitwise_xor.reduce(prods, axis=-2)
-        self._pack.take(prods, out=prods, mode="clip")
+        self._exp_pack.take(prods, out=prods, mode="clip")
         return self._unpack(prods.sum(axis=-2))
 
     def _unpack(self, words):
         """Codes of packed words whose field t holds a sum of digits t."""
         # digit-major, so every elementwise pass runs over all the words
         digits = words.ravel() >> self._offsets[:, None]
-        digits &= self._digit_mask
-        digits %= self.p
+        if self.p == 2:
+            digits &= 1
+        else:
+            digits &= self._digit_mask
+            self._residues.take(digits, out=digits, mode="clip")
         return (self._powers @ digits).reshape(words.shape)
 
     def sub_outer(self, a, x, y):

@@ -1,9 +1,15 @@
 """Primitive idempotent decompositions and associate tests.
 
-The pipeline is classical: compute the radical, split the semisimple
-quotient with CRT idempotents of random elements' minimal polynomials,
-lift along the radical with the Newton step e <- 3e^2 - 2e^3, and
-recurse on complementary corners until every piece has a local corner.
+`decompose_unit` needs no radical (the Fitting split of Eberly and
+Giesbrecht, J. Symbolic Comput. 29, 2000; Ivanyos, ISSAC 2000): the r
+coprime factors of a random element's minimal polynomial give r exact
+orthogonal idempotents of k[z], and it recurses on their corners until
+every corner is 1-dim or certified local with A/J(A) = k by
+`radical.local_radical`, which makes its unit primitive.
+The Cohen-Ivanyos-Wales chain behind `radical_rows` is the oracle:
+`is_primitive` asks it, and so do the radical quotients
+(`quotient_algebra`) of the local invariant decompositions in
+`bflab.points`.
 
 `transpotent_pair` solves the existential problem behind idempotent
 conjugacy: given i = sum of products t_a.s_b with i primitive, locality
@@ -16,7 +22,7 @@ import numpy as np
 
 from . import linalg, polys
 from .algebra import AlgebraContext, AlgebraError
-from .radical import radical_rows
+from .radical import local_radical, radical_rows
 
 
 class NonSplitError(RuntimeError):
@@ -24,18 +30,26 @@ class NonSplitError(RuntimeError):
 
 
 def minimal_polynomial(A, x):
-    """Monic minimal polynomial of x as an element of A."""
+    """(mp, powers): the monic minimal polynomial of x as an element of A,
+    and the rows 1, x, ..., x^(deg mp - 1).
+
+    The powers come from one left multiplication matrix, a doubling run
+    at a time; the first power in the span of the earlier ones is the
+    first non-pivot column of their RREF, which holds its coefficients.
+    """
     f = A.field
-    rows = [A.unit.copy()]
-    acc = np.asarray(x, dtype=np.int64)
+    left = A.lmul_matrix(x)
+    powers = [A.unit.copy()]
+    size = 2
     while True:
-        stacked = np.array(rows + [acc], dtype=np.int64)
-        if linalg.rank(f, stacked) < stacked.shape[0]:
-            coeffs = linalg.solve(f, np.array(rows).T, acc)
-            mp = [f.neg(int(c)) for c in coeffs] + [1]
-            return polys.trim(mp) if polys.trim(mp) else (0, 1)
-        rows.append(acc.copy())
-        acc = A.mul(acc, x)
+        while len(powers) < min(size, A.dim + 1):
+            powers.append(linalg.matvec(f, left, powers[-1]))
+        r, pivots = linalg.rref(f, np.array(powers).T)
+        d = len(pivots)
+        if d < len(powers):
+            mp = tuple(int(c) for c in f.neg(r[:d, d])) + (1,)
+            return mp, np.array(powers[:d])
+        size *= 2
 
 
 def quotient_algebra(A, ideal_rows):
@@ -75,39 +89,25 @@ def quotient_algebra(A, ideal_rows):
     return Q
 
 
-def idempotent_lift(A, x, radical_dim_bound=None):
-    """Newton-lift x (idempotent modulo a nil ideal) to an exact idempotent."""
-    bound = A.dim if radical_dim_bound is None else radical_dim_bound
-    steps = int(np.ceil(np.log2(max(bound, 2)))) + 2
-    e = np.asarray(x, dtype=np.int64)
-    for _ in range(steps + 1):
-        if A.is_idempotent(e):
-            return e
-        e2 = A.mul(e, e)
-        e3 = A.mul(e2, e)
-        e = A.sub(A.scale(3 % A.field.p, e2), A.scale(2 % A.field.p, e3))
-    if not A.is_idempotent(e):
-        raise AlgebraError("Newton lift failed (ideal not nil?)")
-    return e
-
-
-def _crt_idempotent(f, z, mp, factors, Q):
-    """Proper idempotent in k[z] from a min poly with >= 2 coprime parts."""
-    irr, mult = factors[0]
-    g = (1,)
-    for _ in range(mult):
-        g = polys.mul(f, g, irr)
-    h = polys.divmod_(f, mp, g)[0]
-    # a*g + b*h = 1
-    a, b = _poly_ext_gcd(f, g, h)
-    e_poly = polys.mod(f, polys.mul(f, b, h), mp)
-    acc = Q.zero()
-    zp = Q.unit.copy()
-    for c in e_poly:
-        if c:
-            acc = Q.add(acc, Q.scale(c, zp))
-        zp = Q.mul(zp, z)
-    return acc
+def _crt_idempotents(A, mp, factors, powers):
+    """The CRT idempotents of k[z] = k[t]/(mp) at the r >= 2 coprime
+    factors g_i = irr_i^mult_i of mp, in A coordinates from the powers
+    1, z, ..., z^(deg mp - 1): e_i = 1 mod g_i and 0 mod every other g_j,
+    the last one as 1 minus the others."""
+    f = A.field
+    coeffs = linalg.zeros(len(factors) - 1, len(powers))
+    for i, (irr, mult) in enumerate(factors[:-1]):
+        g = (1,)
+        for _ in range(mult):
+            g = polys.mul(f, g, irr)
+        h = polys.divmod_(f, mp, g)[0]
+        # a*g + b*h = 1, so b*h is 1 mod g and 0 mod h
+        b = _poly_ext_gcd(f, g, h)[1]
+        e_poly = polys.mod(f, polys.mul(f, b, h), mp)
+        coeffs[i, :len(e_poly)] = e_poly
+    parts = list(linalg.matmul(f, coeffs, powers))
+    parts.append(A.sub(A.unit, f.vec_sum(np.array(parts), axis=0)))
+    return parts
 
 
 def _poly_ext_gcd(f, g, h):
@@ -123,43 +123,39 @@ def _poly_ext_gcd(f, g, h):
     return polys.scale(f, s0, lead), polys.scale(f, t0, lead)
 
 
-def _proper_idempotent_mod_radical(A, Q, rng):
-    """Proper idempotent of the semisimple quotient Q, or NonSplitError
-    after 64 + 8 dim Q draws."""
+def decompose_unit(A, rng):
+    """Orthogonal primitive idempotents of A summing to 1, in A coords.
+
+    A is its own piece when it is 1-dim or a local character certifies
+    A/J(A) = k.  Otherwise a random z whose minimal polynomial has r >= 2
+    coprime factors splits 1 into the r CRT idempotents of k[z], and
+    each corner is decomposed in turn.  NonSplitError is certified: A is
+    the field k[z] of degree dim A > 1, or no draw of the budget split A.
+    """
+    if A.dim == 1 or local_radical(A) is not None:
+        return [A.unit.copy()]
     f = A.field
-    budget = 64 + 8 * Q.dim
+    budget = 64 + 8 * A.dim
     for _ in range(budget):
-        z = Q.random_element(rng)
-        mp = minimal_polynomial(Q, z)
-        if polys.deg(mp) < 1:
-            continue
+        z = A.random_element(rng)
+        mp, powers = minimal_polynomial(A, z)
         factors = polys.factor(f, mp, rng)
         if len(factors) >= 2:
-            e = _crt_idempotent(f, z, mp, factors, Q)
-            if not np.array_equal(e, Q.zero()) and \
-                    not np.array_equal(e, Q.unit) and Q.is_idempotent(e):
-                return e
-        elif len(factors) == 1 and factors[0][1] == 1 and \
-                polys.deg(factors[0][0]) == Q.dim and Q.dim > 1:
+            break
+        if factors[0][1] == 1 and polys.deg(mp) == A.dim:
             raise NonSplitError(
-                f"semisimple quotient is a field of degree {Q.dim} over k")
-    raise NonSplitError(
-        f"no proper idempotent found in {budget} draws (dim {Q.dim})")
-
-
-def decompose_unit(A, rng):
-    """Orthogonal primitive idempotents of A summing to 1, in A coords."""
-    j_rows = radical_rows(A)
-    if A.dim - j_rows.shape[0] == 1:
-        return [A.unit.copy()]
-    Q = quotient_algebra(A, j_rows)
-    ebar = _proper_idempotent_mod_radical(A, Q, rng)
-    e = idempotent_lift(A, Q.lift(ebar), j_rows.shape[0])
-    if not np.any(e) or np.array_equal(e, A.unit):
-        raise AlgebraError("lifted idempotent is not proper")
+                f"the algebra is a field of degree {A.dim} over k")
+    else:
+        raise NonSplitError(
+            f"no split of a dim-{A.dim} algebra in its budget of "
+            f"64 + 8 dim = {budget} draws")
+    parts = _crt_idempotents(A, mp, factors, powers)
+    if not _is_orthogonal_decomposition(A, parts, A.unit):
+        raise AlgebraError("CRT idempotents are not orthogonal idempotents "
+                           "summing to 1")
     out = []
-    for idem in (e, A.sub(A.unit, e)):
-        C = A.corner(idem, check=False)
+    for e in parts:
+        C = A.corner(e, check=False)
         out.extend(C.to_parent(z) for z in decompose_unit(C, rng))
     return out
 

@@ -1,22 +1,30 @@
 """Jacobson radical of a finite-dimensional algebra in characteristic p.
 
-A local algebra A with A/J(A) = k, such as kP for a p-group P and most
-fixed-point algebras of a source algebra, is tried first: its radical
-is the kernel of a local character lambda: A -> k (Eberly and
-Giesbrecht, J. Symbolic Comput. 29, 2000), which `_local_radical`
-guesses from one characteristic-polynomial coefficient per basis
-element and then proves (an algebra map with nilpotent kernel).  Only
-when no character is certified does the chain below run.  J(A) is one
-subspace and both paths return its RREF, which is unique, so which path
-ran changes no row, no rng draw and no report.
+The pipeline asks one question of a radical: is an algebra A local with
+A/J(A) = k?  Then its unit is primitive, and the Fitting split of
+`bflab.idempotents.decompose_unit` stops there.  `local_radical`
+answers it: J(A) is then the kernel of a local character lambda: A -> k
+(Eberly and Giesbrecht, J. Symbolic Comput. 29, 2000), which
+`_local_radical` guesses from one characteristic-polynomial coefficient
+per basis element and then proves (an algebra map with nilpotent
+kernel).  A refusal is an answer too: the guess fails on every algebra
+that is not local with A/J(A) = k.
 
-Otherwise the trace form alone is blind in small characteristic, so we
-run the iterated chain of characteristic-polynomial-coefficient forms on
-the left regular representation: starting from I_0 = A, the next term keeps
+`radical_rows` gives J(A) of any algebra, and is the oracle: the
+certificate first, else the chain below.  J(A) is one subspace and both
+paths return its RREF, which is unique, so which path ran changes no
+row, no rng draw and no report.  No report runs the chain; it answers
+`is_primitive`, the local invariant decompositions of `bflab.points`
+and the tests.
+
+The trace form alone is blind in small characteristic, so the chain is
+the iterated one of characteristic-polynomial-coefficient forms on the
+left regular representation: starting from I_0 = A, the next term keeps
 the x in I_i with c_{p^i}(xy) = 0 for every y in I_i, where c_j(M) is
 the degree-j coefficient of det(tI - M).  On I_i that form is
 p^i-semilinear, so each step is one linear solve after taking p^i-th
-roots; after floor(log_p dim) + 1 steps the chain has converged to J(A).
+roots; after floor(log_p dim) + 1 steps the chain has converged to J(A)
+(Cohen, Ivanyos and Wales, J. Pure Appl. Algebra 117-118, 1997).
 
 Characteristic polynomials come from Hessenberg reduction, which only
 needs field divisions and is exact here.  Level 0 reads c_1 = -trace off
@@ -35,7 +43,8 @@ pipeline keeps rebuilding equal algebras (the corner e.A.e for the same
 e, the fixed points A^P for the same P) as new contexts.  So each radical
 has one owner: the root of the context's parent chain (a group algebra,
 or a quotient algebra, which has no parent) holds `radical_memo`, a dict
-from the exact bytes of a structure tensor to its radical rows.  A
+from the exact bytes of a structure tensor to its radical rows, or to
+None when the certificate refused and no chain has run.  A
 table-driven algebra is keyed by the bytes of its index table, so kG and
 its identity corners (which share kG's tables) share one chain.  Its
 lifetime is the root's: a CLI run builds its own group algebra, so
@@ -180,6 +189,34 @@ def charpolys(f, stack, j):
     return polys[:, n, n - j].copy()
 
 
+def _memo_key(A):
+    """A's key in `A.root().radical_memo`: the bytes of its structure
+    tensor, or of its index table when A is table-driven."""
+    if A.mult_tensor is None:
+        return ("index table", A._ltable.tobytes())
+    return np.asarray(A.mult_tensor, dtype=np.int64).tobytes()
+
+
+def local_radical(A):
+    """J(A), in RREF and read-only, when a local character certifies
+    A/J(A) = k; else None.
+
+    The one entry to the certificate, memoized with the radicals of
+    `radical_rows`: a refusal is stored as None, and a stored radical
+    answers only when it has codimension 1 (the chain's J of an algebra
+    that is not local has more)."""
+    memo = A.root().radical_memo
+    key = _memo_key(A)
+    if key not in memo:
+        rows = _local_radical(A)
+        if rows is not None:
+            rows.setflags(write=False)
+        memo[key] = rows
+    rows = memo[key]
+    return rows if rows is not None and A.dim - rows.shape[0] == 1 \
+        else None
+
+
 def radical_rows(A):
     """Rows (A-coordinates) spanning the Jacobson radical of A, in RREF and
     read-only: the kernel of a local character when one is certified,
@@ -187,18 +224,15 @@ def radical_rows(A):
 
     Memoized in `A.root().radical_memo` by A's structure tensor, or by
     its index table when A is table-driven."""
-    if A.mult_tensor is None:
-        key = ("index table", A._ltable.tobytes())
-    else:
-        key = np.asarray(A.mult_tensor, dtype=np.int64).tobytes()
-    memo = A.root().radical_memo
-    rows = memo.get(key)
+    rows = local_radical(A)
     if rows is None:
-        rows = _local_radical(A)
+        memo = A.root().radical_memo
+        key = _memo_key(A)
+        rows = memo[key]
         if rows is None:
             rows = _radical_rows_impl(A)
-        rows.setflags(write=False)
-        memo[key] = rows
+            rows.setflags(write=False)
+            memo[key] = rows
     return rows
 
 

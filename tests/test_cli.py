@@ -275,8 +275,8 @@ GOLDEN_CHECK_SHA256 = {
                "153bc642ba0c7584d892debdb5bf5b99",
     ("s3", 3): "66456a53839a31b54f8999fa2621bee7"
                "37ec9335976da208f4e58c83920658ba",
-    ("s4", 3): "23f556c9400013e1e311d429138fd024"
-               "82a38fd85cd40f153b988022c3abefed",
+    ("s4", 3): "ffc2c10fa44e3ea644e40124fc39f2e0"
+               "03f13659e5ae8697542e85268ac2d89a",
 }
 
 
@@ -328,8 +328,8 @@ def _a5_doc():
 # sha256 of `analyze --out - --seed 1` on A5 at p = 3, hashed from the
 # session's one pass: three blocks over GF(81), whose Brauer quotients
 # (kG)(P) are the algebras kC_G(P).
-GOLDEN_A5_ANALYZE_SHA256 = ("5e54feed712c299aab5dd157f405354f"
-                            "78dc924e88613badf8cecbe7c87b01fc")
+GOLDEN_A5_ANALYZE_SHA256 = ("e26c78fc737cbf7b6d3f1529dbb27e36"
+                            "6019b983eee1f1a8eee82754651bd5fc")
 
 
 def test_a5_analyze_report_matches_pinned_hash(seed1_reports):

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from bflab.algebra import AlgebraError, group_algebra
+from bflab import idempotents
+from bflab.algebra import AlgebraContext, AlgebraError, group_algebra
 from bflab.gf import field, make_field
 from bflab.groups import group_from_generators
 from bflab.idempotents import (are_associate, block_idempotents,
-                               corner_unit_inverse, idempotent_lift,
+                               corner_unit_inverse, decompose_unit,
                                is_primitive, minimal_polynomial,
                                primitive_decomposition, quotient_algebra,
                                transpotent_pair)
+from bflab.idempotents import NonSplitError
 from bflab.radical import radical_rows
 
 
@@ -51,23 +53,65 @@ def test_is_primitive_in_k_times_k():
 def test_minimal_polynomial():
     A = group_algebra(C3, field(3))
     g = A.basis_vector(A.element_index[(1, 2, 0)])
-    mp = minimal_polynomial(A, g)
+    mp, powers = minimal_polynomial(A, g)
     # g^3 = 1 and (x-1)^3 = x^3 - 1 over GF(3)
     assert mp == (2, 0, 0, 1)
-    assert minimal_polynomial(A, A.zero()) == (0, 1)
-    assert minimal_polynomial(A, A.unit) == (2, 1)
+    assert np.array_equal(powers, [A.unit, g, A.mul(g, g)])
+    assert minimal_polynomial(A, A.zero())[0] == (0, 1)
+    assert minimal_polynomial(A, A.unit)[0] == (2, 1)
 
 
-def test_idempotent_lift_newton():
-    A = group_algebra(C3, field(3))
-    # 1 is idempotent mod J (J = augmentation ideal); any unit-congruent
-    # lift converges back to an exact idempotent
-    x = A.unit.copy()
-    x = A.add(x, A.basis_vector(1))       # 1 + (g - ... ) noise inside J?
-    x[1] = 1
-    x[2] = 2                              # 1 + g + 2g^2 = 1 mod J
-    e = idempotent_lift(A, x)
-    assert A.is_idempotent(e)
+def _extension_algebra(f, modulus, nil_degree):
+    """k[x, y]/(modulus(x), y^nil_degree) on the basis x^i y^j (i-major):
+    a local algebra whose residue field has degree deg modulus over k."""
+    m = len(modulus) - 1
+    n = m * nil_degree
+    tensor = np.zeros((n, n, n), dtype=np.int64)
+    reduce = [[0] * m for _ in range(2 * m - 1)]   # x^s in the basis x^i
+    for s in range(2 * m - 1):
+        if s < m:
+            reduce[s][s] = 1
+        else:
+            # x^s = x . x^(s-1), and x^m = -sum modulus[t] x^t
+            prev = reduce[s - 1]
+            cur = [0] + prev[:-1]
+            for t in range(m):
+                cur[t] = f.sub(cur[t], f.mul(prev[-1], modulus[t]))
+            reduce[s] = cur
+    for a in range(n):
+        for b in range(n):
+            (i, j), (k, l) = divmod(a, nil_degree), divmod(b, nil_degree)
+            if j + l >= nil_degree:
+                continue
+            for t, c in enumerate(reduce[i + k]):
+                tensor[a, b, t * nil_degree + j + l] = c
+    unit = np.zeros(n, dtype=np.int64)
+    unit[0] = 1
+    return AlgebraContext(f, n, mult_tensor=tensor, unit=unit)
+
+
+def test_field_of_degree_dim_raises_at_once(monkeypatch):
+    # GF(4) as a 2-dim GF(2)-algebra: the first z outside GF(2) has an
+    # irreducible minimal polynomial of degree 2 = dim, which certifies it
+    A = _extension_algebra(field(2), (1, 1, 1), 1)
+    draws = []
+    real = idempotents.minimal_polynomial
+
+    def counted(B, z):
+        draws.append(z)
+        return real(B, z)
+    monkeypatch.setattr(idempotents, "minimal_polynomial", counted)
+    with pytest.raises(NonSplitError, match="field of degree 2"):
+        decompose_unit(A, rng())
+    assert 1 <= len(draws) <= 4
+
+
+def test_local_algebra_over_a_larger_field_exhausts_the_budget():
+    # GF(4)[y]/(y^2) over GF(2) is local with residue field GF(4): no
+    # minimal polynomial has two coprime factors, none is of degree 4
+    A = _extension_algebra(field(2), (1, 1, 1), 2)
+    with pytest.raises(NonSplitError, match=r"64 \+ 8 dim = 96 draws"):
+        decompose_unit(A, rng())
 
 
 def test_block_idempotents_examples():

@@ -164,6 +164,48 @@ def test_matmul_cuts_past_the_packed_width(p, m, n, k, l):
                           np.stack([expect, expect]))
 
 
+UNPACK_FIELDS = [(3, 1), (2, 2), (3, 2), (2, 4), (5, 2), (3, 4), (11, 2)]
+
+
+def _largest_digit_sum(f):
+    """The largest digit sum a tile of `matmul` can leave in one packed
+    field: the gather path sums k (p - 1) (XOR instead for p = 2), the
+    BLAS path k m (p - 1)^2."""
+    gather = 0 if f.p == 2 else f._gather_k * (f.p - 1)
+    return max(gather, f._blas_k * f.m * (f.p - 1) ** 2)
+
+
+@given(st.sampled_from([pm for pm in UNPACK_FIELDS if pm[1] > 1]).flatmap(
+    lambda pm: st.tuples(st.just(field(*pm)), st.lists(
+        st.lists(st.one_of(st.just(_largest_digit_sum(field(*pm))),
+                           st.integers(0, _largest_digit_sum(field(*pm)))),
+                 min_size=pm[1], max_size=pm[1]), max_size=12))))
+def test_unpack_matches_the_mod_reference(case):
+    # digit sums up to the tile bound, reduced by the residue table (odd
+    # p) or the low bit (p = 2), against int64 % p
+    f, sums = case
+    sums = np.array(sums, dtype=np.int64).reshape(-1, f.m)
+    assert f.p == 2 or _largest_digit_sum(f) < f._residues.size
+    words = (sums << f._offsets).sum(axis=1)
+    assert np.array_equal(f._unpack(words), sums % f.p @ f._powers)
+
+
+@pytest.mark.parametrize("p,m", UNPACK_FIELDS)
+def test_matmul_at_the_digit_sum_bound(p, m):
+    # every digit p - 1, one inner dimension past each path's cap, so one
+    # tile sums exactly as many terms as the cap allows (GF(3) and GF(4)
+    # have caps too large to reach: a long inner dimension instead)
+    f = field(p, m)
+    rng = np.random.default_rng(3)
+    caps = [(f._blas_k, 2 * m)] + ([(f._gather_k, 1)] if m > 1 else [])
+    for k, n in caps:
+        k = min(k, 20000) + 1
+        a = f.random_elements(rng, (n, k))
+        b = f.random_elements(rng, (k, n))
+        a[0], b[:, 0] = f.q - 1, f.q - 1
+        assert np.array_equal(f.matmul(a, b), reference(f, a, b))
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2), (3, 4)])
 def test_blas_calls_stay_below_the_thread_threshold(p, m):
     # OpenBLAS splits a call above 2^18 multiply-adds across threads
@@ -215,7 +257,10 @@ def test_field_tables_match_per_element_build(p, m):
         return (c[:, None] // f._powers % p << f._offsets).sum(axis=1)
 
     if p != 2:
-        assert np.array_equal(f._pack, words(codes))
+        exp = np.array(f._exp_list[:f.q - 1])
+        assert np.array_equal(f._exp_pack[:f.q - 1], words(exp))
+        assert not f._exp_pack[2 * (f.q - 1):].any()
+        assert np.array_equal(f._residues, np.arange(f._residues.size) % p)
     if f._blas_k:
         assert np.array_equal(f._planes, codes[:, None] // f._powers % p)
         for i in range(m):
@@ -306,7 +351,7 @@ def test_no_hasattr_cache_on_private_names(module):
 
 
 FIELD_TABLES = {"_log0", "_exp0", "_add_table", "_neg_table", "_log_list",
-                "_exp_list", "_pack", "_planes", "_folded"}
+                "_exp_list", "_exp_pack", "_residues", "_planes", "_folded"}
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")

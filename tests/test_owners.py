@@ -2,7 +2,7 @@
 and the source algebra S are one InteriorAlgebra whenever they are one
 algebra, so A^P, A(U), points, twisted units, theta and the structural
 check are built once; and the two radical paths are reached only
-through `radical.radical_rows`."""
+through `radical.local_radical` and `radical.radical_rows`."""
 
 import ast
 import os
@@ -109,14 +109,25 @@ def _modules():
     return sorted(p.name for p in SRC.glob("*.py"))
 
 
+# the scopes allowed to call each radical path: the certificate has one
+# memoized entry, `local_radical`, which `radical_rows` and the Fitting
+# split call; the chain runs only behind `radical_rows`
+RADICAL_CALLERS = {
+    "_local_radical": {("radical.py", "local_radical")},
+    "local_radical": {("radical.py", "radical_rows"),
+                      ("idempotents.py", "decompose_unit")},
+    "_radical_rows_impl": {("radical.py", "radical_rows")},
+}
+
+
 @pytest.mark.parametrize("module", _modules())
 def test_only_radical_rows_runs_a_radical_path(module):
     # the certificate and the chain fill one memo; a second caller would
     # compute a radical the memo already owns
     tree = ast.parse((SRC / module).read_text())
-    where = {(module, scope) for scope, _ in
-             _calls(tree, {"_local_radical", "_radical_rows_impl"})}
-    assert where <= {("radical.py", "radical_rows")}
+    for name, allowed in RADICAL_CALLERS.items():
+        where = {(module, scope) for scope, _ in _calls(tree, {name})}
+        assert where <= allowed, name
 
 
 def _in_orelse_of_sylow_test(tree, call):

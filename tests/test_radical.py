@@ -10,14 +10,17 @@ import pytest
 
 from bflab import linalg, radical
 from bflab.algebra import AlgebraContext, group_algebra
+from bflab.blocks import build_group_algebra
 from bflab.cli import main
 from bflab.gf import _prime_factors, field, make_field, p_part
-from bflab.groups import (group_from_generators, load_group, perm_order,
-                          sylow_subgroup)
-from bflab.idempotents import (are_associate, block_idempotents,
+from bflab.groups import (all_subgroups, group_from_generators, load_group,
+                          perm_order, sylow_subgroup)
+from bflab.idempotents import (_is_orthogonal_decomposition, are_associate,
+                               block_idempotents, decompose_unit,
                                primitive_decomposition, quotient_algebra,
                                sandwich_rows)
 from bflab.interior import InteriorAlgebra
+from bflab.points import points
 from bflab.radical import charpoly, radical_rows
 
 GROUPS = {
@@ -311,10 +314,10 @@ def test_certificate_proves_the_radical_of_a_p_group_algebra(name):
 
 def test_certificate_matches_the_chain_on_a_catalog_pass(monkeypatch,
                                                           tmp_path):
-    # every certified radical of a `check` pass over the catalog is the
-    # chain's, and no local algebra (dim A - dim J = 1) is left to it
+    # a `check` pass over the catalog runs the chain zero times, and every
+    # radical the certificate proves in it is the chain's
     local, chain = radical._local_radical, radical._radical_rows_impl
-    certified, fallbacks = [], []
+    certified, chains = [], []
 
     def recorded_local(A):
         rows = local(A)
@@ -323,9 +326,8 @@ def test_certificate_matches_the_chain_on_a_catalog_pass(monkeypatch,
         return rows
 
     def recorded_chain(A):
-        rows = chain(A)
-        fallbacks.append((A, rows))
-        return rows
+        chains.append(A)
+        return chain(A)
     monkeypatch.setattr(radical, "_local_radical", recorded_local)
     monkeypatch.setattr(radical, "_radical_rows_impl", recorded_chain)
     for name in sorted(os.listdir(DATA)):
@@ -336,10 +338,47 @@ def test_certificate_matches_the_chain_on_a_catalog_pass(monkeypatch,
                 assert main(["check", "--group", path, "--prime", str(p),
                              "--seed", "1", "--out", "-", "--findings-dir",
                              str(tmp_path)]) == 0
-    assert len(certified) > len(fallbacks) > 0
+    assert chains == [] and certified
     for A, rows in certified:
         assert np.array_equal(rows, chain(A))
-    assert all(A.dim - rows.shape[0] != 1 for A, rows in fallbacks)
+
+
+@pytest.mark.parametrize("doc,p", catalog_pairs())
+def test_fitting_pieces_are_primitive_by_the_chain(doc, p):
+    # for every P <= S, the pieces of 1 in (kG)^P are orthogonal
+    # idempotents summing to 1, each with a local corner by the chain;
+    # each associate class has as many pieces as its simple module has
+    # dimensions, dim F.e - dim J(F).e (split case), and by Krull-Schmidt
+    # the points, from a second decomposition on other draws, have the
+    # same multiplicities
+    G = load_group(doc)
+    A = build_group_algebra(G, p)
+    S = sylow_subgroup(G, p)
+    ia = InteriorAlgebra(A, S)
+    rng = np.random.default_rng(1)
+    for P in all_subgroups(S):
+        F = ia.fixed_subalgebra(P)
+        pieces = decompose_unit(F, rng)
+        assert _is_orthogonal_decomposition(F, pieces, F.unit)
+        for e in pieces:
+            C = F.corner(e)
+            assert C.dim - radical._radical_rows_impl(C).shape[0] == 1
+        J = radical._radical_rows_impl(F)
+        classes = []
+        for e in pieces:
+            for cls in classes:
+                if are_associate(F, cls[0], e):
+                    cls.append(e)
+                    break
+            else:
+                classes.append([e])
+        for cls in classes:
+            right = F.rmul_matrix(cls[0])
+            top = linalg.rank(F.field, right) - \
+                linalg.rank(F.field, linalg.matmul(F.field, right, J.T))
+            assert len(cls) == top
+        assert sorted(len(cls) for cls in classes) == sorted(
+            pt.multiplicity for pt in points(ia, P, rng))
 
 
 @pytest.mark.parametrize("doc,p", catalog_pairs())
