@@ -48,5 +48,5 @@ print("\n== an explicit invariant basis realizing the shape ==")
 basis = explicit_invariant_basis(ia, rng)
 print(f"basis of {len(basis)} vectors, shape matches:",
       basis.shape() == shape)
-m = basis.matrix()
+m = np.array(basis.vectors)
 print("global rank:", linalg.rank(k, m), "of", A.dim)

@@ -96,16 +96,6 @@ class AlgebraContext:
     def mul(self, x, y):
         return linalg.matvec(self.field, self.lmul_matrix(x), y)
 
-    def power(self, x, n):
-        acc = self.unit.copy()
-        base = np.asarray(x)
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return acc
-
     def is_unit(self, x):
         return linalg.rank(self.field, self.lmul_matrix(x)) == self.dim
 
@@ -141,14 +131,6 @@ class AlgebraContext:
         if self.parent is None:
             return np.asarray(v)
         return self._coords(v, check)
-
-    def to_root(self, x):
-        """Coordinates in the outermost ancestor algebra."""
-        ctx, v = self, np.asarray(x)
-        while ctx.parent is not None:
-            v = ctx.to_parent(v)
-            ctx = ctx.parent
-        return v
 
     def root(self):
         ctx = self

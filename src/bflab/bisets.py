@@ -154,9 +154,6 @@ class InvariantBasis:
             counts[i] = counts.get(i, 0) + 1
         return BisetShape(self.ia.D, counts, bifree_certified=True)
 
-    def matrix(self):
-        return np.array(self.vectors, dtype=np.int64)
-
     def is_unital(self):
         """Whether every basis vector is a unit, by one rank per orbit:
         each slice is the D x D-orbit of its first vector, and D acts by

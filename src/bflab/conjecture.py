@@ -33,14 +33,11 @@ from . import linalg
 from .bisets import (_expand_orbit, characteristic_report,
                      explicit_invariant_basis)
 from .fusion import fixed_point_presystem
-from .groups import (GroupInjection, TwistedDiagonal, all_subgroups,
-                     conjugation_injection)
+from .groups import GroupInjection, all_subgroups, conjugation_injection
 from .idempotents import are_associate, sandwich_rows, transpotent_pair
 from .interior import _pair_perm_group, quotient_product
-from .points import (Point, conjugate_point, local_points,
-                     local_invariant_decomposition, point_multiplicity,
-                     point_of, points, relative_multiplicity,
-                     _associate_in_fixed)
+from .points import (conjugate_point, local_points, point_multiplicity,
+                     relative_multiplicity, _associate_in_fixed)
 
 
 class Finding(RuntimeError):
@@ -474,7 +471,7 @@ def twisted_unit_laws_report(ia, presystem, rng):
 
 
 # ---------------------------------------------------------------------------
-# point transport on the pointed Brown poset, and the global-unit lift
+# point transport on the pointed Brown poset
 # ---------------------------------------------------------------------------
 
 def theta_structure_report(ia, phi, rng):
@@ -526,120 +523,6 @@ def theta_structure_report(ia, phi, rng):
                         ("defined", "order", "equivariant", "multiplicity",
                          "relative_multiplicity"))
     return report
-
-
-def _pointed_class_key(ia, P, H, pt, rng):
-    """Canonical key of the P-conjugacy class of the pointed group (H, pt)."""
-    best = None
-    for g in P.elements:
-        Hg, ptg = conjugate_point(ia, H, pt, g, rng)
-        cand = (tuple(sorted(Hg.elements)), ptg.index)
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def lift_to_global_unit(ia, phi, rng):
-    """Unit of A inside the twisted fixed module of phi: P -> Q (onto its
-    codomain), assembled from matched local invariant decompositions via
-    relative traces of transporters; returns (u, v) with v.u = u.v = 1."""
-    P, Q = phi.domain, phi.codomain
-    A = ia.A
-    f = A.field
-    bq_phi, bq_inv, _, _ = _iso_quotients(ia, phi)
-    E = local_invariant_decomposition(ia, P, rng)
-    F = local_invariant_decomposition(ia, Q, rng)
-
-    def classify(parts, group):
-        classes = {}
-        for v, H in parts:
-            pt = point_of(ia, H, v, rng)
-            key = _pointed_class_key(ia, group, H, pt, rng)
-            classes.setdefault(key, []).append((v, H, pt))
-        return classes
-
-    E_classes = classify(E, P)
-    F_classes = classify(F, Q)
-
-    total_u = A.zero()
-    total_v = A.zero()
-    matched_f_keys = set()
-    for key, members in sorted(E_classes.items()):
-        # normalize all members of this class to a common (R, eps)
-        R_elems, eps_index = key
-        R = P.subgroup(R_elems)
-        eps = points(ia, R, rng)[eps_index]
-        res = phi.restrict(R).corestrict()
-        Rimg = res.codomain
-        eps_t = theta_of_point(ia, res, eps, rng)
-        if eps_t is None:
-            raise Finding("lift_missing_theta",
-                          {"phi": _phi_label(phi), "R_order": R.order})
-        f_key = _pointed_class_key(ia, Q, Rimg, eps_t, rng)
-        fmembers = F_classes.get(f_key, [])
-        if len(members) != len(fmembers):
-            raise Finding("lift_class_size_mismatch",
-                          {"phi": _phi_label(phi), "R_order": R.order,
-                           "E": len(members), "F": len(fmembers)})
-        matched_f_keys.add(f_key)
-        e_orbit_reps = _orbit_reps_normalized(ia, P, members, R, eps, rng)
-        f_orbit_reps = _orbit_reps_normalized(ia, Q, fmembers, Rimg, eps_t,
-                                              rng)
-        if len(e_orbit_reps) != len(f_orbit_reps):
-            raise Finding("lift_orbit_count_mismatch",
-                          {"phi": _phi_label(phi), "R_order": R.order,
-                           "E": len(e_orbit_reps), "F": len(f_orbit_reps)})
-        tr_up = ia.trace_map(TwistedDiagonal(res).pairs, bq_phi.pairs)
-        tr_up_inv = ia.trace_map(TwistedDiagonal(res.inverse()).pairs,
-                                 bq_inv.pairs)
-        for e_rep, f_rep in zip(e_orbit_reps, f_orbit_reps):
-            ge = Point(subgroup=R, index=-1, rep=e_rep, multiplicity=1,
-                       local=True)
-            gf = Point(subgroup=Rimg, index=-1, rep=f_rep, multiplicity=1,
-                       local=True)
-            pair = isofusion(ia, res, ge, gf)
-            if pair is None:
-                raise Finding("lift_transporter_missing",
-                              {"phi": _phi_label(phi), "R_order": R.order})
-            s, t = pair
-            total_u = A.add(total_u, linalg.matvec(f, tr_up, s))
-            total_v = A.add(total_v, linalg.matvec(f, tr_up_inv, t))
-    if matched_f_keys != set(F_classes):
-        raise Finding("lift_class_cover_mismatch",
-                      {"phi": _phi_label(phi)})
-    if not (np.array_equal(A.mul(total_v, total_u), A.unit) and
-            np.array_equal(A.mul(total_u, total_v), A.unit)):
-        raise Finding("lift_product_not_identity", {"phi": _phi_label(phi)})
-    if not bq_phi.fixed.contains(total_u):
-        raise Finding("lift_unit_outside_fixed_module",
-                      {"phi": _phi_label(phi)})
-    return total_u, total_v
-
-
-def _orbit_reps_normalized(ia, group, members, R, eps, rng):
-    """One representative per group-orbit, conjugated to stabilizer R and
-    point eps on the nose."""
-    reps = []
-    used = set()
-    for v, H, pt in members:
-        vb = np.asarray(v).tobytes()
-        if vb in used:
-            continue
-        orbit = {np.asarray(ia.conj(g, v)).tobytes() for g in group.elements}
-        used.update(orbit)
-        chosen = None
-        for g in group.elements:
-            if H.conjugate(g).key != R.key:
-                continue
-            w = ia.conj(g, v)
-            if _associate_in_fixed(ia, R, w, eps.rep):
-                chosen = w
-                break
-        if chosen is None:
-            raise Finding("lift_orbit_not_normalizable",
-                          {"R_order": R.order, "point": eps.index})
-        reps.append(chosen)
-    return reps
 
 
 # ---------------------------------------------------------------------------

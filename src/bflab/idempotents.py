@@ -6,10 +6,9 @@ coprime factors of a random element's minimal polynomial give r exact
 orthogonal idempotents of k[z], and it recurses on their corners until
 every corner is 1-dim or certified local with A/J(A) = k by
 `radical.local_radical`, which makes its unit primitive.
-The Cohen-Ivanyos-Wales chain behind `radical_rows` is the oracle:
-`is_primitive` asks it, and so do the radical quotients
-(`quotient_algebra`) of the local invariant decompositions in
-`bflab.points`.
+The Cohen-Ivanyos-Wales chain behind `radical_rows` is the oracle: it
+answers `is_primitive` and the tests, and `quotient_algebra` (A/J(A)
+and other quotients) serves the tests only.
 
 `transpotent_pair` solves the existential problem behind idempotent
 conjugacy: given i = sum of products t_a.s_b with i primitive, locality
@@ -160,13 +159,12 @@ def decompose_unit(A, rng):
     return out
 
 
-def primitive_decomposition(A, e, rng, verify=True, verify_primitive=False):
+def primitive_decomposition(A, e, rng):
     """Refine the idempotent e into orthogonal primitives inside A.
 
-    Orthogonality and the sum are always recheckable cheaply and are
-    verified when `verify`; primitivity of each piece is guaranteed by
-    the recursion's own corner-local test and is only re-derived from
-    scratch under `verify_primitive`.
+    Orthogonality and the sum are rechecked cheaply on every call;
+    primitivity of each piece is guaranteed by the recursion's own
+    corner-local test (`is_primitive` re-derives it in the tests).
     """
     if not A.is_idempotent(e):
         raise AlgebraError("input is not idempotent")
@@ -174,13 +172,9 @@ def primitive_decomposition(A, e, rng, verify=True, verify_primitive=False):
         return []
     C = A.corner(e, check=False)
     parts = [C.to_parent(z) for z in decompose_unit(C, rng)]
-    if verify and not _is_orthogonal_decomposition(A, parts, e):
+    if not _is_orthogonal_decomposition(A, parts, e):
         raise AlgebraError("pieces are not orthogonal idempotents summing "
                            "to e")
-    if verify_primitive:
-        for x in parts:
-            if not is_primitive(A, x):
-                raise AlgebraError("piece is not primitive")
     return parts
 
 
@@ -210,7 +204,7 @@ def block_idempotents(A, rng):
     rows = class_sum_rows(A) if hasattr(A, "group") else A.center_rows()
     Z = A.subalgebra(linalg.rref(A.field, rows)[0])
     blocks = [Z.to_parent(e) for e in
-              primitive_decomposition(Z, Z.unit, rng, verify=True)]
+              primitive_decomposition(Z, Z.unit, rng)]
     return sorted(blocks, key=lambda v: v.tolist())
 
 

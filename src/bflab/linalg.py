@@ -268,17 +268,6 @@ class Subspace:
         return Subspace(self.field, self.ambient_dim,
                         np.concatenate([self.basis, other.basis], axis=0))
 
-    def intersect(self, other):
-        self._check(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.field, self.ambient_dim)
-        stacked = np.concatenate([self.basis, other.basis], axis=0)
-        left_null = nullspace(self.field, stacked.T)
-        if left_null.shape[0] == 0:
-            return Subspace(self.field, self.ambient_dim)
-        combo = matmul(self.field, left_null[:, :self.dim], self.basis)
-        return Subspace(self.field, self.ambient_dim, combo)
-
     def __eq__(self, other):
         return isinstance(other, Subspace) and \
             self.ambient_dim == other.ambient_dim and \

@@ -14,8 +14,7 @@ that is not local with A/J(A) = k.
 certificate first, else the chain below.  J(A) is one subspace and both
 paths return its RREF, which is unique, so which path ran changes no
 row, no rng draw and no report.  No report runs the chain; it answers
-`is_primitive`, the local invariant decompositions of `bflab.points`
-and the tests.
+`is_primitive` and the tests only.
 
 The trace form alone is blind in small characteristic, so the chain is
 the iterated one of characteristic-polynomial-coefficient forms on the

@@ -9,6 +9,10 @@ decide each condition on one isomorphism per outer D x D-class
 (`FusionSystem.outer_class_reps`), and it runs them on every isomorphism.
 The test after it drives the class-triple closure law and pairing check
 into their negative branches on the same block data.
+
+Number 9 is retired with the global-unit lift it cross-checked: every
+report finds and verifies units in twisted fixed modules through
+`unit_in_subspace` (condition (i)).
 """
 
 import dataclasses
@@ -28,15 +32,13 @@ from bflab.blocks import (analyze_block, build_group_algebra,
 from bflab.conjecture import (Finding, _basis_realization_check, _phi_label,
                               ambient_balance_report, build_unital_basis,
                               equivalence_report, has_all_twisted_units,
-                              intrinsic_balance_report, lift_to_global_unit,
-                              theta_map, theta_of_point,
-                              theta_structure_report, twisted_unit_exists,
-                              twisted_unit_laws_report, unit_in_subspace,
+                              intrinsic_balance_report, theta_map,
+                              theta_of_point, theta_structure_report,
+                              twisted_unit_exists, twisted_unit_laws_report,
                               unital_basis_exists)
 from bflab.fusion import BrauerPairs, fixed_point_presystem
-from bflab.groups import (TwistedDiagonal, all_subgroups, centralizer,
-                          identity_injection, load_group,
-                          subgroup_classes, sylow_subgroup)
+from bflab.groups import (all_subgroups, centralizer, identity_injection,
+                          load_group, subgroup_classes, sylow_subgroup)
 from bflab.idempotents import block_idempotents, is_primitive
 from bflab.interior import InteriorAlgebra
 from bflab.points import local_points
@@ -284,27 +286,6 @@ def test_criterion_08_section_5_structure_suite():
     assert verdict(8, ok, "twisted-unit laws, transpotent/transport "
                    "agreement, and point-transport structure across "
                    "Iso representatives")
-
-
-def test_criterion_09_unit_lift_cross_validation():
-    ok = True
-    cases = [("s3", 3), ("a4", 2), ("d8", 2)]
-    for name, p in cases:
-        e = entry(name, p)
-        rng = np.random.default_rng(SEED + 9)
-        data = [d for d in e["datas"] if d.principal][0]
-        ia = data.ia_S
-        F = data.source_presystem
-        for phi in F.all_isomorphisms():
-            u, v = lift_to_global_unit(ia, phi, rng)
-            rows = ia.brauer(TwistedDiagonal(phi)).fixed
-            if not (ia.A.is_unit(u) and rows.contains(u)):
-                ok = False
-            w, _ = unit_in_subspace(ia, rows.basis, rng)
-            if w is None or not ia.A.is_unit(w) or not rows.contains(w):
-                ok = False
-    assert verdict(9, ok, "lift_to_global_unit and unit_in_subspace both "
-                   "produce verified units on S3(p=3), A4(p=2), D8(p=2)")
 
 
 def test_criterion_10_stability_report():

@@ -123,9 +123,10 @@ def test_identity_subalgebras_share_the_group_tables():
     for C in subs:
         assert C.mult_tensor is None and C._ltable is A._ltable
         assert np.array_equal(C.unit, A.unit)
+        # an identity corner keeps A's coordinates
         for _ in range(5):
             x, y = A.random_element(rng), A.random_element(rng)
-            assert np.array_equal(C.to_root(C.mul(x, y)), A.mul(x, y))
+            assert np.array_equal(C.mul(x, y), A.mul(x, y))
     # a proper corner stays dense: e = 1 + c + c^2 for a 3-cycle c
     c = (1, 2, 0, 3)
     e = sum(group_element_vector(A, h) for h in (G.identity, c, pmul(c, c)))

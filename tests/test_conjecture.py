@@ -10,8 +10,7 @@ from bflab.blocks import analyze_block, build_group_algebra
 from bflab.conjecture import (ambient_balance_report, build_unital_basis,
                               equivalence_report, has_all_twisted_units,
                               intrinsic_balance_report, isofusion,
-                              lift_to_global_unit, theta_map,
-                              theta_structure_report,
+                              theta_map, theta_structure_report,
                               twisted_unit_exists, twisted_unit_laws_report,
                               unit_in_subspace, unital_basis_exists)
 from bflab.fusion import BrauerPairs, fixed_point_presystem
@@ -213,21 +212,6 @@ def test_theta_structure_s3_inversion():
     tu = twisted_unit_exists(ia, inv, r)
     tm = theta_map(ia, inv, r, tu=tu)   # transport agreement check
     assert tm is not None
-
-
-def test_lift_to_global_unit_cross_validates():
-    for G, p in ((S3, 3), (A4, 2), (D8, 2)):
-        ia = interior(G, p)
-        F = fixed_point_presystem(ia)
-        r = rng()
-        for phi in F.all_isomorphisms():
-            u, v = lift_to_global_unit(ia, phi, r)
-            assert ia.A.is_unit(u)
-            assert np.array_equal(ia.A.mul(v, u), ia.A.unit)
-            rows = ia.brauer(TwistedDiagonal(phi)).fixed
-            assert rows.contains(u)
-            w, _ = unit_in_subspace(ia, rows.basis, r)
-            assert w is not None and ia.A.is_unit(w)
 
 
 def test_intrinsic_balance_group_algebras():

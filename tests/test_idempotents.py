@@ -32,7 +32,8 @@ def test_trivial_algebra_primitive():
 
 def test_kc2_char3_splits_into_eigenprojections():
     A = group_algebra(C2, field(3))
-    parts = primitive_decomposition(A, A.unit, rng(), verify_primitive=True)
+    parts = primitive_decomposition(A, A.unit, rng())
+    assert all(is_primitive(A, x) for x in parts)
     assert len(parts) == 2
     expected = {(2, 2), (2, 1)}     # (1 +- g) / 2
     assert {tuple(int(c) for c in x) for x in parts} == expected
@@ -169,7 +170,8 @@ def test_associates_in_matrix_block():
     blocks = block_idempotents(A, rng())
     m2 = [b for b in blocks if A.corner(b).dim == 4][0]
     C = A.corner(m2)
-    parts = primitive_decomposition(C, C.unit, rng(), verify_primitive=True)
+    parts = primitive_decomposition(C, C.unit, rng())
+    assert all(is_primitive(C, x) for x in parts)
     assert len(parts) == 2
     assert are_associate(C, parts[0], parts[1])
     pair = transpotent_pair(
@@ -213,7 +215,8 @@ def test_are_associate_matches_product_span_oracle(G, p, m):
     # kS3 in characteristic 2 and kA4 in characteristic 3 each have a
     # split matrix block (associate primitives) beside a principal block
     A = group_algebra(G, field(p, m))
-    parts = primitive_decomposition(A, A.unit, rng(), verify_primitive=True)
+    parts = primitive_decomposition(A, A.unit, rng())
+    assert all(is_primitive(A, x) for x in parts)
     seen = set()
     for a, x in enumerate(parts):
         for b, y in enumerate(parts):

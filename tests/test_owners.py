@@ -1,8 +1,9 @@
 """One owner per structure: the Brauer-pair engine, the block algebra B
 and the source algebra S are one InteriorAlgebra whenever they are one
 algebra, so A^P, A(U), points, twisted units, theta and the structural
-check are built once; and the two radical paths are reached only
-through `radical.local_radical` and `radical.radical_rows`."""
+check are built once; the two radical paths are reached only through
+`radical.local_radical` and `radical.radical_rows`; and every public
+definition of `src/bflab` is reached from the CLI or is a named oracle."""
 
 import ast
 import os
@@ -163,3 +164,107 @@ def test_brauer_quotients_are_built_only_by_brauer(module):
     where = {(module, scope) for scope, _ in
              _calls(tree, {"BrauerQuotient", "OrbitQuotient"})}
     assert where <= {("interior.py", "InteriorAlgebra.brauer")}
+
+
+# public definitions that no CLI run reaches, each the oracle of the test
+# named beside it (the theta checks also cover their own helpers)
+THETA_SUITE = "test_acceptance.py::test_criterion_08_section_5_structure_suite"
+ORACLES = {
+    "radical.charpoly": "test_kernels.py::test_charpolys_match_charpoly",
+    "radical.hessenberg": "test_kernels.py::test_charpolys_match_charpoly",
+    "radical.radical_rows":
+        "test_radical.py::test_radical_rows_do_not_depend_on_stack_budget",
+    "idempotents.is_primitive":
+        "test_acceptance.py::test_criterion_01_block_sanity",
+    "idempotents.quotient_algebra":
+        "test_radical.py::test_block_radicals_count_p_regular_classes",
+    "fusion.FusionSystem.all_isomorphisms":
+        "test_acceptance.py::"
+        "test_criterion_12_class_walk_matches_every_isomorphism",
+    "blocks.group_basis_invariant":
+        "test_acceptance.py::"
+        "test_criterion_04_shape_inversion_matches_group_orbits",
+    "gf.FiniteField.frobenius": "test_gf.py::test_frobenius_roots",
+    "conjecture.theta_map": THETA_SUITE,
+    "conjecture.theta_map_via_twisted_unit": THETA_SUITE,
+    "conjecture.theta_structure_report": THETA_SUITE,
+    "points.point_of": THETA_SUITE,
+    "points.conjugate_point": THETA_SUITE,
+    "points.relative_multiplicity": THETA_SUITE,
+    "interior.InteriorAlgebra.conj": THETA_SUITE,
+    "groups.GroupInjection.restrict": THETA_SUITE,
+    "groups.GroupInjection.corestrict": THETA_SUITE,
+}
+
+
+def _names(node):
+    """Every bare name a node mentions, and every attribute name as
+    ".name": a method is reached only as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else "." + n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _reached_definitions():
+    """{"module.qualname": reached} over the module-level functions,
+    classes and methods of src/bflab, walking names from `cli.main`,
+    `bflab.__all__` and module-level code.
+
+    A reached name reaches every definition of that name, a function
+    through its body and a class through its bases, its class-level
+    statements and its dunder methods, so the walk over-approximates
+    what runs."""
+    import bflab
+    defs, roots = {}, {"main", *bflab.__all__}
+    for module in _modules():
+        for node in ast.parse((SRC / module).read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                roots |= _names(node)
+                continue
+            defs[f"{module[:-3]}.{node.name}"] = node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        defs[f"{module[:-3]}.{node.name}.{sub.name}"] = sub
+    by_name = {}
+    for key in defs:
+        name = key.rsplit(".", 1)[1]
+        if key.count(".") == 1:         # a module-level function or class
+            by_name.setdefault(name, []).append(key)
+        by_name.setdefault("." + name, []).append(key)
+    reached, seen, todo = set(), set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for key in by_name.get(name, ()):
+            reached.add(key)
+            node = defs[key]
+            if isinstance(node, ast.FunctionDef):
+                todo.extend(_names(node))
+                continue
+            for part in node.bases + node.decorator_list:
+                todo.extend(_names(part))
+            for sub in node.body:
+                if not isinstance(sub, ast.FunctionDef):
+                    todo.extend(_names(sub))
+                elif sub.name.startswith("__"):
+                    todo.append("." + sub.name)
+    return {key: key in reached for key in defs}
+
+
+def test_every_public_definition_is_reached_or_an_oracle():
+    # library code that no report runs is either deleted or kept as the
+    # reference of a named test; an oracle that a run reaches is no
+    # longer only an oracle, so it leaves the list
+    reached = _reached_definitions()
+    public = {key for key in reached
+              if not any(part.startswith("_") for part in key.split("."))}
+    assert {key for key in public if not reached[key]} == set(ORACLES)
+    tests = pathlib.Path(ROOT, "tests")
+    for oracle, test in ORACLES.items():
+        path, name = test.split("::")
+        tree = ast.parse((tests / path).read_text())
+        assert any(isinstance(n, ast.FunctionDef) and n.name == name
+                   for n in tree.body), (oracle, test)

@@ -21,7 +21,7 @@ from bflab.idempotents import (_is_orthogonal_decomposition, are_associate,
                                sandwich_rows)
 from bflab.interior import InteriorAlgebra
 from bflab.points import points
-from bflab.radical import charpoly, radical_rows
+from bflab.radical import charpoly, charpolys, radical_rows
 
 GROUPS = {
     "C2": group_from_generators(2, [(1, 0)], "C2"),
@@ -62,20 +62,31 @@ def test_radical_dimensions(name, p, expect):
     assert radical_rows(A).shape[0] == expect
 
 
-@pytest.mark.parametrize("budget", [1, 1 << 40],
+@pytest.mark.parametrize("matrices", [2, None],
                          ids=["one-matrix", "whole-level"])
 @pytest.mark.parametrize("name,p,expect", RADICAL_DIMS)
-def test_radical_rows_do_not_depend_on_stack_budget(name, p, expect, budget,
+def test_radical_rows_do_not_depend_on_stack_budget(name, p, expect, matrices,
                                                     monkeypatch):
-    # one matrix per charpoly stack, or a whole level in one stack; the
-    # chain runs even where the certificate would prove the radical
+    # two n x n products per charpoly stack, so the pairs of a level fall
+    # into several stacks, the last one short when their count is odd,
+    # or a whole level in one stack; the chain runs even where the
+    # certificate would prove the radical
     G = GROUPS[name]
     k = splitting(G, p)
     expect_rows = radical_rows(group_algebra(G, k))
+    budget = 1 << 40 if matrices is None else matrices * G.order ** 2
     monkeypatch.setattr(radical, "_STACK_BUDGET", budget)
+    stacks = []
+
+    def counted(f, stack, j):
+        stacks.append(stack.shape[0])
+        return charpolys(f, stack, j)
+    monkeypatch.setattr(radical, "charpolys", counted)
     rows = radical._radical_rows_impl(group_algebra(G, k))
     assert rows.shape[0] == expect
     assert np.array_equal(rows, expect_rows)
+    if matrices is not None:
+        assert len(stacks) > 1 and max(stacks) == matrices
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "bflab", "data")
