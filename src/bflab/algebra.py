@@ -15,13 +15,15 @@ of an algebra (the corner at its unit, the fixed points of the trivial
 group) shares the parent's index tables or tensor, so kG stays
 table-driven through them.
 
-`group_algebra` builds kH for a group or a subgroup H; the Brauer
+`group_algebra` builds kH for a group or a subgroup H by restricting the
+group's own product table (`bflab.groups.PermGroup.mul`); the Brauer
 quotients (kG)(P) of bflab.fusion are built this way, as kC_G(P).
 """
 
 import numpy as np
 
 from . import linalg
+from .groups import PermGroup
 
 
 class AlgebraError(ValueError):
@@ -207,22 +209,27 @@ class AlgebraContext:
 
 def group_algebra(G, field):
     """kG with basis the group elements (their sorted order); G is a
-    PermGroup or a Subgroup."""
-    elements = G.elements
-    n = len(elements)
-    index = {g: i for i, g in enumerate(elements)}
-    perms = np.array(elements, dtype=np.int64)
-    inv = np.argsort(perms, axis=1)
-    ks = np.arange(n)
-    # ltable[k, j] = g_k g_j^-1 and rtable[k, j] = g_j^-1 g_k, as image
-    # rows; sorting the rows of a closed group recovers the element order
-    prods = np.concatenate([perms[ks[:, None, None], inv[None, :, :]],
-                            inv[ks[None, :, None], perms[:, None, :]]])
-    found, which = np.unique(prods.reshape(2 * n * n, perms.shape[1]),
-                             axis=0, return_inverse=True)
-    if not np.array_equal(found, perms):
+    PermGroup or a Subgroup.
+
+    The tables are the parent group's product table (`PermGroup.mul`,
+    which the group owns) restricted to G's indices, with no product of
+    permutations: ltable[k, j] indexes g_k.g_j^-1 and rtable[k, j]
+    g_j^-1.g_k.  A group lists its elements sorted, so G's sorted
+    elements are its indices in increasing order, and position k of kG
+    is the k-th of them."""
+    H = G.full_subgroup() if isinstance(G, PermGroup) else G
+    parent, at = H.parent, H.idx
+    n = at.size
+    where = np.full(parent.order, -1, dtype=np.intp)
+    where[at] = np.arange(n)
+    inv = parent.inv[at]
+    ltable = where[parent.mul[at[:, None], inv]]
+    rtable = where[parent.mul[inv, at[:, None]]]
+    if (ltable < 0).any() or (rtable < 0).any():
         raise AlgebraError("group elements are not closed under products")
-    ltable, rtable = which.reshape(2, n, n)
+    elements = H.elements
+    index = parent.index if H.order == parent.order else \
+        {g: i for i, g in enumerate(elements)}
     unit = np.zeros(n, dtype=np.int64)
     unit[index[G.identity]] = 1
     ctx = AlgebraContext(field, n, labels=list(elements),

@@ -38,9 +38,9 @@ import numpy as np
 
 from . import linalg
 from .algebra import group_algebra, group_conjugation_perm
-from .groups import (GroupInjection, all_subgroups, centralizer,
-                     conjugation_injection, normalizer, pinv, pmul,
-                     subgroup_classes, sylow_subgroup, twisted_classes)
+from .groups import (GroupInjection, PermGroup, all_subgroups, centralizer,
+                     conjugation_injection, normalizer, subgroup_classes,
+                     sylow_subgroup, twisted_classes)
 from .idempotents import block_idempotents
 from .interior import InteriorAlgebra
 
@@ -156,14 +156,18 @@ class FusionSystem:
 
 
 def fusion_from_group(S, G, label=None):
-    """F_S(G): morphisms are restrictions of conjugations by G."""
+    """F_S(G): morphisms are restrictions of conjugations by G, read off
+    the rows of G's conjugation table."""
+    A = G if isinstance(G, PermGroup) else G.parent
+    conj = A.conjugation[[A.index[g] for g in G.elements]]
+    inside = np.zeros(A.order, dtype=bool)
+    inside[[A.index[x] for x in S.elements]] = True
     graphs = set()
     for P in all_subgroups(S):
-        for g in G.elements:
-            gi = pinv(g)
-            graph = frozenset((x, pmul(pmul(g, x), gi)) for x in P.elements)
-            if all(y in S.key for _, y in graph):
-                graphs.add(graph)
+        rows = conj[:, [A.index[x] for x in P.elements]]
+        for images in set(map(tuple, rows[inside[rows].all(axis=1)].tolist())):
+            graphs.add(frozenset(zip(P.elements,
+                                     (A.elements[y] for y in images))))
     return FusionSystem(S, graphs, label=label or f"F_S({G.label})")
 
 

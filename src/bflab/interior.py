@@ -51,8 +51,7 @@ import numpy as np
 from . import linalg
 from .algebra import AlgebraContext, group_element_vector
 from .gf import p_part
-from .groups import (PermGroup, TwistedDiagonal, diagonal, maximal_subgroups,
-                     pinv, pmul)
+from .groups import PermGroup, TwistedDiagonal, diagonal, maximal_subgroups
 
 
 def _pair_perm_group(D):
@@ -251,10 +250,12 @@ class InteriorAlgebra:
         f = self.A.field
         if not np.array_equal(self.structural[self.D.identity], self.A.unit):
             raise ValueError("structural map does not send 1 to 1")
-        elems = self.D.elements
-        images = np.array([self.structural[h] for h in elems]).T
-        for g in self.D.generating_sequence():
-            moved = np.array([self.structural[pmul(g, h)] for h in elems]).T
+        G, D = self.D.parent, self.D
+        images = np.array([self.structural[h] for h in D.elements]).T
+        for g in D.generating_sequence():
+            products = G.mul[G.index[g], D.idx].tolist()
+            moved = np.array([self.structural[G.elements[y]]
+                              for y in products]).T
             if not np.array_equal(linalg.matmul(f, self.lmat(g), images),
                                   moved):
                 raise ValueError("structural map is not multiplicative")
@@ -272,8 +273,8 @@ class InteriorAlgebra:
     def act(self, d1, d2, v):
         """d1 . v . d2^{-1}."""
         f = self.A.field
-        return linalg.matvec(f, self.lmat(d1),
-                             linalg.matvec(f, self.rmat(pinv(d2)), v))
+        return linalg.matvec(f, self.lmat(d1), linalg.matvec(
+            f, self.rmat(self.D.parent.inverse(d2)), v))
 
     def conj(self, d, v):
         return self.act(d, d, v)
@@ -321,13 +322,13 @@ class InteriorAlgebra:
         """On kG with its group basis: the least index in the U-orbit of
         each basis element, the least of its images under the elements of
         U.  Each (d1, d2) moves g to d1.g.d2^-1, a gather from kG's tables
-        (rtable[a, b] indexes g_b^-1.g_a and ltable[a, b] g_a.g_b^-1)."""
+        (rtable[a, b] indexes g_b^-1.g_a and ltable[a, b] g_a.g_b^-1, so
+        ltable[e, b] indexes g_b^-1 for e the index of 1)."""
         A, idx = self.A, self.A.element_index
-        moves = []
-        for enc in U.elements:
-            d1, d2 = decode_pair(self.D, enc)
-            moves.append(A._ltable[A._rtable[:, idx[pinv(d1)]], idx[d2]])
-        return np.min(moves, axis=0)
+        pairs = [decode_pair(self.D, enc) for enc in U.elements]
+        d1 = A._ltable[idx[A.group.identity], [idx[a] for a, _ in pairs]]
+        d2 = [idx[b] for _, b in pairs]
+        return A._ltable[A._rtable[:, d1], d2].min(axis=1)
 
     def trace_map(self, sub_pairs, super_pairs):
         """Relative trace matrix tr: A^V -> A^U between pair subgroups."""
@@ -339,7 +340,8 @@ class InteriorAlgebra:
         out = linalg.zeros(self.A.dim, self.A.dim)
         for enc in U.left_coset_reps(V):
             d1, d2 = decode_pair(self.D, enc)
-            m = linalg.matmul(f, self.lmat(d1), self.rmat(pinv(d2)))
+            m = linalg.matmul(f, self.lmat(d1),
+                              self.rmat(self.D.parent.inverse(d2)))
             out = f.add(out, m)
         return out
 

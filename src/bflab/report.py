@@ -9,8 +9,8 @@ conditions disagreeing) are written as standalone JSON artifacts with
 exact witness vectors.
 """
 
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -19,13 +19,19 @@ from .bisets import BisetError
 SCHEMA = "bflab-report/1"
 
 
+_ATOMS = frozenset({int, str, bool, type(None)})
+
+
 def _plain(obj):
+    if type(obj) in _ATOMS:
+        return obj
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
+        return {str(k): v if type(v) in _ATOMS else _plain(v)
+                for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return [v if type(v) in _ATOMS else _plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [int(v) for v in obj.reshape(-1)]
+        return np.asarray(obj, dtype=np.int64).reshape(-1).tolist()
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -74,8 +80,43 @@ def make_report(group_doc, prime, seed, config, block_records, findings):
     })
 
 
+def _encode(obj, pad=""):
+    """The text `json.dumps(obj, indent=1, sort_keys=True)` writes for a
+    document of dicts with string keys, lists, ints, bools, strings and
+    None, at nesting pad; a list of ints is one join."""
+    t = type(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    inner = pad + " "
+    sep = ",\n" + inner
+    if t is dict:
+        if not obj:
+            return "{}"
+        body = sep.join([encode_basestring_ascii(k) + ": " + _encode(v, inner)
+                         for k, v in sorted(obj.items())])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        if all(type(v) is int for v in obj):
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join([_encode(v, inner) for v in obj])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    raise TypeError(f"cannot write {t.__name__} into a report")
+
+
 def dump_report(report, path=None):
-    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
+    """Write the report as `json.dumps(report, indent=1, sort_keys=True)`
+    would, plus a newline, by `_encode` (CPython's encoder falls back to
+    pure Python when it indents)."""
+    text = _encode(report) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:

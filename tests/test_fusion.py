@@ -558,3 +558,24 @@ def test_block_fusion_raises_on_a_pair_not_over_b(monkeypatch):
     monkeypatch.setattr(poset, "pairs", poset.pairs[1:])
     with pytest.raises(FusionError, match="not over b"):
         block_fusion(poset, len(poset.pairs) - 1)
+
+
+@pytest.mark.parametrize("name,p", CATALOG + [("a5", 2), ("a5", 3),
+                                              ("a5", 5)])
+def test_principal_block_fusion_is_group_fusion(name, p):
+    # Brauer's third main theorem: the principal block b0, the one with
+    # b0.(sum of G) != 0, has a Sylow subgroup S as defect group and
+    # F_S(b0) = F_S(G).  The block side walks the Brauer pairs,
+    # normalizers, cosets and conjugations; the group side only
+    # conjugates S's subgroups by G
+    G = _catalog_group(name)
+    A = build_group_algebra(G, p)
+    engine = BrauerPairs(A, rng())
+    total = np.ones(A.dim, dtype=np.int64)
+    principal = [b for b in engine.blocks if np.any(A.mul(b, total))]
+    assert len(principal) == 1
+    poset = BrauerPairPoset(engine, principal[0])
+    D = poset.pairs[poset.maximal[0]][0]
+    assert D.key == engine.S.key
+    assert fusion_equal(block_fusion(poset, poset.maximal[0]),
+                        fusion_from_group(D, G))

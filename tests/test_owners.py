@@ -194,6 +194,10 @@ ORACLES = {
     "interior.InteriorAlgebra.conj": THETA_SUITE,
     "groups.GroupInjection.restrict": THETA_SUITE,
     "groups.GroupInjection.corestrict": THETA_SUITE,
+    "groups.pmul": "test_group_tables.py::"
+                   "test_product_table_matches_the_tuple_products",
+    "groups.pinv": "test_group_tables.py::"
+                   "test_product_table_matches_the_tuple_products",
 }
 
 

@@ -14,7 +14,7 @@ from bflab.blocks import build_group_algebra
 from bflab.cli import main
 from bflab.gf import _prime_factors, field, make_field, p_part
 from bflab.groups import (all_subgroups, group_from_generators, load_group,
-                          perm_order, sylow_subgroup)
+                          sylow_subgroup)
 from bflab.idempotents import (_is_orthogonal_decomposition, are_associate,
                                block_idempotents, decompose_unit,
                                primitive_decomposition, quotient_algebra,
@@ -108,7 +108,7 @@ def test_radical_against_class_counts(doc, p):
     G = load_group(doc)
     A = group_algebra(G, splitting(G, p))
     classes = G.conjugacy_classes()
-    regular = [c for c in classes if perm_order(c[0]) % p]
+    regular = [c for c in classes if G.orders[G.index[c[0]]] % p]
     assert A.center_rows().shape[0] == len(classes)
     top = quotient_algebra(A, radical_rows(A))
     assert top.center_rows().shape[0] == len(regular)
@@ -399,7 +399,7 @@ def test_block_radicals_count_p_regular_classes(doc, p):
     # a corner of kG, by the certificate or by the chain
     G = load_group(doc)
     A = group_algebra(G, splitting(G, p))
-    regular = [c for c in G.conjugacy_classes() if perm_order(c[0]) % p]
+    regular = [c for c in G.conjugacy_classes() if G.orders[G.index[c[0]]] % p]
     counts = []
     for b in block_idempotents(A, np.random.default_rng(1)):
         B = A.corner(b)
@@ -454,6 +454,6 @@ def test_cartan_matrix_elementary_divisors(doc, p):
     cartan = [[linalg.rank(A.field, sandwich_rows(A, a, basis, b))
                for b in reps] for a in reps]
     assert cartan == [list(row) for row in zip(*cartan)]
-    regular = [c for c in G.conjugacy_classes() if perm_order(c[0]) % p]
+    regular = [c for c in G.conjugacy_classes() if G.orders[G.index[c[0]]] % p]
     assert _elementary_divisors(cartan) == sorted(
         p_part(G.order // len(c), p) for c in regular)

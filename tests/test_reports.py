@@ -8,8 +8,9 @@ import json
 import os
 
 import numpy as np
+from hypothesis import given, strategies as st
 
-from bflab import linalg
+from bflab import linalg, report
 from bflab.algebra import class_sum_rows
 from bflab.blocks import build_group_algebra
 from bflab.fusion import BrauerPairs, defect_groups
@@ -33,6 +34,30 @@ def test_reports_keep_the_expected_invariants(seed1_reports):
     for rep in reports:
         order = load_group(rep["group"]).order
         assert invariants.check(rep, expected, order) == []
+
+
+def test_reports_are_the_bytes_json_dumps_writes(seed1_reports):
+    # `dump_report` writes every catalog report and the A5 report as the
+    # standard library's indented, key-sorted encoder does
+    for text in seed1_reports.values():
+        doc = json.loads(text)
+        assert text.decode() == json.dumps(doc, indent=1,
+                                           sort_keys=True) + "\n"
+        assert report.dump_report(doc, os.devnull) == text.decode()
+
+
+# documents of every type a report holds; lists of ints take their own
+# path in the writer
+DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6) |
+    st.lists(st.integers(), max_size=4),
+    lambda inner: st.lists(inner, max_size=4) |
+    st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=20)
+
+
+@given(DOCUMENTS)
+def test_encode_matches_json_dumps(doc):
+    assert report._encode(doc) == json.dumps(doc, indent=1, sort_keys=True)
 
 
 def test_block_centres_add_up_to_the_class_number(seed1_reports):
