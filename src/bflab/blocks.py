@@ -19,6 +19,7 @@ fusion system is only canonical once they are pinned.
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 
@@ -27,16 +28,56 @@ from .bisets import characteristic_report, shape_from_brauer_dims
 from .fusion import (BrauerPairPoset, FusionError, block_fusion,
                      defect_groups, fixed_point_presystem, fusion_equal,
                      is_divisible)
-from .gf import make_field, p_part
-from .groups import Subgroup, TwistedDiagonal, injective_maps
+from .gf import field, p_part, unit_degree
+from .groups import (Subgroup, TwistedDiagonal, all_subgroups, centralizer,
+                     injective_maps, sylow_subgroup)
 from .interior import InteriorAlgebra
 from .points import unit_decomposition
 
 
-def splitting_field(G, p):
-    """GF(p^m) with m minimal so that the p'-part of exp(G) divides p^m - 1."""
+def exponent_degree(G, p):
+    """The least M such that the p'-part of exp(G) divides p^M - 1:
+    GF(p^M) splits kH for every subgroup H of G."""
     e = G.exponent()
-    return make_field(p, e // p_part(e, p))
+    return unit_degree(p, e // p_part(e, p))
+
+
+def splitting_field(G, p):
+    """GF(p^m) with m least so that it splits kC_G(P) for every subgroup P
+    of a Sylow p-subgroup S of G, G = C_G(1) among them.
+
+    Schur indices over finite fields are 1, so by Brauer's permutation
+    lemma GF(p^m) splits kH exactly when x^(p^m) is H-conjugate to x for
+    every p-regular x in H (Navarro, Characters and Blocks of Finite
+    Groups, 1998).  For each H the least such m is the lcm of the cycle
+    lengths of x -> x^p on the p-regular classes of H; m is their lcm
+    over the H, and it divides M = `exponent_degree(G, p)`.
+
+    This field splits kG and every Brauer quotient (kG)(P) = kC_G(P), so
+    their blocks are absolutely primitive.  The other algebras of the
+    pipeline (the points of A^P, the multiplicity algebras and the unit
+    searches) may still need an extension: the CLI then restarts over
+    the next field between GF(p^m) and GF(p^M)."""
+    top = exponent_degree(G, p)
+    n = G.order
+    pth = np.zeros(n, dtype=np.intp)          # x -> x^p on indices
+    for _ in range(p):
+        pth = G.mul[pth, np.arange(n)]
+    regular = G.orders % p != 0
+    least = np.empty(n, dtype=np.intp)
+    m = 1
+    for P in all_subgroups(sylow_subgroup(G, p)):
+        H = centralizer(G, P)
+        x = H.idx[regular[H.idx]]
+        least[x] = G.conjugation[np.ix_(H.idx, x)].min(axis=0)
+        y, k, length = pth[x], 1, np.zeros(len(x), dtype=np.intp)
+        while not length.all():
+            length[(length == 0) & (least[y] == least[x])] = k
+            y, k = pth[y], k + 1
+        m = lcm(m, *set(length.tolist()))
+        if m == top:
+            break
+    return field(p, m)
 
 
 @dataclass(eq=False)

@@ -35,7 +35,8 @@ import time
 import numpy as np
 
 from . import __version__, report as report_mod
-from .blocks import (analyze_block, build_group_algebra,
+from .algebra import group_algebra
+from .blocks import (analyze_block, build_group_algebra, exponent_degree,
                      proved_conditions_report, source_fusion_identity_report)
 from .conjecture import (ExtensionNeeded, Finding, equivalence_report,
                          twisted_unit_laws_report)
@@ -59,37 +60,51 @@ def _group_doc(path):
 
 def _analyze_blocks(doc, G, prime, seed, deep, thorough=False,
                     exhaustive=False):
-    """Returns (block_records, findings) of the group G loaded from doc.
+    """Returns (block_records, findings, field, field_retries) of the
+    group G loaded from doc.
 
-    When a corner fails to split or a search certifiably needs more
-    scalars, the whole analysis restarts over a doubled-degree field
-    (at most twice) so that every verdict is stated over one field.
+    The analysis starts over `splitting_field`, GF(p^m).  When a corner
+    fails to split or a search certifiably needs more scalars, it
+    restarts over GF(p^d) for the next d with m | d | M, in ascending
+    order, M = `exponent_degree`, as GF(p^M) splits every algebra of the
+    pipeline; so every verdict is stated over one field.
+    Each abandoned field is recorded as {"m", "reason"}.
     """
-    degree = None
-    last = None
-    for _ in range(3):
-        A = build_group_algebra(G, prime) if degree is None \
-            else group_algebra_over(G, prime, degree)
+    A = build_group_algebra(G, prime)
+    m, top = A.field.m, exponent_degree(G, prime)
+    larger = (d for d in range(m + 1, top + 1)
+              if top % d == 0 and d % m == 0)
+    retries = []
+    while True:
         try:
-            return _analyze_blocks_over(A, doc, prime, seed, deep,
-                                        thorough, exhaustive)
+            records, findings = _analyze_blocks_over(
+                A, doc, seed, deep, thorough, exhaustive)
+            return records, findings, A.field, retries
         except (NonSplitError, ExtensionNeeded) as exc:
-            last = exc
-            degree = 2 * A.field.m
+            degree = next(larger, None)
+            if degree is None:
+                raise
+            retries.append({"m": A.field.m, "reason": str(exc)})
             _log(f"  field {A.field} too small ({exc}); retrying over "
                  f"GF({prime}^{degree})")
-    raise last
+            A = group_algebra_over(G, prime, degree)
 
 
 def group_algebra_over(G, prime, degree):
-    from .algebra import group_algebra
+    """kG over GF(prime^degree), built only when the analysis restarts
+    (perfbench counts its calls as field retries)."""
     return group_algebra(G, field(prime, degree))
 
 
-def _analyze_blocks_over(A, doc, prime, seed, deep, thorough, exhaustive):
+def _analyze_blocks_over(A, doc, seed, deep, thorough, exhaustive):
     rng = np.random.default_rng(seed)
     records = []
     findings = []
+
+    def finding(condition, payload):
+        findings.append(report_mod.finding_document(
+            doc, A.field, index, condition, payload, choices=choices))
+
     pairs = BrauerPairs(A, rng)
     for index, b in enumerate(pairs.blocks):
         t0 = time.time()
@@ -110,34 +125,25 @@ def _analyze_blocks_over(A, doc, prime, seed, deep, thorough, exhaustive):
             for cond in ("bifree", "symmetric", "f_generated", "sylow",
                          "rank_formula", "top_orbits_multiplicity_one"):
                 if not proved[cond]:
-                    findings.append(report_mod.finding_document(
-                        doc, prime, index, f"proved_condition_{cond}",
-                        {"report": proved}, choices=choices))
+                    finding(f"proved_condition_{cond}", {"report": proved})
             if not proved["f_stable"]:
-                findings.append(report_mod.finding_document(
-                    doc, prime, index, "stability_of_source_shape",
-                    proved.get("f_stable_witness", {}), choices=choices))
+                finding("stability_of_source_shape",
+                        proved.get("f_stable_witness", {}))
             for cond, val in extra["source_fusion_identity"].items():
                 if not val:
-                    findings.append(report_mod.finding_document(
-                        doc, prime, index, f"source_fusion_identity_{cond}",
-                        {}, choices=choices))
+                    finding(f"source_fusion_identity_{cond}", {})
             try:
                 eq = equivalence_report(data, rng, thorough=thorough,
                                         exhaustive=exhaustive)
                 extra["equivalence"] = eq
             except Finding as f:
-                findings.append(report_mod.finding_document(
-                    doc, prime, index, f.condition, f.payload,
-                    choices=choices))
+                finding(f.condition, f.payload)
                 extra["equivalence"] = {"finding": f.condition}
             extra["twisted_unit_laws"] = twisted_unit_laws_report(
                 data.ia_S, data.source_presystem, rng)
             for law, val in extra["twisted_unit_laws"].items():
                 if not val:
-                    findings.append(report_mod.finding_document(
-                        doc, prime, index, f"twisted_unit_law_{law}", {},
-                        choices=choices))
+                    finding(f"twisted_unit_law_{law}", {})
             fdb = data.block_fusion_system
             ffs = data.source_presystem
             extra["fusion_summary"] = {
@@ -155,10 +161,11 @@ def _run_one(doc, G, prime, args, deep):
     config = {"order_cap": args.order_cap, "exhaustive": args.exhaustive,
               "thorough": args.thorough, "mode": "check" if deep
               else "analyze"}
-    records, findings = _analyze_blocks(
+    records, findings, k, retries = _analyze_blocks(
         doc, G, prime, seed, deep,
         thorough=args.thorough, exhaustive=args.exhaustive)
-    rep = report_mod.make_report(doc, prime, seed, config, records, findings)
+    rep = report_mod.make_report(doc, k, seed, config, records, findings,
+                                 retries)
     return rep, findings
 
 

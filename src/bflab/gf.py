@@ -565,12 +565,10 @@ def field(p, m=1):
     return _field_cache(p, m)
 
 
-def make_field(p, e):
-    """Smallest GF(p^m) whose unit group has an element of order e.
-
-    `e` should be the p'-part of the exponent of the group under study;
-    the returned field then splits its group algebra.
-    """
+def unit_degree(p, e):
+    """The least m such that e divides p^m - 1, the degree of the
+    smallest GF(p^m) whose unit group has an element of order e; no
+    field is built."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if e < 1:
@@ -582,5 +580,15 @@ def make_field(p, e):
         m += 1
         if p ** m >= 2 ** 63:
             raise ValueError(f"no GF(p^m) below 2^63 has {e} | p^m - 1")
-    return field(p, m)
+    return m
 
+
+def make_field(p, e):
+    """Smallest GF(p^m) whose unit group has an element of order e.
+
+    `e` should be the p'-part of the exponent of the group under study;
+    the returned field then splits the group algebra of every subgroup,
+    and is often larger than the least field that splits the pipeline's
+    group algebras, `blocks.splitting_field`.
+    """
+    return field(p, unit_degree(p, e))

@@ -67,11 +67,22 @@ def block_record(data, extra=None):
     return _plain(rec)
 
 
-def make_report(group_doc, prime, seed, config, block_records, findings):
+def field_descriptor(k):
+    """The field a report's coefficient codes live in: GF(p^m) modulo the
+    monic irreducible `modulus`, its coefficients from x^0 up."""
+    return {"p": k.p, "m": k.m, "modulus": list(k.modulus)}
+
+
+def make_report(group_doc, k, seed, config, block_records, findings,
+                field_retries):
+    """The report of a run over the field k; `field_retries` holds one
+    {"m", "reason"} record per field abandoned before k."""
     return _plain({
         "schema": SCHEMA,
         "group": group_doc,
-        "prime": prime,
+        "prime": k.p,
+        "field": field_descriptor(k),
+        "field_retries": field_retries,
         "seed": seed,
         "config": config,
         "blocks": block_records,
@@ -125,12 +136,13 @@ def dump_report(report, path=None):
     return text
 
 
-def finding_document(group_doc, prime, block_index, condition, payload,
+def finding_document(group_doc, k, block_index, condition, payload,
                      choices=None):
     return _plain({
         "schema": SCHEMA + "/finding",
         "group": group_doc,
-        "prime": prime,
+        "prime": k.p,
+        "field": field_descriptor(k),
         "block_index": block_index,
         "condition": condition,
         "witnesses": payload,

@@ -1,13 +1,16 @@
 import numpy as np
 
-from bflab.blocks import (analyze_block, build_group_algebra,
+from bflab.algebra import group_algebra
+from bflab.blocks import (analyze_block, build_group_algebra, exponent_degree,
                           splitting_field, source_fusion_identity_report)
 from bflab.bisets import characteristic_report, shape_from_brauer_dims
 from bflab.fusion import BrauerPairs
-from bflab.gf import p_part
-from bflab.groups import (TwistedDiagonal, group_from_generators,
-                          injective_maps, load_group)
-from bflab.idempotents import block_idempotents
+from bflab.gf import _prime_factors, field, p_part
+from bflab.groups import (TwistedDiagonal, all_subgroups, centralizer,
+                          group_from_generators, injective_maps, load_group,
+                          subgroup_classes, sylow_subgroup)
+from bflab.idempotents import (NonSplitError, block_idempotents,
+                               primitive_decomposition)
 
 import os
 import subprocess
@@ -65,10 +68,75 @@ def test_build_group_algebra_rejects_p_below_two(p):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+A5 = group_from_generators(5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], "A5")
+SL23 = load_group(os.path.join(DATA, "sl23.json"))
+# C3 x| D8 with D8 acting on C3 through D8/V = C2 (as in test_fusion.py)
+C3_D8 = group_from_generators(
+    7, [(1, 2, 0, 3, 4, 5, 6), (1, 0, 2, 4, 5, 6, 3), (0, 1, 2, 3, 6, 5, 4)],
+    "C3:D8")
+
+
+def _split_counts(H, k):
+    """(blocks, primitive idempotents of 1) of kH; NonSplitError when a
+    corner does not split over k."""
+    A = group_algebra(H, k)
+    return (len(block_idempotents(A, rng())),
+            len(primitive_decomposition(A, A.unit, rng())))
+
+
 def test_splitting_field_choices():
-    assert splitting_field(S4, 2).m == 2      # 3 | 2^2 - 1
-    assert splitting_field(S4, 3).m == 2      # 8 | 3^2 - 1
-    assert splitting_field(D8, 2).m == 1
+    # (G, p, exponent field degree, least degree splitting every kC_G(P));
+    # the exponent field of S4 is GF(2^2) at p = 2 (3 | 2^2 - 1) and
+    # GF(3^2) at p = 3 (8 | 3^2 - 1)
+    for G, p, before, after in [
+            (A5, 3, 4, 2), (A5, 2, 4, 2), (A5, 5, 2, 1), (S4, 2, 2, 1),
+            (S3, 2, 2, 1), (S4, 3, 2, 1), (SL23, 3, 2, 1), (D8, 2, 1, 1),
+            (C3_D8, 2, 2, 2)]:
+        assert exponent_degree(G, p) == before, (G, p)
+        assert splitting_field(G, p).m == after, (G, p)
+    # G alone is not enough.  Every 2-regular x of C3:D8 is conjugate to
+    # x^2 (D8 inverts the 3-elements), so GF(2) splits kG; but the Klein
+    # group V centralizing C3 has C_G(V) = C3 x V, whose 3-elements are
+    # not conjugate to their squares, and its centre needs GF(4).
+    assert _split_counts(C3_D8, field(2, 1)) == \
+        _split_counts(C3_D8, field(2, 2))
+    V = next(P for P in all_subgroups(sylow_subgroup(C3_D8, 2))
+             if P.order == 4 and centralizer(C3_D8, P).order == 12)
+    with pytest.raises(NonSplitError):
+        block_idempotents(group_algebra(centralizer(C3_D8, V), field(2, 1)),
+                          rng())
+
+
+CRITERION_CASES = [(name, p) for name in sorted(
+    fn[:-5] for fn in os.listdir(DATA) if fn.endswith(".json"))
+    for p in _prime_factors(load_group(os.path.join(DATA, name + ".json"))
+                            .order)]
+
+
+@pytest.mark.parametrize("name,p", CRITERION_CASES + [
+    ("a5", 2), ("a5", 3), ("a5", 5), ("c3:d8", 2)])
+def test_splitting_field_splits_every_centralizer_algebra(name, p):
+    # Checked on the algebras, not by the criterion: over the chosen field
+    # every kC_G(P) has as many blocks and primitive idempotents as over
+    # the exponent field (so its corners split), and over the next
+    # smaller field some kC_G(P) fails to split or has fewer of either.
+    # One P per G-class: conjugate P have isomorphic kC_G(P).
+    G = {"a5": A5, "c3:d8": C3_D8}.get(name) or \
+        load_group(os.path.join(DATA, name + ".json"))
+    k, top = splitting_field(G, p), field(p, exponent_degree(G, p))
+    Hs = [centralizer(G, P)
+          for P in subgroup_classes(G, sylow_subgroup(G, p))]
+    for H in Hs:
+        assert _split_counts(H, k) == _split_counts(H, top)
+    smaller = [d for d in range(1, k.m) if k.m % d == 0]
+    if smaller:
+        def splits(H):
+            try:
+                return _split_counts(H, field(p, smaller[-1])) == \
+                    _split_counts(H, k)
+            except NonSplitError:
+                return False
+        assert not all(splits(H) for H in Hs)
 
 
 def test_defect_and_source_nilpotent():

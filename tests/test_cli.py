@@ -236,14 +236,36 @@ def test_finding_exit_code_and_artifact(tmp_path, monkeypatch):
     assert not rep["ok"] and rep["findings"]
 
 
+def test_reports_and_findings_name_their_field(tmp_path, monkeypatch):
+    # A4 at p = 2 runs over GF(4) = GF(2)[x]/(x^2 + x + 1): the report
+    # and each finding say so, and no field was abandoned
+    from bflab.conjecture import Finding
+
+    def explode(data, rng, thorough=False, exhaustive=False):
+        raise Finding("equivalence_conditions_disagree", {"forced": True})
+
+    monkeypatch.setattr(cli, "equivalence_report", explode)
+    out = tmp_path / "rep.json"
+    fdir = tmp_path / "findings"
+    code = run(["check", "--group", os.path.join(DATA, "a4.json"),
+                "--prime", "2", "--out", str(out),
+                "--findings-dir", str(fdir)])
+    assert code == 4
+    gf4 = {"p": 2, "m": 2, "modulus": [1, 1, 1]}
+    rep = json.loads(out.read_text())
+    assert rep["field"] == gf4 and rep["field_retries"] == []
+    docs = rep["findings"] + [json.loads(f.read_text())
+                              for f in fdir.iterdir()]
+    assert docs and all(doc["field"] == gf4 for doc in docs)
+
+
 def test_field_extension_restart(tmp_path, monkeypatch):
     # force the first attempt onto a non-splitting field: kC3 blocks over
-    # GF(2) need GF(4), so the analysis must restart with doubled degree
+    # GF(2) need GF(4), so the analysis must restart over GF(4)
     import bflab.cli as cli
     from bflab.gf import field
 
     calls = []
-    real_build = cli.build_group_algebra
 
     def skewed(G, prime):
         calls.append(prime)
@@ -260,6 +282,50 @@ def test_field_extension_restart(tmp_path, monkeypatch):
     # over the splitting field GF(4), kC3 has three defect-zero blocks
     assert len(rep["blocks"]) == 3
     assert all(b["defect_group"]["order"] == 1 for b in rep["blocks"])
+    assert rep["field"] == {"p": 2, "m": 2, "modulus": [1, 1, 1]}
+    assert [r["m"] for r in rep["field_retries"]] == [1]
+    assert "budget" in rep["field_retries"][0]["reason"] or \
+        "field of degree" in rep["field_retries"][0]["reason"]
+
+
+def _psl27_doc():
+    """PSL(2,7) on the projective line {0..6, oo} by x+1, 2x and -1/x."""
+    def perm(f):
+        return [f(i) + 1 for i in range(8)]
+    inverse = {i: pow(i, 5, 7) for i in range(1, 7)}
+    return {"label": "PSL(2,7)", "degree": 8, "generators": [
+        perm(lambda i: i if i == 7 else (i + 1) % 7),
+        perm(lambda i: i if i == 7 else 2 * i % 7),
+        perm(lambda i: 0 if i == 7 else 7 if i == 0 else -inverse[i] % 7)]}
+
+
+def test_restart_walks_the_divisors_up_to_the_exponent_field(tmp_path,
+                                                             monkeypatch):
+    # At p = 2, GF(2) splits every kC_G(P) of PSL(2,7) (order 168), and
+    # the exponent field is GF(2^6) (21 | 2^6 - 1).  When no field splits
+    # the run, it tries GF(2), GF(4), GF(8) and GF(64) in turn, then the
+    # last error propagates.
+    from bflab.blocks import exponent_degree, splitting_field
+    from bflab.groups import load_group
+    doc = _psl27_doc()
+    G = load_group(doc)
+    assert G.order == 168
+    assert (splitting_field(G, 2).m, exponent_degree(G, 2)) == (1, 6)
+    degrees = []
+
+    def never_splits(A, *args):
+        degrees.append(A.field.m)
+        raise idempotents.NonSplitError(
+            f"nothing splits over GF(2^{A.field.m})")
+
+    monkeypatch.setattr(cli, "_analyze_blocks_over", never_splits)
+    path = tmp_path / "psl27.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(idempotents.NonSplitError, match=r"GF\(2\^6\)"):
+        run(["analyze", "--group", str(path), "--prime", "2",
+             "--out", str(tmp_path / "rep.json"),
+             "--findings-dir", str(tmp_path / "f")])
+    assert degrees == [1, 2, 3, 6]
 
 
 # sha256 of `check --out - --seed 1` reports, hashed from the session's
@@ -267,16 +333,16 @@ def test_field_extension_restart(tmp_path, monkeypatch):
 # the rng takes fails here; one that does so on purpose updates the pin
 # and says why.
 GOLDEN_CHECK_SHA256 = {
-    ("a4", 2): "f50a99e1e54874adf695364e5ee70f5b"
-               "4cfe9e8a84e08673cd0d9ef9e23ab0b7",
-    ("d8", 2): "66fe8ade6202100578725414e2ddd04b"
-               "e0d83210d74c1973c55dea89ea3cef2f",
-    ("q8", 2): "c94fdaa61106d33b1baa75970c6148ac"
-               "153bc642ba0c7584d892debdb5bf5b99",
-    ("s3", 3): "66456a53839a31b54f8999fa2621bee7"
-               "37ec9335976da208f4e58c83920658ba",
-    ("s4", 3): "ffc2c10fa44e3ea644e40124fc39f2e0"
-               "03f13659e5ae8697542e85268ac2d89a",
+    ("a4", 2): "10e152edb4c202c885f735be362e32b9"
+               "90123217efd131921168ad83ad069fdb",
+    ("d8", 2): "c12b626246589f79d116785817ba8fb5"
+               "99d3882f3a64c22a710f06ec3978d9c0",
+    ("q8", 2): "da4410d070220498331417e75c6b0f31"
+               "bef900d86cf7c834a712513e80a70af8",
+    ("s3", 3): "8cb4ed6999166b8d687b502c66e0c401"
+               "fb321ac3f37ec49ed706e31c4dd93767",
+    ("s4", 3): "72c67a8e44203675ae84a9bc4a608882"
+               "00e49e2018eae40b0055883ee85fd1b5",
 }
 
 
@@ -326,10 +392,10 @@ def _a5_doc():
 
 
 # sha256 of `analyze --out - --seed 1` on A5 at p = 3, hashed from the
-# session's one pass: three blocks over GF(81), whose Brauer quotients
-# (kG)(P) are the algebras kC_G(P).
-GOLDEN_A5_ANALYZE_SHA256 = ("e26c78fc737cbf7b6d3f1529dbb27e36"
-                            "6019b983eee1f1a8eee82754651bd5fc")
+# session's one pass: three blocks over GF(9), the least field that splits
+# kA5 and its Brauer quotients (kG)(P), the algebras kC_G(P).
+GOLDEN_A5_ANALYZE_SHA256 = ("d5c5d268fdc2633bbd3cd59299ad822d"
+                            "830883d1f918c4df49b10eda260fb9ef")
 
 
 def test_a5_analyze_report_matches_pinned_hash(seed1_reports):
