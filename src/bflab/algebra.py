@@ -13,7 +13,9 @@ tensor from `linalg.structure_tensor`, which multiplies the stacked
 left multiplications of its rows (`lmul_matrix` of a matrix); the whole
 of an algebra (the corner at its unit, the fixed points of the trivial
 group) shares the parent's index tables or tensor, so kG stays
-table-driven through them.
+table-driven through them.  The left multiplications of the basis are
+the structure tensor transposed (`basis_lmuls`), never a product with
+the identity, and a corner's rows come from one L_e (`corner_rows`).
 
 `group_algebra` builds kH for a group or a subgroup H by restricting the
 group's own product table (`bflab.groups.PermGroup.mul`); the Brauer
@@ -87,6 +89,16 @@ class AlgebraContext:
         prods = self.field.matmul(x, self.mult_tensor.reshape(d, d * d))
         return prods.reshape(x.shape[:-1] + (d, d)).swapaxes(-1, -2)
 
+    def basis_lmuls(self):
+        """The stack of the basis's left multiplication matrices, with no
+        product: the structure tensor transposed, L_(b_i)[k, j] =
+        t[i, j, k] (a read-only view), or a gather from the index table."""
+        if self.mult_tensor is None:
+            return self.lmul_matrix(linalg.eye(self.field, self.dim))
+        view = self.mult_tensor.transpose(0, 2, 1)
+        view.flags.writeable = False
+        return view
+
     def rmul_matrix(self, y):
         """Matrix R with R @ x = x * y."""
         y = np.asarray(y, dtype=np.int64)
@@ -109,14 +121,8 @@ class AlgebraContext:
             raise AlgebraError("one-sided inverse")
         return z
 
-    def is_idempotent(self, e):
-        return np.array_equal(self.mul(e, e), np.asarray(e))
-
     def random_element(self, rng):
         return self.field.random_elements(rng, self.dim)
-
-    def basis_matrix(self):
-        return linalg.eye(self.field, self.dim)
 
     # -- parent coordinate plumbing ---------------------------------------
 
@@ -163,12 +169,17 @@ class AlgebraContext:
 
     def corner(self, e, check=True):
         """The corner algebra e.A.e with unit e."""
+        return self.subalgebra(self.corner_rows(e), unit=e, check=check)
+
+    def corner_rows(self, e):
+        """RREF rows spanning e.A.e, from one L_e: its product with e
+        checks that e is idempotent, and L_e.R_e spans the corner."""
         f = self.field
-        if not self.is_idempotent(e):
+        left = self.lmul_matrix(e)
+        if not np.array_equal(linalg.matvec(f, left, e), np.asarray(e)):
             raise AlgebraError("corner needs an idempotent")
-        m = linalg.matmul(f, self.lmul_matrix(e), self.rmul_matrix(e))
-        rows = linalg.rref(f, m.T)[0]
-        return self.subalgebra(rows, unit=e, check=check)
+        span = linalg.matmul(f, left, self.rmul_matrix(e))
+        return linalg.rref(f, span.T)[0]
 
     def center_rows(self):
         f = self.field

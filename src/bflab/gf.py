@@ -352,9 +352,6 @@ class FiniteField:
         out = self._exp0[(self.q - 1 - self._log0[a]) % (self.q - 1)]
         return out if out.shape else int(out)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, n):
         if a == 0:
             return 0 if n else 1

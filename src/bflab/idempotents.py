@@ -5,7 +5,10 @@ Giesbrecht, J. Symbolic Comput. 29, 2000; Ivanyos, ISSAC 2000): the r
 coprime factors of a random element's minimal polynomial give r exact
 orthogonal idempotents of k[z], and it recurses on their corners until
 every corner is 1-dim or certified local with A/J(A) = k by
-`radical.local_radical`, which makes its unit primitive.
+`radical.local_radical`, which makes its unit primitive.  No known
+corner is rebuilt: a part whose corner has rank 1 is primitive and gets
+no subalgebra, and `primitive_decomposition` of the unit decomposes A
+itself.  Neither shortcut draws from the rng, so the draws are the same.
 The Cohen-Ivanyos-Wales chain behind `radical_rows` is the oracle: it
 answers `is_primitive` and the tests, and `quotient_algebra` (A/J(A)
 and other quotients) serves the tests only.
@@ -14,7 +17,8 @@ and other quotients) serves the tests only.
 conjugacy: given i = sum of products t_a.s_b with i primitive, locality
 of i.A.i forces one summand to be invertible in the corner, and that
 summand is massaged into an exact pair (s, t) with t.s = i, s.t = j.
-`are_associate` asks the same solve only whether a solution exists.
+`are_associate` asks the same solve only whether a solution exists, on
+the rows of i.A.j and j.A.i read off L_i.R_j and L_j.R_i.
 """
 
 import numpy as np
@@ -154,7 +158,12 @@ def decompose_unit(A, rng):
                            "summing to 1")
     out = []
     for e in parts:
-        C = A.corner(e, check=False)
+        rows = A.corner_rows(e)
+        if rows.shape[0] == 1:
+            # a 1-dim corner: e is primitive, with no corner to build
+            out.append(e)
+            continue
+        C = A.subalgebra(rows, unit=e, check=False)
         out.extend(C.to_parent(z) for z in decompose_unit(C, rng))
     return out
 
@@ -162,16 +171,19 @@ def decompose_unit(A, rng):
 def primitive_decomposition(A, e, rng):
     """Refine the idempotent e into orthogonal primitives inside A.
 
-    Orthogonality and the sum are rechecked cheaply on every call;
-    primitivity of each piece is guaranteed by the recursion's own
-    corner-local test (`is_primitive` re-derives it in the tests).
+    The corner at the unit is A itself; any other e is checked idempotent
+    by the corner's own L_e.  Orthogonality and the sum are rechecked
+    cheaply on every call; primitivity of each piece is guaranteed by the
+    recursion's own corner-local test (`is_primitive` re-derives it in
+    the tests).
     """
-    if not A.is_idempotent(e):
-        raise AlgebraError("input is not idempotent")
-    if not np.any(e):
+    if np.array_equal(e, A.unit):
+        parts = decompose_unit(A, rng)
+    elif not np.any(e):
         return []
-    C = A.corner(e, check=False)
-    parts = [C.to_parent(z) for z in decompose_unit(C, rng)]
+    else:
+        C = A.corner(e, check=False)
+        parts = [C.to_parent(z) for z in decompose_unit(C, rng)]
     if not _is_orthogonal_decomposition(A, parts, e):
         raise AlgebraError("pieces are not orthogonal idempotents summing "
                            "to e")
@@ -180,8 +192,11 @@ def primitive_decomposition(A, e, rng):
 
 def _is_orthogonal_decomposition(A, parts, e):
     """Whether the parts are idempotents with pairwise products zero and
-    sum e: the products of each part with all of them are one product."""
+    sum the idempotent e: the products of each part with all of them are
+    one product, and a single part must be e itself."""
     f = A.field
+    if len(parts) == 1:
+        return np.array_equal(parts[0], e)
     cols = np.array(parts, dtype=np.int64).reshape(len(parts), A.dim).T
     for a, x in enumerate(parts):
         want = np.zeros_like(cols)
@@ -192,9 +207,12 @@ def _is_orthogonal_decomposition(A, parts, e):
 
 
 def is_primitive(A, e):
-    if not np.any(e) or not A.is_idempotent(e):
+    if not np.any(e):
         return False
-    C = A.corner(e, check=False)
+    try:
+        C = A.corner(e, check=False)
+    except AlgebraError:            # e is not idempotent
+        return False
     return C.dim - radical_rows(C).shape[0] == 1
 
 
@@ -224,12 +242,13 @@ def corner_unit_inverse(A, i, w):
 
 
 def sandwich_rows(A, i, rows, j):
-    """Rows spanning i.V.j for V given by rows."""
+    """RREF rows spanning i.V.j for V given by rows, or i.A.j for rows
+    None: the columns of L_i.R_j, with no product by the identity."""
     f = A.field
-    li = A.lmul_matrix(i)
-    rj = A.rmul_matrix(j)
-    out = linalg.matmul(f, li, linalg.matmul(f, rj, rows.T)).T
-    return linalg.rref(f, out)[0]
+    right = A.rmul_matrix(j)
+    if rows is not None:
+        right = linalg.matmul(f, right, rows.T)
+    return linalg.rref(f, linalg.matmul(f, A.lmul_matrix(i), right).T)[0]
 
 
 def _product_coefficients(A, i, t_rows, s_rows):
@@ -274,6 +293,5 @@ def are_associate(A, i, j):
     """Conjugacy test for primitive idempotents: i in (iAj).(jAi)."""
     if np.array_equal(np.asarray(i), np.asarray(j)):
         return True
-    basis = A.basis_matrix()
-    return _product_coefficients(A, i, sandwich_rows(A, i, basis, j),
-                                 sandwich_rows(A, j, basis, i)) is not None
+    return _product_coefficients(A, i, sandwich_rows(A, i, None, j),
+                                 sandwich_rows(A, j, None, i)) is not None

@@ -19,7 +19,12 @@ rows of a matrix of full row rank, and `structure_tensor` the one fill
 of a multiplication table from it, in one stacked product and one
 coordinate call; every subalgebra, radical quotient and Brauer quotient
 other than those of kG on its group basis (read off orbits in
-`bflab.interior`) goes through both.
+`bflab.interior`) goes through both.  Over rows in RREF (every
+subalgebra's, and a `Subspace`'s) the pivot inverse is the identity, so
+coordinates are a gather at the pivots and the rebuild check a product
+on the free columns only; `Subspace.reduce` is that same map.  Only rows
+not in RREF (a Brauer quotient's [traces; reps], a radical quotient's
+[ideal; reps]) pay for a pivot inverse and a product with it.
 """
 
 import numpy as np
@@ -169,12 +174,18 @@ def inverse(f, m):
 class Coordinates:
     """Coordinates over the rows of a matrix of full row rank.
 
-    The pivot columns come from one `rref` (every column of a square
-    matrix), and the inverse of the rows at those columns from one
-    `inverse`; each call is then one product.  With `mod` = t the map
-    gives the coordinates over rows[t:] only: the class of v modulo the
-    span of rows[:t].  Dependent rows, and a checked vector outside the
-    row span, raise `error`.
+    Rows in RREF with no zero row (every subalgebra's: corners, A^P, the
+    centre) have the identity at their pivot columns, so the coordinates
+    of v are its entries there, one gather, and the rebuild check
+    c.rows = v compares only the free columns: at the pivots it holds by
+    construction, so it is exactly as strong.  Other rows (a Brauer
+    quotient's [traces; reps]) take their pivot columns from one `rref`
+    (every column of a square matrix) and the inverse of the rows at
+    those columns from one `inverse`; each call is then one product, and
+    the check rebuilds all of v.  With `mod` = t the map gives the
+    coordinates over rows[t:] only: the class of v modulo the span of
+    rows[:t].  Dependent rows, and a checked vector outside the row span,
+    raise `error`.
     """
 
     def __init__(self, f, rows, mod=0, error=ValueError):
@@ -184,6 +195,14 @@ class Coordinates:
         self.rows = rows
         self.mod = mod
         self.error = error
+        # n > 0 rows of no column are dependent: the elimination path says so
+        pivots = _reduced_pivots(rows) if rows.size else (None if n else [])
+        if pivots is not None:
+            self.pivots = list(pivots)
+            self._inv = None
+            self._free = np.delete(np.arange(cols), self.pivots)
+            self._free_rows = rows[:, self._free]
+            return
         self.pivots = list(range(n)) if n == cols else rref(f, rows)[1]
         inv = inverse(f, rows[:, self.pivots].T) \
             if len(self.pivots) == n else None
@@ -195,15 +214,28 @@ class Coordinates:
         """Coordinates of v; of each column for a matrix.  Checked, they
         must rebuild v."""
         v = np.asarray(v, dtype=np.int64)
-        vs = v if v.ndim == 2 else v[:, None]
+        c = self.columns(v if v.ndim == 2 else v[:, None], check)
+        if c is None:
+            raise self.error("vector is outside the row span")
+        return c if v.ndim == 2 else c[:, 0]
+
+    def columns(self, vs, check=True):
+        """Coordinates of each column of vs over rows[mod:]; checked, None
+        when one of them is outside the row span."""
         f = self.field
+        if self._inv is None:
+            c = vs[self.pivots]
+            if check and self._free.size and not np.array_equal(
+                    matmul(f, c.T, self._free_rows), vs[self._free].T):
+                return None
+            return c[self.mod:]
         c = matmul(f, self._inv if check else self._inv[self.mod:],
                    vs[self.pivots])
-        if check:
-            if not np.array_equal(matmul(f, c.T, self.rows), vs.T):
-                raise self.error("vector is outside the row span")
-            c = c[self.mod:]
-        return c if v.ndim == 2 else c[:, 0]
+        if not check:
+            return c
+        if not np.array_equal(matmul(f, c.T, self.rows), vs.T):
+            return None
+        return c[self.mod:]
 
 
 def structure_tensor(f, lmul, rows, coords, check=True):
@@ -232,6 +264,7 @@ class Subspace:
     def __init__(self, f, ambient_dim, rows=None, pivots=None):
         self.field = f
         self.ambient_dim = ambient_dim
+        self._coords = None
         if rows is None or np.asarray(rows).size == 0:
             self.basis, self.pivots = zeros(0, ambient_dim), []
         elif pivots is not None:
@@ -255,13 +288,13 @@ class Subspace:
         return self.reduce(v) is not None
 
     def reduce(self, v):
-        """Coordinates of v in the RREF basis, or None if v is outside."""
+        """Coordinates of v in the RREF basis, or None if v is outside:
+        its entries at the pivots, checked on the free columns."""
         v = np.asarray(v, dtype=np.int64).reshape(-1)
-        # an RREF basis has the identity at its pivot columns
-        x = v[self.pivots]
-        if not np.array_equal(vecmat(self.field, x, self.basis), v):
-            return None
-        return x
+        if self._coords is None:
+            self._coords = Coordinates(self.field, self.basis)
+        c = self._coords.columns(v[:, None])
+        return None if c is None else c[:, 0]
 
     def sum(self, other):
         self._check(other)

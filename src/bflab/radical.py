@@ -5,10 +5,11 @@ A/J(A) = k?  Then its unit is primitive, and the Fitting split of
 `bflab.idempotents.decompose_unit` stops there.  `local_radical`
 answers it: J(A) is then the kernel of a local character lambda: A -> k
 (Eberly and Giesbrecht, J. Symbolic Comput. 29, 2000), which
-`_local_radical` guesses from one characteristic-polynomial coefficient
-per basis element and then proves (an algebra map with nilpotent
-kernel).  A refusal is an answer too: the guess fails on every algebra
-that is not local with A/J(A) = k.
+`_local_radical` guesses on the basis (from the trace form when p does
+not divide dim A, else by powering each left multiplication to a scalar)
+and then proves (an algebra map with nilpotent kernel).  A refusal is an
+answer too: the guess fails on every algebra that is not local with
+A/J(A) = k.
 
 `radical_rows` gives J(A) of any algebra, and is the oracle: the
 certificate first, else the chain below.  J(A) is one subspace and both
@@ -35,7 +36,10 @@ and recurrence per stack, `charpolys`, which keeps only the top p^i + 1
 coefficients of each leading-block polynomial.  A stack holds at most
 `_STACK_BUDGET` matrix entries; its products are one stacked
 `FiniteField.matmul`, which tiles its own temporaries.  `charpoly`, the
-one-matrix reduction, is the reference for `charpolys`.
+one-matrix reduction, is the reference for `charpolys`, and the chain
+is the only caller of either.  Both paths read the basis's left
+multiplications off the structure tensor (`basis_lmuls`), with no
+product.
 
 The radical of an algebra depends only on its structure data, and the
 pipeline keeps rebuilding equal algebras (the corner e.A.e for the same
@@ -239,18 +243,23 @@ def _local_radical(A):
     """J(A) as the kernel of a certified local character, or None.
 
     If A is local with A/J(A) = k, the left multiplication by x is
-    triangular with diagonal lambda(x) on a composition series of A, so
-    det(tI - L_x) = (t - lambda(x))^n.  With p^a the exact power of p
-    dividing n = dim A, its coefficient c_(p^a) = C(n, p^a).(-lambda)^(p^a)
-    and C(n, p^a) = n / p^a != 0 mod p (Lucas), so one batched `charpolys`
-    coefficient guesses lambda on the basis (c_1, for p not dividing n, is
-    minus the trace, read off the trace form).  The guess is then proved:
-    lambda(1) = 1 and lambda(b_i.b_j) = lambda(b_i).lambda(b_j) make it an
-    algebra map, so K = ker lambda is an ideal of codimension 1 and the
-    chain K, K^2, ... decreases; its reaching 0 makes K nilpotent.  A
-    nilpotent ideal lies in J(A), and J(A) != A, so K = J(A).  Nothing
-    else is assumed of the guess: a wrong one fails a check and returns
-    None.
+    lambda(x).I + N with N strictly triangular on a composition series of
+    A, so N^n = 0 for n = dim A.  The guess of lambda on the basis reads
+    that off one of two ways:
+
+    * p not dividing n: tr(L_x) = n.lambda(x), read off the trace form;
+    * p dividing n: L_x^Q = lambda(x).I for Q = q^t >= n, since the
+      middle binomial coefficients of the p-power Q vanish mod p,
+      N^Q = 0 and lambda^Q = lambda in k = GF(q).  A power that is not
+      scalar refuses at once.
+
+    The guess is then proved: lambda(1) = 1 and lambda(b_i.b_j) =
+    lambda(b_i).lambda(b_j) make it an algebra map, so K = ker lambda is
+    an ideal of codimension 1 and the chain K, K^2, ... decreases; its
+    reaching 0 makes K nilpotent.  A nilpotent ideal lies in J(A), and
+    J(A) != A, so K = J(A).  Nothing else is assumed of the guess: a
+    wrong one fails a check and returns None, so both guesses certify
+    exactly the local algebras with A/J(A) = k.
 
     Such a lambda makes the trace form tr(L_(xy)) = n.lambda(x).lambda(y)
     of rank at most 1, so a form of higher rank returns None at once.
@@ -259,22 +268,19 @@ def _local_radical(A):
     n = A.dim
     if n == 0:
         return None
-    mats = A.lmul_matrix(linalg.eye(f, n))
+    mats = A.basis_lmuls()
     # tr(L_t L_k) = vec(L_t) . vec(L_k^T)
     traces = f.matmul(mats.reshape(n, n * n),
                       mats.transpose(0, 2, 1).reshape(n, n * n).T)
     if linalg.rank(f, traces) > 1:
         return None
-    a, pa = 0, 1
-    while n % (pa * f.p) == 0:
-        a, pa = a + 1, pa * f.p
-    # tr(L_x) is the trace form at (x, 1)
-    coeffs = f.neg(f.matmul(traces, A.unit)) if pa == 1 else \
-        charpolys(f, mats, pa)
-    # lambda^(p^a) = -c_(p^a) / C(n, p^a), since (-1)^(p^a) = -1 in char p
-    powers = f.div(f.neg(coeffs), (n // pa) % f.p)
-    lam = np.array([f.frobenius_inv(int(x), a) for x in powers],
-                   dtype=np.int64)
+    if n % f.p:
+        # tr(L_x) is the trace form at (x, 1)
+        lam = f.mul(f.matmul(traces, A.unit), f.inv(n % f.p))
+    else:
+        lam = _scalar_power(f, mats, n)
+        if lam is None:
+            return None
     if f.matmul(A.unit, lam) != 1:
         return None
     # lambda(b_i.b_j), with column j of L_(b_i) the product b_i.b_j
@@ -293,6 +299,27 @@ def _local_radical(A):
     return kernel
 
 
+def _scalar_power(f, mats, n):
+    """lambda with L^Q = lambda.I for each matrix L of an (N, n, n) stack,
+    Q the least power of q = |k| with Q >= n, by binary powering of the
+    whole stack; None when a power is not scalar."""
+    Q = f.q
+    while Q < n:
+        Q *= f.q
+    power, square = None, mats
+    while True:
+        if Q & 1:
+            power = square if power is None else f.matmul(power, square)
+        Q >>= 1
+        if not Q:
+            break
+        square = f.matmul(square, square)
+    lam = power[:, 0, 0].copy()
+    scalar = np.zeros_like(power)
+    scalar[:, np.arange(n), np.arange(n)] = lam[:, None]
+    return lam if np.array_equal(power, scalar) else None
+
+
 def _radical_rows_impl(A):
     f = A.field
     n = A.dim
@@ -303,7 +330,7 @@ def _radical_rows_impl(A):
     while p ** (levels + 1) <= n:
         levels += 1
     basis = linalg.eye(f, n)
-    mats = A.lmul_matrix(basis)
+    mats = A.basis_lmuls()
     for i in range(levels + 1):
         r = basis.shape[0]
         if r == 0:

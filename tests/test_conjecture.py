@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bflab import conjecture
+from bflab import conjecture, linalg
 from bflab.algebra import group_algebra
 from bflab.blocks import analyze_block, build_group_algebra
 from bflab.conjecture import (ambient_balance_report, build_unital_basis,
@@ -42,7 +42,7 @@ def interior(G, p):
 
 def test_unit_in_subspace_finds_one():
     ia = interior(C2, 2)
-    rows = ia.A.basis_matrix()
+    rows = linalg.eye(ia.A.field, ia.A.dim)
     u, record = unit_in_subspace(ia, rows, rng())
     assert u is not None and ia.A.is_unit(u)
 

@@ -127,7 +127,7 @@ def test_block_idempotents_examples():
     assert dims == [2, 4]
     total = A.zero()
     for b in blocks:
-        assert A.is_idempotent(b)
+        assert np.array_equal(A.mul(b, b), b)
         for j in range(A.dim):
             v = A.basis_vector(j)
             assert np.array_equal(A.mul(b, v), A.mul(v, b)), "not central"
@@ -183,8 +183,9 @@ def test_associates_in_matrix_block():
 
 
 def _sandwich(C, i, j):
+    from bflab import linalg
     from bflab.idempotents import sandwich_rows
-    return sandwich_rows(C, i, C.basis_matrix(), j)
+    return sandwich_rows(C, i, linalg.eye(C.field, C.dim), j)
 
 
 def test_non_associates_in_k_times_k():
@@ -245,7 +246,7 @@ def test_orthogonal_decomposition_check_matches_pairwise_oracle():
     from bflab.idempotents import _is_orthogonal_decomposition
 
     def oracle(A, parts, e):
-        if not all(A.is_idempotent(x) for x in parts):
+        if not all(np.array_equal(A.mul(x, x), x) for x in parts):
             return False
         if not np.array_equal(A.field.vec_sum(np.array(parts), axis=0), e):
             return False
@@ -269,3 +270,66 @@ def test_orthogonal_decomposition_check_matches_pairwise_oracle():
         for (ps, e), w in zip(cases, want):
             assert _is_orthogonal_decomposition(A, ps, e) == \
                 oracle(A, ps, e) == w
+
+
+def _decompose_building_every_corner(A, rng):
+    """`decompose_unit` with no shortcut: the corner of every CRT part is
+    built and decomposed, rank 1 or not."""
+    from bflab import polys
+    from bflab.idempotents import _crt_idempotents
+    from bflab.radical import local_radical
+    if A.dim == 1 or local_radical(A) is not None:
+        return [A.unit.copy()]
+    while True:
+        z = A.random_element(rng)
+        mp, powers = minimal_polynomial(A, z)
+        factors = polys.factor(A.field, mp, rng)
+        if len(factors) >= 2:
+            break
+    out = []
+    for e in _crt_idempotents(A, mp, factors, powers):
+        C = A.corner(e, check=False)
+        out.extend(C.to_parent(x)
+                   for x in _decompose_building_every_corner(C, rng))
+    return out
+
+
+@pytest.mark.parametrize("G,p,m,simple", [
+    (C2, 3, 1, 2), (S3, 2, 2, 2), (S3, 3, 1, 0), (A4, 2, 2, 0),
+    (A4, 3, 1, 3)])
+def test_corner_shortcuts_keep_the_parts_and_the_draws(G, p, m, simple,
+                                                       monkeypatch):
+    # a part whose corner has rank 1 and the unit of A get no corner;
+    # building every corner draws the same and returns the same parts.
+    # `simple` counts the parts with e.kG.e = k: kC2 at p = 3 is k x k,
+    # and the defect-zero blocks M_2(k) of kS3 at p = 2 and M_3(k) of kA4
+    # at p = 3 give 2 and 3 (the other blocks have no such part)
+    A = group_algebra(G, field(p, m))
+    built = []
+    subalgebra = AlgebraContext.subalgebra
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        return subalgebra(self, *args, **kwargs)
+    monkeypatch.setattr(AlgebraContext, "subalgebra", counted)
+    fast, slow = rng(), rng()
+    parts = primitive_decomposition(A, A.unit, fast)
+    shortcut = len(built)
+    whole = A.corner(A.unit)
+    del built[:]
+    want = [whole.to_parent(x)
+            for x in _decompose_building_every_corner(whole, slow)]
+    every = len(built)
+    assert fast.bit_generator.state == slow.bit_generator.state
+    assert len(parts) == len(want)
+    assert all(np.array_equal(x, y) for x, y in zip(parts, want))
+    # the corner at the unit is A itself, and every part whose corner has
+    # rank 1 is one corner fewer
+    ones = [e for e in parts if A.corner(e).dim == 1]
+    assert len(ones) == simple and shortcut == every - simple
+    # a 1-dim corner decomposes to its unit, drawing nothing, and that
+    # unit is the part
+    for e in ones:
+        C, before = A.corner(e), fast.bit_generator.state
+        assert np.array_equal(C.to_parent(decompose_unit(C, fast)[0]), e)
+        assert fast.bit_generator.state == before

@@ -3,14 +3,18 @@
 table-driven add/neg against the scalar, `vec_sum` and `sub`/`mul`
 paths, the vectorized field tables against a per-element build, stacked
 `charpolys` against the one-matrix `charpoly`; that no BLAS call of
-`matmul` is large enough to go multithreaded, no module of `bflab` has
+`matmul` is large enough to go multithreaded, no product takes an
+identity operand outside the named callers, no module of `bflab` has
 an `assert`, which `python -O` would skip, none caches on an object's
 private attributes behind `hasattr`, and none but `gf` reads a field's
 private tables."""
 
 import ast
+import contextlib
+import io
 import math
 import pathlib
+import sys
 from unittest import mock
 
 import numpy as np
@@ -418,3 +422,78 @@ def test_inverse_is_called_only_in_linalg(module):
              and isinstance(node.func.value, ast.Name)
              and node.func.value.id == "linalg"]
     assert not lines, f"{module}: linalg.inverse called at lines {lines}"
+
+
+# The callers that may still hand `FiniteField.matmul` an identity
+# matrix, each because an element happens to be 1 or a subgroup V = 1
+# makes a fixed module the whole algebra.  The algebra layer's own
+# identities are gone: the basis's left multiplications, coordinates
+# over RREF rows, corners, associates and the unit's corner.
+IDENTITY_CALLERS = {
+    # the whole algebra as a subalgebra (A^1, a commutative centre) has
+    # the identity as its embedding
+    "algebra.AlgebraContext.to_parent",
+    # e.x with e = 1, the one block of kC_G(P)
+    "fusion.BrauerPairs.absorbed", "fusion.BrauerPairs.under_block",
+    # z.w with z = 1
+    "idempotents.corner_unit_inverse",
+    # L_d and R_d for d = 1, the identity coset representative
+    "interior.InteriorAlgebra.act", "interior.InteriorAlgebra.left",
+    "interior.InteriorAlgebra.corner", "interior.InteriorAlgebra.trace_map",
+    # the fixed rows of V = 1 are the identity
+    "interior.InteriorAlgebra.brauer", "idempotents.sandwich_rows",
+    # the coordinates of every class of A(P) as one identity matrix, and
+    # the transport of the identity isomorphism
+    "interior.quotient_product", "conjecture.twisted_unit_laws_report",
+}
+# generic products: the caller is the frame outside them
+PRODUCT_HELPERS = {"linalg.matmul", "linalg.matvec", "linalg.vecmat",
+                   "algebra.AlgebraContext.mul",
+                   "algebra.AlgebraContext.lmul_matrix",
+                   "algebra.AlgebraContext.rmul_matrix"}
+
+
+def _identity_caller():
+    """`module.qualname` of the innermost bflab function outside the
+    product helpers (comprehension frames belong to their function)."""
+    frame = sys._getframe(2)
+    while frame is not None:
+        code = frame.f_code
+        if pathlib.Path(code.co_filename).parent == SRC and \
+                not code.co_name.startswith("<"):
+            name = f"{pathlib.Path(code.co_filename).stem}." \
+                   f"{getattr(code, 'co_qualname', code.co_name)}"
+            if name not in PRODUCT_HELPERS:
+                return name
+        frame = frame.f_back
+    return None
+
+
+def test_no_product_takes_an_identity_operand_outside_the_named_callers(
+        tmp_path, monkeypatch):
+    # one `check` of S4 at p = 2 and one `analyze` of A5 at p = 3; a
+    # product with the identity costs a full product and returns its
+    # other operand
+    from bflab.cli import main
+    callers = set()
+    matmul = gf.FiniteField.matmul
+
+    def watched(self, a, b):
+        for x in (np.asarray(a), np.asarray(b)):
+            if x.ndim == 2 and x.shape[0] == x.shape[1] > 1 and \
+                    np.array_equal(x, np.eye(len(x), dtype=np.int64)):
+                callers.add(_identity_caller())
+        return matmul(self, a, b)
+    monkeypatch.setattr(gf.FiniteField, "matmul", watched)
+    for command, path, p in (("check", SRC / "data" / "s4.json", 2),
+                             ("analyze", REPO / "perfbench" / "groups" /
+                              "a5.json", 3)):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main([command, "--group", str(path), "--prime", str(p),
+                         "--seed", "1", "--out", "-", "--findings-dir",
+                         str(tmp_path)]) == 0
+    # the set is not empty, so the wrapper saw the products; a caller
+    # mended later leaves IDENTITY_CALLERS with it
+    assert callers and callers <= IDENTITY_CALLERS, \
+        callers - IDENTITY_CALLERS

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -282,3 +284,54 @@ def test_coordinates_reject_dependent_rows():
     for m in (rows, rows[:, :2]):
         with pytest.raises(Refused):
             linalg.Coordinates(f, m, error=Refused)
+
+
+@st.composite
+def rref_rows(draw):
+    """A field of GF(2), GF(3), GF(4), GF(9) and r x n rows in RREF with
+    no zero row, 0 <= r <= n: the RREF of random rows, or the identity
+    (no free column)."""
+    f = field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)])))
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        return f, linalg.eye(f, n)
+    codes = st.integers(0, f.q - 1)
+    rows = draw(arrays(np.int64, (draw(st.integers(0, n)), n),
+                       elements=codes))
+    return f, linalg.rref(f, rows)[0] if rows.size else rows
+
+
+@given(rref_rows(), st.data())
+def test_rref_coordinates_are_a_gather_checked_on_the_free_columns(case,
+                                                                    data):
+    # rows in RREF take no pivot inverse; their coordinates match `solve`
+    # in the span, a vector outside raises, unchecked they are the entries
+    # at the pivots, and a matrix gives the coordinates of each column
+    f, rows = case
+    r, n = rows.shape
+    with mock.patch.object(linalg, "inverse", None):
+        coords = linalg.Coordinates(f, rows)
+    pivots = linalg.rref(f, rows)[1] if r else []
+    codes = st.integers(0, f.q - 1)
+    k = data.draw(st.integers(1, 4))
+    combos = data.draw(arrays(np.int64, (k, r), elements=codes))
+    vs = linalg.matmul(f, combos, rows).T if r else linalg.zeros(n, k)
+    mod = data.draw(st.integers(0, r))
+    for check in (True, False):
+        assert np.array_equal(coords(vs, check), combos.T)
+        assert np.array_equal(
+            linalg.Coordinates(f, rows, mod=mod)(vs, check), combos.T[mod:])
+    for v in list(vs.T) + [data.draw(arrays(np.int64, n, elements=codes))]:
+        ref = linalg.solve(f, rows.T, v) if r else \
+            (None if v.any() else linalg.zeros(1, 0)[0])
+        assert np.array_equal(coords(v, check=False), v[pivots])
+        if ref is None:
+            with pytest.raises(Refused):
+                linalg.Coordinates(f, rows, error=Refused)(v)
+            # one column outside the span makes the whole matrix raise
+            with pytest.raises(ValueError):
+                coords(np.concatenate([vs, v[:, None]], axis=1))
+        else:
+            assert np.array_equal(coords(v), ref)
+    if r == n:
+        assert np.array_equal(rows, linalg.eye(f, n))

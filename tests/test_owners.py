@@ -172,6 +172,9 @@ THETA_SUITE = "test_acceptance.py::test_criterion_08_section_5_structure_suite"
 ORACLES = {
     "radical.charpoly": "test_kernels.py::test_charpolys_match_charpoly",
     "radical.hessenberg": "test_kernels.py::test_charpolys_match_charpoly",
+    # the chain's kernel, and the guess the certificate's powering replaced
+    "radical.charpolys":
+        "test_radical.py::test_powering_guess_matches_the_charpolys_guess",
     "radical.radical_rows":
         "test_radical.py::test_radical_rows_do_not_depend_on_stack_budget",
     "idempotents.is_primitive":

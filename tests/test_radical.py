@@ -4,6 +4,9 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -339,8 +342,12 @@ def test_certificate_matches_the_chain_on_a_catalog_pass(monkeypatch,
     def recorded_chain(A):
         chains.append(A)
         return chain(A)
+
+    def no_charpolys(*args):
+        raise AssertionError("charpolys ran outside the chain")
     monkeypatch.setattr(radical, "_local_radical", recorded_local)
     monkeypatch.setattr(radical, "_radical_rows_impl", recorded_chain)
+    monkeypatch.setattr(radical, "charpolys", no_charpolys)
     for name in sorted(os.listdir(DATA)):
         path = os.path.join(DATA, name)
         for p in _prime_factors(load_group(path).order):
@@ -350,8 +357,116 @@ def test_certificate_matches_the_chain_on_a_catalog_pass(monkeypatch,
                              "--seed", "1", "--out", "-", "--findings-dir",
                              str(tmp_path)]) == 0
     assert chains == [] and certified
+    monkeypatch.setattr(radical, "charpolys", charpolys)
     for A, rows in certified:
         assert np.array_equal(rows, chain(A))
+
+
+A5_PATH = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                       "groups", "a5.json")
+
+
+def _certificate_algebras():
+    """(name, algebra) pairs: p-group algebras kP, the blocks of A5 at
+    p = 3 and of SL(2,3) at p = 3 (among them M_3(GF(9)) and M_3(GF(3)),
+    defect zero: zero trace form and p | dim), and the corners e.kG.e of
+    primitive idempotents e, which are local, of S4 at p = 2, SL(2,3) at
+    p = 3 and A5 at p = 3."""
+    out = [(f"k{name} over GF({p}^{m})", group_algebra(GROUPS[name],
+                                                       field(p, m)))
+           for name, p, m in (("C2", 2, 1), ("C4", 2, 2), ("D8", 2, 1),
+                              ("C3", 3, 2))]
+    for path, p in ((A5_PATH, 3), (os.path.join(DATA, "sl23.json"), 3),
+                    (os.path.join(DATA, "s4.json"), 2)):
+        G = load_group(path)
+        A = build_group_algebra(G, p)
+        rng = np.random.default_rng(1)
+        label = f"{os.path.basename(path)[:-5]}/p{p}"
+        out += [(f"{label} block {i}", A.corner(b))
+                for i, b in enumerate(block_idempotents(A, rng))]
+        out += [(f"{label} corner {i}", A.corner(e)) for i, e in
+                enumerate(primitive_decomposition(A, A.unit, rng))]
+    return out
+
+
+def _charpolys_guess(A):
+    """lambda on the basis from the coefficient c_(p^a) of each L_(b_i),
+    p^a the exact power of p dividing n = dim A: c_(p^a) =
+    C(n, p^a).(-lambda)^(p^a) and C(n, p^a) = n / p^a mod p (Lucas)."""
+    f, n = A.field, A.dim
+    a, pa = 0, 1
+    while n % (pa * f.p) == 0:
+        a, pa = a + 1, pa * f.p
+    mats = A.lmul_matrix(linalg.eye(f, n))
+    powers = f.mul(f.neg(charpolys(f, mats, pa)), f.inv((n // pa) % f.p))
+    return np.array([f.frobenius_inv(int(x), a) for x in powers],
+                    dtype=np.int64)
+
+
+def _certificate_mismatches():
+    """Names of the `_certificate_algebras` where the certificate and the
+    chain disagree, or the powering guess and the `charpolys` guess do;
+    with no assert, so that `python -O` runs every comparison.  Also the
+    counts of certified algebras with p | dim and with p not dividing
+    dim, and of refused ones."""
+    bad, counts = [], {"p | dim": 0, "p not | dim": 0, "refused": 0}
+    for name, A in _certificate_algebras():
+        f, n = A.field, A.dim
+        if not np.array_equal(A.basis_lmuls(),
+                              A.lmul_matrix(linalg.eye(f, n))):
+            bad.append((name, "basis_lmuls"))
+        rows = radical._local_radical(A)
+        chain = radical._radical_rows_impl(A)
+        if rows is None:
+            counts["refused"] += 1
+            if n - chain.shape[0] == 1:
+                bad.append((name, "refused a local algebra"))
+            continue
+        if not np.array_equal(rows, chain):
+            bad.append((name, "certificate is not the chain's J"))
+        guess = _charpolys_guess(A)
+        # lambda(1) = 1, so its kernel determines it
+        if not np.array_equal(linalg.nullspace(f, guess[None, :]), rows):
+            bad.append((name, "charpolys guess has another kernel"))
+        if n % f.p:
+            counts["p not | dim"] += 1
+            continue
+        counts["p | dim"] += 1
+        if not np.array_equal(radical._scalar_power(f, A.basis_lmuls(), n),
+                              guess):
+            bad.append((name, "powering guess"))
+    return bad, counts
+
+
+def test_powering_guess_matches_the_charpolys_guess():
+    # the certificate is the chain's J on kP, on local corners and on the
+    # blocks (it refuses the defect-zero ones, M_3(k) with p | 9, whose
+    # trace form is 0), and the powering guess is the charpolys guess on
+    # every certified algebra with p | dim
+    bad, counts = _certificate_mismatches()
+    assert bad == []
+    assert counts["p | dim"] >= 5 and counts["p not | dim"] >= 5
+    assert counts["refused"] >= 4
+
+
+def test_certificate_and_chain_agree_under_python_O():
+    # every check of the certificate is a raise or a return, not an
+    # assert, so `python -O` certifies and refuses the same algebras
+    script = textwrap.dedent("""
+        import sys
+        if __debug__:
+            sys.exit("not running under -O")
+        import test_radical
+        bad, counts = test_radical._certificate_mismatches()
+        if bad or not counts["refused"] or not counts["p | dim"]:
+            sys.exit(f"{bad} {counts}")
+    """)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(tests), "src"), tests]))
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("doc,p", catalog_pairs())
@@ -450,7 +565,7 @@ def test_cartan_matrix_elementary_divisors(doc, p):
     for e in primitive_decomposition(A, A.unit, np.random.default_rng(1)):
         if not any(are_associate(A, e, r) for r in reps):
             reps.append(e)
-    basis = A.basis_matrix()
+    basis = linalg.eye(A.field, A.dim)
     cartan = [[linalg.rank(A.field, sandwich_rows(A, a, basis, b))
                for b in reps] for a in reps]
     assert cartan == [list(row) for row in zip(*cartan)]
