@@ -13,9 +13,10 @@ tensor from `linalg.structure_tensor`, which multiplies the stacked
 left multiplications of its rows (`lmul_matrix` of a matrix); the whole
 of an algebra (the corner at its unit, the fixed points of the trivial
 group) shares the parent's index tables or tensor, so kG stays
-table-driven through them.  The left multiplications of the basis are
-the structure tensor transposed (`basis_lmuls`), never a product with
-the identity, and a corner's rows come from one L_e (`corner_rows`).
+table-driven through them, with the parent's coordinates (no `embed`).
+The left multiplications of the basis are the structure tensor
+transposed (`basis_lmuls`), never a product with the identity, and a
+corner's rows come from one L_e (`corner_rows`).
 
 `group_algebra` builds kH for a group or a subgroup H by restricting the
 group's own product table (`bflab.groups.PermGroup.mul`); the Brauer
@@ -44,11 +45,11 @@ class AlgebraContext:
         self._rtable = group_rtable
         self.unit = None if unit is None else np.asarray(unit, dtype=np.int64)
         self.parent = parent
-        self.embed = embed          # rows: our basis in parent coordinates
+        self.embed = embed      # our basis as parent rows; None: the parent's
         # a root owns the radicals of every algebra built under it
         # (see bflab.radical.radical_rows)
         self.radical_memo = {} if parent is None else None
-        if parent is not None:
+        if embed is not None:
             self._coords = linalg.Coordinates(field, embed,
                                               error=AlgebraError)
         if check and self.unit is not None:
@@ -127,16 +128,16 @@ class AlgebraContext:
     # -- parent coordinate plumbing ---------------------------------------
 
     def to_parent(self, x):
-        """Parent coordinates of x; x itself for a root, which is its own
-        parent."""
-        if self.parent is None:
+        """Parent coordinates of x; x itself when our basis is the parent's
+        (a root is its own parent)."""
+        if self.embed is None:
             return np.asarray(x)
         return linalg.vecmat(self.field, np.asarray(x), self.embed)
 
     def from_parent(self, v, check=True):
-        """Coordinates of a parent vector lying in our span; of each
-        column for a matrix.  A root's are the vector's own."""
-        if self.parent is None:
+        """Coordinates of a parent vector lying in our span, of each column
+        for a matrix; the vector's own when our basis is the parent's."""
+        if self.embed is None:
             return np.asarray(v)
         return self._coords(v, check)
 
@@ -154,10 +155,11 @@ class AlgebraContext:
         rows = np.asarray(rows, dtype=np.int64)
         r = rows.shape[0]
         unit = self.unit if unit is None else np.asarray(unit)
-        sub = AlgebraContext(f, r, mult_tensor=None, unit=None,
-                             parent=self, embed=rows, check=False)
-        if np.array_equal(rows, linalg.eye(f, self.dim)):
-            # the whole algebra: same basis, same tables or tensor
+        whole = np.array_equal(rows, linalg.eye(f, self.dim))
+        sub = AlgebraContext(f, r, mult_tensor=None, unit=None, parent=self,
+                             embed=None if whole else rows, check=False)
+        if whole:
+            # the whole algebra: same basis, tables or tensor, coordinates
             sub._ltable, sub._rtable = self._ltable, self._rtable
             sub.mult_tensor = self.mult_tensor
         else:

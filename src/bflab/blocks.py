@@ -57,7 +57,8 @@ def splitting_field(G, p):
     their blocks are absolutely primitive.  The other algebras of the
     pipeline (the points of A^P, the multiplicity algebras and the unit
     searches) may still need an extension: the CLI then restarts over
-    the next field between GF(p^m) and GF(p^M)."""
+    the next field between GF(p^m) and GF(p^M).  A restart for the unit
+    search is not certified (see `conjecture.ExtensionNeeded`)."""
     top = exponent_degree(G, p)
     n = G.order
     pth = np.zeros(n, dtype=np.intp)          # x -> x^p on indices

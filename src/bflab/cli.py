@@ -64,10 +64,10 @@ def _analyze_blocks(doc, G, prime, seed, deep, thorough=False,
     group G loaded from doc.
 
     The analysis starts over `splitting_field`, GF(p^m).  When a corner
-    fails to split or a search certifiably needs more scalars, it
-    restarts over GF(p^d) for the next d with m | d | M, in ascending
-    order, M = `exponent_degree`, as GF(p^M) splits every algebra of the
-    pipeline; so every verdict is stated over one field.
+    fails to split, or a unital basis's orbit replacement finds no lambda
+    (`ExtensionNeeded`, not certified), it restarts over GF(p^d) for the
+    next d with m | d | M, ascending, M = `exponent_degree`, as GF(p^M)
+    splits every algebra of the pipeline: every verdict is over one field.
     Each abandoned field is recorded as {"m", "reason"}.
     """
     A = build_group_algebra(G, prime)

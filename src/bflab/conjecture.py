@@ -35,7 +35,7 @@ from .bisets import (_expand_orbit, characteristic_report,
 from .fusion import fixed_point_presystem
 from .groups import GroupInjection, all_subgroups, conjugation_injection
 from .idempotents import are_associate, sandwich_rows, transpotent_pair
-from .interior import _pair_perm_group, quotient_product
+from .interior import _pair_perm_group
 from .points import (conjugate_point, local_points, point_multiplicity,
                      relative_multiplicity, _associate_in_fixed)
 
@@ -104,7 +104,8 @@ def unit_in_subspace(ia, rows, rng, exhaustive=False):
 
 
 class ExtensionNeeded(RuntimeError):
-    """Search exhausted over the current field; retry over an extension."""
+    """No lambda kept an orbit a basis of units over this field; retry over
+    an extension.  Not certified: it tries one line y + lambda.u only."""
 
 
 def build_unital_basis(ia, rng, exhaustive=False):
@@ -265,30 +266,46 @@ def _search_twisted_unit(ia, phi, rng):
                    rng, 2 ** 16, 64)[0]
 
 
+def _times(f, t, x, side=0):
+    """Matrix of y -> x.y (side 0) or of y -> y.x (side 1), for the tensor
+    t of a pairing and a class x of that side: t contracted with x, as
+    `AlgebraContext.lmul_matrix` and `rmul_matrix` contract theirs."""
+    if side:
+        return f.matmul(x, t).T
+    a, b, k = t.shape
+    return f.matmul(x, t.reshape(a, b * k)).reshape(b, k).T
+
+
+def _product(f, t, x, y):
+    """The class of x.y: t contracted with the outer product of x and y."""
+    xy = f.mul(np.asarray(x)[:, None], np.asarray(y)[None, :]).reshape(-1)
+    return f.matmul(xy, t.reshape(xy.size, t.shape[2]))
+
+
 def _try_twisted(ia, phi, quotients, coords):
     """coords (a class of A(phi)) as a TwistedUnit of phi if it has a
     twisted inverse v: v.u = 1 in A(P) and u.v = 1 in A(Q)."""
-    A = ia.A
-    f = A.field
-    bq_phi, bq_inv, bq_P, bq_Q = quotients
-    # column t: the class of e_t . u for the basis class e_t of A(phi^-1)
-    m, _ = quotient_product(bq_inv, bq_phi, linalg.eye(f, bq_inv.dim),
-                            coords, bq_P)
-    v = linalg.solve(f, m, bq_P.project(np.asarray(A.unit)))
+    f, unit = ia.A.field, ia.A.unit
+    bq_phi, bq_inv = quotients[:2]
+    # column a: the class of e_a.u for the basis class e_a of A(phi^-1)
+    t, bq_P = ia.pairing(bq_inv, bq_phi)
+    v = linalg.solve(f, _times(f, t, coords, 1), bq_P.project(unit))
     if v is None:
         return None
-    c2, _ = quotient_product(bq_phi, bq_inv, coords, v, bq_Q)
-    if not np.array_equal(c2, bq_Q.project(np.asarray(A.unit))):
+    t, bq_Q = ia.pairing(bq_phi, bq_inv)
+    if not np.array_equal(_product(f, t, coords, v), bq_Q.project(unit)):
         return None
     return TwistedUnit(phi=phi, u=np.asarray(coords), udag=v)
 
 
-def _transport(quotients, tu, c):
-    """Classes u.c.u-dagger in A(Q) of classes c of A(P) (a vector, or a
-    matrix of columns)."""
-    bq_phi, bq_inv, bq_P, bq_Q = quotients
-    w, bq_mid = quotient_product(bq_phi, bq_P, tu.u, c)
-    return quotient_product(bq_mid, bq_inv, w, tu.udag, bq_Q)[0]
+def _transport(ia, quotients, tu):
+    """Matrix of the conjugation transport c -> u.c.u-dagger from A(P) to
+    A(Q): c -> u.c into A(phi), then w -> w.u-dagger."""
+    f = ia.A.field
+    bq_phi, bq_inv, bq_P, _ = quotients
+    left = _times(f, ia.pairing(bq_phi, bq_P)[0], tu.u)
+    right = _times(f, ia.pairing(bq_phi, bq_inv)[0], tu.udag, 1)
+    return linalg.matmul(f, right, left)
 
 
 def has_all_twisted_units(ia, presystem, rng):
@@ -336,19 +353,12 @@ def _pairing_surjectivity_check(ia, reps):
     """Pairing surjectivity: products span A(psi o phi) on every composable
     class triple of the outer representatives reps, whenever all twisted
     units exist."""
-    f = ia.A.field
     for _, _, phi, psi in _composable_triples(ia.D, reps):
-        bq_phi = ia.brauer_of(phi)
-        bq_psi = ia.brauer_of(psi)
-        bq_out = ia.brauer_of(psi.compose(phi))
+        t, bq_out = ia.pairing(ia.brauer_of(psi), ia.brauer_of(phi))
         if bq_out.dim == 0:
             continue
-        # the products of all basis classes, one call per class of A(psi)
-        # (nonzero: psi has a twisted unit)
-        basis_phi = linalg.eye(f, bq_phi.dim)
-        spans = [quotient_product(bq_psi, bq_phi, e, basis_phi, bq_out)[0]
-                 for e in linalg.eye(f, bq_psi.dim)]
-        got = linalg.rank(f, np.concatenate(spans, axis=1))
+        # the products of all pairs of basis classes, one row each
+        got = linalg.rank(ia.A.field, t.reshape(-1, bq_out.dim))
         if got != bq_out.dim:
             raise Finding("pairing_not_surjective",
                           {"phi": _phi_label(phi), "psi": _phi_label(psi),
@@ -389,11 +399,13 @@ def theta_map_via_twisted_unit(ia, tu, rng):
     quotients = _iso_quotients(ia, phi)
     bq_P, bq_Q = quotients[2:]
     Qalg = bq_Q.algebra()
+    conj = _transport(ia, quotients, tu)
     out = {}
     targets = {d.index: bq_Q.project(np.asarray(d.rep))
                for d in local_points(ia, Q, rng)}
     for gamma in local_points(ia, P, rng):
-        w = _transport(quotients, tu, bq_P.project(np.asarray(gamma.rep)))
+        w = linalg.matvec(ia.A.field, conj,
+                          bq_P.project(np.asarray(gamma.rep)))
         hits = [idx for idx, jbar in targets.items()
                 if are_associate(Qalg, w, jbar)]
         if len(hits) != 1:
@@ -426,22 +438,18 @@ def twisted_unit_laws_report(ia, presystem, rng):
         quotients = _iso_quotients(ia, phi)
         bq_phi, bq_inv, bq_P, bq_Q = quotients
         # the twisted inverse is unique
-        m, _ = quotient_product(bq_inv, bq_phi, linalg.eye(f, bq_inv.dim),
-                                tu.u, bq_P)
+        m = _times(f, ia.pairing(bq_inv, bq_phi)[0], tu.u, 1)
         if linalg.nullspace(f, m).shape[0] != 0:
             report["inverse_unique"] = False
         # conjugation transport c -> u.c.u-dagger is multiplicative
         # A(P) -> A(Q); it is linear, so it is checked through its matrix
-        # M (column a is the image of e_a): M(e_a.e_b) = M e_a . M e_b
-        Palg = bq_P.algebra()
-        Qalg = bq_Q.algebra()
-        conj = _transport(quotients, tu, linalg.eye(f, bq_P.dim))
-        for a in range(bq_P.dim):
-            la = Palg.lmul_matrix(Palg.basis_vector(a))
-            lhs = linalg.matmul(f, conj, la)
-            rhs = linalg.matmul(f, Qalg.lmul_matrix(conj[:, a]), conj)
-            if not np.array_equal(lhs, rhs):
-                report["conjugation_multiplicative"] = False
+        # M (column a is the image of e_a): M.L(e_a) = L(M e_a).M for
+        # every a, as two stacks
+        conj = _transport(ia, quotients, tu)
+        lhs = f.matmul(conj, bq_P.algebra().basis_lmuls())
+        rhs = f.matmul(bq_Q.algebra().lmul_matrix(conj.T), conj)
+        if not np.array_equal(lhs, rhs):
+            report["conjugation_multiplicative"] = False
         # biregular translations to a second twisted unit, drawn at
         # random: unique x_P with u.x_P = v and unique x_Q with x_Q.u = v
         tu2, _ = _search(f, bq_phi.dim,
@@ -449,10 +457,8 @@ def twisted_unit_laws_report(ia, presystem, rng):
                          rng, 0, 4)
         if tu2 is None:
             continue
-        left, _ = quotient_product(bq_phi, bq_P, tu.u,
-                                   linalg.eye(f, bq_P.dim), bq_phi)
-        right, _ = quotient_product(bq_Q, bq_phi, linalg.eye(f, bq_Q.dim),
-                                    tu.u, bq_phi)
+        left = _times(f, ia.pairing(bq_phi, bq_P)[0], tu.u)
+        right = _times(f, ia.pairing(bq_Q, bq_phi)[0], tu.u, 1)
         for m in (left, right):
             if linalg.solve(f, m, tu2.u) is None or \
                     linalg.nullspace(f, m).shape[0] != 0:
@@ -462,8 +468,8 @@ def twisted_unit_laws_report(ia, presystem, rng):
         bq_gphi = ia.brauer_of(gphi)
         u_gphi = bq_gphi.project(
             ia.left(g, ia.brauer_of(phi).lift(units[phi.graph].u)))
-        w, _ = quotient_product(ia.brauer_of(psi), bq_gphi,
-                                units[psi.graph].u, u_gphi)
+        t, _ = ia.pairing(ia.brauer_of(psi), bq_gphi)
+        w = _product(f, t, units[psi.graph].u, u_gphi)
         comp = psi.compose(gphi)
         if _try_twisted(ia, comp, _iso_quotients(ia, comp), w) is None:
             report["closure"] = False

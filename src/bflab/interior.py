@@ -15,6 +15,10 @@ Delta(phi, P) the fixed module is the twisted space {a : phi(u).a = a.u}.
 Quotients at diagonal subgroups inherit the multiplication of A and are
 returned with a full AlgebraContext; quotients at twisted diagonals are
 plain spaces linked by the pairing A(psi) x A(phi) -> A(psi o phi).
+Its one kernel, `InteriorAlgebra.pairing`, caches the tensor t[a, b] =
+the class of rep_a.rep_b, which products of classes contract and A(P)
+takes as its algebra; off kG's group basis `linalg.structure_tensor`,
+the one fill for subalgebras, quotient algebras and pairings, fills it.
 
 An InteriorAlgebra owns every cache of its algebra: the fixed modules
 and A^P, the quotients A(U), the points, the twisted units and theta.
@@ -38,7 +42,9 @@ elimination:
   [U : V] = p for every maximal V.  So the traces span the orbit sums
   of the non-singleton orbits;
 * A(U) is presented by the unit vectors at G^U, the singleton orbits,
-  and the class of a U-fixed vector is its restriction to G^U.
+  and the class of a U-fixed vector is its restriction to G^U;
+* g.h lies in G^W for g in G^U, h in G^V and W their composite, so a
+  pairing's tensor, like the biaction, is a gather from kG's tables.
 
 Corners kG.b != kG and source algebras l.B.l != B are not presented on a
 permuted basis and take the elimination path: a nullspace for A^U,
@@ -125,19 +131,14 @@ class BrauerQuotient:
 
     def algebra(self):
         """Quotient algebra structure (valid when U.U-products stay fixed,
-        i.e. for diagonal subgroups Delta(P))."""
+        i.e. for diagonal subgroups Delta(P)), from its self-pairing."""
         if self._algebra is None:
-            A = self.interior.A
-            Q = AlgebraContext(A.field, self.dim, mult_tensor=self._tensor(),
+            A, t = self.interior.A, self.interior.pairing(self, self)[0]
+            Q = AlgebraContext(A.field, self.dim, mult_tensor=t,
                                unit=self.project(A.unit), check=False)
             Q._check_unit()
             self._algebra = Q
         return self._algebra
-
-    def _tensor(self):
-        A = self.interior.A
-        return linalg.structure_tensor(A.field, A.lmul_matrix, self.reps,
-                                       self._coords)
 
     def __repr__(self):
         return f"BrauerQuotient(dim {self.dim})"
@@ -181,22 +182,6 @@ class OrbitQuotient(BrauerQuotient):
         v = np.asarray(v, dtype=np.int64).reshape(-1)
         return np.array_equal(v[self._least], v) and not v[self._at].any()
 
-    def _tensor(self):
-        """t[i, j, k] = 1 when g_i.g_j = g_k on G^U, from kG's table:
-        ltable[a, b] indexes g_a.g_b^-1, so ltable[e, j] indexes g_j^-1 for
-        e the index of 1, and ltable[i, j'] then g_i.g_j for j' that index."""
-        A, at = self.interior.A, self._at
-        inv = A._ltable[A.element_index[A.group.identity], at]
-        where = np.full(A.dim, -1)
-        where[at] = np.arange(at.size)
-        k = where[A._ltable[at[:, None], inv[None, :]]]
-        if (k < 0).any():
-            raise ValueError("G^U is not closed under products")
-        r = np.arange(at.size)
-        t = np.zeros((at.size,) * 3, dtype=np.int64)
-        t[r[:, None], r[None, :], k] = 1
-        return t
-
 
 class InteriorAlgebra:
     """Algebra with a structural map D -> A^x and the induced biaction."""
@@ -218,6 +203,8 @@ class InteriorAlgebra:
         # phi -> the quotient at Delta(phi, P): entries of _bq_cache
         self._bq_at = {}
         self._bq_of = {}
+        # (left pairs, right pairs) -> (tensor, quotient) of `pairing`
+        self._pairings = {}
         self._fixed_cache = {}
         # P.key -> A^P as a subalgebra context
         self._fixed_algebras = {}
@@ -271,13 +258,14 @@ class InteriorAlgebra:
         return self._rmats[g]
 
     def act(self, d1, d2, v):
-        """d1 . v . d2^{-1}."""
+        """d1 . v . d2^{-1}; on kG with its group basis a gather, as its
+        coefficient at g is v's at d1^-1.g.d2."""
+        if self._permutes_basis:
+            inv = self.D.parent.inverse
+            return np.asarray(v)[self._moves([(inv(d1), inv(d2))])[:, 0]]
         f = self.A.field
         return linalg.matvec(f, self.lmat(d1), linalg.matvec(
             f, self.rmat(self.D.parent.inverse(d2)), v))
-
-    def conj(self, d, v):
-        return self.act(d, d, v)
 
     def left(self, d, v):
         return linalg.matvec(self.A.field, self.lmat(d), v)
@@ -318,17 +306,20 @@ class InteriorAlgebra:
             self._fixed_cache[U.key] = space
         return space
 
-    def _least_in_orbit(self, U):
-        """On kG with its group basis: the least index in the U-orbit of
-        each basis element, the least of its images under the elements of
-        U.  Each (d1, d2) moves g to d1.g.d2^-1, a gather from kG's tables
+    def _moves(self, pairs):
+        """On kG with its group basis: column j indexes d1.g.d2^-1 for each
+        basis element g and (d1, d2) = pairs[j], a gather from kG's tables
         (rtable[a, b] indexes g_b^-1.g_a and ltable[a, b] g_a.g_b^-1, so
         ltable[e, b] indexes g_b^-1 for e the index of 1)."""
         A, idx = self.A, self.A.element_index
-        pairs = [decode_pair(self.D, enc) for enc in U.elements]
         d1 = A._ltable[idx[A.group.identity], [idx[a] for a, _ in pairs]]
-        d2 = [idx[b] for _, b in pairs]
-        return A._ltable[A._rtable[:, d1], d2].min(axis=1)
+        return A._ltable[A._rtable[:, d1], [idx[b] for _, b in pairs]]
+
+    def _least_in_orbit(self, U):
+        """On kG with its group basis: the least index in the U-orbit of
+        each basis element, the least of its images under U."""
+        return self._moves([decode_pair(self.D, enc)
+                            for enc in U.elements]).min(axis=1)
 
     def trace_map(self, sub_pairs, super_pairs):
         """Relative trace matrix tr: A^V -> A^U between pair subgroups."""
@@ -403,6 +394,44 @@ class InteriorAlgebra:
             bq = self._bq_of[phi.graph] = self.brauer(TwistedDiagonal(phi))
         return bq
 
+    def pairing(self, bq_left, bq_right):
+        """(t, bq_out) of the pairing A(psi) x A(phi) -> A(psi o phi) =
+        bq_out: t[a, b] is the class of rep_a.rep_b, read-only and cached
+        by the two pair sets.  The composite's pairs {(psi(phi(u)), u)}
+        are read off them, and a pairing that does not compose raises
+        ValueError."""
+        key = (bq_left.pairs, bq_right.pairs)
+        if key in self._pairings:
+            return self._pairings[key]
+        if bq_left.interior is not self or bq_right.interior is not self:
+            raise ValueError("quotients of another interior algebra")
+        psi = {q: z for z, q in bq_left.pairs}
+        if len(psi) != len(bq_left.pairs) or \
+                len({u for _, u in bq_right.pairs}) != len(bq_right.pairs):
+            raise ValueError("need twisted diagonals")
+        if any(x not in psi for x, _ in bq_right.pairs):
+            raise ValueError("phi(P) leaves the domain of psi")
+        bq_out = self.brauer(frozenset((psi[x], u)
+                                       for x, u in bq_right.pairs))
+        A = self.A
+        if self._permutes_basis:
+            # ltable[a, b] indexes g_a.g_b^-1, so ltable[e, j] indexes
+            # g_j^-1 for e the index of 1, and ltable[i, j'] then g_i.g_j
+            left, right, out = bq_left._at, bq_right._at, bq_out._at
+            inv = A._ltable[A.element_index[A.group.identity], right]
+            where = np.full(A.dim, -1)
+            where[out] = np.arange(out.size)
+            k = where[A._ltable[left[:, None], inv[None, :]]]
+            if (k < 0).any():
+                raise ValueError("products leave the fixed points")
+            t = (k[:, :, None] == np.arange(out.size)).astype(np.int64)
+        else:
+            t = linalg.structure_tensor(A.field, A.lmul_matrix, bq_left.reps,
+                                        bq_out.project, right=bq_right.reps)
+        t.flags.writeable = False
+        self._pairings[key] = t, bq_out
+        return t, bq_out
+
     def fixed_subalgebra(self, P):
         """A^P (conjugation-fixed) as a subalgebra context, one per P."""
         ctx = self._fixed_algebras.get(P.key)
@@ -428,43 +457,3 @@ class InteriorAlgebra:
             struct[g] = C.from_parent(v)
         return InteriorAlgebra(C, self.D, structural=struct)
 
-
-def quotient_product(bq_left, bq_right, c_left, c_right, bq_out=None):
-    """Pairing A(psi) x A(phi) -> A(psi o phi) induced by multiplication.
-
-    bq_left is at Delta(psi, Q), bq_right at Delta(phi, P) with
-    phi(P) <= Q; the result is the class of lift(c_left) * lift(c_right)
-    in A(psi o phi), whose pairs {(psi(phi(u)), u)} are read off the two
-    pair sets.  One side may be a coordinate matrix: the result is then
-    the matrix whose columns are the classes of the products with its
-    columns.
-    """
-    interior = bq_left.interior
-    if bq_right.interior is not interior:
-        raise ValueError("quotients of different interior algebras")
-    psi = {q: z for z, q in bq_left.pairs}
-    if len(psi) != len(bq_left.pairs) or \
-            len({u for _, u in bq_right.pairs}) != len(bq_right.pairs):
-        raise ValueError("need twisted diagonals")
-    if any(x not in psi for x, _ in bq_right.pairs):
-        raise ValueError("phi(P) leaves the domain of psi")
-    comp = frozenset((psi[x], u) for x, u in bq_right.pairs)
-    c_left, c_right = np.asarray(c_left), np.asarray(c_right)
-    if c_left.ndim == 2 and c_right.ndim == 2:
-        raise ValueError("only one side may be a matrix")
-    if bq_out is None:
-        bq_out = interior.brauer(comp)
-    elif bq_out.pairs != comp:
-        raise ValueError("bq_out is not at Delta(psi o phi)")
-    A = interior.A
-    if c_left.ndim == 2:
-        w = linalg.matmul(A.field, A.rmul_matrix(bq_right.lift(c_right)),
-                          bq_left.lift(c_left))
-    else:
-        cols = c_right if c_right.ndim == 2 else c_right[:, None]
-        w = linalg.matmul(A.field, A.lmul_matrix(bq_left.lift(c_left)),
-                          bq_right.lift(cols))
-    out = bq_out.project(w)
-    if c_left.ndim == c_right.ndim == 1:
-        out = out[:, 0]
-    return out, bq_out

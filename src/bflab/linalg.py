@@ -17,9 +17,9 @@ is unique, so none of this changes a result.
 `FiniteField.matmul`.  `Coordinates` is the one coordinate map over the
 rows of a matrix of full row rank, and `structure_tensor` the one fill
 of a multiplication table from it, in one stacked product and one
-coordinate call; every subalgebra, radical quotient and Brauer quotient
-other than those of kG on its group basis (read off orbits in
-`bflab.interior`) goes through both.  Over rows in RREF (every
+coordinate call, for subalgebras, quotient algebras (radical, Brauer)
+and pairings of Brauer quotients, except on kG's group basis (read off
+orbits in `bflab.interior`).  Over rows in RREF (every
 subalgebra's, and a `Subspace`'s) the pivot inverse is the identity, so
 coordinates are a gather at the pivots and the rebuild check a product
 on the free columns only; `Subspace.reduce` is that same map.  Only rows
@@ -238,22 +238,23 @@ class Coordinates:
         return c[self.mod:]
 
 
-def structure_tensor(f, lmul, rows, coords, check=True):
-    """t[i, j] = coords(rows[i] * rows[j]); lmul(x) stacks the left
-    multiplication matrices of the rows x in the ambient algebra.
+def structure_tensor(f, lmul, rows, coords, check=True, right=None):
+    """t[i, j] = coords(rows[i] * right[j]), right = rows unless given;
+    lmul(x) stacks the left multiplication matrices of the rows x.
 
-    The products are one product of those stacked matrices with rows.T,
+    The products are one product of those stacked matrices with right.T,
     at most `_FILL_ENTRIES` matrix entries at a time, and the coordinates
-    one call on all r^2 product columns."""
-    r, n = rows.shape
-    prods = np.empty((r, n, r), dtype=np.int64)
+    one call on all r.s product columns; the tensor is C-contiguous."""
+    right = rows if right is None else right
+    (r, n), s = rows.shape, right.shape[0]
+    prods = np.empty((r, n, s), dtype=np.int64)
     step = max(1, _FILL_ENTRIES // max(n * n, 1))
     for lo in range(0, r, step):
         stack = lmul(rows[lo:lo + step]).reshape(-1, n)
-        prods[lo:lo + step] = matmul(f, stack, rows.T).reshape(-1, n, r)
-    # column i r + j is rows[i] * rows[j]
-    cols = prods.transpose(1, 0, 2).reshape(n, r * r)
-    return coords(cols, check).T.reshape(r, r, r)
+        prods[lo:lo + step] = matmul(f, stack, right.T).reshape(-1, n, s)
+    # column i s + j is rows[i] * right[j]
+    c = coords(prods.transpose(1, 0, 2).reshape(n, r * s), check)
+    return np.ascontiguousarray(c.T).reshape(r, s, c.shape[0])
 
 
 class Subspace:

@@ -110,5 +110,5 @@ def relative_multiplicity(ia, Rp, pt_prime, R, pt, rng):
 def conjugate_point(ia, P, pt, g, rng):
     """^g(P_pt) as a (subgroup, Point) pair; g from the interior group."""
     Pg = P.conjugate(g)
-    rep_g = ia.conj(g, pt.rep)
+    rep_g = ia.act(g, g, pt.rep)
     return Pg, point_of(ia, Pg, rep_g, rng)

@@ -123,10 +123,12 @@ def test_identity_subalgebras_share_the_group_tables():
     for C in subs:
         assert C.mult_tensor is None and C._ltable is A._ltable
         assert np.array_equal(C.unit, A.unit)
-        # an identity corner keeps A's coordinates
+        # an identity corner keeps A's coordinates, with no embedding to
+        # multiply by
         for _ in range(5):
             x, y = A.random_element(rng), A.random_element(rng)
             assert np.array_equal(C.mul(x, y), A.mul(x, y))
+            assert C.to_parent(x) is x and C.from_parent(x) is x
     # a proper corner stays dense: e = 1 + c + c^2 for a 3-cycle c
     c = (1, 2, 0, 3)
     e = sum(group_element_vector(A, h) for h in (G.identity, c, pmul(c, c)))
@@ -156,6 +158,12 @@ def test_structure_tensor_matches_the_per_slice_fill(p, m):
     for parent, sub in ((A, rows), (B, B.center_rows())):
         coords = linalg.Coordinates(f, sub)
         tensor = linalg.structure_tensor(f, parent.lmul_matrix, sub, coords)
+        # C-contiguous, so a subalgebra's lmul_matrix reshapes it in place
+        assert tensor.flags.c_contiguous
+        # distinct left and right rows fill the matching block
+        assert np.array_equal(linalg.structure_tensor(
+            f, parent.lmul_matrix, sub[:2], coords, right=sub[1:]),
+            tensor[:2, 1:])
         lmats = parent.lmul_matrix(sub)
         for i, x in enumerate(sub):
             want = parent.lmul_matrix(x) if parent.mult_tensor is None \

@@ -6,7 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from bflab import linalg
+from bflab import conjecture, linalg
 from bflab.algebra import group_algebra, group_element_vector
 from bflab.blocks import analyze_block, build_group_algebra
 from bflab.fusion import BrauerPairs
@@ -14,8 +14,7 @@ from bflab.gf import _prime_factors, field, make_field
 from bflab.groups import (TwistedDiagonal, all_subgroups, diagonal,
                           group_from_generators, injective_maps,
                           load_group, sylow_subgroup, twisted_classes)
-from bflab.interior import (BrauerQuotient, InteriorAlgebra, OrbitQuotient,
-                            quotient_product)
+from bflab.interior import BrauerQuotient, InteriorAlgebra, OrbitQuotient
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -165,6 +164,13 @@ def test_brauer_of_is_memoized_by_graph(monkeypatch):
     assert ia.brauer_of(inv) is bq
 
 
+def _product(ia, bq_left, bq_right, x, y):
+    """The class of lift(x).lift(y) under the pairing, with the quotient
+    it lies in."""
+    t, bq_out = ia.pairing(bq_left, bq_right)
+    return conjecture._product(ia.A.field, t, x, y), bq_out
+
+
 def test_quotient_product_kc2():
     # br(g).br(g) = br(1) under Delta(C2) in kC2 char 2
     ia = interior(C2, 2)
@@ -172,11 +178,22 @@ def test_quotient_product_kc2():
     g = group_element_vector(ia.A, (1, 0))
     cg = bq.project(g)
     c1 = bq.project(ia.A.unit)
-    out, _ = quotient_product(bq, bq, cg, cg, bq)
+    out, bq_out = _product(ia, bq, bq, cg, cg)
+    assert bq_out is bq
     assert np.array_equal(out, c1)
     zero = np.zeros(bq.dim, dtype=np.int64)
-    out, _ = quotient_product(bq, bq, cg, zero, bq)
+    out, _ = _product(ia, bq, bq, cg, zero)
     assert not out.any()
+
+
+def test_pairing_is_cached_and_read_only():
+    ia = interior(S3, 3)
+    bq = ia.brauer_at(ia.D)
+    t, bq_out = ia.pairing(bq, bq)
+    assert ia.pairing(bq, bq)[0] is t and bq_out is bq
+    assert bq.algebra().mult_tensor is t
+    with pytest.raises(ValueError):
+        t[0, 0, 0] = 1
 
 
 def test_quotient_product_rejects_a_pairing_that_does_not_compose():
@@ -184,11 +201,10 @@ def test_quotient_product_rejects_a_pairing_that_does_not_compose():
     ia = interior(A4, 2)
     C = next(P for P in all_subgroups(ia.D) if P.order == 2)
     bq_C, bq_D = ia.brauer_at(C), ia.brauer_at(ia.D)
-    c_C, c_D = bq_C.project(ia.A.unit), bq_D.project(ia.A.unit)
-    out, bq_out = quotient_product(bq_D, bq_C, c_D, c_C)
-    assert bq_out.pairs == bq_C.pairs
+    _, bq_out = ia.pairing(bq_D, bq_C)
+    assert bq_out is bq_C
     with pytest.raises(ValueError):
-        quotient_product(bq_C, bq_D, c_C, c_D)
+        ia.pairing(bq_C, bq_D)
 
 
 def test_quotient_product_independent_of_lifts():
@@ -203,7 +219,7 @@ def test_quotient_product_independent_of_lifts():
     rng = np.random.default_rng(8)
     u = f.random_elements(rng, bq_phi.dim)
     v = f.random_elements(rng, bq_p.dim)
-    base, bq_out = quotient_product(bq_phi, bq_p, u, v)
+    base, bq_out = _product(ia, bq_phi, bq_p, u, v)
     # perturb the lifts by trace elements and recompute by hand
     lift_u = bq_phi.lift(u)
     lift_v = bq_p.lift(v)
@@ -234,37 +250,12 @@ def test_quotient_product_associative_on_composables():
                 a = f.random_elements(rng, bq_chi.dim)
                 b = f.random_elements(rng, bq_psi.dim)
                 c = f.random_elements(rng, bq_phi.dim)
-                ab, bq_ab = quotient_product(bq_chi, bq_psi, a, b)
-                ab_c, bq_tot = quotient_product(bq_ab, bq_phi, ab, c)
-                bc, bq_bc = quotient_product(bq_psi, bq_phi, b, c)
-                a_bc, bq_tot2 = quotient_product(bq_chi, bq_bc, a, bc, bq_tot)
+                ab, bq_ab = _product(ia, bq_chi, bq_psi, a, b)
+                ab_c, bq_tot = _product(ia, bq_ab, bq_phi, ab, c)
+                bc, bq_bc = _product(ia, bq_psi, bq_phi, b, c)
+                a_bc, bq_tot2 = _product(ia, bq_chi, bq_bc, a, bc)
+                assert bq_tot is bq_tot2
                 assert np.array_equal(ab_c, a_bc)
-
-
-@pytest.mark.parametrize("G,p", [(S3, 3), (A4, 2)], ids=["S3-p3", "A4-p2"])
-def test_quotient_product_matrix_is_columnwise(G, p):
-    ia = interior(G, p)
-    D = ia.D
-    f = ia.A.field
-    rng = np.random.default_rng(21)
-    for psi in injective_maps(D, D):
-        for phi in injective_maps(D, D):
-            bq_psi = ia.brauer(TwistedDiagonal(psi))
-            bq_phi = ia.brauer(TwistedDiagonal(phi))
-            a = f.random_elements(rng, bq_psi.dim)
-            b = f.random_elements(rng, bq_phi.dim)
-            ms = f.random_elements(rng, (bq_psi.dim, 3))
-            mp = f.random_elements(rng, (bq_phi.dim, 3))
-            left, bq_out = quotient_product(bq_psi, bq_phi, ms, b)
-            right, _ = quotient_product(bq_psi, bq_phi, a, mp)
-            assert left.shape == right.shape == (bq_out.dim, 3)
-            for j in range(3):
-                assert np.array_equal(
-                    left[:, j], quotient_product(bq_psi, bq_phi, ms[:, j],
-                                                 b, bq_out)[0])
-                assert np.array_equal(
-                    right[:, j], quotient_product(bq_psi, bq_phi, a,
-                                                  mp[:, j], bq_out)[0])
 
 
 def test_quotient_product_rejects_bad_pairs():
@@ -273,15 +264,55 @@ def test_quotient_product_rejects_bad_pairs():
     triv = D.subgroup([D.identity])
     bq_1 = ia.brauer_at(triv)
     bq_D = ia.brauer_at(D)
-    eye_D = linalg.eye(ia.A.field, bq_D.dim)
     # Delta(1) after Delta(D): D is not inside the trivial subgroup
     with pytest.raises(ValueError):
-        quotient_product(bq_1, bq_D, bq_1.project(ia.A.unit), eye_D)
-    with pytest.raises(ValueError):
-        quotient_product(bq_D, bq_D, eye_D, eye_D)
-    # Delta(D) after Delta(D) is Delta(D), not Delta(1)
-    with pytest.raises(ValueError):
-        quotient_product(bq_D, bq_D, eye_D[0], eye_D[0], bq_1)
+        ia.pairing(bq_1, bq_D)
+    # D x 1 is not a twisted diagonal
+    d_by_1 = ia.brauer(frozenset((g, D.identity) for g in D.elements))
+    for left, right in ((d_by_1, bq_D), (bq_D, d_by_1)):
+        with pytest.raises(ValueError, match="twisted diagonals"):
+            ia.pairing(left, right)
+    # the quotients of another interior algebra
+    other = interior(S3, 3)
+    with pytest.raises(ValueError, match="another interior algebra"):
+        ia.pairing(bq_D, other.brauer_at(other.D))
+
+
+def _composable_pairings(data):
+    """(A(psi), A(c_g o phi)) of every composable class triple of the
+    block's source algebra."""
+    ia = data.ia_S
+    triples = conjecture._composable_triples(
+        ia.D, data.source_presystem.outer_class_reps())
+    return [(ia.brauer_of(psi), ia.brauer_of(gphi))
+            for _, _, gphi, psi in triples]
+
+
+@pytest.mark.parametrize("doc,p", [(os.path.join(DATA, "s4.json"), 2),
+                                   (A5_DOC, 3)], ids=["S4-p2", "A5-p3"])
+def test_pairing_matches_the_product_of_lifts(doc, p):
+    # the tensor, a gather on kG (S4, l = 1) or a fill by elimination on
+    # the principal source algebra of A5 (l != 1), against multiplying
+    # the lifts in the algebra and projecting
+    rng = np.random.default_rng(1)
+    pairs = BrauerPairs(build_group_algebra(load_group(doc), p), rng)
+    data = next(analyze_block(pairs, b, i, rng)
+                for i, b in enumerate(pairs.blocks)
+                if np.any(pairs.quotient(pairs.S).project(b)))
+    ia = data.ia_S
+    assert ia._permutes_basis == (p == 2)
+    composable = _composable_pairings(data)
+    assert composable
+    for bq_left, bq_right in composable:
+        t, bq_out = ia.pairing(bq_left, bq_right)
+        assert t.shape == (bq_left.dim, bq_right.dim, bq_out.dim)
+        for a in range(bq_left.dim):
+            for b in range(bq_right.dim):
+                e_a = np.eye(bq_left.dim, dtype=np.int64)[a]
+                e_b = np.eye(bq_right.dim, dtype=np.int64)[b]
+                want = bq_out.project(ia.A.mul(bq_left.lift(e_a),
+                                               bq_right.lift(e_b)))
+                assert np.array_equal(t[a, b], want)
 
 
 def test_bifreeness_of_group_algebras():
@@ -449,7 +480,7 @@ def test_both_paths_reject_an_unfixed_vector_under_python_O():
     # the U-fixed check is a raise, not an assert
     script = textwrap.dedent("""
         import sys
-        from bflab import linalg
+        from bflab import conjecture, linalg
         from bflab.algebra import group_algebra, group_element_vector
         from bflab.gf import make_field
         from bflab.groups import group_from_generators, sylow_subgroup

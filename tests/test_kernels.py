@@ -430,21 +430,20 @@ def test_inverse_is_called_only_in_linalg(module):
 # identities are gone: the basis's left multiplications, coordinates
 # over RREF rows, corners, associates and the unit's corner.
 IDENTITY_CALLERS = {
-    # the whole algebra as a subalgebra (A^1, a commutative centre) has
-    # the identity as its embedding
-    "algebra.AlgebraContext.to_parent",
     # e.x with e = 1, the one block of kC_G(P)
     "fusion.BrauerPairs.absorbed", "fusion.BrauerPairs.under_block",
     # z.w with z = 1
     "idempotents.corner_unit_inverse",
     # L_d and R_d for d = 1, the identity coset representative
-    "interior.InteriorAlgebra.act", "interior.InteriorAlgebra.left",
-    "interior.InteriorAlgebra.corner", "interior.InteriorAlgebra.trace_map",
+    "interior.InteriorAlgebra.left", "interior.InteriorAlgebra.corner",
+    "interior.InteriorAlgebra.trace_map",
     # the fixed rows of V = 1 are the identity
     "interior.InteriorAlgebra.brauer", "idempotents.sandwich_rows",
-    # the coordinates of every class of A(P) as one identity matrix, and
-    # the transport of the identity isomorphism
-    "interior.quotient_product", "conjecture.twisted_unit_laws_report",
+    # w -> w.u-dagger contracted from the pairing A(phi) x A(phi^-1) ->
+    # A(Q), when the twisted inverse acts as 1: on kG (S4 at p = 2) its
+    # class is a group element whose right translation keeps the order of
+    # the group bases of A(phi) and A(Q)
+    "conjecture._transport",
 }
 # generic products: the caller is the frame outside them
 PRODUCT_HELPERS = {"linalg.matmul", "linalg.matvec", "linalg.vecmat",

@@ -131,6 +131,23 @@ def test_only_radical_rows_runs_a_radical_path(module):
         assert where <= allowed, name
 
 
+# the one fill of a multiplication table: subalgebras, radical quotients
+# and the pairings of Brauer quotients (which give A(P) its algebra)
+TENSOR_FILLERS = {("algebra.py", "AlgebraContext.subalgebra"),
+                  ("interior.py", "InteriorAlgebra.pairing"),
+                  ("idempotents.py", "quotient_algebra")}
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_only_three_scopes_fill_a_structure_tensor(module):
+    # a second fill would be a second multiplication kernel, and a
+    # pairing filled outside `pairing` would miss its cache
+    tree = ast.parse((SRC / module).read_text())
+    where = {(module, scope) for scope, _ in
+             _calls(tree, {"structure_tensor"})}
+    assert where <= TENSOR_FILLERS
+
+
 def _in_orelse_of_sylow_test(tree, call):
     """Whether the call is the else-branch of a conditional testing
     D.key == pairs.S.key."""
@@ -194,7 +211,6 @@ ORACLES = {
     "points.point_of": THETA_SUITE,
     "points.conjugate_point": THETA_SUITE,
     "points.relative_multiplicity": THETA_SUITE,
-    "interior.InteriorAlgebra.conj": THETA_SUITE,
     "groups.GroupInjection.restrict": THETA_SUITE,
     "groups.GroupInjection.corestrict": THETA_SUITE,
     "groups.pmul": "test_group_tables.py::"
