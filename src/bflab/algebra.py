@@ -20,7 +20,7 @@ corner's rows come from one L_e (`corner_rows`).
 
 `group_algebra` builds kH for a group or a subgroup H by restricting the
 group's own product table (`bflab.groups.PermGroup.mul`); the Brauer
-quotients (kG)(P) of bflab.fusion are built this way, as kC_G(P).
+quotients (kG)(P) of `bflab.interior` build theirs this way, as kC_G(P).
 """
 
 import numpy as np

@@ -118,7 +118,7 @@ class BlockData:
 
     @cached_property
     def source_presystem(self):
-        return fixed_point_presystem(self.ia_S, label="fF_D(S)")
+        return fixed_point_presystem(self.ia_S)
 
 
 def build_group_algebra(G, p):

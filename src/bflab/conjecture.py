@@ -572,9 +572,8 @@ def ambient_balance_report(ia_hat, ell, presystem, rng, exhaustive=False):
     """
     report = {"ambient_unital_certified": None, "balanced": True}
     D = ia_hat.D
-    ok_units, _ = unital_basis_exists(
-        ia_hat, fixed_point_presystem(ia_hat, label="fF(ambient)"), rng,
-        exhaustive=exhaustive)
+    ok_units, _ = unital_basis_exists(ia_hat, fixed_point_presystem(ia_hat),
+                                      rng, exhaustive=exhaustive)
     report["ambient_unital_certified"] = ok_units
     witness = None
     for phi in presystem.outer_class_reps():
@@ -654,8 +653,7 @@ def equivalence_report(data, rng, thorough=False, exhaustive=False):
         for cand in data.source_candidates[1:]:
             ia2 = data.ia_B.corner(data.ia_B.A.from_parent(cand))
             b2, _, t2, i2 = intrinsic_conditions(
-                ia2, fixed_point_presystem(ia2, label="fF(alt source)"), rng,
-                exhaustive)
+                ia2, fixed_point_presystem(ia2), rng, exhaustive)
             if not (b2 is not None) == t2 == i2["balanced"] == \
                     out["unital_basis"]:
                 agree = False

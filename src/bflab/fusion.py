@@ -29,15 +29,16 @@ this is the pointed-group order).
 
 The Brauer map sends the class of g in C_G(P) to g, so (kG)(P) is
 multiplied as the table-driven group algebra kC_G(P), on the quotient's
-own basis; each use re-checks that the quotient is presented on that
-basis.  Conjugation by g permutes the group basis of kG and is applied
-as an index gather.
+own basis: the quotient builds it (`BrauerQuotient.algebra`) and checks
+that basis once.  When kC_G(P) has one block, that block is 1, and a
+Brauer image lies under it or absorbs it with no product.  Conjugation
+by g permutes the group basis of kG and is applied as an index
+gather.
 """
 
 import numpy as np
 
-from . import linalg
-from .algebra import group_algebra, group_conjugation_perm
+from .algebra import group_conjugation_perm
 from .groups import (GroupInjection, PermGroup, all_subgroups, centralizer,
                      conjugation_injection, normalizer, subgroup_classes,
                      sylow_subgroup, twisted_classes)
@@ -59,11 +60,10 @@ class FusionSystem:
     domain are listed in the order of their sorted pair lists, a total
     order, so no hom set depends on how the graphs were given."""
 
-    def __init__(self, S, graphs, label=""):
+    def __init__(self, S, graphs):
         self.S = S
         self.subgroups = all_subgroups(S)
         self.graphs = frozenset(graphs)
-        self.label = label
         by_key = {P.key: P for P in self.subgroups}
         # P.key -> [(graph, image subgroup)] of the morphisms from P
         self._from = {}
@@ -155,7 +155,7 @@ class FusionSystem:
         return out
 
 
-def fusion_from_group(S, G, label=None):
+def fusion_from_group(S, G):
     """F_S(G): morphisms are restrictions of conjugations by G, read off
     the rows of G's conjugation table."""
     A = G if isinstance(G, PermGroup) else G.parent
@@ -168,17 +168,17 @@ def fusion_from_group(S, G, label=None):
         for images in set(map(tuple, rows[inside[rows].all(axis=1)].tolist())):
             graphs.add(frozenset(zip(P.elements,
                                      (A.elements[y] for y in images))))
-    return FusionSystem(S, graphs, label=label or f"F_S({G.label})")
+    return FusionSystem(S, graphs)
 
 
-def fixed_point_presystem(ia, label="fF"):
+def fixed_point_presystem(ia):
     """The injections phi: P -> D with A(Delta(phi, P)) != 0, decided
     once per twisted-diagonal class of D x D."""
     tc = twisted_classes(ia.D)
     graphs = {frozenset((u, a) for a, u in pairs)
               for i, td in enumerate(tc.reps) if ia.brauer(td).dim > 0
               for pairs in tc.members(i)}
-    return FusionSystem(ia.D, graphs, label=label)
+    return FusionSystem(ia.D, graphs)
 
 
 def is_divisible(F):
@@ -215,9 +215,9 @@ class BrauerPairs:
     """Brauer pairs of kG over the subgroups of a fixed Sylow p-subgroup S.
 
     One engine serves every block of kG: it owns the interior S-algebra
-    kG, the G-classes of p-subgroups, the Brauer quotients (kG)(P), their
-    algebras kC_G(P) and their blocks, the blocks of kG = (kG)(1) among
-    them.  Its rng is drawn only to find blocks.
+    kG (whose quotients (kG)(P) own their algebras kC_G(P)), the
+    G-classes of p-subgroups, and the blocks of each kC_G(P), the blocks
+    of kG = (kG)(1) among them.  Its rng is drawn only to find blocks.
     """
 
     def __init__(self, A, rng):
@@ -232,35 +232,15 @@ class BrauerPairs:
         # P.key -> list of quotient blocks; the key None holds the blocks
         # of kG, shared by every P with C_G(P) = G
         self._blocks = {}
-        self._centralizer_algebras = {}   # P.key -> kC_G(P)
 
     def quotient(self, P):
         return self.ia.brauer_at(P)
-
-    def centralizer_algebra(self, P):
-        """(kG)(P) as the group algebra kC_G(P), in quotient coordinates;
-        kG itself when C_G(P) = G.
-
-        Raises FusionError unless the quotient's reps are the group
-        elements of C_G(P) in sorted order, the basis of kC_G(P)."""
-        Q = self._centralizer_algebras.get(P.key)
-        C = centralizer(self.G, P) if Q is None else Q.group
-        units = linalg.eye(self.A.field, self.A.dim)[
-            [self.A.element_index[g] for g in C.elements]]
-        if not np.array_equal(self.quotient(P).reps, units):
-            raise FusionError("(kG)(P) is not presented on the basis of "
-                              "C_G(P)")
-        if Q is None:
-            Q = self.A if C.order == self.G.order else \
-                group_algebra(C, self.A.field)
-            self._centralizer_algebras[P.key] = Q
-        return Q
 
     def blocks_at(self, P):
         """Central primitive idempotents of (kG)(P), in quotient coords;
         found once for all P with C_G(P) = G, where (kG)(P) is kG."""
         if P.key not in self._blocks:
-            Q = self.centralizer_algebra(P)
+            Q = self.quotient(P).algebra()
             key = None if Q is self.A else P.key
             if key not in self._blocks:
                 self._blocks[key] = block_idempotents(Q, self.rng)
@@ -286,26 +266,33 @@ class BrauerPairs:
 
     def under_block(self, P, i_vec):
         """The unique block e of (kG)(P) with e.br_P(i) = br_P(i), or None
-        when br_P(i) = 0."""
+        when br_P(i) = 0; with no product when 1 is the one block."""
         bq = self.quotient(P)
         img = bq.project(i_vec)
         if not np.any(img):
             return None
-        Qalg = self.centralizer_algebra(P)
-        hits = [t for t, e in enumerate(self.blocks_at(P))
-                if np.array_equal(Qalg.mul(e, img), img)]
+        blocks = self.blocks_at(P)
+        if len(blocks) == 1:
+            return 0
+        mul = bq.algebra().mul
+        hits = [t for t, e in enumerate(blocks)
+                if np.array_equal(mul(e, img), img)]
         if len(hits) != 1:
             raise FusionError("Brauer image not under a unique block")
         return hits[0]
 
     def absorbed(self, P, x):
         """Indices of the blocks e of (kG)(P) with e.br_P(x) = e, for a
-        P-fixed vector x of kG."""
-        img = self.quotient(P).project(x)
+        P-fixed vector x of kG; for the one block 1, br_P(x) must be 1."""
+        bq = self.quotient(P)
+        img = bq.project(x)
         if not np.any(img):
             return []
-        mul = self.centralizer_algebra(P).mul
-        return [t for t, e in enumerate(self.blocks_at(P))
+        blocks = self.blocks_at(P)
+        if len(blocks) == 1:
+            return [0] if np.array_equal(img, blocks[0]) else []
+        mul = bq.algebra().mul
+        return [t for t, e in enumerate(blocks)
                 if np.array_equal(mul(e, img), e)]
 
     def pairs_over_block(self, b):
@@ -388,7 +375,7 @@ def _conjugate_subgroups(G, P, Q):
     return any(P.conjugate(g).key == Q.key for g in G.elements)
 
 
-def block_fusion(poset, max_idx, label=None):
+def block_fusion(poset, max_idx):
     """F_D(b) from a chosen maximal pair (D, e_D).
 
     One g per coset g.C_G(P) is tried: for c in C_G(P), c_gc = c_g on P,
@@ -411,4 +398,4 @@ def block_fusion(poset, max_idx, label=None):
             moved = engine.image_under(P, e, g)
             if engine.block_index(Pg, moved) == family[Pg.key]:
                 graphs.add(conjugation_injection(P, g, D).graph)
-    return FusionSystem(D, graphs, label=label or "F_D(b)")
+    return FusionSystem(D, graphs)

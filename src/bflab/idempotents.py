@@ -24,7 +24,7 @@ the rows of i.A.j and j.A.i read off L_i.R_j and L_j.R_i.
 import numpy as np
 
 from . import linalg, polys
-from .algebra import AlgebraContext, AlgebraError
+from .algebra import AlgebraContext, AlgebraError, class_sum_rows
 from .radical import local_radical, radical_rows
 
 
@@ -56,38 +56,23 @@ def minimal_polynomial(A, x):
 
 
 def quotient_algebra(A, ideal_rows):
-    """A / ideal as an AlgebraContext, with lift/project helpers.
+    """A / ideal as an AlgebraContext, with the class map as `proj`.
 
-    Representatives are the standard basis vectors at the non-pivot
-    coordinates of the ideal's RREF, so the quotient basis is canonical.
-    The ideal rows must be independent.
+    The classes are `linalg.Quotient`'s, over the standard basis vectors
+    at its `rest` columns, so the quotient basis is canonical.  The ideal
+    rows must be independent.
     """
     f = A.field
     ideal_rows = np.asarray(ideal_rows, dtype=np.int64)
     if ideal_rows.size == 0:
         ideal_rows = linalg.zeros(0, A.dim)
-    pivots = linalg.rref(f, ideal_rows)[1]
-    free = [c for c in range(A.dim) if c not in pivots]
-    reps = linalg.eye(f, A.dim)[free]
-    coords = linalg.Coordinates(f, np.concatenate([ideal_rows, reps]),
-                                mod=ideal_rows.shape[0], error=AlgebraError)
-
-    def proj(v):
-        """Class of v (of each column for a matrix) over the reps."""
-        return coords(v, check=False)
-
-    def lift(c):
-        """The rep combination of c; of each column for a matrix."""
-        if np.ndim(c) == 2:
-            return linalg.matmul(f, reps.T, c)
-        return linalg.vecmat(f, c, reps)
-
-    tensor = linalg.structure_tensor(f, A.lmul_matrix, reps, coords,
-                                     check=False)
-    Q = AlgebraContext(f, len(free), mult_tensor=tensor, unit=proj(A.unit),
-                       check=False)
+    proj = linalg.Quotient(f, ideal_rows, error=AlgebraError)
+    reps = linalg.eye(f, A.dim)[proj.rest]
+    tensor = linalg.structure_tensor(f, A.lmul_matrix, reps,
+                                     lambda vs, check: proj(vs), check=False)
+    Q = AlgebraContext(f, reps.shape[0], mult_tensor=tensor,
+                       unit=proj(A.unit), check=False)
     Q._check_unit()
-    Q.lift = lift
     Q.proj = proj
     return Q
 
@@ -217,10 +202,9 @@ def is_primitive(A, e):
 
 
 def block_idempotents(A, rng):
-    """Central primitive idempotents, via the centre."""
-    from .algebra import class_sum_rows
-    rows = class_sum_rows(A) if hasattr(A, "group") else A.center_rows()
-    Z = A.subalgebra(linalg.rref(A.field, rows)[0])
+    """Central primitive idempotents of a group algebra A, via its
+    centre, which the class sums span."""
+    Z = A.subalgebra(linalg.rref(A.field, class_sum_rows(A))[0])
     blocks = [Z.to_parent(e) for e in
               primitive_decomposition(Z, Z.unit, rng)]
     return sorted(blocks, key=lambda v: v.tolist())

@@ -47,17 +47,20 @@ elimination:
   pairing's tensor, like the biaction, is a gather from kG's tables.
 
 Corners kG.b != kG and source algebras l.B.l != B are not presented on a
-permuted basis and take the elimination path: a nullspace for A^U,
-relative trace matrices from the maximal subgroups, and coordinates by
-`linalg.Coordinates`.
+permuted basis and take the elimination path: a nullspace for A^U and
+relative trace matrices from the maximal subgroups.
+Both paths present A(U) over the fixed module (`BrauerQuotient`), and
+the quotient owns its algebra: on the orbit path the table-driven
+kC_G(P), elsewhere the self-pairing's tensor.
 """
 
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraContext, group_element_vector
+from .algebra import AlgebraContext, group_algebra, group_element_vector
 from .gf import p_part
-from .groups import PermGroup, TwistedDiagonal, diagonal, maximal_subgroups
+from .groups import (PermGroup, TwistedDiagonal, centralizer, diagonal,
+                     maximal_subgroups)
 
 
 def _pair_perm_group(D):
@@ -92,22 +95,18 @@ def pair_subgroup(D, pairs):
 
 
 class BrauerQuotient:
-    """A(U) presented by representative rows inside the U-fixed module,
-    with coordinates by elimination over [traces; reps]."""
+    """A(U) over its U-fixed module F, the cached RREF `Subspace`:
+    `classes` is the `linalg.Quotient` of F-coordinates modulo the traces
+    T', the reps are the fixed rows at the columns R other than the rows'
+    last ones N, and the class of v is x[R] - x[N].T'[:, R] for x the
+    F-coordinates of v."""
 
-    def __init__(self, interior, pairs, fixed, trace_rows, reps):
-        f = interior.A.field
+    def __init__(self, interior, pairs, fixed, traces):
         self.interior = interior
         self.pairs = frozenset(pairs)
         self.fixed = fixed          # the interior algebra's cached Subspace
-        self.traces = linalg.Subspace(f, interior.A.dim, trace_rows)
-        # a class is the reps part of the coordinates over [traces; reps];
-        # the traces and the reps are views of that one array
-        t = self.traces.dim
-        self._coords = linalg.Coordinates(
-            f, np.concatenate([self.traces.basis, reps], axis=0), mod=t)
-        self.traces.basis = self._coords.rows[:t]
-        self.reps = self._coords.rows[t:]
+        self.classes = linalg.Quotient(interior.A.field, traces)
+        self.reps = fixed.basis[self.classes.rest]
         self._algebra = None
 
     @property
@@ -117,7 +116,7 @@ class BrauerQuotient:
     def project(self, v, check=True):
         """Class of a U-fixed vector, as coordinates over the reps; of
         each column for a matrix."""
-        return self._coords(v, check)
+        return self.classes(self.fixed.coordinates(v, check))
 
     def lift(self, c):
         """The rep combination of a class; of each column for a matrix."""
@@ -126,19 +125,23 @@ class BrauerQuotient:
             return linalg.matmul(self.interior.A.field, self.reps.T, c)
         return linalg.vecmat(self.interior.A.field, c, self.reps)
 
-    def is_zero_class(self, v):
-        return self.traces.contains(v)
-
     def algebra(self):
-        """Quotient algebra structure (valid when U.U-products stay fixed,
-        i.e. for diagonal subgroups Delta(P)), from its self-pairing."""
+        """A(P) as an algebra, built once by `_build_algebra`; U must be a
+        diagonal Delta(P), where products of fixed elements stay fixed."""
         if self._algebra is None:
-            A, t = self.interior.A, self.interior.pairing(self, self)[0]
-            Q = AlgebraContext(A.field, self.dim, mult_tensor=t,
-                               unit=self.project(A.unit), check=False)
-            Q._check_unit()
-            self._algebra = Q
+            self._algebra = self._build_algebra()
         return self._algebra
+
+    def _build_algebra(self):
+        """The self-pairing's tensor, with the class of 1 as unit."""
+        A = self.interior.A
+        t, out = self.interior.pairing(self, self)
+        if out is not self:
+            raise ValueError("A(U) is an algebra only at a diagonal U")
+        Q = AlgebraContext(A.field, self.dim, mult_tensor=t,
+                           unit=self.project(A.unit), check=False)
+        Q._check_unit()
+        return Q
 
     def __repr__(self):
         return f"BrauerQuotient(dim {self.dim})"
@@ -146,23 +149,20 @@ class BrauerQuotient:
 
 class OrbitQuotient(BrauerQuotient):
     """A(U) = k[G^U] of kG with its group basis, read off the U-orbit sums
-    that are the fixed rows (see the module docstring): the singleton
-    orbits are G^U and give the reps, the other sums span the traces."""
+    that are the fixed rows (see the module docstring).  T' is the unit
+    rows at the non-singleton sums, so T'[:, R] = 0 and no `classes` is
+    needed: the reps are the singletons G^U, and a class is a restriction
+    to G^U."""
 
     def __init__(self, interior, pairs, fixed):
-        f, n = interior.A.field, interior.A.dim
-        self.interior = interior
-        self.pairs = frozenset(pairs)
-        self.fixed = fixed
+        self.interior, self.pairs = interior, frozenset(pairs)
+        self.fixed, self._algebra = fixed, None
         pivots = np.asarray(fixed.pivots)
         single = np.count_nonzero(fixed.basis, axis=1) == 1
-        self.traces = linalg.Subspace(f, n, fixed.basis[~single],
-                                      pivots=pivots[~single].tolist())
+        self.reps = fixed.basis[single]
         self._at = pivots[single]
         # the least index in the orbit of each basis element
         self._least = pivots[fixed.basis.argmax(axis=0)]
-        self.reps = linalg.eye(f, n)[self._at]
-        self._algebra = None
 
     def project(self, v, check=True):
         """Restriction to G^U of a U-fixed vector, or of each column of a
@@ -178,15 +178,23 @@ class OrbitQuotient(BrauerQuotient):
         out[self._at] = c
         return out
 
-    def is_zero_class(self, v):
-        v = np.asarray(v, dtype=np.int64).reshape(-1)
-        return np.array_equal(v[self._least], v) and not v[self._at].any()
+    def _build_algebra(self):
+        """kC_G(P) on its group table, kG itself when C_G(P) = G, once the
+        reps are checked to be the elements of C_G(P), its group basis."""
+        A = self.interior.A
+        if any(a != b for a, b in self.pairs):
+            raise ValueError("A(U) is an algebra only at a diagonal U")
+        C = centralizer(A.group, [a for a, _ in self.pairs])
+        at = np.array([A.element_index[g] for g in C.elements])
+        if not np.array_equal(self.reps, at[:, None] == np.arange(A.dim)):
+            raise ValueError("A(P) is not presented on the basis of C_G(P)")
+        return A if C.order == A.dim else group_algebra(C, A.field)
 
 
 class InteriorAlgebra:
     """Algebra with a structural map D -> A^x and the induced biaction."""
 
-    def __init__(self, A, D, structural=None, check=True):
+    def __init__(self, A, D, structural=None):
         self.A = A
         self.D = D
         if p_part(D.order, A.field.p) != D.order:
@@ -221,8 +229,7 @@ class InteriorAlgebra:
         self._permutes_basis = index is not None and all(
             np.count_nonzero(v) == 1 and v[index[g]] == 1
             for g, v in self.structural.items())
-        if check:
-            self._check_structural()
+        self._check_structural()
 
     def _check_structural(self):
         """f(1) = 1 and f(g.h) = f(g).f(h) for each generator g of D and
@@ -345,9 +352,9 @@ class InteriorAlgebra:
         times the U-orbit sum, 1 when V contains Stab_U(g) and p when g
         is U-fixed), and the reps are the unit vectors at G^U (Broue,
         Proc. AMS 93, 1985).  Any other algebra is eliminated: the trace
-        images from the maximal subgroups of U, their RREF, and the fixed
-        rows independent of them as reps.  The RREF of a span is unique,
-        so both give the same rows."""
+        images from the maximal subgroups of U, in F-coordinates, reduced
+        in one `rref` with the columns reversed.  Both give the same reps,
+        the fixed rows at the columns that end no trace row."""
         pairs = td_or_pairs.pairs if isinstance(td_or_pairs, TwistedDiagonal) \
             else frozenset(td_or_pairs)
         if pairs in self._bq_cache:
@@ -358,24 +365,16 @@ class InteriorAlgebra:
             bq = self._bq_cache[pairs] = OrbitQuotient(self, pairs, fixed)
             return bq
         f = self.A.field
-        trace_imgs = []
+        imgs = [linalg.zeros(0, self.A.dim)]
         for V in maximal_subgroups(U):
             v_pairs = [decode_pair(self.D, e) for e in V.elements]
             tm = self.trace_map(v_pairs, pairs)
-            img = linalg.matmul(f, tm, self._fixed(V).basis.T).T
-            trace_imgs.append(img)
-        if trace_imgs:
-            traces = linalg.rref(f, np.concatenate(trace_imgs, axis=0))[0]
-        else:
-            traces = linalg.zeros(0, self.A.dim)
-        # pivot-complement of the traces inside the fixed module: the
-        # pivot columns of [traces; fixed]^T past the traces are the fixed
-        # rows independent of the traces and of the fixed rows before them
-        t = traces.shape[0]
-        cols = linalg.rref(f, np.concatenate([traces, fixed.basis],
-                                             axis=0).T)[1]
-        reps = fixed.basis[[c - t for c in cols if c >= t]]
-        bq = BrauerQuotient(self, pairs, fixed, traces, reps)
+            imgs.append(linalg.matmul(f, tm, self._fixed(V).basis.T).T)
+        # checked: the traces are U-fixed; reduced with the columns
+        # reversed, the quotient takes them as they are
+        x = fixed.coordinates(np.concatenate(imgs).T).T
+        traces = linalg.rref(f, x[:, ::-1])[0][:, ::-1]
+        bq = BrauerQuotient(self, pairs, fixed, traces)
         self._bq_cache[pairs] = bq
         return bq
 

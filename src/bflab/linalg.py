@@ -15,17 +15,19 @@ is unique, so none of this changes a result.
 
 `matmul` checks shapes and calls the field's one product kernel,
 `FiniteField.matmul`.  `Coordinates` is the one coordinate map over the
-rows of a matrix of full row rank, and `structure_tensor` the one fill
-of a multiplication table from it, in one stacked product and one
+rows of a matrix of full row rank, `Quotient` the one map to classes
+modulo a row span, and `structure_tensor` the one fill of a
+multiplication table from either, in one stacked product and one
 coordinate call, for subalgebras, quotient algebras (radical, Brauer)
 and pairings of Brauer quotients, except on kG's group basis (read off
-orbits in `bflab.interior`).  Over rows in RREF (every
-subalgebra's, and a `Subspace`'s) the pivot inverse is the identity, so
-coordinates are a gather at the pivots and the rebuild check a product
-on the free columns only; `Subspace.reduce` is that same map.  Only rows
-not in RREF (a Brauer quotient's [traces; reps], a radical quotient's
-[ideal; reps]) pay for a pivot inverse and a product with it.
+orbits in `bflab.interior`).  Over rows in RREF (every subalgebra's, and
+a `Subspace`'s) the pivot inverse is the identity, so coordinates are a
+gather at the pivots and the rebuild check a product on the free columns
+only.  Classes take no inverse either, and no pipeline call passes rows
+that are not in RREF, so none pays for a pivot inverse.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -178,22 +180,19 @@ class Coordinates:
     centre) have the identity at their pivot columns, so the coordinates
     of v are its entries there, one gather, and the rebuild check
     c.rows = v compares only the free columns: at the pivots it holds by
-    construction, so it is exactly as strong.  Other rows (a Brauer
-    quotient's [traces; reps]) take their pivot columns from one `rref`
-    (every column of a square matrix) and the inverse of the rows at
-    those columns from one `inverse`; each call is then one product, and
-    the check rebuilds all of v.  With `mod` = t the map gives the
-    coordinates over rows[t:] only: the class of v modulo the span of
-    rows[:t].  Dependent rows, and a checked vector outside the row span,
-    raise `error`.
+    construction, so it is exactly as strong.  Other rows take their
+    pivot columns from one `rref` (every column of a square matrix) and
+    the inverse of the rows at those columns from one `inverse`; each
+    call is then one product, and the check rebuilds all of v.
+    Dependent rows, and a checked vector outside the row span, raise
+    `error`.
     """
 
-    def __init__(self, f, rows, mod=0, error=ValueError):
+    def __init__(self, f, rows, error=ValueError):
         rows = np.asarray(rows, dtype=np.int64)
         n, cols = rows.shape
         self.field = f
         self.rows = rows
-        self.mod = mod
         self.error = error
         # n > 0 rows of no column are dependent: the elimination path says so
         pivots = _reduced_pivots(rows) if rows.size else (None if n else [])
@@ -220,22 +219,52 @@ class Coordinates:
         return c if v.ndim == 2 else c[:, 0]
 
     def columns(self, vs, check=True):
-        """Coordinates of each column of vs over rows[mod:]; checked, None
-        when one of them is outside the row span."""
+        """Coordinates of each column of vs; checked, None when one of
+        them is outside the row span."""
         f = self.field
         if self._inv is None:
             c = vs[self.pivots]
             if check and self._free.size and not np.array_equal(
                     matmul(f, c.T, self._free_rows), vs[self._free].T):
                 return None
-            return c[self.mod:]
-        c = matmul(f, self._inv if check else self._inv[self.mod:],
-                   vs[self.pivots])
-        if not check:
             return c
-        if not np.array_equal(matmul(f, c.T, self.rows), vs.T):
+        c = matmul(f, self._inv, vs[self.pivots])
+        if check and not np.array_equal(matmul(f, c.T, self.rows), vs.T):
             return None
-        return c[self.mod:]
+        return c
+
+
+class Quotient:
+    """Classes of k^m modulo the row span of independent rows T.
+
+    One `rref` of T with its columns reversed gives `rows` = T', with an
+    identity at each row's last nonzero column, the columns N (`last`).
+    The unit vectors at the other columns R (`rest`) complete T' to a
+    basis, and the class of x over them is x[R] - x[N].T'[:, R], with no
+    inverse.  Dependent rows raise `error`."""
+
+    def __init__(self, f, rows, error=ValueError):
+        rows = np.asarray(rows, dtype=np.int64)
+        t, m = rows.shape
+        reduced, pivots = rref(f, rows[:, ::-1])
+        if len(pivots) != t:
+            raise error("rows are dependent")
+        self.field = f
+        self.rows = reduced[:, ::-1]
+        self.last = m - 1 - np.array(pivots, dtype=np.intp)
+        self.rest = np.delete(np.arange(m), self.last)
+        self._tail = self.rows[:, self.rest].T
+
+    def __call__(self, x):
+        """The class of x over the unit vectors at `rest`; of each column
+        for a matrix."""
+        x = np.asarray(x, dtype=np.int64)
+        xs = x if x.ndim == 2 else x[:, None]
+        c = xs[self.rest]
+        if self.last.size and self.rest.size:
+            c = self.field.sub(c, matmul(self.field, self._tail,
+                                         xs[self.last]))
+        return c if x.ndim == 2 else c[:, 0]
 
 
 def structure_tensor(f, lmul, rows, coords, check=True, right=None):
@@ -265,7 +294,6 @@ class Subspace:
     def __init__(self, f, ambient_dim, rows=None, pivots=None):
         self.field = f
         self.ambient_dim = ambient_dim
-        self._coords = None
         if rows is None or np.asarray(rows).size == 0:
             self.basis, self.pivots = zeros(0, ambient_dim), []
         elif pivots is not None:
@@ -288,13 +316,15 @@ class Subspace:
             raise ValueError("ambient mismatch")
         return self.reduce(v) is not None
 
+    @cached_property
+    def coordinates(self):
+        """The `Coordinates` over the RREF basis, built once."""
+        return Coordinates(self.field, self.basis)
+
     def reduce(self, v):
-        """Coordinates of v in the RREF basis, or None if v is outside:
-        its entries at the pivots, checked on the free columns."""
+        """Coordinates of v in the RREF basis, or None if v is outside."""
         v = np.asarray(v, dtype=np.int64).reshape(-1)
-        if self._coords is None:
-            self._coords = Coordinates(self.field, self.basis)
-        c = self._coords.columns(v[:, None])
+        c = self.coordinates.columns(v[:, None])
         return None if c is None else c[:, 0]
 
     def sum(self, other):

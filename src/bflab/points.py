@@ -65,7 +65,7 @@ def points(ia, P, rng):
     for idx, cls in enumerate(classes):
         out.append(Point(subgroup=P, index=idx, rep=cls[0],
                          multiplicity=len(cls),
-                         local=not ia.brauer_at(P).is_zero_class(cls[0])))
+                         local=bool(ia.brauer_at(P).project(cls[0]).any())))
     c[P.key] = out
     return out
 

@@ -320,10 +320,28 @@ def test_blocks_of_kg_are_found_once(monkeypatch):
     subs = all_subgroups(engine.S)
     for P in subs + subs:
         engine.blocks_at(P)
-    central = [P for P in subs if engine.centralizer_algebra(P) is engine.A]
+    central = [P for P in subs if engine.quotient(P).algebra() is engine.A]
     assert len(central) == 2
     assert len(calls) == len(subs) - 1
     assert all(engine.blocks_at(P) is engine.blocks for P in central)
+
+
+def test_one_block_is_read_off_without_a_product(monkeypatch):
+    # every kC_G(P) of D8 at p = 2 has the one block 1: a Brauer image
+    # lies under it when nonzero and absorbs it only when it is 1
+    engine = BrauerPairs(build_group_algebra(D8, 2), rng())
+    A = engine.A
+    z = A.add(A.unit, A.basis_vector(A.element_index[(2, 3, 0, 1)]))
+    for P in all_subgroups(engine.S):
+        assert len(engine.blocks_at(P)) == 1
+    monkeypatch.setattr(type(A), "mul", None)
+    for P in all_subgroups(engine.S):
+        assert engine.absorbed(P, A.unit) == [0]
+        assert engine.under_block(P, A.unit) == 0
+        # 1 + z for z central of order 2: its image is nonzero, not 1
+        assert engine.absorbed(P, z) == [] and engine.under_block(P, z) == 0
+        assert engine.absorbed(P, A.zero()) == []
+        assert engine.under_block(P, A.zero()) is None
 
 
 def test_brauer_pair_poset_order_axioms():
@@ -361,32 +379,39 @@ A5 = group_from_generators(5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], "A5")
 
 @pytest.mark.parametrize("name,p", CATALOG + [("a5", 3)])
 def test_centralizer_algebra_is_the_brauer_quotient(name, p):
-    # (kG)(P) as the group algebra kC_G(P) multiplies exactly as the
-    # generic quotient algebra, on the same basis
+    # (kG)(P), which its quotient builds as the group algebra kC_G(P) (kG
+    # itself when C_G(P) = G), multiplies exactly as the quotient's
+    # self-pairing, on the same basis, and is built once
     G = A5 if name == "a5" else load_group(os.path.join(DATA, f"{name}.json"))
     engine = BrauerPairs(build_group_algebra(G, p), rng())
     for P in all_subgroups(engine.S):
-        Q = engine.centralizer_algebra(P)
-        ref = engine.quotient(P).algebra()
-        assert Q.dim == ref.dim and np.array_equal(Q.unit, ref.unit)
+        bq = engine.quotient(P)
+        Q = bq.algebra()
+        C = groups.centralizer(engine.G, P)
+        assert list(Q.group.elements) == C.elements
+        assert (Q is engine.A) == (C.order == G.order)
+        t = engine.ia.pairing(bq, bq)[0]
+        assert Q.dim == bq.dim and np.array_equal(Q.unit,
+                                                  bq.project(engine.A.unit))
         for i in range(Q.dim):
             b = Q.basis_vector(i)
-            assert np.array_equal(Q.lmul_matrix(b), ref.lmul_matrix(b))
-        assert engine.centralizer_algebra(P) is Q
+            assert np.array_equal(Q.lmul_matrix(b), t[i].T)
+        assert bq.algebra() is Q
 
 
 def test_centralizer_algebra_rejects_tampered_reps():
+    # the quotient checks once, when it builds kC_G(P), that its reps are
+    # the elements of C_G(P); a later call returns what it built
     engine = BrauerPairs(build_group_algebra(S3, 2), rng())
-    P = engine.S
-    engine.centralizer_algebra(P)
-    bq = engine.quotient(P)
-    good = bq.reps
+    good = engine.quotient(engine.S).reps
     for bad in (good[::-1], good[:1], engine.A.add(good, good[[1, 0]])):
+        engine = BrauerPairs(build_group_algebra(S3, 2), rng())
+        bq = engine.quotient(engine.S)
         bq.reps = bad
-        with pytest.raises(FusionError):
-            engine.centralizer_algebra(P)
+        with pytest.raises(ValueError, match="basis of C_G"):
+            bq.algebra()
     bq.reps = good
-    engine.centralizer_algebra(P)
+    assert bq.algebra() is bq.algebra()
 
 
 def test_hom_set_order_does_not_depend_on_insertion_order():

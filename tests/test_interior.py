@@ -13,8 +13,10 @@ from bflab.fusion import BrauerPairs
 from bflab.gf import _prime_factors, field, make_field
 from bflab.groups import (TwistedDiagonal, all_subgroups, diagonal,
                           group_from_generators, injective_maps,
-                          load_group, sylow_subgroup, twisted_classes)
-from bflab.interior import BrauerQuotient, InteriorAlgebra, OrbitQuotient
+                          load_group, maximal_subgroups, sylow_subgroup,
+                          twisted_classes)
+from bflab.interior import (BrauerQuotient, InteriorAlgebra, OrbitQuotient,
+                            decode_pair, pair_subgroup)
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -100,6 +102,18 @@ def test_relative_trace_matches_coset_sum_oracle():
         assert np.array_equal(got, expect)
 
 
+def trace_rows(bq):
+    """RREF rows spanning the traces of A(U), apart from the quotient:
+    Tr_V^U of the V-fixed rows for each maximal subgroup V of U."""
+    ia, f = bq.interior, bq.interior.A.field
+    images = [linalg.zeros(0, ia.A.dim)] + [linalg.matmul(
+        f, ia.trace_map(pairs, bq.pairs), ia.fixed_rows(pairs).T).T
+        for pairs in ([decode_pair(ia.D, e) for e in V.elements]
+                      for V in maximal_subgroups(
+                          pair_subgroup(ia.D, bq.pairs)))]
+    return linalg.rref(f, np.concatenate(images))[0]
+
+
 def test_brauer_quotient_dims_kc2():
     ia = interior(C2, 2)
     assert ia.brauer_at(ia.D).dim == 2       # traces vanish
@@ -141,9 +155,10 @@ def test_projection_well_defined_modulo_traces():
     for _ in range(10):
         v = linalg.vecmat(f, f.random_elements(rng, bq.fixed.dim),
                           bq.fixed.basis)
-        if bq.traces.dim:
+        traces = trace_rows(bq)
+        if traces.shape[0]:
             noise = linalg.vecmat(
-                f, f.random_elements(rng, bq.traces.dim), bq.traces.basis)
+                f, f.random_elements(rng, traces.shape[0]), traces)
             assert np.array_equal(bq.project(v),
                                   bq.project(f.add(v, noise)))
     # a transposition is not fixed by conjugation with C3
@@ -187,13 +202,14 @@ def test_quotient_product_kc2():
 
 
 def test_pairing_is_cached_and_read_only():
-    ia = interior(S3, 3)
-    bq = ia.brauer_at(ia.D)
-    t, bq_out = ia.pairing(bq, bq)
-    assert ia.pairing(bq, bq)[0] is t and bq_out is bq
-    assert bq.algebra().mult_tensor is t
-    with pytest.raises(ValueError):
-        t[0, 0, 0] = 1
+    # off the orbit path, A(P)'s algebra multiplies by the cached tensor
+    for ia in orbit_and_eliminated(S3, 3):
+        bq = ia.brauer_at(ia.D)
+        t, bq_out = ia.pairing(bq, bq)
+        assert ia.pairing(bq, bq)[0] is t and bq_out is bq
+        assert (bq.algebra().mult_tensor is t) != ia._permutes_basis
+        with pytest.raises(ValueError):
+            t[0, 0, 0] = 1
 
 
 def test_quotient_product_rejects_a_pairing_that_does_not_compose():
@@ -224,10 +240,11 @@ def test_quotient_product_independent_of_lifts():
     lift_u = bq_phi.lift(u)
     lift_v = bq_p.lift(v)
     for bq_side, lift in ((bq_phi, lift_u), (bq_p, lift_v)):
-        if bq_side.traces.dim == 0:
+        traces = trace_rows(bq_side)
+        if traces.shape[0] == 0:
             continue
-        noise = linalg.vecmat(f, f.random_elements(rng, bq_side.traces.dim),
-                              bq_side.traces.basis)
+        noise = linalg.vecmat(f, f.random_elements(rng, traces.shape[0]),
+                              traces)
         if bq_side is bq_phi:
             w = ia.A.mul(f.add(lift_u, noise), lift_v)
         else:
@@ -313,6 +330,45 @@ def test_pairing_matches_the_product_of_lifts(doc, p):
                 want = bq_out.project(ia.A.mul(bq_left.lift(e_a),
                                                bq_right.lift(e_b)))
                 assert np.array_equal(t[a, b], want)
+
+
+@pytest.mark.parametrize("doc,p", [(os.path.join(DATA, "s4.json"), 3),
+                                   (A5_DOC, 3)], ids=["S4-p3", "A5-p3"])
+def test_every_eliminated_quotient_matches_solve(monkeypatch, tmp_path, doc,
+                                                 p):
+    # every quotient that `check` builds by elimination, against the
+    # reference: its traces span the trace images, its reps are the fixed
+    # rows independent of the traces and of the fixed rows before them,
+    # and a class is the reps part of the coordinates over [traces; reps]
+    # by `solve`
+    from bflab.cli import main
+    built, init = [], BrauerQuotient.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        if type(self) is BrauerQuotient:
+            built.append(self)
+    monkeypatch.setattr(BrauerQuotient, "__init__", recorded)
+    assert main(["check", "--group", doc, "--prime", str(p), "--seed", "1",
+                 "--out", str(tmp_path / "report.json"),
+                 "--findings-dir", str(tmp_path)]) == 0
+    monkeypatch.undo()
+    assert built
+    rng = np.random.default_rng(2)
+    for bq in built:
+        f = bq.interior.A.field
+        traces = trace_rows(bq)
+        assert np.array_equal(traces, linalg.rref(f, linalg.matmul(
+            f, bq.classes.rows, bq.fixed.basis))[0])
+        t = traces.shape[0]
+        cols = linalg.rref(f, np.concatenate([traces, bq.fixed.basis]).T)[1]
+        assert np.array_equal(
+            bq.reps, bq.fixed.basis[[c - t for c in cols if c >= t]])
+        basis = np.concatenate([traces, bq.reps]).T
+        vs = linalg.matmul(f, bq.fixed.basis.T,
+                           f.random_elements(rng, (bq.fixed.dim, 3)))
+        want = np.array([linalg.solve(f, basis, v)[t:] for v in vs.T]).T
+        assert np.array_equal(bq.project(vs), want.reshape(bq.dim, 3))
 
 
 def test_bifreeness_of_group_algebras():
@@ -434,6 +490,14 @@ def _oracle_pair_sets(S):
     return out
 
 
+def zero_class(bq, x):
+    """Whether x is U-fixed with class 0, a sum of traces."""
+    try:
+        return not bq.project(x).any()
+    except ValueError:
+        return False
+
+
 @pytest.mark.parametrize("name,p", catalog_pairs())
 def test_orbit_quotients_match_elimination(name, p):
     G = load_group(os.path.join(DATA, f"{name}.json"))
@@ -446,11 +510,11 @@ def test_orbit_quotients_match_elimination(name, p):
         q, r = fast.brauer(pairs), slow.brauer(pairs)
         assert type(q) is OrbitQuotient and type(r) is BrauerQuotient
         assert q.dim == r.dim
-        for a, b in ((q.fixed.basis, r.fixed.basis),
-                     (q.traces.basis, r.traces.basis), (q.reps, r.reps)):
+        for a, b in ((q.fixed.basis, r.fixed.basis), (q.reps, r.reps)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert q.fixed.pivots == r.fixed.pivots
-        assert q.traces.pivots == r.traces.pivots
+        # T' is the unit rows at the non-singleton orbit sums
+        assert not r.classes.rows[:, r.classes.rest].any()
         rows = q.fixed.basis
         v = linalg.vecmat(f, f.random_elements(rng, rows.shape[0]), rows)
         m = linalg.matmul(f, rows.T, f.random_elements(rng, (rows.shape[0],
@@ -461,10 +525,11 @@ def test_orbit_quotients_match_elimination(name, p):
         cm = f.random_elements(rng, (q.dim, 2))
         for x in (c, cm):
             assert np.array_equal(q.lift(x), r.lift(x))
-        t = linalg.vecmat(f, f.random_elements(rng, q.traces.dim),
-                          q.traces.basis) if q.traces.dim else v
+        traces = trace_rows(q)
+        t = linalg.vecmat(f, f.random_elements(rng, traces.shape[0]),
+                          traces) if traces.shape[0] else v
         for x in [v, t, fast.A.zero(), fast.A.unit, *unit_vectors]:
-            assert q.is_zero_class(x) == r.is_zero_class(x)
+            assert zero_class(q, x) == zero_class(r, x)
         for x in unit_vectors:
             if not q.fixed.contains(x):
                 for bq in (q, r):
@@ -472,7 +537,7 @@ def test_orbit_quotients_match_elimination(name, p):
                         bq.project(x)
         if pairs in diagonals:
             qa, ra = q.algebra(), r.algebra()
-            assert np.array_equal(qa.mult_tensor, ra.mult_tensor)
+            assert np.array_equal(qa.basis_lmuls(), ra.basis_lmuls())
             assert np.array_equal(qa.unit, ra.unit)
 
 

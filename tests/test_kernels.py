@@ -3,11 +3,11 @@
 table-driven add/neg against the scalar, `vec_sum` and `sub`/`mul`
 paths, the vectorized field tables against a per-element build, stacked
 `charpolys` against the one-matrix `charpoly`; that no BLAS call of
-`matmul` is large enough to go multithreaded, no product takes an
-identity operand outside the named callers, no module of `bflab` has
-an `assert`, which `python -O` would skip, none caches on an object's
-private attributes behind `hasattr`, and none but `gf` reads a field's
-private tables."""
+`matmul` is large enough to go multithreaded, no `check` run inverts a
+matrix, no product takes an identity operand outside the named callers,
+no module of `bflab` has an `assert`, which `python -O` would skip, none
+caches on an object's private attributes behind `hasattr`, and none but
+`gf` reads a field's private tables."""
 
 import ast
 import contextlib
@@ -424,14 +424,31 @@ def test_inverse_is_called_only_in_linalg(module):
     assert not lines, f"{module}: linalg.inverse called at lines {lines}"
 
 
+def test_no_check_run_inverts_a_matrix(tmp_path, monkeypatch):
+    # classes modulo the traces and coordinates over RREF rows are
+    # gathers and products: `check` over the catalog and on A5 at p = 3
+    # runs with linalg.inverse raising
+    from bflab.cli import main
+
+    def refused(f, m):
+        raise AssertionError("linalg.inverse was called")
+    monkeypatch.setattr(linalg, "inverse", refused)
+    common = ["--seed", "1", "--out", str(tmp_path / "out.json"),
+              "--findings-dir", str(tmp_path)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["catalog", "--dir", str(SRC / "data"), "--no-cache",
+                     "--cache-dir", str(tmp_path / "cache"), *common]) == 0
+        assert main(["check", "--group", str(REPO / "perfbench" / "groups" /
+                                             "a5.json"),
+                     "--prime", "3", *common]) == 0
+
+
 # The callers that may still hand `FiniteField.matmul` an identity
 # matrix, each because an element happens to be 1 or a subgroup V = 1
 # makes a fixed module the whole algebra.  The algebra layer's own
 # identities are gone: the basis's left multiplications, coordinates
 # over RREF rows, corners, associates and the unit's corner.
 IDENTITY_CALLERS = {
-    # e.x with e = 1, the one block of kC_G(P)
-    "fusion.BrauerPairs.absorbed", "fusion.BrauerPairs.under_block",
     # z.w with z = 1
     "idempotents.corner_unit_inverse",
     # L_d and R_d for d = 1, the identity coset representative

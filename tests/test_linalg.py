@@ -256,9 +256,6 @@ def test_coordinates_match_solve(case, data):
     vs = linalg.matmul(f, combos, rows).T if r else linalg.zeros(n, k)
     for check in (True, False):
         assert np.array_equal(coords(vs, check), combos.T)
-    mod = data.draw(st.integers(0, r))
-    assert np.array_equal(linalg.Coordinates(f, rows, mod=mod)(vs),
-                          combos.T[mod:])
     # one vector against the exact reference: outside the span, a
     # checked call raises
     v = data.draw(arrays(np.int64, n, elements=codes))
@@ -284,6 +281,64 @@ def test_coordinates_reject_dependent_rows():
     for m in (rows, rows[:, :2]):
         with pytest.raises(Refused):
             linalg.Coordinates(f, m, error=Refused)
+
+
+def _classes_by_solve(f, q, x):
+    """The reps part of x's coordinates over [T'; reps], the unit vectors
+    at q.rest, by `solve`: the reference for `linalg.Quotient`."""
+    m = x.shape[0]
+    basis = np.concatenate([q.rows, linalg.eye(f, m)[q.rest]])
+    assert linalg.rank(f, basis) == m
+    return linalg.solve(f, basis.T, x)[q.rows.shape[0]:]
+
+
+@given(full_rank_rows(), st.data())
+def test_quotient_classes_match_solve(case, data):
+    # T' spans T's rows with an identity at each row's last nonzero
+    # column, and the class of x (of each column of a matrix) is its reps
+    # part over [T'; reps], with no inverse
+    f, rows = case
+    t, m = rows.shape
+    with mock.patch.object(linalg, "inverse", None):
+        q = linalg.Quotient(f, rows)
+    assert np.array_equal(linalg.rref(f, q.rows)[0], linalg.rref(f, rows)[0])
+    assert np.array_equal(q.rows[:, q.last], linalg.eye(f, t))
+    assert [int(np.flatnonzero(row)[-1]) for row in q.rows] == \
+        q.last.tolist()
+    assert sorted(q.last.tolist() + q.rest.tolist()) == list(range(m))
+    codes = st.integers(0, f.q - 1)
+    xs = data.draw(arrays(np.int64, (m, data.draw(st.integers(1, 3))),
+                          elements=codes))
+    want = np.array([_classes_by_solve(f, q, x) for x in xs.T]).reshape(
+        xs.shape[1], m - t).T
+    assert np.array_equal(q(xs), want)
+    assert np.array_equal(q(xs[:, 0]), want[:, 0])
+    # a trace row has class 0
+    if t:
+        assert not q(rows.T).any()
+
+
+@pytest.mark.parametrize("t", [0, 3])
+def test_quotient_modulo_nothing_or_everything(t):
+    # t = 0: the class is x itself; t = dim: every class is 0-dim
+    f = field(3)
+    rows = linalg.eye(f, 3)[:t]
+    q = linalg.Quotient(f, rows)
+    x = linalg.mat([[1, 2, 0], [2, 2, 1]]).T
+    assert np.array_equal(q(x), x if t == 0 else linalg.zeros(0, 2))
+    assert q.rest.size == 3 - t and q.last.size == t
+
+
+def test_quotient_rejects_dependent_rows():
+    # a repeated row, a zero row, a row of no column, a sum of rows
+    f = field(3)
+    rows = linalg.mat([[1, 2, 0], [0, 1, 1]])
+    for bad in (np.concatenate([rows, rows[:1]]),
+                np.concatenate([rows, linalg.zeros(1, 3)]),
+                linalg.zeros(1, 0),
+                np.concatenate([rows, f.add(rows[:1], rows[1:])])):
+        with pytest.raises(Refused):
+            linalg.Quotient(f, bad, error=Refused)
 
 
 @st.composite
@@ -316,11 +371,8 @@ def test_rref_coordinates_are_a_gather_checked_on_the_free_columns(case,
     k = data.draw(st.integers(1, 4))
     combos = data.draw(arrays(np.int64, (k, r), elements=codes))
     vs = linalg.matmul(f, combos, rows).T if r else linalg.zeros(n, k)
-    mod = data.draw(st.integers(0, r))
     for check in (True, False):
         assert np.array_equal(coords(vs, check), combos.T)
-        assert np.array_equal(
-            linalg.Coordinates(f, rows, mod=mod)(vs, check), combos.T[mod:])
     for v in list(vs.T) + [data.draw(arrays(np.int64, n, elements=codes))]:
         ref = linalg.solve(f, rows.T, v) if r else \
             (None if v.any() else linalg.zeros(1, 0)[0])
