@@ -8,11 +8,15 @@ bare numpy coefficient vectors; all operations live on the context.
 Subalgebras (fixed-point algebras, corners e.A.e, centers) are
 AlgebraContexts carrying an `embed` matrix whose rows express their
 basis inside the parent; `from_parent` reads coordinates over those
-rows through `linalg.Coordinates`.  A proper subalgebra gets a dense
-tensor from `linalg.structure_tensor`, which multiplies the stacked
-left multiplications of its rows (`lmul_matrix` of a matrix); the whole
-of an algebra (the corner at its unit, the fixed points of the trivial
-group) shares the parent's index tables or tensor, so kG stays
+rows through `linalg.Coordinates`, so the rows must be in RREF.  A
+proper subalgebra takes a tensor its caller already knows (the
+orbit-counted (kG)^P of `bflab.interior`), or gets one from
+`linalg.structure_tensor`, which multiplies the stacked left
+multiplications of its rows (`lmul_matrix` of a matrix).  A corner of
+an algebra on index tables (a block B = kG.b) leaves that fill to its
+first product (`mult_tensor`) and checks its unit in the tables.  The
+whole of an algebra (the corner at its unit, the fixed points of the
+trivial group) shares the parent's index tables or tensor, so kG stays
 table-driven through them, with the parent's coordinates (no `embed`).
 The left multiplications of the basis are the structure tensor
 transposed (`basis_lmuls`), never a product with the identity, and a
@@ -22,6 +26,8 @@ corner's rows come from one L_e (`corner_rows`).
 group's own product table (`bflab.groups.PermGroup.mul`); the Brauer
 quotients (kG)(P) of `bflab.interior` build theirs this way, as kC_G(P).
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +46,8 @@ class AlgebraContext:
         self.field = field
         self.dim = dim
         self.labels = labels if labels is not None else list(range(dim))
-        self.mult_tensor = mult_tensor
+        if parent is None or mult_tensor is not None:
+            self.mult_tensor = mult_tensor
         self._ltable = group_ltable
         self._rtable = group_rtable
         self.unit = None if unit is None else np.asarray(unit, dtype=np.int64)
@@ -58,6 +65,17 @@ class AlgebraContext:
             # for free; only raw structure data needs the triple check
             if self.mult_tensor is not None and parent is None:
                 self._check_associative()
+
+    @cached_property
+    def mult_tensor(self):
+        """A subalgebra's tensor, on its first use: the parent's when our
+        basis is the parent's, else filled from the parent's products
+        over our rows (checked unless built with check=False)."""
+        if self.embed is None:
+            return self.parent.mult_tensor
+        return linalg.structure_tensor(self.field, self.parent.lmul_matrix,
+                                       self.embed, self._coords,
+                                       self._checked)
 
     # -- basic element operations ----------------------------------------
 
@@ -149,29 +167,47 @@ class AlgebraContext:
 
     # -- derived algebras --------------------------------------------------
 
-    def subalgebra(self, rows, unit=None, check=True):
-        """Subalgebra on given independent rows (parent coordinates)."""
-        f = self.field
-        rows = np.asarray(rows, dtype=np.int64)
-        r = rows.shape[0]
-        unit = self.unit if unit is None else np.asarray(unit)
-        whole = np.array_equal(rows, linalg.eye(f, self.dim))
-        sub = AlgebraContext(f, r, mult_tensor=None, unit=None, parent=self,
-                             embed=None if whole else rows, check=False)
-        if whole:
-            # the whole algebra: same basis, tables or tensor, coordinates
-            sub._ltable, sub._rtable = self._ltable, self._rtable
-            sub.mult_tensor = self.mult_tensor
-        else:
-            sub.mult_tensor = linalg.structure_tensor(
-                f, self.lmul_matrix, rows, sub._coords, check)
-        sub.unit = sub.from_parent(unit, check=check)
+    def subalgebra(self, rows, unit=None, check=True, tensor=None):
+        """Subalgebra on given independent rows in RREF (parent
+        coordinates), with their structure tensor when the caller knows
+        it; else the tensor is filled now, from the parent's products."""
+        sub = self._on_rows(rows, unit, check)
+        if tensor is not None:
+            sub.mult_tensor = tensor
         sub._check_unit()
         return sub
 
+    def _on_rows(self, rows, unit, check):
+        """The subalgebra on the rows, with no tensor yet: the whole
+        algebra shares our index tables."""
+        rows = np.asarray(rows, dtype=np.int64)
+        whole = rows.shape[0] == self.dim and \
+            np.array_equal(rows, linalg.eye(self.field, self.dim))
+        sub = AlgebraContext(self.field, rows.shape[0], parent=self,
+                             embed=None if whole else rows, check=False)
+        if whole:
+            sub._ltable, sub._rtable = self._ltable, self._rtable
+        sub._checked = check
+        sub.unit = sub.from_parent(self.unit if unit is None else unit,
+                                   check=check)
+        return sub
+
     def corner(self, e, check=True):
-        """The corner algebra e.A.e with unit e."""
-        return self.subalgebra(self.corner_rows(e), unit=e, check=check)
+        """The corner algebra e.A.e with unit e.
+
+        On index tables (kG) a proper corner waits for its first product
+        to fill its tensor, and its unit check is e.x = x = x.e for its
+        rows x, in the tables: as strong as the check in the corner,
+        whose coordinates are injective."""
+        rows = self.corner_rows(e)
+        if self._ltable is None or rows.shape[0] == self.dim:
+            return self.subalgebra(rows, unit=e, check=check)
+        sub = self._on_rows(rows, e, check)
+        f = self.field
+        for side in (self.lmul_matrix(e), self.rmul_matrix(e)):
+            if not np.array_equal(linalg.matmul(f, side, rows.T), rows.T):
+                raise AlgebraError("unit is not a two-sided identity")
+        return sub
 
     def corner_rows(self, e):
         """RREF rows spanning e.A.e, from one L_e: its product with e

@@ -12,6 +12,14 @@ engine's when they are the same algebra: kG over D is the engine's kG
 when D is the engine's Sylow subgroup, the block algebra is kG when
 b = 1, and the source algebra is the block algebra when l = 1_B.
 
+Analyzing a block builds no dense block algebra.  The block algebra
+B = kG.b keeps kG as its ambient interior algebra: its unit and
+structural checks run in kG's tables, B^D is the corner of the
+orbit-counted (kG)^D at b, and S = l.kG.l is a corner of kG's table
+with its own tensor.  B's tensor is filled on its first product, which
+only `check`'s ambient suite makes, and a block of defect zero,
+whose B^D = B^1 is B.
+
 All choices (defect representative, maximal pair, source idempotent) are
 made deterministically under the run seed and recorded, since the block
 fusion system is only canonical once they are pinned.

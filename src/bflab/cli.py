@@ -242,7 +242,8 @@ def cmd_catalog(args):
         return 2
     rows = []
     worst = 0
-    cache_dir = args.cache_dir
+    # --no-cache neither reads, creates nor writes the cache
+    cache_dir = None if args.no_cache else args.cache_dir
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
     entries = sorted(os.listdir(args.dir))
@@ -270,7 +271,7 @@ def cmd_catalog(args):
             cached = os.path.join(cache_dir, key + ".json") if cache_dir \
                 else None
             t0 = time.time()
-            if cached and os.path.exists(cached) and not args.no_cache:
+            if cached and os.path.exists(cached):
                 with open(cached) as fh:
                     rep = json.load(fh)
                 findings = rep["findings"]
@@ -332,7 +333,8 @@ def build_parser():
     pk = sub.add_parser("catalog", help="run check over a directory")
     pk.add_argument("--dir", required=True)
     pk.add_argument("--cache-dir", default=".bflab-cache")
-    pk.add_argument("--no-cache", action="store_true")
+    pk.add_argument("--no-cache", action="store_true",
+                    help="neither read nor write --cache-dir")
     common(pk)
     pk.set_defaults(func=cmd_catalog)
     return ap

@@ -27,6 +27,15 @@ structural map), so a block algebra B = kG.b with b = 1 is the
 Brauer-pair engine's kG, and a source algebra l.B.l with l = 1_B is B,
 each with one set of caches.
 
+Fixed algebras come from orbit sums.  On kG with its group basis, the
+P-conjugation orbit sums O_a are the RREF basis of (kG)^P, and its
+structure constants are counts on kG's table (`_orbit_tensor`).  A
+block B = kG.b (b central) keeps kG as its `ambient`: B^P = b.(kG)^P
+is the corner of (kG)^P at b, B's unit and structural checks run in
+kG's tables, and B's own tensor waits for its first product.  Any other
+corner of kG or of B (a source algebra) is taken in kG's tables and
+keeps its own tensor, from which its A^P are filled.
+
 On kG whose structural map is its group basis, the biaction permutes the
 basis, (d1, d2).g = d1.g.d2^-1, so kG is the permutation module k[G] and
 its Brauer quotient at U is k[G^U] (Broue, "On Scott modules and
@@ -194,9 +203,11 @@ class OrbitQuotient(BrauerQuotient):
 class InteriorAlgebra:
     """Algebra with a structural map D -> A^x and the induced biaction."""
 
-    def __init__(self, A, D, structural=None):
+    def __init__(self, A, D, structural=None, ambient=None):
         self.A = A
         self.D = D
+        # the interior kG of which this is a block (see `corner`), or None
+        self.ambient = ambient
         if p_part(D.order, A.field.p) != D.order:
             raise ValueError("the interior group must be a p-group for the "
                              "coefficient characteristic")
@@ -240,17 +251,24 @@ class InteriorAlgebra:
         f(a.h) = f(g_1).f(g_2...g_k.h) = f(g_1)...f(g_k).f(h), and h = 1
         gives f(a) = f(g_1)...f(g_k), so f(a.h) = f(a).f(h) on all of D.
         Then f(h).f(h^-1) = f(1) = 1 = f(h^-1).f(h) makes every image a
-        unit."""
-        f = self.A.field
+        unit.
+
+        A block of kG multiplies in kG's tables instead, where its
+        coordinates are injective: exactly as strong, and no product in
+        the block."""
         if not np.array_equal(self.structural[self.D.identity], self.A.unit):
             raise ValueError("structural map does not send 1 to 1")
+        A, lift = (self.A, np.asarray) if self.ambient is None else \
+            (self.ambient.A, self.A.to_parent)
         G, D = self.D.parent, self.D
-        images = np.array([self.structural[h] for h in D.elements]).T
+        images = np.array([lift(self.structural[h]) for h in D.elements]).T
         for g in D.generating_sequence():
             products = G.mul[G.index[g], D.idx].tolist()
-            moved = np.array([self.structural[G.elements[y]]
+            moved = np.array([lift(self.structural[G.elements[y]])
                               for y in products]).T
-            if not np.array_equal(linalg.matmul(f, self.lmat(g), images),
+            left = self.lmat(g) if self.ambient is None else \
+                A.lmul_matrix(lift(self.structural[g]))
+            if not np.array_equal(linalg.matmul(A.field, left, images),
                                   moved):
                 raise ValueError("structural map is not multiplicative")
 
@@ -432,13 +450,50 @@ class InteriorAlgebra:
         return t, bq_out
 
     def fixed_subalgebra(self, P):
-        """A^P (conjugation-fixed) as a subalgebra context, one per P."""
+        """A^P (conjugation-fixed) as a subalgebra context, one per P.
+
+        For P != 1 no product is needed on kG with its group basis, whose
+        orbit sums are counted (`_orbit_tensor`), nor on a block
+        B = kG.b of it: b is central, so B^P = b.(kG)^P is the corner of
+        (kG)^P at b.  Its RREF rows there, pushed through the RREF orbit
+        sums, are in RREF in kG, so they are B^P's RREF rows, presented in
+        B's coordinates.  Elsewhere, and where P acts trivially (B^1 is
+        B), the nullspace rows fill A^P from A's products."""
         ctx = self._fixed_algebras.get(P.key)
         if ctx is None:
-            rows = self.fixed_rows([(g, g) for g in P.generating_sequence()]
-                                   or [(P.identity, P.identity)])
-            ctx = self._fixed_algebras[P.key] = self.A.subalgebra(rows)
+            pairs = [(g, g) for g in P.generating_sequence()] \
+                or [(P.identity, P.identity)]
+            K = self.ambient.fixed_subalgebra(P) if P.order > 1 and \
+                self.ambient is not None else None
+            if K is not None and K.embed is not None:
+                C = K.corner(K.from_parent(self.A.to_parent(self.A.unit)))
+                rows = linalg.matmul(self.A.field, C.embed, K.embed)
+                ctx = self.A.subalgebra(self.A.from_parent(rows.T).T,
+                                        tensor=C.mult_tensor)
+            elif P.order > 1 and self._permutes_basis:
+                space = self._fixed(pair_subgroup(self.D, pairs))
+                ctx = self.A.subalgebra(space.basis, tensor=None if
+                                        space.dim == self.A.dim else
+                                        self._orbit_tensor(space))
+            else:
+                ctx = self.A.subalgebra(self.fixed_rows(pairs))
+            self._fixed_algebras[P.key] = ctx
         return ctx
+
+    def _orbit_tensor(self, space):
+        """On kG with its group basis: the structure tensor of the fixed
+        algebra on the orbit sums O_a, the RREF rows of `space`.  The
+        coefficient of z_c, the least element of O_c and the pivot of its
+        row, in O_a.O_b is t[a, b, c] = #{x in O_a : x^-1.z_c in O_b}
+        mod p: one count over the r.|G| reads rtable[z_c, x], which
+        index x^-1.z_c, with no product and no elimination."""
+        A = self.A
+        r = space.dim
+        orbit = space.basis.argmax(axis=0)
+        key = (orbit * r + orbit[A._rtable[space.pivots]]) * r + \
+            np.arange(r)[:, None]
+        counts = np.bincount(key.ravel(), minlength=r ** 3)
+        return (counts % A.field.p).reshape(r, r, r)
 
     def corner(self, e):
         """Interior algebra on the corner e.A.e; structural map d -> d.e.
@@ -446,13 +501,29 @@ class InteriorAlgebra:
         e must be fixed by the conjugation action of D.  The corner at
         the unit is this algebra itself, with all its caches: d -> d.1 is
         the structural map.
-        """
+
+        Corners are taken on kG with its group basis and on a block of
+        it, in kG's tables, where d.e is a gather.  At e central in kG
+        the corner is a block B = kG.b: kG's corner, whose tensor waits
+        for its first product, with kG as its `ambient` for the
+        structural check and the fixed algebras.  Any other corner (a
+        source algebra l.B.l) keeps its own tensor, filled from kG's
+        products over its RREF rows, which are its RREF rows in B's
+        coordinates too."""
         if np.array_equal(e, self.A.unit):
             return self
-        C = self.A.corner(e)
-        struct = {}
-        for g in self.D.elements:
-            v = self.A.mul(self.structural[g], e)
-            struct[g] = C.from_parent(v)
-        return InteriorAlgebra(C, self.D, structural=struct)
-
+        kG = self if self._permutes_basis else self.ambient
+        if kG is None:
+            raise ValueError("corners are taken on kG with its group basis "
+                             "or on a block of it")
+        x = self.A.to_parent(e)
+        C = kG.A.corner(x)
+        block = kG is self and np.array_equal(kG.A.lmul_matrix(x),
+                                              kG.A.rmul_matrix(x))
+        if kG is not self:
+            C = self.A.subalgebra(self.A.from_parent(C.embed.T).T, unit=e,
+                                  tensor=C.mult_tensor)
+        one = self.D.identity
+        return InteriorAlgebra(C, self.D, structural={
+            g: C.from_parent(self.A.from_parent(kG.act(g, one, x)))
+            for g in self.D.elements}, ambient=kG if block else None)

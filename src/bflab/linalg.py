@@ -14,17 +14,15 @@ through the field's rank-one kernel `sub_outer`.  The RREF of a matrix
 is unique, so none of this changes a result.
 
 `matmul` checks shapes and calls the field's one product kernel,
-`FiniteField.matmul`.  `Coordinates` is the one coordinate map over the
-rows of a matrix of full row rank, `Quotient` the one map to classes
-modulo a row span, and `structure_tensor` the one fill of a
-multiplication table from either, in one stacked product and one
-coordinate call, for subalgebras, quotient algebras (radical, Brauer)
-and pairings of Brauer quotients, except on kG's group basis (read off
-orbits in `bflab.interior`).  Over rows in RREF (every subalgebra's, and
-a `Subspace`'s) the pivot inverse is the identity, so coordinates are a
-gather at the pivots and the rebuild check a product on the free columns
-only.  Classes take no inverse either, and no pipeline call passes rows
-that are not in RREF, so none pays for a pivot inverse.
+`FiniteField.matmul`.  `Coordinates` is the one coordinate map, over
+rows in RREF (every subalgebra's, and a `Subspace`'s): their pivot
+inverse is the identity, so coordinates are a gather at the pivots and
+the rebuild check a product on the free columns only.  `Quotient` is
+the one map to classes modulo a row span, with no inverse either, and
+`structure_tensor` the one fill of a multiplication table from either,
+in one stacked product and one coordinate call, for subalgebras,
+quotient algebras (radical, Brauer) and pairings of Brauer quotients,
+except on kG's group basis (read off orbits in `bflab.interior`).
 """
 
 from functools import cached_property
@@ -162,52 +160,30 @@ def solve(f, m, b):
     return x
 
 
-def inverse(f, m):
-    n = m.shape[0]
-    if m.shape[1] != n:
-        raise ValueError(f"inverting a non-square {m.shape} matrix")
-    aug = np.concatenate([m, eye(f, n)], axis=1)
-    r, pivots = rref(f, aug)
-    if pivots != list(range(n)):
-        return None
-    return r[:, n:]
-
-
 class Coordinates:
-    """Coordinates over the rows of a matrix of full row rank.
+    """Coordinates over rows in RREF with no zero row (every
+    subalgebra's: corners, A^P, the centre; and a `Subspace`'s).
 
-    Rows in RREF with no zero row (every subalgebra's: corners, A^P, the
-    centre) have the identity at their pivot columns, so the coordinates
-    of v are its entries there, one gather, and the rebuild check
-    c.rows = v compares only the free columns: at the pivots it holds by
-    construction, so it is exactly as strong.  Other rows take their
-    pivot columns from one `rref` (every column of a square matrix) and
-    the inverse of the rows at those columns from one `inverse`; each
-    call is then one product, and the check rebuilds all of v.
-    Dependent rows, and a checked vector outside the row span, raise
-    `error`.
+    Such rows have the identity at their pivot columns, so the
+    coordinates of v are its entries there, one gather, and the rebuild
+    check c.rows = v compares only the free columns: at the pivots it
+    holds by construction, so it is exactly as strong.  Rows not in that
+    form (dependent rows among them), and a checked vector outside the
+    row span, raise `error`.
     """
 
     def __init__(self, f, rows, error=ValueError):
         rows = np.asarray(rows, dtype=np.int64)
         n, cols = rows.shape
-        self.field = f
-        self.rows = rows
-        self.error = error
-        # n > 0 rows of no column are dependent: the elimination path says so
+        # n > 0 rows of no column are not in RREF
         pivots = _reduced_pivots(rows) if rows.size else (None if n else [])
-        if pivots is not None:
-            self.pivots = list(pivots)
-            self._inv = None
-            self._free = np.delete(np.arange(cols), self.pivots)
-            self._free_rows = rows[:, self._free]
-            return
-        self.pivots = list(range(n)) if n == cols else rref(f, rows)[1]
-        inv = inverse(f, rows[:, self.pivots].T) \
-            if len(self.pivots) == n else None
-        if inv is None:
-            raise error("rows are dependent")
-        self._inv = inv
+        if pivots is None:
+            raise error("rows are not in RREF with no zero row")
+        self.field = f
+        self.error = error
+        self.pivots = list(pivots)
+        self._free = np.delete(np.arange(cols), self.pivots)
+        self._free_rows = rows[:, self._free]
 
     def __call__(self, v, check=True):
         """Coordinates of v; of each column for a matrix.  Checked, they
@@ -221,15 +197,9 @@ class Coordinates:
     def columns(self, vs, check=True):
         """Coordinates of each column of vs; checked, None when one of
         them is outside the row span."""
-        f = self.field
-        if self._inv is None:
-            c = vs[self.pivots]
-            if check and self._free.size and not np.array_equal(
-                    matmul(f, c.T, self._free_rows), vs[self._free].T):
-                return None
-            return c
-        c = matmul(f, self._inv, vs[self.pivots])
-        if check and not np.array_equal(matmul(f, c.T, self.rows), vs.T):
+        c = vs[self.pivots]
+        if check and self._free.size and not np.array_equal(
+                matmul(self.field, c.T, self._free_rows), vs[self._free].T):
             return None
         return c
 

@@ -2,8 +2,10 @@
 
 A point of A^P is a conjugacy class of primitive idempotents of the
 P-fixed subalgebra; it is local when its Brauer image at P survives.
-The interior algebra owns each A^P (`fixed_subalgebra`) and each Brauer
-quotient A(P) (`brauer_at`), and holds two caches of this module: the
+The interior algebra owns each A^P (`fixed_subalgebra`; for a block
+B = kG.b, the corner b.(kG)^P of the orbit-counted (kG)^P, so points of
+B^P take no product in B) and each Brauer quotient A(P) (`brauer_at`),
+and holds two caches of this module: the
 points of each A^P, locality flagged, and the primitive decompositions
 of idempotents inside each A^P, keyed by (P, idempotent).  The
 decomposition of 1 in A^P, whose pieces the points group, is one of

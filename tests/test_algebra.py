@@ -148,14 +148,16 @@ def test_structure_tensor_matches_the_per_slice_fill(p, m):
     # the oracle fills slice i with the coordinates of L(rows[i]) @ rows.T,
     # one product per slice
     f = field(p, m)
-    A = group_algebra(group_from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)],
-                                            "S4"), f)
+    G = group_from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)], "S4")
+    A = group_algebra(G, f)
     rng = np.random.default_rng(12)
-    rows = f.random_elements(rng, (A.dim, A.dim))
-    while linalg.rank(f, rows) < A.dim:
-        rows = f.random_elements(rng, (A.dim, A.dim))
-    B = A.subalgebra(rows)              # kS4 on a random basis: dense
-    for parent, sub in ((A, rows), (B, B.center_rows())):
+    # e = the mean of a p'-subgroup H is idempotent, and B = e.kS4.e dense
+    h = (1, 2, 0, 3) if p != 3 else (1, 0, 2, 3)
+    H = [G.identity, h] + ([pmul(h, h)] if p != 3 else [])
+    e = f.mul(f.inv(len(H) % p), sum(group_element_vector(A, x) for x in H))
+    B = A.corner(e)
+    assert 1 < B.dim < A.dim
+    for parent, sub in ((A, A.corner_rows(e)), (B, B.center_rows())):
         coords = linalg.Coordinates(f, sub)
         tensor = linalg.structure_tensor(f, parent.lmul_matrix, sub, coords)
         # C-contiguous, so a subalgebra's lmul_matrix reshapes it in place

@@ -167,6 +167,23 @@ def test_catalog_on_small_dir(tmp_path):
         assert r1.get("defects") == r2.get("defects")
 
 
+def test_catalog_no_cache_leaves_no_cache_dir(tmp_path, monkeypatch):
+    # with the default --cache-dir, --no-cache neither reads, creates nor
+    # writes the cache in the working directory
+    gdir = tmp_path / "groups"
+    gdir.mkdir()
+    (gdir / "c2.json").write_text(open(os.path.join(DATA, "c2.json")).read())
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        code = run(["catalog", "--dir", str(gdir), "--no-cache",
+                    "--out", str(tmp_path / "catalog.json"),
+                    "--findings-dir", str(tmp_path / "f")])
+        assert code == 0
+        rows = json.loads((tmp_path / "catalog.json").read_text())["rows"]
+        assert [r["status"] for r in rows] == ["ok"]
+        assert not (tmp_path / ".bflab-cache").exists()
+
+
 def _catalog_c2(tmp_path, name):
     gdir = tmp_path / "groups"
     gdir.mkdir(exist_ok=True)

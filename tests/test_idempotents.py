@@ -306,12 +306,13 @@ def test_corner_shortcuts_keep_the_parts_and_the_draws(G, p, m, simple,
     # at p = 3 give 2 and 3 (the other blocks have no such part)
     A = group_algebra(G, field(p, m))
     built = []
-    subalgebra = AlgebraContext.subalgebra
+    on_rows = AlgebraContext._on_rows
 
+    # every subalgebra and corner, lazy or filled, is built on its rows
     def counted(self, *args, **kwargs):
         built.append(self)
-        return subalgebra(self, *args, **kwargs)
-    monkeypatch.setattr(AlgebraContext, "subalgebra", counted)
+        return on_rows(self, *args, **kwargs)
+    monkeypatch.setattr(AlgebraContext, "_on_rows", counted)
     fast, slow = rng(), rng()
     parts = primitive_decomposition(A, A.unit, fast)
     shortcut = len(built)

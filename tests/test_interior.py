@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from bflab.algebra import group_algebra, group_element_vector
 from bflab.blocks import analyze_block, build_group_algebra
 from bflab.fusion import BrauerPairs
 from bflab.gf import _prime_factors, field, make_field
+from bflab.idempotents import block_idempotents
 from bflab.groups import (TwistedDiagonal, all_subgroups, diagonal,
                           group_from_generators, injective_maps,
                           load_group, maximal_subgroups, sylow_subgroup,
@@ -633,3 +635,157 @@ def test_corners_and_source_algebras_keep_elimination(monkeypatch, doc, p,
         _every_quotient(ia)
         assert counts["nullspace"] > 0 and counts["trace_map"] > 0
         monkeypatch.undo()
+
+
+# -- fixed algebras from orbit sums ---------------------------------------
+
+
+def _doc(name):
+    return A5_DOC if name == "a5" else os.path.join(DATA, f"{name}.json")
+
+
+ORBIT_PAIRS = list(catalog_pairs()) + [
+    pytest.param("a5", p, id=f"a5-p{p}") for p in (2, 3, 5)]
+
+
+def _filled(A, rows):
+    """The `structure_tensor` fill over RREF rows, the oracle."""
+    return linalg.structure_tensor(A.field, A.lmul_matrix, rows,
+                                   linalg.Coordinates(A.field, rows))
+
+
+@pytest.mark.parametrize("name,p", ORBIT_PAIRS)
+def test_orbit_counts_match_the_structure_tensor_fill(name, p):
+    # (kG)^P on its orbit sums for every P <= S: counted, with no product
+    G = load_group(_doc(name))
+    A = build_group_algebra(G, p)
+    ia = InteriorAlgebra(A, sylow_subgroup(G, p))
+    for P in all_subgroups(ia.D):
+        K = ia.fixed_subalgebra(P)
+        rows = ia.fixed_rows(diagonal(P, ia.D).pairs)
+        if rows.shape[0] == A.dim:          # P central: (kG)^P is kG
+            assert K.embed is None and K.mult_tensor is None
+            continue
+        assert np.array_equal(K.embed, rows)
+        t = K.mult_tensor
+        assert t.dtype == np.int64 and t.flags.c_contiguous
+        assert np.array_equal(t, _filled(A, rows))
+
+
+@pytest.mark.parametrize("name,p", ORBIT_PAIRS)
+def test_block_fixed_algebras_are_corners_of_the_counted_ones(name, p):
+    # B^P = b.(kG)^P has the nullspace path's rows, in B's coordinates and
+    # in kG's, and its tensor; the oracle fills B itself
+    G = load_group(_doc(name))
+    A = build_group_algebra(G, p)
+    ia = InteriorAlgebra(A, sylow_subgroup(G, p))
+    blocks = [b for b in block_idempotents(A, np.random.default_rng(1))
+              if not np.array_equal(b, A.unit)]
+    for b in blocks:
+        for P in all_subgroups(ia.D)[1:]:
+            B = ia.corner(b)                # a block whose tensor waits
+            assert B.ambient is ia
+            ctx = B.fixed_subalgebra(P)
+            assert "mult_tensor" not in vars(B.A)
+            rows = linalg.nullspace(A.field, np.concatenate([
+                A.field.sub(B.lmat(g), B.rmat(g))
+                for g in P.generating_sequence()]))
+            # P may act trivially on B (then B^P is B) and not on kG
+            whole = rows.shape[0] == B.A.dim
+            assert (ctx.embed is None) == whole
+            assert np.array_equal(rows if whole else ctx.embed, rows)
+            in_kg = linalg.matmul(A.field, rows, B.A.embed)
+            assert np.array_equal(linalg.rref(A.field, in_kg)[0], in_kg)
+            assert np.array_equal(ctx.mult_tensor, _filled(B.A, rows))
+            assert np.array_equal(ctx.unit, ctx.from_parent(B.A.unit))
+
+
+def test_corners_are_taken_only_in_kg_tables():
+    # a source algebra S != B has neither kG's group basis nor kG as its
+    # ambient; its own corners are not taken
+    pairs = BrauerPairs(build_group_algebra(load_group(A5_DOC), 3),
+                        np.random.default_rng(1))
+    data = next(analyze_block(pairs, b, i, np.random.default_rng(1))
+                for i, b in enumerate(pairs.blocks)
+                if np.any(pairs.quotient(pairs.S).project(b)))
+    S = data.ia_S
+    assert S.ambient is None and not S._permutes_basis
+    assert data.ia_B.ambient is data.ia_kG_D
+    assert S.corner(S.A.unit) is S
+    with pytest.raises(ValueError, match="corners are taken"):
+        S.corner(S.A.zero())
+
+
+def test_analyze_fills_no_tensor_of_a_block_of_positive_defect(tmp_path,
+                                                               monkeypatch):
+    # A5 at p = 3: the 42-dim principal block is multiplied only in kG's
+    # tables and in b.(kG)^P; the defect-zero blocks are their own B^1
+    from bflab.cli import main
+    dims = []
+    fill = linalg.structure_tensor
+
+    def counted(f, lmul, rows, *args, **kwargs):
+        dims.append(rows.shape[0])
+        return fill(f, lmul, rows, *args, **kwargs)
+    monkeypatch.setattr(linalg, "structure_tensor", counted)
+    out = tmp_path / "a5.json"
+    assert main(["analyze", "--group", A5_DOC, "--prime", "3", "--seed", "1",
+                 "--out", str(out), "--findings-dir", str(tmp_path)]) == 0
+    blocks = json.loads(out.read_text())["blocks"]
+    positive = {blk["block_dim"] for blk in blocks
+                if blk["defect_group"]["order"] > 1}
+    assert positive == {42} and dims
+    assert not positive & set(dims)
+
+
+def test_block_checks_run_in_kg_and_raise_under_python_O():
+    # a block's unit and structural checks are raises in kG's tables, not
+    # asserts, and leave the block's tensor unfilled
+    script = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        from bflab.algebra import AlgebraError
+        from bflab.blocks import build_group_algebra
+        from bflab.groups import load_group, sylow_subgroup
+        from bflab.idempotents import block_idempotents
+        from bflab.interior import InteriorAlgebra
+        if __debug__:
+            sys.exit("not running under -O")
+        G = load_group({A5_DOC!r})
+        A = build_group_algebra(G, 3)
+        ia = InteriorAlgebra(A, sylow_subgroup(G, 3))
+        b, c, _ = block_idempotents(A, np.random.default_rng(1))
+        B = ia.corner(b)
+        if B.ambient is not ia or "mult_tensor" in vars(B.A):
+            sys.exit("the block was multiplied in its own tensor")
+        one, x, y = ia.D.elements
+        for bad, what in (({{x: B.structural[y]}}, "not multiplicative"),
+                          ({{one: B.structural[x]}}, "1 to 1")):
+            try:
+                InteriorAlgebra(B.A, ia.D, ambient=ia,
+                                structural={{**B.structural, **bad}})
+            except ValueError as exc:
+                if what not in str(exc):
+                    sys.exit(str(exc))
+            else:
+                sys.exit("a tampered structural image was accepted")
+        if "mult_tensor" in vars(B.A):
+            sys.exit("the structural check filled the block's tensor")
+        # the corner at b + c, a proper one, with b as its unit: b is in
+        # its span, but not its identity
+        rows = A.corner_rows(A.add(b, c))
+        if rows.shape[0] == A.dim:
+            sys.exit("b + c = 1")
+        A.corner_rows = lambda e: rows
+        try:
+            A.corner(b)
+        except AlgebraError as exc:
+            if "two-sided identity" not in str(exc):
+                sys.exit(str(exc))
+        else:
+            sys.exit("a tampered corner unit was accepted")
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         cwd=ROOT, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

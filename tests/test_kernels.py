@@ -412,8 +412,8 @@ def test_fusion_graph_index_is_read_only_in_fusion(path):
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
                                           if p.name != "linalg.py"))
 def test_inverse_is_called_only_in_linalg(module):
-    # coordinates over rows go through linalg.Coordinates, which owns the
-    # one pivot inverse; an inverse elsewhere is a second coordinate map
+    # coordinates over rows go through linalg.Coordinates, a gather over
+    # RREF rows; a matrix inverse anywhere would be a second coordinate map
     tree = ast.parse((SRC / module).read_text())
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Call)
@@ -422,25 +422,6 @@ def test_inverse_is_called_only_in_linalg(module):
              and isinstance(node.func.value, ast.Name)
              and node.func.value.id == "linalg"]
     assert not lines, f"{module}: linalg.inverse called at lines {lines}"
-
-
-def test_no_check_run_inverts_a_matrix(tmp_path, monkeypatch):
-    # classes modulo the traces and coordinates over RREF rows are
-    # gathers and products: `check` over the catalog and on A5 at p = 3
-    # runs with linalg.inverse raising
-    from bflab.cli import main
-
-    def refused(f, m):
-        raise AssertionError("linalg.inverse was called")
-    monkeypatch.setattr(linalg, "inverse", refused)
-    common = ["--seed", "1", "--out", str(tmp_path / "out.json"),
-              "--findings-dir", str(tmp_path)]
-    with contextlib.redirect_stderr(io.StringIO()):
-        assert main(["catalog", "--dir", str(SRC / "data"), "--no-cache",
-                     "--cache-dir", str(tmp_path / "cache"), *common]) == 0
-        assert main(["check", "--group", str(REPO / "perfbench" / "groups" /
-                                             "a5.json"),
-                     "--prime", "3", *common]) == 0
 
 
 # The callers that may still hand `FiniteField.matmul` an identity
@@ -452,8 +433,7 @@ IDENTITY_CALLERS = {
     # z.w with z = 1
     "idempotents.corner_unit_inverse",
     # L_d and R_d for d = 1, the identity coset representative
-    "interior.InteriorAlgebra.left", "interior.InteriorAlgebra.corner",
-    "interior.InteriorAlgebra.trace_map",
+    "interior.InteriorAlgebra.left", "interior.InteriorAlgebra.trace_map",
     # the fixed rows of V = 1 are the identity
     "interior.InteriorAlgebra.brauer", "idempotents.sandwich_rows",
     # w -> w.u-dagger contracted from the pairing A(phi) x A(phi^-1) ->

@@ -131,9 +131,10 @@ def test_only_radical_rows_runs_a_radical_path(module):
         assert where <= allowed, name
 
 
-# the one fill of a multiplication table: subalgebras, radical quotients
-# and the pairings of Brauer quotients (which give A(P) its algebra)
-TENSOR_FILLERS = {("algebra.py", "AlgebraContext.subalgebra"),
+# the one fill of a multiplication table: subalgebras (on their first
+# product), radical quotients and the pairings of Brauer quotients (which
+# give A(P) its algebra)
+TENSOR_FILLERS = {("algebra.py", "AlgebraContext.mult_tensor"),
                   ("interior.py", "InteriorAlgebra.pairing"),
                   ("idempotents.py", "quotient_algebra")}
 
