@@ -8,7 +8,7 @@ bare numpy coefficient vectors; all operations live on the context.
 Subalgebras (fixed-point algebras, corners e.A.e, centers) are
 AlgebraContexts carrying an `embed` matrix whose rows express their
 basis inside the parent; `from_parent` reads coordinates over those
-rows through `linalg.Coordinates`, so the rows must be in RREF.  A
+rows through their `linalg.Subspace`, so the rows must be in RREF.  A
 proper subalgebra takes a tensor its caller already knows (the
 orbit-counted (kG)^P of `bflab.interior`), or gets one from
 `linalg.structure_tensor`, which multiplies the stacked left
@@ -53,12 +53,8 @@ class AlgebraContext:
         self.unit = None if unit is None else np.asarray(unit, dtype=np.int64)
         self.parent = parent
         self.embed = embed      # our basis as parent rows; None: the parent's
-        # a root owns the radicals of every algebra built under it
-        # (see bflab.radical.radical_rows)
-        self.radical_memo = {} if parent is None else None
         if embed is not None:
-            self._coords = linalg.Coordinates(field, embed,
-                                              error=AlgebraError)
+            self._coords = linalg.Subspace(field, embed, error=AlgebraError)
         if check and self.unit is not None:
             self._check_unit()
             # views and quotients of associative algebras are associative
@@ -158,12 +154,6 @@ class AlgebraContext:
         if self.embed is None:
             return np.asarray(v)
         return self._coords(v, check)
-
-    def root(self):
-        ctx = self
-        while ctx.parent is not None:
-            ctx = ctx.parent
-        return ctx
 
     # -- derived algebras --------------------------------------------------
 
@@ -293,14 +283,6 @@ def group_element_vector(A, g):
     v = A.zero()
     v[A.element_index[g]] = 1
     return v
-
-
-def group_conjugation_perm(A, g):
-    """Index array c with v[c] = g v g^-1 for v in the group algebra A."""
-    k = A.element_index[g]
-    k_inv = A._ltable[A.element_index[A.group.identity], k]
-    # c[i] indexes g^-1 h_i g: ltable gives h_i g, then rtable g^-1 (h_i g)
-    return A._rtable[A._ltable[:, k_inv], k]
 
 
 def class_sum_rows(A):

@@ -116,6 +116,9 @@ def _analyze_blocks_over(A, doc, seed, deep, thorough, exhaustive):
         }
         extra = {}
         extra["source_fusion_identity"] = source_fusion_identity_report(data)
+        for cond, val in extra["source_fusion_identity"].items():
+            if not val:
+                finding(f"source_fusion_identity_{cond}", {})
         if deep:
             proved = proved_conditions_report(data)
             extra["characteristic"] = {
@@ -129,9 +132,6 @@ def _analyze_blocks_over(A, doc, seed, deep, thorough, exhaustive):
             if not proved["f_stable"]:
                 finding("stability_of_source_shape",
                         proved.get("f_stable_witness", {}))
-            for cond, val in extra["source_fusion_identity"].items():
-                if not val:
-                    finding(f"source_fusion_identity_{cond}", {})
             try:
                 eq = equivalence_report(data, rng, thorough=thorough,
                                         exhaustive=exhaustive)
@@ -156,16 +156,21 @@ def _analyze_blocks_over(A, doc, seed, deep, thorough, exhaustive):
     return records, findings
 
 
+def _config(args, deep):
+    """The options a run depends on: its report's `config`, and part of
+    its catalog cache key."""
+    return {"order_cap": args.order_cap, "exhaustive": args.exhaustive,
+            "thorough": args.thorough, "mode": "check" if deep
+            else "analyze"}
+
+
 def _run_one(doc, G, prime, args, deep):
     seed = args.seed
-    config = {"order_cap": args.order_cap, "exhaustive": args.exhaustive,
-              "thorough": args.thorough, "mode": "check" if deep
-              else "analyze"}
     records, findings, k, retries = _analyze_blocks(
         doc, G, prime, seed, deep,
         thorough=args.thorough, exhaustive=args.exhaustive)
-    rep = report_mod.make_report(doc, k, seed, config, records, findings,
-                                 retries)
+    rep = report_mod.make_report(doc, k, seed, _config(args, deep), records,
+                                 findings, retries)
     return rep, findings
 
 
@@ -174,9 +179,7 @@ def _write_findings(findings, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     for i, f in enumerate(findings):
         path = os.path.join(out_dir, f"finding-{i}-{f['condition']}.json")
-        with open(path, "w") as fh:
-            json.dump(f, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        report_mod.dump_report(f, path)
         paths.append(path)
     return paths
 
@@ -264,10 +267,7 @@ def cmd_catalog(args):
             worst = max(worst, 2)
             continue
         for prime in _dividing_primes(G.order):
-            config = {"order_cap": args.order_cap,
-                      "exhaustive": args.exhaustive,
-                      "thorough": args.thorough, "mode": "check"}
-            key = _cache_key(doc, prime, args.seed, config)
+            key = _cache_key(doc, prime, args.seed, _config(args, deep=True))
             cached = os.path.join(cache_dir, key + ".json") if cache_dir \
                 else None
             t0 = time.time()

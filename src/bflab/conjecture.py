@@ -164,11 +164,14 @@ def _replace_basis_orbit(ia, vectors, start, length, td, y, u):
 
 
 def _check_invariant(ia, basis):
-    keys = {np.asarray(v).tobytes() for v in basis.vectors}
-    for d in ia.D.generating_sequence() or [ia.D.identity]:
-        for v in basis.vectors:
-            if np.asarray(ia.left(d, v)).tobytes() not in keys or \
-                    np.asarray(ia.right(v, d)).tobytes() not in keys:
+    """d.v and v.d lie in the basis for each generator d: one stacked
+    biaction per generator and side."""
+    vs = np.array(basis.vectors, dtype=np.int64)
+    keys = {v.tobytes() for v in vs}
+    one, inv = ia.D.identity, ia.D.parent.inverse
+    for d in ia.D.generating_sequence() or [one]:
+        for moved in (ia.act(d, one, vs.T), ia.act(one, inv(d), vs.T)):
+            if any(v.tobytes() not in keys for v in moved.T):
                 raise Finding("unital_basis_not_invariant",
                               {"d": [int(x) for x in d]})
 
@@ -466,8 +469,8 @@ def twisted_unit_laws_report(ia, presystem, rng):
     # composable products of twisted units are twisted units
     for phi, g, gphi, psi in _composable_triples(ia.D, reps):
         bq_gphi = ia.brauer_of(gphi)
-        u_gphi = bq_gphi.project(
-            ia.left(g, ia.brauer_of(phi).lift(units[phi.graph].u)))
+        u_gphi = bq_gphi.project(ia.act(
+            g, ia.D.identity, ia.brauer_of(phi).lift(units[phi.graph].u)))
         t, _ = ia.pairing(ia.brauer_of(psi), bq_gphi)
         w = _product(f, t, units[psi.graph].u, u_gphi)
         comp = psi.compose(gphi)

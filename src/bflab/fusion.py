@@ -32,13 +32,12 @@ multiplied as the table-driven group algebra kC_G(P), on the quotient's
 own basis: the quotient builds it (`BrauerQuotient.algebra`) and checks
 that basis once.  When kC_G(P) has one block, that block is 1, and a
 Brauer image lies under it or absorbs it with no product.  Conjugation
-by g permutes the group basis of kG and is applied as an index
-gather.
+by g permutes the group basis of kG and is the biaction of (g, g) on
+the interior algebra kG (`InteriorAlgebra.act`), an index gather.
 """
 
 import numpy as np
 
-from .algebra import group_conjugation_perm
 from .groups import (GroupInjection, PermGroup, all_subgroups, centralizer,
                      conjugation_injection, normalizer, subgroup_classes,
                      sylow_subgroup, twisted_classes)
@@ -261,8 +260,8 @@ class BrauerPairs:
     def image_under(self, P, e_qcoords, g):
         """^g e as a block of (kG)(gPg^-1); target must be <= S."""
         lifted = self.quotient(P).lift(e_qcoords)
-        conj = lifted[group_conjugation_perm(self.A, g)]
-        return self.quotient(P.conjugate(g)).project(conj)
+        return self.quotient(P.conjugate(g)).project(
+            self.ia.act(g, g, lifted))
 
     def under_block(self, P, i_vec):
         """The unique block e of (kG)(P) with e.br_P(i) = br_P(i), or None

@@ -104,10 +104,11 @@ def pair_subgroup(D, pairs):
 
 
 class BrauerQuotient:
-    """A(U) over its U-fixed module F, the cached RREF `Subspace`:
-    `classes` is the `linalg.Quotient` of F-coordinates modulo the traces
-    T', the reps are the fixed rows at the columns R other than the rows'
-    last ones N, and the class of v is x[R] - x[N].T'[:, R] for x the
+    """A(U) over its U-fixed module F, the interior algebra's cached
+    `linalg.Subspace`, which is also F's coordinate map: `classes` is the
+    `linalg.Quotient` of F-coordinates modulo the traces T', the reps are
+    the fixed rows at the columns R other than the rows' last ones N, and
+    the class of v is x[R] - x[N].T'[:, R] for x = fixed(v), the
     F-coordinates of v."""
 
     def __init__(self, interior, pairs, fixed, traces):
@@ -125,7 +126,7 @@ class BrauerQuotient:
     def project(self, v, check=True):
         """Class of a U-fixed vector, as coordinates over the reps; of
         each column for a matrix."""
-        return self.classes(self.fixed.coordinates(v, check))
+        return self.classes(self.fixed(v, check))
 
     def lift(self, c):
         """The rep combination of a class; of each column for a matrix."""
@@ -283,20 +284,21 @@ class InteriorAlgebra:
         return self._rmats[g]
 
     def act(self, d1, d2, v):
-        """d1 . v . d2^{-1}; on kG with its group basis a gather, as its
-        coefficient at g is v's at d1^-1.g.d2."""
+        """d1 . v . d2^{-1}, of each column for a matrix.  On kG with its
+        group basis it is a gather for any d1, d2 in G, as the coefficient
+        at g is v's at d1^-1.g.d2; elsewhere L_d1 and R_(d2^-1), each
+        applied only where its element is not 1."""
+        v = np.asarray(v, dtype=np.int64)
+        inv, one = self.D.parent.inverse, self.D.identity
         if self._permutes_basis:
-            inv = self.D.parent.inverse
-            return np.asarray(v)[self._moves([(inv(d1), inv(d2))])[:, 0]]
+            return v[self._moves([(inv(d1), inv(d2))])[:, 0]]
         f = self.A.field
-        return linalg.matvec(f, self.lmat(d1), linalg.matvec(
-            f, self.rmat(self.D.parent.inverse(d2)), v))
-
-    def left(self, d, v):
-        return linalg.matvec(self.A.field, self.lmat(d), v)
-
-    def right(self, v, d):
-        return linalg.matvec(self.A.field, self.rmat(d), v)
+        out = v if v.ndim == 2 else v[:, None]
+        if d2 != one:
+            out = linalg.matmul(f, self.rmat(inv(d2)), out)
+        if d1 != one:
+            out = linalg.matmul(f, self.lmat(d1), out)
+        return out if v.ndim == 2 else out[:, 0]
 
     # -- fixed points, traces, quotients ---------------------------------
 
@@ -316,7 +318,7 @@ class InteriorAlgebra:
                 least = self._least_in_orbit(U)
                 pivots = np.flatnonzero(least == np.arange(n))
                 space = linalg.Subspace(
-                    f, n, (least == pivots[:, None]).astype(np.int64),
+                    f, (least == pivots[:, None]).astype(np.int64),
                     pivots=pivots.tolist())
             else:
                 blocks = [linalg.zeros(0, n)]
@@ -324,9 +326,8 @@ class InteriorAlgebra:
                     d1, d2 = decode_pair(self.D, enc)
                     blocks.append(f.sub(self.lmat(d1), self.rmat(d2)))
                 # nullspace rows (eye for no generator) are in RREF
-                # already, so the Subspace takes them without elimination
                 space = linalg.Subspace(
-                    f, n, linalg.nullspace(f, np.concatenate(blocks)))
+                    f, linalg.nullspace(f, np.concatenate(blocks)))
             space.basis.flags.writeable = False
             self._fixed_cache[U.key] = space
         return space
@@ -390,7 +391,7 @@ class InteriorAlgebra:
             imgs.append(linalg.matmul(f, tm, self._fixed(V).basis.T).T)
         # checked: the traces are U-fixed; reduced with the columns
         # reversed, the quotient takes them as they are
-        x = fixed.coordinates(np.concatenate(imgs).T).T
+        x = fixed(np.concatenate(imgs).T).T
         traces = linalg.rref(f, x[:, ::-1])[0][:, ::-1]
         bq = BrauerQuotient(self, pairs, fixed, traces)
         self._bq_cache[pairs] = bq

@@ -14,15 +14,16 @@ through the field's rank-one kernel `sub_outer`.  The RREF of a matrix
 is unique, so none of this changes a result.
 
 `matmul` checks shapes and calls the field's one product kernel,
-`FiniteField.matmul`.  `Coordinates` is the one coordinate map, over
-rows in RREF (every subalgebra's, and a `Subspace`'s): their pivot
-inverse is the identity, so coordinates are a gather at the pivots and
-the rebuild check a product on the free columns only.  `Quotient` is
-the one map to classes modulo a row span, with no inverse either, and
-`structure_tensor` the one fill of a multiplication table from either,
-in one stacked product and one coordinate call, for subalgebras,
-quotient algebras (radical, Brauer) and pairings of Brauer quotients,
-except on kG's group basis (read off orbits in `bflab.interior`).
+`FiniteField.matmul`.  `Subspace` is the one row space and coordinate
+map, over rows in RREF (every subalgebra's and every fixed module's):
+their pivot inverse is the identity, so coordinates are a gather at the
+pivots and the rebuild check a product on the free columns only.
+`Quotient` is the one map to classes modulo a row span, with no inverse
+either, and `structure_tensor` the one fill of a multiplication table
+from either, in one stacked product and one coordinate call, for
+subalgebras, quotient algebras (radical, Brauer) and pairings of Brauer
+quotients, except on kG's group basis (read off orbits in
+`bflab.interior`).
 """
 
 from functools import cached_property
@@ -160,30 +161,44 @@ def solve(f, m, b):
     return x
 
 
-class Coordinates:
-    """Coordinates over rows in RREF with no zero row (every
-    subalgebra's: corners, A^P, the centre; and a `Subspace`'s).
+class Subspace:
+    """The row span of rows in RREF with no zero row, and the coordinate
+    map over them (every subalgebra's: corners, A^P, the centre; and each
+    fixed module of `bflab.interior`).
 
     Such rows have the identity at their pivot columns, so the
     coordinates of v are its entries there, one gather, and the rebuild
     check c.rows = v compares only the free columns: at the pivots it
     holds by construction, so it is exactly as strong.  Rows not in that
-    form (dependent rows among them), and a checked vector outside the
-    row span, raise `error`.
+    form (dependent rows among them) raise `error`, unless they come
+    with their known `pivots`, which are taken as they are; a checked
+    vector outside the row span raises `error` too.
     """
 
-    def __init__(self, f, rows, error=ValueError):
+    def __init__(self, f, rows, error=ValueError, pivots=None):
         rows = np.asarray(rows, dtype=np.int64)
-        n, cols = rows.shape
-        # n > 0 rows of no column are not in RREF
-        pivots = _reduced_pivots(rows) if rows.size else (None if n else [])
         if pivots is None:
-            raise error("rows are not in RREF with no zero row")
+            n = rows.shape[0]
+            # n > 0 rows of no column are not in RREF
+            pivots = _reduced_pivots(rows) if rows.size else \
+                (None if n else [])
+            if pivots is None:
+                raise error("rows are not in RREF with no zero row")
         self.field = f
         self.error = error
+        self.basis = rows
         self.pivots = list(pivots)
-        self._free = np.delete(np.arange(cols), self.pivots)
-        self._free_rows = rows[:, self._free]
+
+    @property
+    def dim(self):
+        return self.basis.shape[0]
+
+    @cached_property
+    def _free(self):
+        """The free columns and the rows' entries there, on the first
+        checked coordinates."""
+        free = np.delete(np.arange(self.basis.shape[1]), self.pivots)
+        return free, self.basis[:, free]
 
     def __call__(self, v, check=True):
         """Coordinates of v; of each column for a matrix.  Checked, they
@@ -198,10 +213,18 @@ class Coordinates:
         """Coordinates of each column of vs; checked, None when one of
         them is outside the row span."""
         c = vs[self.pivots]
-        if check and self._free.size and not np.array_equal(
-                matmul(self.field, c.T, self._free_rows), vs[self._free].T):
-            return None
+        if check:
+            free, free_rows = self._free
+            if free.size and not np.array_equal(
+                    matmul(self.field, c.T, free_rows), vs[free].T):
+                return None
         return c
+
+    def contains(self, v):
+        v = np.asarray(v, dtype=np.int64).reshape(-1)
+        if v.shape[0] != self.basis.shape[1]:
+            raise ValueError("ambient mismatch")
+        return self.columns(v[:, None]) is not None
 
 
 class Quotient:
@@ -254,67 +277,3 @@ def structure_tensor(f, lmul, rows, coords, check=True, right=None):
     # column i s + j is rows[i] * right[j]
     c = coords(prods.transpose(1, 0, 2).reshape(n, r * s), check)
     return np.ascontiguousarray(c.T).reshape(r, s, c.shape[0])
-
-
-class Subspace:
-    """Row space of a matrix, held in RREF.  Rows already in RREF with no
-    zero row may come with their `pivots` and are then taken as they
-    are."""
-
-    def __init__(self, f, ambient_dim, rows=None, pivots=None):
-        self.field = f
-        self.ambient_dim = ambient_dim
-        if rows is None or np.asarray(rows).size == 0:
-            self.basis, self.pivots = zeros(0, ambient_dim), []
-        elif pivots is not None:
-            self.basis, self.pivots = rows, list(pivots)
-        else:
-            rows = np.asarray(rows, dtype=np.int64)
-            if rows.ndim == 1:
-                rows = rows.reshape(1, -1)
-            if rows.shape[1] != ambient_dim:
-                raise ValueError("ambient mismatch")
-            self.basis, self.pivots = rref(f, rows)
-
-    @property
-    def dim(self):
-        return self.basis.shape[0]
-
-    def contains(self, v):
-        v = np.asarray(v, dtype=np.int64).reshape(-1)
-        if v.shape[0] != self.ambient_dim:
-            raise ValueError("ambient mismatch")
-        return self.reduce(v) is not None
-
-    @cached_property
-    def coordinates(self):
-        """The `Coordinates` over the RREF basis, built once."""
-        return Coordinates(self.field, self.basis)
-
-    def reduce(self, v):
-        """Coordinates of v in the RREF basis, or None if v is outside."""
-        v = np.asarray(v, dtype=np.int64).reshape(-1)
-        c = self.coordinates.columns(v[:, None])
-        return None if c is None else c[:, 0]
-
-    def sum(self, other):
-        self._check(other)
-        return Subspace(self.field, self.ambient_dim,
-                        np.concatenate([self.basis, other.basis], axis=0))
-
-    def __eq__(self, other):
-        return isinstance(other, Subspace) and \
-            self.ambient_dim == other.ambient_dim and \
-            np.array_equal(self.basis, other.basis)
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis.tobytes()))
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient mismatch")
-
-    def __repr__(self):
-        return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"

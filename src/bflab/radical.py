@@ -41,18 +41,12 @@ is the only caller of either.  Both paths read the basis's left
 multiplications off the structure tensor (`basis_lmuls`), with no
 product.
 
-The radical of an algebra depends only on its structure data, and the
-pipeline keeps rebuilding equal algebras (the corner e.A.e for the same
-e, the fixed points A^P for the same P) as new contexts.  So each radical
-has one owner: the root of the context's parent chain (a group algebra,
-or a quotient algebra, which has no parent) holds `radical_memo`, a dict
-from the exact bytes of a structure tensor to its radical rows, or to
-None when the certificate refused and no chain has run.  A
-table-driven algebra is keyed by the bytes of its index table, so kG and
-its identity corners (which share kG's tables) share one chain.  Its
-lifetime is the root's: a CLI run builds its own group algebra, so
-nothing is shared between runs and nothing lives at module or field
-level.  Stored rows are read-only.
+Nothing here is memoized: each algebra whose radical the pipeline asks
+for has one owner that builds it once (an interior algebra's A^P, a
+quotient's algebra).  The few asked twice (11 of 89 radicals in a
+catalog pass) cost a certificate each, under 2% of the pass, which is
+less than a memo keyed by the bytes of whole tensors is worth keeping
+alive for the run.  The returned rows are read-only.
 """
 
 import numpy as np
@@ -192,50 +186,23 @@ def charpolys(f, stack, j):
     return polys[:, n, n - j].copy()
 
 
-def _memo_key(A):
-    """A's key in `A.root().radical_memo`: the bytes of its structure
-    tensor, or of its index table when A is table-driven."""
-    if A.mult_tensor is None:
-        return ("index table", A._ltable.tobytes())
-    return np.asarray(A.mult_tensor, dtype=np.int64).tobytes()
-
-
 def local_radical(A):
     """J(A), in RREF and read-only, when a local character certifies
-    A/J(A) = k; else None.
-
-    The one entry to the certificate, memoized with the radicals of
-    `radical_rows`: a refusal is stored as None, and a stored radical
-    answers only when it has codimension 1 (the chain's J of an algebra
-    that is not local has more)."""
-    memo = A.root().radical_memo
-    key = _memo_key(A)
-    if key not in memo:
-        rows = _local_radical(A)
-        if rows is not None:
-            rows.setflags(write=False)
-        memo[key] = rows
-    rows = memo[key]
-    return rows if rows is not None and A.dim - rows.shape[0] == 1 \
-        else None
+    A/J(A) = k; else None.  The one entry to the certificate."""
+    rows = _local_radical(A)
+    if rows is not None:
+        rows.setflags(write=False)
+    return rows
 
 
 def radical_rows(A):
     """Rows (A-coordinates) spanning the Jacobson radical of A, in RREF and
     read-only: the kernel of a local character when one is certified,
-    else the end of the Cohen-Ivanyos-Wales chain.
-
-    Memoized in `A.root().radical_memo` by A's structure tensor, or by
-    its index table when A is table-driven."""
+    else the end of the Cohen-Ivanyos-Wales chain."""
     rows = local_radical(A)
     if rows is None:
-        memo = A.root().radical_memo
-        key = _memo_key(A)
-        rows = memo[key]
-        if rows is None:
-            rows = _radical_rows_impl(A)
-            rows.setflags(write=False)
-            memo[key] = rows
+        rows = _radical_rows_impl(A)
+        rows.setflags(write=False)
     return rows
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from bflab import linalg
 from bflab.algebra import (AlgebraContext, AlgebraError, group_algebra,
-                           group_conjugation_perm, group_element_vector)
+                           group_element_vector)
 from bflab.gf import field, make_field
 from bflab.groups import group_from_generators, pinv, pmul
 from bflab.interior import InteriorAlgebra
@@ -105,12 +105,16 @@ def test_conjugation_matrix():
 
 
 def test_conjugation_gather_matches_matrix():
+    # the biaction of kG's interior algebra conjugates by any g in G, over
+    # the trivial group too, and a matrix of columns column by column
     G = group_from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)], "S4")
     A = group_algebra(G, make_field(3, 2))
-    v = A.random_element(np.random.default_rng(4))
+    ia = InteriorAlgebra(A, G.subgroup([G.identity]))
+    vs = A.field.random_elements(np.random.default_rng(4), (A.dim, 3))
     for g in G.elements:
-        expect = linalg.matvec(A.field, group_conjugation_matrix(A, g), v)
-        assert np.array_equal(v[group_conjugation_perm(A, g)], expect)
+        expect = linalg.matmul(A.field, group_conjugation_matrix(A, g), vs)
+        assert np.array_equal(ia.act(g, g, vs), expect)
+        assert np.array_equal(ia.act(g, g, vs[:, 0]), expect[:, 0])
 
 
 def test_identity_subalgebras_share_the_group_tables():
@@ -158,7 +162,7 @@ def test_structure_tensor_matches_the_per_slice_fill(p, m):
     B = A.corner(e)
     assert 1 < B.dim < A.dim
     for parent, sub in ((A, A.corner_rows(e)), (B, B.center_rows())):
-        coords = linalg.Coordinates(f, sub)
+        coords = linalg.Subspace(f, sub)
         tensor = linalg.structure_tensor(f, parent.lmul_matrix, sub, coords)
         # C-contiguous, so a subalgebra's lmul_matrix reshapes it in place
         assert tensor.flags.c_contiguous

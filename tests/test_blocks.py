@@ -279,7 +279,7 @@ def test_operation_level_api_surface():
     assert ia.brauer(td).dim == 3
     tr = ia.trace_map([(D.identity, D.identity)], td.pairs)
     assert not linalg.matvec(A.field, tr, A.unit).any()
-    assert linalg.Subspace(A.field, A.dim, radical_rows(A)).dim == 4
+    assert linalg.Subspace(A.field, radical_rows(A)).dim == 4
     b = block_idempotents(A, r)[0]
     pairs = BrauerPairs(A, r)
     assert pairs.S.key == D.key

@@ -253,6 +253,30 @@ def test_finding_exit_code_and_artifact(tmp_path, monkeypatch):
     assert not rep["ok"] and rep["findings"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "check"])
+def test_failed_fusion_identity_is_a_finding_in_both_modes(command, tmp_path,
+                                                           monkeypatch):
+    # a source fusion identity that fails is a finding under `analyze` as
+    # under `check`, and its artifact is written as the report writer
+    # writes it
+    from bflab import blocks
+    monkeypatch.setattr(blocks, "fusion_equal", lambda F1, F2: False)
+    out = tmp_path / "rep.json"
+    fdir = tmp_path / "findings"
+    code = run([command, "--group", os.path.join(DATA, "s3.json"),
+                "--prime", "3", "--out", str(out),
+                "--findings-dir", str(fdir)])
+    assert code == 4
+    rep = json.loads(out.read_text())
+    assert rep["blocks"][0]["source_fusion_identity"]["fusion_equal"] is False
+    assert [f["condition"] for f in rep["findings"]] == \
+        ["source_fusion_identity_fusion_equal"]
+    (path,) = fdir.iterdir()
+    text = path.read_text()
+    assert text == json.dumps(rep["findings"][0], indent=1,
+                              sort_keys=True) + "\n"
+
+
 def test_reports_and_findings_name_their_field(tmp_path, monkeypatch):
     # A4 at p = 2 runs over GF(4) = GF(2)[x]/(x^2 + x + 1): the report
     # and each finding say so, and no field was abandoned

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from bflab.algebra import group_algebra, group_conjugation_perm
+from bflab.algebra import group_algebra
 from bflab.blocks import analyze_block, build_group_algebra
 from bflab.cli import _dividing_primes
 from bflab.fusion import (BrauerPairPoset, BrauerPairs, FusionError,
@@ -249,8 +249,7 @@ def test_block_fusion_independent_of_maximal_pair(monkeypatch):
     D2, e2 = poset2.pairs[poset2.maximal[0]]
     assert D2.key == D1.conjugate(g).key != D1.key
     lifted = engine.quotient(D1).lift(engine.blocks_at(D1)[e1])
-    e_moved = engine2.quotient(D2).project(
-        lifted[group_conjugation_perm(A, g)])
+    e_moved = engine2.quotient(D2).project(engine.ia.act(g, g, lifted))
     assert engine2.block_index(D2, e_moved) == e2
     F1 = block_fusion(poset, poset.maximal[0])
     F2 = block_fusion(poset2, poset2.maximal[0])

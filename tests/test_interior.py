@@ -651,7 +651,7 @@ ORBIT_PAIRS = list(catalog_pairs()) + [
 def _filled(A, rows):
     """The `structure_tensor` fill over RREF rows, the oracle."""
     return linalg.structure_tensor(A.field, A.lmul_matrix, rows,
-                                   linalg.Coordinates(A.field, rows))
+                                   linalg.Subspace(A.field, rows))
 
 
 @pytest.mark.parametrize("name,p", ORBIT_PAIRS)

@@ -409,21 +409,6 @@ def test_fusion_graph_index_is_read_only_in_fusion(path):
     assert not lines, f"{path}: fusion index read at lines {lines}"
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
-                                          if p.name != "linalg.py"))
-def test_inverse_is_called_only_in_linalg(module):
-    # coordinates over rows go through linalg.Coordinates, a gather over
-    # RREF rows; a matrix inverse anywhere would be a second coordinate map
-    tree = ast.parse((SRC / module).read_text())
-    lines = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "inverse"
-             and isinstance(node.func.value, ast.Name)
-             and node.func.value.id == "linalg"]
-    assert not lines, f"{module}: linalg.inverse called at lines {lines}"
-
-
 # The callers that may still hand `FiniteField.matmul` an identity
 # matrix, each because an element happens to be 1 or a subgroup V = 1
 # makes a fixed module the whole algebra.  The algebra layer's own
@@ -433,7 +418,7 @@ IDENTITY_CALLERS = {
     # z.w with z = 1
     "idempotents.corner_unit_inverse",
     # L_d and R_d for d = 1, the identity coset representative
-    "interior.InteriorAlgebra.left", "interior.InteriorAlgebra.trace_map",
+    "interior.InteriorAlgebra.trace_map",
     # the fixed rows of V = 1 are the identity
     "interior.InteriorAlgebra.brauer", "idempotents.sandwich_rows",
     # w -> w.u-dagger contracted from the pairing A(phi) x A(phi^-1) ->

@@ -84,22 +84,9 @@ def test_matmul_assoc_random():
         assert np.array_equal(lhs, rhs)
 
 
-def test_subspace_sum_same():
-    f = field(2)
-    u = linalg.Subspace(f, 3, linalg.mat([[1, 0, 0], [0, 1, 0]]))
-    assert u.sum(u) == u
-
-
-def test_subspace_axes():
-    f = field(3)
-    e1 = linalg.Subspace(f, 2, linalg.mat([[1, 0]]))
-    e2 = linalg.Subspace(f, 2, linalg.mat([[0, 1]]))
-    assert e1.sum(e2).dim == 2
-
-
 def test_span_diagonal_does_not_contain_axis():
     f = field(5)
-    d = linalg.Subspace(f, 2, linalg.mat([[1, 1]]))
+    d = linalg.Subspace(f, linalg.mat([[1, 1]]))
     assert not d.contains(np.array([1, 0]))
     assert d.contains(np.array([2, 2]))
 
@@ -128,20 +115,25 @@ def subspace_and_vector(draw):
 
 @given(subspace_and_vector())
 def test_subspace_reduce_matches_solve(case):
+    # over the RREF of the rows, checked coordinates match `solve` (None
+    # outside the span), `contains` agrees, and a vector of another
+    # length raises
     f, n, rows, v = case
-    S = linalg.Subspace(f, n, rows)
+    S = linalg.Subspace(f, linalg.rref(f, rows)[0] if rows.size else rows)
     assert S.pivots == (linalg.rref(f, S.basis)[1] if S.dim else [])
     if S.dim:
         ref = linalg.solve(f, S.basis.T, v)
     else:
         ref = linalg.zeros(1, 0)[0] if not np.any(v) else None
-    got = S.reduce(v)
+    got = S.columns(v[:, None])
     assert (got is None) == (ref is None)
     if ref is not None:
-        assert np.array_equal(got, ref)
+        assert np.array_equal(got[:, 0], ref)
     assert S.contains(v) == (ref is not None)
     if linalg.rank(f, rows) == n:
         assert got is not None
+    with pytest.raises(ValueError):
+        S.contains(np.append(v, 0))
 
 
 RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (3, 4)]
@@ -238,9 +230,9 @@ def test_coordinates_match_solve(case, data):
     reduced = linalg.rref(f, rows)[0] if r else rows
     if not np.array_equal(reduced, rows):
         with pytest.raises(Refused):
-            linalg.Coordinates(f, rows, error=Refused)
+            linalg.Subspace(f, rows, error=Refused)
     rows = reduced
-    coords = linalg.Coordinates(f, rows)
+    coords = linalg.Subspace(f, rows)
     codes = st.integers(0, f.q - 1)
     # coordinates of random combinations come back, in one call per matrix
     k = data.draw(st.integers(1, 4))
@@ -257,7 +249,7 @@ def test_coordinates_match_solve(case, data):
         with pytest.raises(ValueError):
             coords(v)
         with pytest.raises(Refused):
-            linalg.Coordinates(f, rows, error=Refused)(v)
+            linalg.Subspace(f, rows, error=Refused)(v)
     else:
         assert np.array_equal(coords(v), ref)
 
@@ -272,7 +264,7 @@ def test_coordinates_reject_dependent_rows():
     rows = linalg.mat([[1, 2, 0], [2, 1, 0]])
     for m in (rows, rows[:, :2]):
         with pytest.raises(Refused):
-            linalg.Coordinates(f, m, error=Refused)
+            linalg.Subspace(f, m, error=Refused)
 
 
 def _classes_by_solve(f, q, x):
@@ -355,21 +347,25 @@ def test_rref_coordinates_are_a_gather_checked_on_the_free_columns(case,
     # and a matrix gives the coordinates of each column
     f, rows = case
     r, n = rows.shape
-    coords = linalg.Coordinates(f, rows)
+    coords = linalg.Subspace(f, rows)
     pivots = linalg.rref(f, rows)[1] if r else []
+    assert coords.pivots == pivots
     codes = st.integers(0, f.q - 1)
     k = data.draw(st.integers(1, 4))
     combos = data.draw(arrays(np.int64, (k, r), elements=codes))
     vs = linalg.matmul(f, combos, rows).T if r else linalg.zeros(n, k)
     for check in (True, False):
         assert np.array_equal(coords(vs, check), combos.T)
+    # rows that come with their known pivots are taken as they are
+    known = linalg.Subspace(f, rows, pivots=pivots)
+    assert known.basis is coords.basis and np.array_equal(known(vs), combos.T)
     for v in list(vs.T) + [data.draw(arrays(np.int64, n, elements=codes))]:
         ref = linalg.solve(f, rows.T, v) if r else \
             (None if v.any() else linalg.zeros(1, 0)[0])
         assert np.array_equal(coords(v, check=False), v[pivots])
         if ref is None:
             with pytest.raises(Refused):
-                linalg.Coordinates(f, rows, error=Refused)(v)
+                linalg.Subspace(f, rows, error=Refused)(v)
             # one column outside the span makes the whole matrix raise
             with pytest.raises(ValueError):
                 coords(np.concatenate([vs, v[:, None]], axis=1))

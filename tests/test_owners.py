@@ -111,8 +111,8 @@ def _modules():
 
 
 # the scopes allowed to call each radical path: the certificate has one
-# memoized entry, `local_radical`, which `radical_rows` and the Fitting
-# split call; the chain runs only behind `radical_rows`
+# entry, `local_radical`, which `radical_rows` and the Fitting split
+# call; the chain runs only behind `radical_rows`
 RADICAL_CALLERS = {
     "_local_radical": {("radical.py", "local_radical")},
     "local_radical": {("radical.py", "radical_rows"),
@@ -123,8 +123,8 @@ RADICAL_CALLERS = {
 
 @pytest.mark.parametrize("module", _modules())
 def test_only_radical_rows_runs_a_radical_path(module):
-    # the certificate and the chain fill one memo; a second caller would
-    # compute a radical the memo already owns
+    # a radical has two paths and one entry to each; a second caller
+    # would be a second way to compute it
     tree = ast.parse((SRC / module).read_text())
     for name, allowed in RADICAL_CALLERS.items():
         where = {(module, scope) for scope, _ in _calls(tree, {name})}
